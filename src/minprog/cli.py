@@ -326,6 +326,24 @@ def _cmd_orders(args):
 # parser
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``, so a bad
+    budget is a usage error (exit 2) before any work starts."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
+
+
+_NON_NEGATIVE = _int_at_least(0)
+_POSITIVE = _int_at_least(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="minprog", description=__doc__)
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
@@ -338,20 +356,20 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def budget_args(p, horizon=False, fuel_default=None):
-        p.add_argument("--max-len", dest="max_len", type=int, default=8)
-        p.add_argument("--fuel", type=int, default=fuel_default or 256)
+        p.add_argument("--max-len", dest="max_len", type=_NON_NEGATIVE, default=8)
+        p.add_argument("--fuel", type=_POSITIVE, default=fuel_default or 256)
         if horizon:
-            p.add_argument("--horizon", type=int, default=None)
+            p.add_argument("--horizon", type=_POSITIVE, default=None)
 
     add("run-tm", _cmd_run_tm, lambda p: (
         p.add_argument("--machine", required=True),
         p.add_argument("--input", default=""),
-        p.add_argument("--fuel", type=int, default=1000),
+        p.add_argument("--fuel", type=_NON_NEGATIVE, default=1000),
     ))
     add("run-itm", _cmd_run_itm, lambda p: (
         p.add_argument("--machine", required=True),
         p.add_argument("--input", default=""),
-        p.add_argument("--horizon", type=int, default=1000),
+        p.add_argument("--horizon", type=_POSITIVE, default=1000),
     ))
     add("complexity", _cmd_complexity, lambda p: (
         p.add_argument("--class", dest="klass", choices=("tm", "itm1"), default="tm"),
@@ -372,33 +390,33 @@ def build_parser() -> argparse.ArgumentParser:
         budget_args(p),
     ))
     add("enumerate-nontotal", _cmd_enumerate_nontotal, lambda p: (
-        p.add_argument("--cycles", type=int, default=64),
+        p.add_argument("--cycles", type=_POSITIVE, default=64),
         p.add_argument("--machines", nargs="*", help="machine files (default: builtin pool)"),
     ))
     add("emptiness", _cmd_emptiness, lambda p: (
         p.add_argument("--machine"),
-        p.add_argument("--pool-index", dest="pool_index", type=int, default=0),
-        p.add_argument("--cycles", type=int, default=32),
+        p.add_argument("--pool-index", dest="pool_index", type=_NON_NEGATIVE, default=0),
+        p.add_argument("--cycles", type=_POSITIVE, default=32),
     ))
     add("totality", _cmd_totality, lambda p: (
-        p.add_argument("--index", type=int, required=True),
-        p.add_argument("--cycles", type=int, default=64),
+        p.add_argument("--index", type=_NON_NEGATIVE, required=True),
+        p.add_argument("--cycles", type=_POSITIVE, default=64),
         p.add_argument("--machines", nargs="*"),
     ))
     add("halting-itm", _cmd_halting_itm, lambda p: (
         p.add_argument("--machine", required=True),
         p.add_argument("--input", default=""),
-        p.add_argument("--horizon", type=int, default=1000),
+        p.add_argument("--horizon", type=_POSITIVE, default=1000),
     ))
     add("diagonal", _cmd_diagonal, lambda p: (
         p.add_argument("--decider", choices=("yes", "no", "sim"), required=True),
-        p.add_argument("--horizon", type=int, default=10000),
+        p.add_argument("--horizon", type=_POSITIVE, default=10000),
     ))
     add("reduce", _cmd_reduce, lambda p: (
         p.add_argument("--machine", required=True),
         p.add_argument("--input", default=""),
-        p.add_argument("--probes", type=int, default=8),
-        p.add_argument("--fuel", type=int, default=10000),
+        p.add_argument("--probes", type=_POSITIVE, default=8),
+        p.add_argument("--fuel", type=_NON_NEGATIVE, default=10000),
     ))
     add("orders", _cmd_orders, lambda p: p.add_argument("problem", nargs="?"))
     return parser

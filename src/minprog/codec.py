@@ -15,6 +15,8 @@ divergent.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .words import BLANK, Alphabet, BINARY
 from .turing import MOVES, MachineTM, MachineValidationError, Transition
 from .inductive import ExplicitMemory, LinearMemory, MachineITM, MemoryGraph, Rule
@@ -34,6 +36,10 @@ _MAX_COUNT = 1 << 20  # decode sanity bound
 
 class InvalidCodeError(ValueError):
     """The word is not the code of any machine."""
+
+
+class TruncatedCodeError(InvalidCodeError):
+    """The token stream ended inside a code: some extension may decode."""
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +63,7 @@ class _TokenReader:
         digits: list[int] = []
         while True:
             if self.pos >= len(self.tokens):
-                raise InvalidCodeError(f"truncated {what}")
+                raise TruncatedCodeError(f"truncated {what}")
             tok = self.tokens[self.pos]
             self.pos += 1
             if tok == SEP:
@@ -443,6 +449,72 @@ def decode_machine(word: str):
     if not reader.done():
         raise InvalidCodeError("trailing tokens after machine code")
     return machine
+
+
+# ---------------------------------------------------------------------------
+# enumerating the code grammar
+
+
+def _kind_head(kind: int) -> str:
+    tokens: list[int] = []
+    _emit_number(tokens, kind)
+    return _tokens_to_word(tokens)
+
+
+# Every code starts with its kind number.  The heads are prefix-disjoint, so
+# each kind's codes form one subtree, and listing the kinds in head order
+# lists all codes in lex order.
+_KIND_HEADS = {kind: _kind_head(kind) for kind in (KIND_TM, KIND_ITM, KIND_PIPELINE)}
+
+
+class _CodeTree:
+    """The codes under one kind head, grown a token level at a time.
+
+    The decoder is the grammar: a prefix that runs out of tokens is extended
+    by each token, a prefix that decodes is a code (its extensions carry
+    trailing tokens), and any other rejection prunes the prefix's subtree.
+    Only the deepest frontier is kept, so each prefix is decoded once.
+    """
+
+    def __init__(self, head: str) -> None:
+        self.frontier = [head]
+        self.bits = len(head)
+        self.codes: dict[int, list[str]] = {}
+
+    def of_length(self, bits: int) -> list[str]:
+        while self.bits < bits and self.frontier:
+            frontier = []
+            for prefix in self.frontier:
+                for token in ("00", "01", "10"):
+                    word = prefix + token
+                    try:
+                        decode_machine(word)
+                    except TruncatedCodeError:
+                        frontier.append(word)
+                    except InvalidCodeError:
+                        continue
+                    else:
+                        self.codes.setdefault(len(word), []).append(word)
+            self.frontier = frontier
+            self.bits += 2
+        return self.codes.get(bits, [])
+
+
+@cache
+def _code_tree(kind: int) -> _CodeTree:
+    return _CodeTree(_KIND_HEADS[kind])
+
+
+def codes_of_length(bits: int, kind: int | None = None) -> list[str]:
+    """Every decodable code of exactly ``bits`` bits, in lex order; only
+    the codes of one machine kind when ``kind`` is given.
+
+    Results are cached for the life of the process.
+    """
+    if bits % 2:
+        return []  # codes are whole 2-bit tokens; do not grow the walk for none
+    kinds = sorted(_KIND_HEADS, key=_KIND_HEADS.get) if kind is None else [kind]
+    return [code for k in kinds for code in _code_tree(k).of_length(bits)]
 
 
 def builtin_memory(name: str) -> MemoryGraph:

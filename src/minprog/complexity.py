@@ -3,7 +3,9 @@
 The central operation scans every program word up to a length cap in
 shortlex order, runs it under a machine class's universal interpreter with
 a fuel or horizon bound, and returns the length of the first program whose
-output satisfies the predicate.  A full length tier is always finished
+output satisfies the predicate.  Only the class's live words, those that
+can give a result at all, are run; the rest of each tier is counted as
+scanned without running it.  A full length tier is always finished
 before a verdict is fixed, so the reported witness is the shortlex-least
 program of minimal length no matter how candidates were scheduled.
 
@@ -15,9 +17,10 @@ relative to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from heapq import merge
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .words import BINARY, MalformedPairError, unpair, words_of_length
+from .words import BINARY, MalformedPairError, pairs_of_length, sd_words_of_length, unpair
 from .turing import MachineTM, MachineValidationError, run_fueled
 from .inductive import TmAsItm, itm_run
 from .predicates import Predicate, PredicateSet, eval_set
@@ -86,17 +89,24 @@ class FunctionTable:
 # machine classes
 
 ITM_EMBED_HEADER = "10"
+K_EMBED = len(ITM_EMBED_HEADER)
 
 
 @dataclass(frozen=True)
 class MachineClassHandle:
     """A class of machines reduced to what the searches need: run a program
     word under the class's universal interpreter and report the produced
-    word, or None when the class's run semantics give no result."""
+    word, or None when the class's run semantics give no result.
+
+    ``live(n)`` and ``live2(n)`` list, in shortlex order, the only words of
+    n symbols for which ``produce`` and ``produce2`` can give a result.
+    """
 
     tag: str
     produce: Callable[[str, Budget], str | None] = field(compare=False)
     produce2: Callable[[str, str, Budget], str | None] = field(compare=False)
+    live: Callable[[int], Iterable[str]] = field(compare=False)
+    live2: Callable[[int], Iterable[str]] = field(compare=False)
 
 
 def tm_class(interp=None) -> MachineClassHandle:
@@ -114,7 +124,7 @@ def tm_class(interp=None) -> MachineClassHandle:
         out = interp.apply2(program, argument, budget.fuel)
         return out.output if out.halted else None
 
-    return MachineClassHandle(f"tm[{interp.tag}]", produce, produce2)
+    return MachineClassHandle(f"tm[{interp.tag}]", produce, produce2, interp.live, interp.live2)
 
 
 def itm1_class(tm_interp=None, horizon_default: int | None = None) -> MachineClassHandle:
@@ -131,7 +141,7 @@ def itm1_class(tm_interp=None, horizon_default: int | None = None) -> MachineCla
         from .universal import U_STD
 
         tm_interp = U_STD
-    from .codec import InvalidCodeError, decode_machine
+    from .codec import InvalidCodeError, codes_of_length, decode_machine
 
     def run_region(program: str, argument: str | None, budget: Budget) -> str | None:
         horizon = budget.horizon or horizon_default or budget.fuel
@@ -167,10 +177,19 @@ def itm1_class(tm_interp=None, horizon_default: int | None = None) -> MachineCla
             return out.output if out.halted else None
         return run_region(program, argument, budget)
 
-    return MachineClassHandle(f"itm1[{tm_interp.tag}]", produce, produce2)
+    def embedded(live_tm: Callable[[int], Iterable[str]], length: int) -> Iterable[str]:
+        if length < K_EMBED:
+            return ()
+        return (ITM_EMBED_HEADER + p for p in live_tm(length - K_EMBED))
 
+    # sd(c) never starts with the header, so the two regions merge cleanly.
+    def live(length: int) -> Iterator[str]:
+        return merge(embedded(tm_interp.live, length), pairs_of_length(length, codes_of_length))
 
-K_EMBED = len(ITM_EMBED_HEADER)
+    def live2(length: int) -> Iterator[str]:
+        return merge(embedded(tm_interp.live2, length), sd_words_of_length(length, codes_of_length))
+
+    return MachineClassHandle(f"itm1[{tm_interp.tag}]", produce, produce2, live, live2)
 
 
 def compose_postprocess(base: MachineClassHandle, post: MachineTM) -> MachineClassHandle:
@@ -192,32 +211,43 @@ def compose_postprocess(base: MachineClassHandle, post: MachineTM) -> MachineCla
         out = run_fueled(post, word, budget.fuel)
         return out.output if out.halted else None
 
-    return MachineClassHandle(f"{base.tag}+{post.name}", produce, produce2)
+    return MachineClassHandle(f"{base.tag}+{post.name}", produce, produce2, base.live, base.live2)
 
 
 # ---------------------------------------------------------------------------
 # searches
 
 
-def bounded_problem_complexity(
-    handle: MachineClassHandle, predicate: Predicate, budget: Budget
+def _tier_scan(
+    live: Callable[[int], Iterable[str]],
+    results: Callable[[str], object | None],
+    accept: Callable[[object], bool],
+    budget: Budget,
 ) -> ComplexityVerdict:
-    """Minimum program length whose produced word satisfies the predicate."""
+    """Run the live words of each length tier in shortlex order; a tier's
+    other words give no result, so they count as scanned without a run."""
     scanned = 0
     halted = 0
     for length in range(budget.max_len + 1):
         best: str | None = None
-        for program in words_of_length(length):
-            scanned += 1
-            word = handle.produce(program, budget)
-            if word is None:
+        for program in live(length):
+            result = results(program)
+            if result is None:
                 continue
             halted += 1
-            if best is None and predicate(word):
+            if best is None and accept(result):
                 best = program
+        scanned += 1 << length
         if best is not None:
             return ComplexityVerdict("finite", length, best, scanned, halted)
     return ComplexityVerdict("no-witness-within-budget", None, None, scanned, halted)
+
+
+def bounded_problem_complexity(
+    handle: MachineClassHandle, predicate: Predicate, budget: Budget
+) -> ComplexityVerdict:
+    """Minimum program length whose produced word satisfies the predicate."""
+    return _tier_scan(handle.live, lambda p: handle.produce(p, budget), predicate, budget)
 
 
 def bounded_set_problem_complexity(
@@ -232,43 +262,21 @@ def bounded_set_problem_complexity(
 
 def bounded_kolmogorov(handle: MachineClassHandle, target: str, budget: Budget) -> ComplexityVerdict:
     """Minimum program length producing exactly the target word."""
-    scanned = 0
-    halted = 0
-    for length in range(budget.max_len + 1):
-        best: str | None = None
-        for program in words_of_length(length):
-            scanned += 1
-            word = handle.produce(program, budget)
-            if word is None:
-                continue
-            halted += 1
-            if best is None and word == target:
-                best = program
-        if best is not None:
-            return ComplexityVerdict("finite", length, best, scanned, halted)
-    return ComplexityVerdict("no-witness-within-budget", None, None, scanned, halted)
+    return bounded_problem_complexity(handle, Predicate(f"equals:{target}", target.__eq__), budget)
 
 
 def bounded_functional_complexity(
     handle: MachineClassHandle, table: FunctionTable, budget: Budget
 ) -> ComplexityVerdict:
-    """Minimum program length computing the whole probe table."""
-    scanned = 0
-    halted = 0
-    for length in range(budget.max_len + 1):
-        best: str | None = None
-        for program in words_of_length(length):
-            scanned += 1
-            results = [handle.produce2(program, x, budget) for x, _ in table.pairs]
-            if any(r is not None for r in results):
-                halted += 1
-            if best is None and all(
-                r == fx for r, (_, fx) in zip(results, table.pairs)
-            ):
-                best = program
-        if best is not None:
-            return ComplexityVerdict("finite", length, best, scanned, halted)
-    return ComplexityVerdict("no-witness-within-budget", None, None, scanned, halted)
+    """Minimum program length computing the whole probe table.  A program
+    counts as halted when any probe gives a result."""
+    wanted = [fx for _, fx in table.pairs]
+
+    def results(program: str) -> list[str | None] | None:
+        outs = [handle.produce2(program, x, budget) for x, _ in table.pairs]
+        return outs if any(r is not None for r in outs) else None
+
+    return _tier_scan(handle.live2, results, wanted.__eq__, budget)
 
 
 # ---------------------------------------------------------------------------

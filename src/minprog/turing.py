@@ -221,7 +221,8 @@ def never_halts_by_inspection(machine: MachineTM) -> bool:
     plus blank; work/output: blank plus whatever some transition writes)
     and demands that no final state is reachable and that every reachable
     state has a transition for every read triple in the approximation.
-    Sound but incomplete, which is all the list scheduler needs.
+    Sound but incomplete.  Nothing in the package calls it: the scheduler
+    and the searches only ever observe machines under fuel.
     """
     if machine.start in machine.finals:
         return False

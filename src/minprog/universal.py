@@ -6,6 +6,15 @@ outside the image of the codec never halt, whatever the fuel, so they can
 never witness a complexity minimum.  The two-input form used for function
 tables carries the machine code alone and receives the argument separately.
 
+Every interpreter lists, for a given length, its live words: the only
+program words that can halt, in shortlex order.  The searches run just
+those and count the rest.  Under the standard interpreter they are
+sd(c) + w for the binary Turing machine codes c, and the shortest code with
+a result is that of the machine that halts at once, 26 bits long: its
+program sd(c) of 54 bits is the minimum for ``anyword``.  A scan of every
+word would need 2^55 runs to reach it; the live words of all tiers up to
+there number 578.
+
 Two constructions produce further interpreters from existing ones:
 
 * wrapping prefixes every program with a fixed header, shifting all
@@ -14,18 +23,28 @@ Two constructions produce further interpreters from existing ones:
   shortcut that immediately outputs "0", diverges below that length, and
   otherwise strips its prefix and defers to the standard interpreter.
 
-Both families stay universal, and their engineered short programs are what
-make minimum-program experiments observable at small budgets: programs of
-the standard interpreter are dozens of symbols long at minimum, far beyond
-any exhaustive scan.
+Both families stay universal, and their engineered short programs put
+minima for most predicates within a few bits, where the standard
+interpreter's start at 54.
 """
 
 from __future__ import annotations
 
-from .words import BINARY, MalformedPairError, sd, unpair
+from functools import cache
+from typing import Iterable, Iterator
+
+from .words import (
+    BINARY,
+    MalformedPairError,
+    pairs_of_length,
+    sd,
+    sd_words_of_length,
+    unpair,
+    words_of_length,
+)
 from .turing import MachineTM, RunOutcome, run_fueled
 from .inductive import ItmOutcome, TmAsItm, itm_run
-from .codec import InvalidCodeError, decode_machine
+from .codec import KIND_TM, InvalidCodeError, codes_of_length, decode_machine
 
 WRAP_HEADER = "10"
 
@@ -40,6 +59,15 @@ class UniversalInterpreter:
 
     def apply2(self, program: str, argument: str, fuel: int) -> RunOutcome:
         raise NotImplementedError
+
+    def live(self, length: int) -> Iterable[str]:
+        """Every program word of ``length`` symbols on which ``apply`` can
+        halt, in shortlex order; here every word of that length."""
+        return words_of_length(length)
+
+    def live2(self, length: int) -> Iterable[str]:
+        """The same for ``apply2``."""
+        return words_of_length(length)
 
     def _diverge(self, fuel: int) -> RunOutcome:
         return RunOutcome.of_fuel(fuel)
@@ -56,6 +84,20 @@ def _decode_tm_program(code: str) -> MachineTM | None:
     if isinstance(machine, MachineTM) and machine.alphabet is BINARY:
         return machine
     return None
+
+
+@cache
+def _tm_codes(bits: int) -> tuple[str, ...]:
+    """The codes of exactly ``bits`` bits that the standard interpreter runs."""
+    return tuple(c for c in codes_of_length(bits, KIND_TM) if _decode_tm_program(c) is not None)
+
+
+def _headed(heads: Iterable[str], tails: Iterable[str]) -> Iterator[str]:
+    """Each head followed by each tail, in the order of the two lists."""
+    tails = list(tails)
+    for head in heads:
+        for tail in tails:
+            yield head + tail
 
 
 class StandardUniversal(UniversalInterpreter):
@@ -83,6 +125,12 @@ class StandardUniversal(UniversalInterpreter):
             return self._diverge(fuel)
         return run_fueled(machine, argument, fuel)
 
+    def live(self, length: int) -> Iterator[str]:
+        return pairs_of_length(length, _tm_codes)
+
+    def live2(self, length: int) -> list[str]:
+        return sd_words_of_length(length, _tm_codes)
+
 
 class WrappedUniversal(UniversalInterpreter):
     """Serves exactly the header-prefixed copy of another interpreter."""
@@ -108,6 +156,17 @@ class WrappedUniversal(UniversalInterpreter):
         if not program.startswith(self.header):
             return self._diverge(fuel)
         return self.inner.apply2(program[len(self.header) :], argument, fuel)
+
+    def live(self, length: int) -> Iterator[str]:
+        return self._live(length, self.inner.live)
+
+    def live2(self, length: int) -> Iterator[str]:
+        return self._live(length, self.inner.live2)
+
+    def _live(self, length: int, inner_live) -> Iterator[str]:
+        if length < len(self.header):
+            return iter(())
+        return _headed([self.header], inner_live(length - len(self.header)))
 
 
 class BiasedUniversal(UniversalInterpreter):
@@ -135,6 +194,19 @@ class BiasedUniversal(UniversalInterpreter):
         if program == self.shortcut:
             return RunOutcome.of_halt("0", 0)  # the constant-"0" function
         return self.base.apply2(program[self.n :], argument, fuel)
+
+    def live(self, length: int) -> Iterator[str]:
+        return self._live(length, self.base.live)
+
+    def live2(self, length: int) -> Iterator[str]:
+        return self._live(length, self.base.live2)
+
+    def _live(self, length: int, base_live) -> Iterator[str]:
+        if length < self.n:
+            return iter(())
+        if length == self.n:
+            return iter([self.shortcut])
+        return _headed(words_of_length(self.n), base_live(length - self.n))
 
 
 U_STD = StandardUniversal()

@@ -37,6 +37,11 @@ def brute_force_search(produce, accept, max_len):
     return None, []
 
 
+def brute_force_halts(produce, max_len):
+    """How many programs up to max_len produce any output at all."""
+    return sum(produce(program) is not None for program in binary_words(max_len))
+
+
 def brute_force_outputs(produce, max_len):
     """Every output any program up to max_len can produce."""
     outputs = set()

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from minprog.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -157,6 +159,55 @@ def test_exit_code_matrix(capsys):
         code = main(argv)
         capsys.readouterr()
         assert code == expected, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["emptiness", "--cycles", "-5"],
+    ["emptiness", "--pool-index", "-1"],
+    ["totality", "--index", "0", "--cycles", "-3"],
+    ["totality", "--index", "-1"],
+    ["enumerate-nontotal", "--cycles", "0"],
+    ["complexity", "--predicate", "anyword", "--fuel", "-1"],
+    ["complexity", "--predicate", "anyword", "--fuel", "0"],
+    ["complexity", "--predicate", "anyword", "--max-len", "-1"],
+    ["complexity", "--predicate", "anyword", "--horizon", "0"],
+    ["func-complexity", "--pair", "0=0", "--fuel", "0"],
+    ["invariance", "--u1", "std", "--u2", "std", "--max-len", "-2"],
+    ["run-tm", "--machine", IDENTITY, "--fuel", "-1"],
+    ["run-tm", "--machine", IDENTITY, "--fuel", "ten"],
+    ["run-itm", "--machine", WRITER, "--horizon", "0"],
+    ["halting-itm", "--machine", IDENTITY, "--horizon", "0"],
+    ["diagonal", "--decider", "no", "--horizon", "-1"],
+    ["reduce", "--machine", WRITER, "--probes", "0"],
+    ["reduce", "--machine", WRITER, "--fuel", "-1"],
+], ids=lambda argv: " ".join(Path(a).name for a in argv))
+def test_bad_budgets_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must be at least" in err or "invalid int value" in err
+
+
+def test_smallest_budgets_are_accepted(capsys):
+    assert run_json(capsys, "run-tm", "--machine", IDENTITY, "--fuel", "0")["outcome"]["kind"] == "out-of-fuel"
+    assert run_json(capsys, "complexity", "--predicate", "anyword", "--max-len", "0", "--fuel", "1")[
+        "programs_scanned"] == 1
+    assert run_json(capsys, "totality", "--index", "0", "--cycles", "1")["verdict"]["budget"] == 1
+
+
+def test_std_minimum_for_anyword_is_the_54_bit_halt_now_program(capsys):
+    from minprog.codec import encode_machine
+    from minprog.words import sd
+    from minprog import zoo
+
+    report = run_json(
+        capsys, "complexity", "--interpreter", "std", "--predicate", "anyword",
+        "--max-len", "54", "--fuel", "64",
+    )
+    assert (report["kind"], report["value"]) == ("finite", 54)
+    assert report["witness"] == "000011000011110000110000110000111100000011000000110001"
+    assert report["witness"] == sd(encode_machine(zoo.halt_now()))
+    assert report["programs_scanned"] == 2**55 - 1 == 36028797018963967
+    assert report["runs_halted"] == 1
 
 
 def test_console_entry_point_runs():

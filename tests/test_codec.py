@@ -1,12 +1,18 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minprog.codec import (
+    KIND_TM,
     InvalidCodeError,
+    TruncatedCodeError,
     canonicalize_tm,
+    codes_of_length,
     decode_machine,
     encode_machine,
 )
-from minprog.turing import MachineTM, Transition, TmRun, run_fueled
+from minprog.turing import MOVES, MachineTM, Transition, TmRun, run_fueled
 from minprog.inductive import MachineITM, itm_run
 from minprog.words import BINARY, BLANK, words_up_to
 from minprog import zoo
@@ -130,3 +136,68 @@ def test_tm_and_itm_codes_never_collide():
     tm_codes = {encode_machine(m) for m in zoo.acceptance_pool()}
     itm_codes = {encode_machine(m) for m in [zoo.writer(), zoo.alternator(), zoo.silent()]}
     assert not (tm_codes & itm_codes)
+
+
+# ---------------------------------------------------------------------------
+# the code grammar
+
+
+def _assert_proper_prefixes_truncated(code):
+    for cut in range(0, len(code), 2):
+        with pytest.raises(TruncatedCodeError):
+            decode_machine(code[:cut])
+
+
+def _zoo_machines():
+    from minprog.hierarchy import build_diagonal
+
+    tms = zoo.acceptance_pool() + [zoo.blocked(), zoo.halt_now(), zoo.append_zero(), zoo.eraser()]
+    itms = [zoo.writer(), zoo.alternator(), zoo.silent(), zoo.decider_yes(), zoo.decider_no()]
+    return tms + itms + [build_diagonal(zoo.decider_no())]
+
+
+@pytest.mark.parametrize("machine", _zoo_machines(), ids=lambda m: getattr(m, "name", "pipeline"))
+def test_proper_prefixes_of_zoo_codes_are_truncated(machine):
+    _assert_proper_prefixes_truncated(encode_machine(machine))
+
+
+_SYMS = ("0", "1", BLANK)
+
+
+@st.composite
+def small_tms(draw):
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3))))
+    state = st.sampled_from(states)
+    lefts = draw(st.lists(st.tuples(state, st.tuples(*[st.sampled_from(_SYMS)] * 3)),
+                          max_size=4, unique=True))
+    transitions = []
+    for q, reads in lefts:
+        work = draw(st.sampled_from(_SYMS))
+        out = draw(st.sampled_from(_SYMS if reads[2] == BLANK else _SYMS[:2]))
+        moves = draw(st.tuples(*[st.sampled_from(MOVES)] * 3))
+        transitions.append(Transition(q, reads, draw(state), (reads[0], work, out), moves))
+    finals = draw(st.frozensets(state))
+    return MachineTM("random", states, states[0], finals, BINARY, tuple(transitions))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_tms())
+def test_proper_prefixes_of_random_codes_are_truncated(machine):
+    code = encode_machine(machine)
+    _assert_proper_prefixes_truncated(code)
+    if len(code) <= 26:  # the code lists grow about 2.3x per token
+        assert code in codes_of_length(len(code), KIND_TM)
+
+
+def test_codes_of_length_match_trial_decoding_of_every_token_word():
+    for ntokens in range(11):
+        found = []
+        for tokens in itertools.product(("00", "01", "10"), repeat=ntokens):
+            word = "".join(tokens)
+            try:
+                decode_machine(word)
+            except InvalidCodeError:
+                continue
+            found.append(word)
+        assert codes_of_length(2 * ntokens) == found, ntokens
+    assert codes_of_length(13) == []

@@ -28,12 +28,19 @@ from minprog.predicates import (
     shipped_registry,
     small20_family,
 )
-from minprog.universal import U_STD, make_biased_universal, tm_program2, universal_apply2, wrap_universal
+from minprog.universal import (
+    U_STD,
+    make_biased_universal,
+    parse_interpreter_spec,
+    tm_program2,
+    universal_apply2,
+    wrap_universal,
+)
 from minprog.codec import encode_machine
 from minprog.words import sd, words_up_to
 from minprog import zoo
 
-from oracles import brute_force_search
+from oracles import binary_words, binary_words_of_len, brute_force_halts, brute_force_search
 
 U1 = make_biased_universal(1)
 H1 = tm_class(U1)
@@ -322,3 +329,77 @@ def test_verdict_report_field_names():
         "programs_scanned", "runs_halted",
     ]
     assert list(report["budget"]) == ["max_len", "fuel", "horizon"]
+
+
+# ---------------------------------------------------------------------------
+# the pruned scan against the naive one
+
+ORACLE_BUDGET = Budget(max_len=12, fuel=64, horizon=32)
+PRUNED_CLASSES = {
+    **{spec: tm_class(parse_interpreter_spec(spec))
+       for spec in ("std", "wrap:std", "biased:1", "biased:2", "biased:3", "wrap:biased:2")},
+    "itm1[std]": itm1_class(U_STD),
+    "itm1[biased:1]": itm1_class(make_biased_universal(1)),
+    "tm[biased:1]+append_zero": compose_postprocess(tm_class(make_biased_universal(1)), zoo.append_zero()),
+}
+
+
+def _naive_table(handle, budget, argument=None):
+    """Every program's result, computed by running every word."""
+    if argument is None:
+        return {p: handle.produce(p, budget) for p in binary_words(budget.max_len)}
+    return {p: handle.produce2(p, argument, budget) for p in binary_words(budget.max_len)}
+
+
+def _expected_verdict(results, accept, max_len):
+    value, witnesses = brute_force_search(results.__getitem__, accept, max_len)
+    last = max_len if value is None else value
+    return (
+        "no-witness-within-budget" if value is None else "finite",
+        value,
+        min(witnesses) if witnesses else None,
+        2 ** (last + 1) - 1,
+        brute_force_halts(results.__getitem__, last),
+    )
+
+
+def _fields(verdict):
+    return (verdict.kind, verdict.value, verdict.witness, verdict.programs_scanned, verdict.runs_halted)
+
+
+@pytest.mark.parametrize("name", PRUNED_CLASSES)
+def test_pruned_scan_equals_naive_scan(name):
+    handle = PRUNED_CLASSES[name]
+    results = _naive_table(handle, ORACLE_BUDGET)
+    for pred in (any_word(), equals("0"), equals("00"), non_empty(), false_pred()):
+        verdict = bounded_problem_complexity(handle, pred, ORACLE_BUDGET)
+        assert _fields(verdict) == _expected_verdict(results, pred, ORACLE_BUDGET.max_len), pred.name
+
+
+@pytest.mark.parametrize("name", PRUNED_CLASSES)
+def test_pruned_functional_scan_equals_naive_scan(name):
+    handle = PRUNED_CLASSES[name]
+    table = FunctionTable((("", "0"), ("1", "0")))
+    per_probe = [_naive_table(handle, ORACLE_BUDGET, x) for x, _ in table.pairs]
+    results = {}
+    for p in binary_words(ORACLE_BUDGET.max_len):
+        outs = tuple(r[p] for r in per_probe)
+        results[p] = None if all(o is None for o in outs) else outs
+    wanted = tuple(fx for _, fx in table.pairs)
+    verdict = bounded_functional_complexity(handle, table, ORACLE_BUDGET)
+    assert _fields(verdict) == _expected_verdict(results, wanted.__eq__, ORACLE_BUDGET.max_len)
+
+
+@pytest.mark.parametrize("name", ["itm1[std]", "itm1[biased:1]"])
+def test_class_words_outside_live_give_no_result(name):
+    handle = PRUNED_CLASSES[name]
+    for n in range(15):
+        live, live2 = list(handle.live(n)), list(handle.live2(n))
+        assert live == sorted(set(live)) and live2 == sorted(set(live2))
+        live, live2 = set(live), set(live2)
+        for w in binary_words_of_len(n):
+            if w not in live:
+                assert handle.produce(w, ORACLE_BUDGET) is None, w
+            if w not in live2:
+                assert handle.produce2(w, "01", ORACLE_BUDGET) is None, w
+

@@ -1,7 +1,7 @@
 import pytest
 
-from minprog.codec import encode_machine
-from minprog.turing import run_fueled
+from minprog.codec import decode_machine, encode_machine
+from minprog.turing import MachineTM, run_fueled
 from minprog.universal import (
     U_STD,
     make_biased_universal,
@@ -12,10 +12,10 @@ from minprog.universal import (
     universal_apply2,
     wrap_universal,
 )
-from minprog.words import pair, sd, words_up_to
+from minprog.words import BINARY, pair, sd, unpair, words_up_to
 from minprog import zoo
 
-from oracles import brute_force_search
+from oracles import binary_words_of_len, brute_force_search
 
 
 def test_universality_against_direct_simulation():
@@ -141,3 +141,42 @@ def test_parse_interpreter_spec():
     assert nested.inner.n == 1
     with pytest.raises(ValueError):
         parse_interpreter_spec("magic")
+
+
+# ---------------------------------------------------------------------------
+# live words
+
+
+@pytest.mark.parametrize("spec", ["std", "wrap:std", "biased:1", "biased:2", "biased:3", "wrap:biased:2"])
+def test_words_outside_live_never_halt(spec):
+    interp = parse_interpreter_spec(spec)
+    for n in range(15):
+        live, live2 = list(interp.live(n)), list(interp.live2(n))
+        assert live == sorted(set(live)) and live2 == sorted(set(live2))
+        live, live2 = set(live), set(live2)
+        for w in binary_words_of_len(n):
+            if w not in live:
+                assert not interp.apply(w, 64).halted, w
+            if w not in live2:
+                assert not interp.apply2(w, "01", 64).halted, w
+
+
+def test_std_live_words_are_binary_tm_pair_programs():
+    assert list(U_STD.live(45)) == [] and list(U_STD.live2(45)) == []
+    assert sd(encode_machine(zoo.halt_now())) in U_STD.live2(54)
+    for n in range(46, 55):
+        live = list(U_STD.live(n))
+        assert live and live == sorted(set(live))
+        assert set(U_STD.live2(n)) == {p for p in live if unpair(p)[0] == ""}
+        for p in live:
+            machine = decode_machine(unpair(p)[1])
+            assert len(p) == n and isinstance(machine, MachineTM) and machine.alphabet is BINARY
+
+
+def test_biased_and_wrapped_live_words_extend_std():
+    u2 = make_biased_universal(2)
+    assert list(u2.live(1)) == [] and list(u2.live(2)) == ["00"]
+    assert list(u2.live(48)) == [h + p for h in ("00", "01", "10", "11") for p in U_STD.live(46)]
+    wrapped = wrap_universal(U_STD)
+    assert list(wrapped.live(48)) == [wrapped.header + p for p in U_STD.live(46)]
+    assert list(wrapped.live2(56)) == [wrapped.header + p for p in U_STD.live2(54)]
