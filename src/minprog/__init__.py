@@ -10,8 +10,6 @@ from .codec import encode_machine, decode_machine, InvalidCodeError
 from .universal import (
     U_STD,
     make_biased_universal,
-    universal_apply,
-    universal_apply2,
     wrap_universal,
     itm_universal_apply,
 )

@@ -212,7 +212,10 @@ def _cmd_emptiness(args):
     if args.machine:
         machine = _load_tm(args.machine)
     else:
-        machine = zoo.acceptance_pool()[args.pool_index]
+        pool = zoo.acceptance_pool()
+        if args.pool_index >= len(pool):
+            raise IndexError(f"pool index {args.pool_index} out of range: the pool has {len(pool)} machines")
+        machine = pool[args.pool_index]
     verdict = emptiness_solver(encode_machine(machine), args.cycles)
     payload = {
         "machine": machine.name,

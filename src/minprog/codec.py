@@ -435,13 +435,13 @@ def decode_machine(word: str):
     elif kind == KIND_ITM:
         machine = _decode_itm(reader)
     elif kind == KIND_PIPELINE:
-        from .hierarchy import build_diagonal_from_slot  # cycle broken on purpose
+        from .hierarchy import DiagonalPipeline  # cycle broken on purpose
 
         slot = reader.number("decider slot form")
         if slot == 1:
-            machine = build_diagonal_from_slot(builtin=reader.number("builtin decider"))
+            machine = DiagonalPipeline(None, decider_builtin=reader.number("builtin decider"))
         elif slot == 0:
-            machine = build_diagonal_from_slot(decider=_decode_itm(reader))
+            machine = DiagonalPipeline(_decode_itm(reader))
         else:
             raise InvalidCodeError(f"unknown decider slot form {slot}")
     else:

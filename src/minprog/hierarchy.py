@@ -51,12 +51,7 @@ def halting_itm(code: str, input_word: str, horizon: int) -> InductiveVerdict:
     machine = decode_machine(code)
     if not isinstance(machine, MachineTM):
         raise InvalidCodeError("the halting demonstrator simulates Turing machine codes")
-    run = TmRun(machine, input_word)
-    while run.steps < horizon:
-        if run.in_final or run.stuck:
-            break
-        if not run.step():
-            break
+    run = machine.start_run(input_word).run_to(horizon)
     if run.in_final or run.stuck:
         return InductiveVerdict("1", stabilized_since=run.steps, budget=horizon)
     return InductiveVerdict("0", stabilized_since=0, budget=horizon)
@@ -66,19 +61,31 @@ def halting_itm(code: str, input_word: str, horizon: int) -> InductiveVerdict:
 # the emptiness solver
 
 
+def first_result_cycle(machine: MachineTM, cycles: int) -> int | None:
+    """First cycle n <= cycles at which the machine reaches a final state
+    when dovetailed over inputs x_1..x_n for n steps in cycle n.
+
+    Each input keeps one live run, started at its first cycle and resumed
+    to n total steps in cycle n (see :meth:`TmRun.run_to`).
+    """
+    runs: list[TmRun] = []
+    for n in range(1, cycles + 1):
+        runs.append(machine.start_run(nth_word(n)))
+        if any(run.run_to(n).in_final for run in runs):
+            return n
+    return None
+
+
 def emptiness_solver(code: str, cycles: int) -> InductiveVerdict:
-    """Dovetail the machine over inputs x_1..x_n for n steps in cycle n;
-    the first observed result flips the output to 0 and halts the solver,
-    otherwise every completed cycle reasserts 1."""
+    """The first observed result of the dovetail schedule flips the output
+    to 0 and halts the solver; otherwise every completed cycle reasserts 1."""
     machine = decode_machine(code)
     if not isinstance(machine, MachineTM):
         raise InvalidCodeError("the emptiness solver simulates Turing machine codes")
-    for n in range(1, cycles + 1):
-        for i in range(1, n + 1):
-            out = run_fueled(machine, nth_word(i), n)
-            if out.halted:
-                return InductiveVerdict("0", stabilized_since=n, budget=n, halted=True)
-    return InductiveVerdict("1", stabilized_since=1, budget=cycles)
+    n = first_result_cycle(machine, cycles)
+    if n is None:
+        return InductiveVerdict("1", stabilized_since=1, budget=cycles)
+    return InductiveVerdict("0", stabilized_since=n, budget=n, halted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +134,14 @@ class EnumerationList:
 class _Dovetail:
     """Incremental implementation of the cycle schedule.
 
-    Cycle n simulates machines 1..n on inputs x_1..x_n, n fresh steps per
-    still-active pair.  List maintenance follows the construction's stated
-    rules verbatim for the first three cycles, including their peculiar
-    early insertions, and the uniform rule afterwards: append the next
-    code, then demote every machine that produced a result on all of its
-    probed inputs this cycle, preserving relative order.  Insertions are
-    idempotent so each code appears at most once.
+    Cycle n simulates machines 1..n on inputs x_1..x_n, resuming each
+    still-active pair's live run to n total steps.  List maintenance follows
+    the construction's stated rules verbatim for the first three cycles,
+    including their peculiar early insertions, and the uniform rule
+    afterwards: append the next code, then demote every machine that
+    produced a result on all of its probed inputs this cycle, preserving
+    relative order.  Insertions are idempotent so each code appears at most
+    once.
     """
 
     def __init__(self, pool: list[MachineTM]) -> None:
@@ -142,19 +150,13 @@ class _Dovetail:
         self.state = EnumerationList(
             pool_names=tuple(m.name for m in pool), codes=self.codes
         )
-        # live runs: giving a pair n fresh steps each cycle is equivalent to
-        # resuming its paused run up to n total steps, the machines being
-        # deterministic; this keeps the schedule's cost linear per pair
         self._runs: dict[tuple[int, int], TmRun] = {}
 
     def _pair_halts_within(self, k: int, i: int, fuel: int) -> bool:
         run = self._runs.get((k, i))
         if run is None:
-            run = TmRun(self.pool[k - 1], nth_word(i))
-            self._runs[(k, i)] = run
-        while run.steps < fuel and not (run.in_final or run.stuck):
-            run.step()
-        return run.in_final
+            run = self._runs[(k, i)] = self.pool[k - 1].start_run(nth_word(i))
+        return run.run_to(fuel).in_final
 
     def _code(self, k: int) -> str | None:
         """Code of machine T_k (1-based), if the pool has it."""
@@ -298,19 +300,22 @@ class RangeEnumerator(HostMachine):
     def run(self, input_word: str, fuel: int) -> RunOutcome:
         n = shortlex_index(input_word) + 1
         discovered: list[str] = []
+        runs: list[TmRun] = []
         spent = 0
-        round_no = 0
         while spent < fuel:
-            round_no += 1
-            for i in range(1, round_no + 1):
-                out = run_fueled(self.base, nth_word(i), round_no)
-                spent += out.steps if out.steps else 1
+            round_no = len(runs) + 1
+            runs.append(self.base.start_run(nth_word(round_no)))
+            for i, run in enumerate(runs, start=1):
+                run.run_to(round_no)
+                # a round charges each pair its step count so far (at least
+                # 1), what a fresh run of round_no steps would cost
+                spent += run.steps or 1
                 # a pair surfaces in the first round covering both its input
-                # index and its halting time; later rounds re-run it only to
-                # pay the dovetailer's honest cost
-                if out.halted and round_no == max(i, out.steps, 1):
-                    if out.output not in discovered:
-                        discovered.append(out.output)
+                # index and its halting time
+                if run.in_final and round_no == max(i, run.steps):
+                    output = run.output_word()
+                    if output not in discovered:
+                        discovered.append(output)
                         if len(discovered) >= n:
                             return RunOutcome.of_halt(discovered[n - 1], min(spent, fuel))
                 if spent >= fuel:
@@ -587,15 +592,11 @@ def build_diagonal(decider) -> DiagonalPipeline:
     if isinstance(decider, MachineITM):
         return DiagonalPipeline(decider)
     if isinstance(decider, SimDecider):
-        index = next(
-            i for i, (_, steps) in enumerate(BUILTIN_DECIDERS) if steps == decider.sim_steps
-        )
-        return DiagonalPipeline(None, decider_builtin=index)
+        for index, (_, steps) in enumerate(BUILTIN_DECIDERS):
+            if steps == decider.sim_steps:
+                return DiagonalPipeline(None, decider_builtin=index)
+        raise ValueError(f"no builtin decider slot simulates {decider.sim_steps} steps")
     raise TypeError(f"cannot build a diagonal machine from {decider!r}")
-
-
-def build_diagonal_from_slot(decider: MachineITM | None = None, builtin: int | None = None) -> DiagonalPipeline:
-    return DiagonalPipeline(decider, decider_builtin=builtin)
 
 
 @dataclass(frozen=True)
@@ -689,11 +690,6 @@ def order_rows() -> list[OrderRow]:
     return rows
 
 
-def composed_order_bound(solver_order: int, reducer_order: int) -> int:
-    """Upper bound on the order of a problem solved through a reduction."""
-    return solver_order + reducer_order
-
-
 # ---------------------------------------------------------------------------
 # builtin limit-backed memories
 
@@ -740,15 +736,6 @@ class _Thm72Base(MemoryGraph):
         return ("builtin", "thm72")
 
 
-def _pool_halt_detection_cycle(machine: MachineTM, max_cycles: int) -> int | None:
-    """First dovetail cycle at which the machine demonstrates a result."""
-    for n in range(1, max_cycles + 1):
-        for i in range(1, n + 1):
-            if run_fueled(machine, nth_word(i), n).halted:
-                return n
-    return None
-
-
 def thm72_memory(pool: list[MachineTM] | None = None, budget: int = THM72_DEFAULT_BUDGET) -> MemoryGraph:
     """Probe-row memory over a machine pool: cell a_k links to the marker
     exactly when pool machine k+1 demonstrates a result within the
@@ -758,7 +745,7 @@ def thm72_memory(pool: list[MachineTM] | None = None, budget: int = THM72_DEFAUL
         from .zoo import acceptance_pool
 
         pool = default_pool = acceptance_pool()
-    detections = [_pool_halt_detection_cycle(m, budget) for m in pool]
+    detections = [first_result_cycle(m, budget) for m in pool]
 
     def driver(cycle: int) -> list[tuple[str, str, str]]:
         return [

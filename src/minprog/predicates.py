@@ -25,22 +25,13 @@ class ImplicationViolation(ValueError):
 
 @dataclass(frozen=True)
 class Predicate:
-    """A named total check on words.
-
-    ``taxonomy`` classifies the problem the predicate poses when handed to
-    a solver: detection (test a given word), construction (build a
-    witness), or preservation; the tag is metadata only.
-    """
+    """A named total check on words."""
 
     name: str
     fn: Callable[[str], bool] = field(compare=False)
-    taxonomy: str = "construction"
 
     def __call__(self, word: str) -> bool:
         return bool(self.fn(word))
-
-    def eval(self, word: str) -> bool:
-        return self(word)
 
 
 @dataclass(frozen=True)
@@ -311,42 +302,3 @@ def small20_family(interp) -> list[Predicate]:
     ]
     return [builtin(n, interp=interp) for n in names]
 
-
-# ---------------------------------------------------------------------------
-# detection -> construction adapter
-
-
-@dataclass(frozen=True)
-class ConstructionProblem:
-    """A detection problem recast as something to build.
-
-    In test mode the target is the indicator table of the predicate over a
-    probe domain (feeding the function-table experiments); in search or
-    selection mode the target is any witness word.
-    """
-
-    predicate: Predicate
-    mode: str
-    statement: str
-    indicator: tuple[tuple[str, str], ...] | None = None
-
-
-def to_construction(
-    p: Predicate, mode: str, probe_max_len: int = 2, alphabet: Alphabet = BINARY
-) -> ConstructionProblem:
-    if mode in ("search", "selection"):
-        verb = "find" if mode == "search" else "select"
-        return ConstructionProblem(
-            p, mode, f"{verb} then build a word w with {p.name}(w)"
-        )
-    if mode == "test":
-        table = tuple(
-            (w, "1" if p(w) else "0") for w in words_up_to(probe_max_len, alphabet)
-        )
-        return ConstructionProblem(
-            p,
-            mode,
-            f"compute the indicator of {p.name} on words up to length {probe_max_len}",
-            indicator=table,
-        )
-    raise PredicateConstructionError(f"unknown construction mode {mode!r}")

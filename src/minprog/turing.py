@@ -168,6 +168,17 @@ class TmRun:
         self.steps += 1
         return True
 
+    def run_to(self, fuel: int) -> "TmRun":
+        """Step until ``fuel`` total steps, a final state, or stuck.
+
+        Machines are deterministic, so resuming a paused run up to n total
+        steps leaves it exactly where a fresh n-step run would: the
+        dovetailers keep one live run per pair and never repeat a step.
+        """
+        while self.steps < fuel and self.step():
+            pass
+        return self
+
     def output_word(self) -> str:
         """Output tape content with surrounding blanks stripped."""
         tape = self.tapes[2]
@@ -200,14 +211,12 @@ def run_fueled(machine, input_word: str, fuel: int) -> RunOutcome:
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
     if isinstance(machine, MachineTM):
-        run = machine.start_run(input_word)
-        while True:
-            if run.in_final:
-                return RunOutcome.of_halt(run.output_word(), run.steps)
-            if run.steps >= fuel:
-                return RunOutcome.of_fuel(run.steps)
-            if not run.step():
-                return RunOutcome.of_stuck(run.steps)
+        run = machine.start_run(input_word).run_to(fuel)
+        if run.in_final:
+            return RunOutcome.of_halt(run.output_word(), run.steps)
+        if run.stuck:
+            return RunOutcome.of_stuck(run.steps)
+        return RunOutcome.of_fuel(run.steps)
     runner = getattr(machine, "run", None)
     if runner is None:
         raise TypeError(f"{machine!r} is not runnable")

@@ -220,14 +220,6 @@ def make_biased_universal(n: int) -> BiasedUniversal:
     return BiasedUniversal(n)
 
 
-def universal_apply(interp: UniversalInterpreter, program: str, fuel: int) -> RunOutcome:
-    return interp.apply(program, fuel)
-
-
-def universal_apply2(interp: UniversalInterpreter, program: str, argument: str, fuel: int) -> RunOutcome:
-    return interp.apply2(program, argument, fuel)
-
-
 def tm_program(machine: MachineTM, payload: str) -> str:
     """The standard one-input program computing machine(payload)."""
     from .codec import encode_machine

@@ -96,14 +96,6 @@ def word_at(n: int, alphabet: Alphabet = BINARY) -> str:
     return "".join(reversed(digits))
 
 
-def word_sequence(start: int = 1, alphabet: Alphabet = BINARY) -> Iterator[str]:
-    """The enumeration x_start, x_start+1, ... with x_1 the empty word."""
-    n = start - 1
-    while True:
-        yield word_at(n, alphabet)
-        n += 1
-
-
 def nth_word(n: int, alphabet: Alphabet = BINARY) -> str:
     """x_n in the 1-based enumeration: x_1 = empty word, x_2 = first symbol, ..."""
     if n < 1:

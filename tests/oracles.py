@@ -3,10 +3,13 @@
 Deliberately written as plain loops over itertools.product, sharing no
 code with the package's search machinery: where a test compares a library
 verdict against an oracle, the two sides must disagree if either scan is
-wrong.
+wrong.  The dovetail oracles use nothing of the package but the one-step
+machine stepper ``TmRun.step``.
 """
 
 import itertools
+
+from minprog.turing import TmRun
 
 
 def binary_words(max_len):
@@ -50,3 +53,57 @@ def brute_force_outputs(produce, max_len):
         if out is not None:
             outputs.add(out)
     return outputs
+
+
+# ---------------------------------------------------------------------------
+# dovetail schedules by reruns: every pair starts from scratch in every cycle
+
+
+def _nth_word(i):
+    """x_i of the 1-based shortlex enumeration of binary words."""
+    return bin(i)[3:]
+
+
+def _fresh_run(machine, word, fuel):
+    run = TmRun(machine, word)
+    while not run.in_final and run.steps < fuel:
+        if not run.step():
+            break
+    return run
+
+
+def rerun_first_result_cycle(machine, cycles):
+    """First cycle n <= cycles in which some input x_1..x_n, run from scratch
+    for n steps, reaches a final state; None if no cycle does."""
+    for n in range(1, cycles + 1):
+        for i in range(1, n + 1):
+            if _fresh_run(machine, _nth_word(i), n).in_final:
+                return n
+    return None
+
+
+def rerun_range_enumerate(machine, input_word, fuel):
+    """(kind, steps, output) of the range enumerator on ``input_word``.
+
+    Round r reruns x_1..x_r from scratch for r steps each and charges each
+    run its steps (at least 1); a pair's output counts in the first round
+    covering both its input index and its halting time.
+    """
+    n = int("1" + input_word, 2)
+    discovered = []
+    spent = 0
+    r = 0
+    while spent < fuel:
+        r += 1
+        for i in range(1, r + 1):
+            run = _fresh_run(machine, _nth_word(i), r)
+            spent += run.steps if run.steps else 1
+            if run.in_final and r == max(i, run.steps):
+                out = run.output_word()
+                if out not in discovered:
+                    discovered.append(out)
+                    if len(discovered) >= n:
+                        return "halted", min(spent, fuel), discovered[n - 1]
+            if spent >= fuel:
+                break
+    return "out-of-fuel", fuel, None

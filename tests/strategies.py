@@ -1,0 +1,25 @@
+"""Hypothesis strategies shared by the property tests."""
+
+from hypothesis import strategies as st
+
+from minprog.turing import MOVES, MachineTM, Transition
+from minprog.words import BINARY, BLANK
+
+_SYMS = ("0", "1", BLANK)
+
+
+@st.composite
+def small_tms(draw):
+    """Random valid machines: up to 3 states, up to 4 transitions, any finals."""
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3))))
+    state = st.sampled_from(states)
+    lefts = draw(st.lists(st.tuples(state, st.tuples(*[st.sampled_from(_SYMS)] * 3)),
+                          max_size=4, unique=True))
+    transitions = []
+    for q, reads in lefts:
+        work = draw(st.sampled_from(_SYMS))
+        out = draw(st.sampled_from(_SYMS if reads[2] == BLANK else _SYMS[:2]))
+        moves = draw(st.tuples(*[st.sampled_from(MOVES)] * 3))
+        transitions.append(Transition(q, reads, draw(state), (reads[0], work, out), moves))
+    finals = draw(st.frozensets(state))
+    return MachineTM("random", states, states[0], finals, BINARY, tuple(transitions))

@@ -109,6 +109,12 @@ def test_emptiness_and_totality(capsys):
     assert report["verdict"]["value"] == "1"
 
 
+def test_emptiness_pool_index_out_of_range_names_the_pool_size(capsys):
+    code, out, err = run_cli(capsys, "emptiness", "--pool-index", "6")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: pool index 6 out of range: the pool has 6 machines"
+
+
 def test_halting_itm(capsys):
     report = run_json(capsys, "halting-itm", "--machine", IDENTITY, "--input", "0", "--horizon", "1000")
     assert report["verdict"]["value"] == "1"

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from minprog.codec import (
     KIND_TM,
@@ -12,10 +12,12 @@ from minprog.codec import (
     decode_machine,
     encode_machine,
 )
-from minprog.turing import MOVES, MachineTM, Transition, TmRun, run_fueled
+from minprog.turing import MachineTM, Transition, TmRun, run_fueled
 from minprog.inductive import MachineITM, itm_run
 from minprog.words import BINARY, BLANK, words_up_to
 from minprog import zoo
+
+from strategies import small_tms
 
 
 def _behaviorally_equal(a, b, inputs, fuel=500):
@@ -159,25 +161,6 @@ def _zoo_machines():
 @pytest.mark.parametrize("machine", _zoo_machines(), ids=lambda m: getattr(m, "name", "pipeline"))
 def test_proper_prefixes_of_zoo_codes_are_truncated(machine):
     _assert_proper_prefixes_truncated(encode_machine(machine))
-
-
-_SYMS = ("0", "1", BLANK)
-
-
-@st.composite
-def small_tms(draw):
-    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3))))
-    state = st.sampled_from(states)
-    lefts = draw(st.lists(st.tuples(state, st.tuples(*[st.sampled_from(_SYMS)] * 3)),
-                          max_size=4, unique=True))
-    transitions = []
-    for q, reads in lefts:
-        work = draw(st.sampled_from(_SYMS))
-        out = draw(st.sampled_from(_SYMS if reads[2] == BLANK else _SYMS[:2]))
-        moves = draw(st.tuples(*[st.sampled_from(MOVES)] * 3))
-        transitions.append(Transition(q, reads, draw(state), (reads[0], work, out), moves))
-    finals = draw(st.frozensets(state))
-    return MachineTM("random", states, states[0], finals, BINARY, tuple(transitions))
 
 
 @settings(max_examples=150, deadline=None)

@@ -33,7 +33,6 @@ from minprog.universal import (
     make_biased_universal,
     parse_interpreter_spec,
     tm_program2,
-    universal_apply2,
     wrap_universal,
 )
 from minprog.codec import encode_machine
@@ -156,7 +155,7 @@ def test_identity_table_program_exists_but_is_far_beyond_scan_budgets():
     probes = ["", "0", "1", "00"]
     program = tm_program2(zoo.identity())
     for x in probes:
-        out = universal_apply2(U_STD, program, x, 10_000)
+        out = U_STD.apply2(program, x, 10_000)
         assert out.halted and out.output == x
     table = FunctionTable(tuple((x, x) for x in probes))
     v = bounded_functional_complexity(HSTD, table, Budget(max_len=10, fuel=2000))
@@ -169,7 +168,7 @@ def test_constant_empty_machine_has_shorter_two_input_program_than_identity():
     p_ident = tm_program2(zoo.identity())
     assert len(p_const) < len(p_ident)
     for x in ["", "0", "10"]:
-        out = universal_apply2(U_STD, p_const, x, 10_000)
+        out = U_STD.apply2(p_const, x, 10_000)
         assert out.halted and out.output == ""
 
 

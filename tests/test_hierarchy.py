@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minprog.codec import InvalidCodeError, encode_machine
 from minprog.hierarchy import (
@@ -7,7 +8,6 @@ from minprog.hierarchy import (
     build_range_enumerator,
     build_reduction_tm,
     build_totalizer,
-    composed_order_bound,
     diagonal_experiment,
     dovetail_nontotal,
     emptiness_solver,
@@ -18,9 +18,12 @@ from minprog.hierarchy import (
     totality_verdict,
 )
 from minprog.inductive import itm_run
-from minprog.turing import run_fueled, never_halts_by_inspection
-from minprog.words import nth_word
+from minprog.turing import MachineTM, MachineValidationError, Transition, run_fueled, never_halts_by_inspection
+from minprog.words import BINARY, BLANK, nth_word
 from minprog import zoo
+
+from oracles import rerun_first_result_cycle, rerun_range_enumerate
+from strategies import small_tms
 
 POOL = zoo.acceptance_pool()
 CODES = [encode_machine(m) for m in POOL]
@@ -72,6 +75,57 @@ def test_emptiness_detects_the_exact_cycle():
     v = emptiness_solver(encode_machine(zoo.nonempty_only()), 32)
     assert v.value == "0"
     assert v.stabilized_since == max(2, steps_x2)
+
+
+def _gap_writer():
+    """Writes 0, skips a cell, writes 1 and halts: an interior output blank."""
+    rows = (
+        Transition("q0", (BLANK, BLANK, BLANK), "q1", (BLANK, BLANK, "0"), ("S", "S", "R")),
+        Transition("q1", (BLANK, BLANK, BLANK), "q2", (BLANK, BLANK, BLANK), ("S", "S", "R")),
+        Transition("q2", (BLANK, BLANK, BLANK), "qf", (BLANK, BLANK, "1"), ("S", "S", "S")),
+    )
+    return MachineTM("gap-writer", ("q0", "q1", "q2", "qf"), "q0", frozenset({"qf"}), BINARY, rows)
+
+
+def test_interior_output_blank_still_demonstrates_a_result():
+    # halting means reaching a final state; the output tape is never read
+    code = encode_machine(_gap_writer())
+    v = emptiness_solver(code, 16)
+    assert (v.value, v.stabilized_since, v.budget, v.halted) == ("0", 3, 3, True)
+    # the range enumerator reads the output of every pair that surfaces
+    with pytest.raises(MachineValidationError, match="interior blank"):
+        build_range_enumerator(code).run("", 100)
+
+
+_DOVETAIL_MACHINES = st.one_of(
+    st.sampled_from(POOL + [zoo.halt_now(), zoo.blocked(), zoo.append_zero(), zoo.eraser()]),
+    small_tms(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DOVETAIL_MACHINES, st.integers(0, 40))
+def test_emptiness_solver_equals_the_rerun_schedule(machine, cycles):
+    v = emptiness_solver(encode_machine(machine), cycles)
+    n = rerun_first_result_cycle(machine, cycles)
+    if n is None:
+        assert (v.value, v.stabilized_since, v.budget, v.halted) == ("1", 1, cycles, False)
+    else:
+        assert (v.value, v.stabilized_since, v.budget, v.halted) == ("0", n, n, True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DOVETAIL_MACHINES, st.text("01", max_size=4), st.integers(0, 2000))
+def test_range_enumerator_equals_the_rerun_schedule(machine, word, fuel):
+    enumerator = build_range_enumerator(encode_machine(machine))
+    try:
+        expected = rerun_range_enumerate(enumerator.base, word, fuel)
+    except MachineValidationError:  # an interior blank in a surfacing output
+        with pytest.raises(MachineValidationError):
+            enumerator.run(word, fuel)
+        return
+    out = enumerator.run(word, fuel)
+    assert (out.kind, out.steps, out.output) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +343,13 @@ def test_diagonal_on_garbage_input_gives_no_result():
     assert out.kind == "halted-nonfinal"
 
 
+def test_diagonal_rejects_a_sim_decider_without_a_builtin_slot():
+    with pytest.raises(ValueError, match="10 steps"):
+        build_diagonal(SimDecider(10))
+    with pytest.raises(ValueError, match="10 steps"):
+        diagonal_experiment(SimDecider(10), 100)
+
+
 def test_diagonal_accepts_decider_codes():
     pipeline = build_diagonal(encode_machine(zoo.decider_yes()))
     assert pipeline.decider is not None
@@ -316,10 +377,6 @@ def test_order_lookup_unknown_name():
         order_lookup("XYZ")
     with pytest.raises(KeyError):
         order_lookup("RPI_0")
-
-
-def test_composed_order_bound():
-    assert composed_order_bound(2, 1) == 3
 
 
 # ---------------------------------------------------------------------------

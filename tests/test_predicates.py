@@ -23,7 +23,6 @@ from minprog.predicates import (
     non_empty,
     shipped_registry,
     small20_family,
-    to_construction,
 )
 from minprog.universal import make_biased_universal
 from minprog.words import words_up_to
@@ -126,17 +125,3 @@ def test_small20_family_has_twenty_distinct_predicates():
     fam = small20_family(make_biased_universal(1))
     assert len(fam) == 20
     assert len({p.name for p in fam}) == 20
-
-
-def test_to_construction_modes():
-    s = to_construction(equals("01"), "search")
-    assert "01" in s.statement and s.indicator is None
-    t = to_construction(non_empty(), "test", probe_max_len=2)
-    table = dict(t.indicator)
-    assert table[""] == "0"
-    assert table["0"] == "1" and table["11"] == "1"
-    assert len(table) == 7
-    t2 = to_construction(contains_factor("1"), "test", probe_max_len=1)
-    assert [v for _, v in t2.indicator] == ["0", "0", "1"]
-    with pytest.raises(PredicateConstructionError):
-        to_construction(any_word(), "imagine")

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minprog.turing import (
     MachineTM,
@@ -9,6 +10,8 @@ from minprog.turing import (
 )
 from minprog.words import BINARY, InvalidWordError, words_up_to
 from minprog import zoo
+
+from strategies import small_tms
 
 
 def test_identity_copies_input():
@@ -101,6 +104,25 @@ def test_undeclared_states_rejected():
         _tm([("qx", ("0", "_", "_"), "qf", ("0", "_", "_"), ("S", "S", "S"))])
     with pytest.raises(MachineValidationError):
         MachineTM("t", ("q0",), "q1", frozenset(), BINARY, ())
+
+
+def test_run_to_stops_at_fuel_final_state_or_stuck():
+    run = zoo.looper().start_run("0").run_to(5)
+    assert (run.steps, run.in_final, run.stuck) == (5, False, False)
+    assert run.run_to(3).steps == 5
+    run = zoo.halt_now().start_run("").run_to(5)
+    assert (run.steps, run.in_final) == (0, True)
+    run = zoo.blocked().start_run("").run_to(5)
+    assert (run.steps, run.stuck) == (0, True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_tms(), st.text("01", max_size=4), st.integers(0, 40), st.integers(0, 40))
+def test_resumed_run_stands_where_a_fresh_run_stops(machine, word, first, second):
+    resumed = machine.start_run(word).run_to(first).run_to(second)
+    fresh = machine.start_run(word).run_to(max(first, second))
+    assert resumed.configuration() == fresh.configuration()
+    assert (resumed.steps, resumed.stuck) == (fresh.steps, fresh.stuck)
 
 
 def test_never_halts_by_inspection():

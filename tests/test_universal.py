@@ -8,8 +8,6 @@ from minprog.universal import (
     parse_interpreter_spec,
     tm_program,
     tm_program2,
-    universal_apply,
-    universal_apply2,
     wrap_universal,
 )
 from minprog.words import BINARY, pair, sd, unpair, words_up_to
@@ -24,34 +22,34 @@ def test_universality_against_direct_simulation():
         code = encode_machine(machine)
         for x in words_up_to(3):
             direct = run_fueled(machine, x, fuel)
-            via_u = universal_apply(U_STD, pair(x, code), fuel)
+            via_u = U_STD.apply(pair(x, code), fuel)
             assert via_u.kind == direct.kind
             assert via_u.output == direct.output
 
 
 def test_invalid_programs_diverge_at_any_fuel():
     for fuel in (1, 57, 4096):
-        assert universal_apply(U_STD, "11", fuel).kind == "out-of-fuel"
-        assert universal_apply(U_STD, "", fuel).kind == "out-of-fuel"
+        assert U_STD.apply("11", fuel).kind == "out-of-fuel"
+        assert U_STD.apply("", fuel).kind == "out-of-fuel"
         # valid pair prefix but garbage machine code
-        assert universal_apply(U_STD, pair("0", "0101"), fuel).kind == "out-of-fuel"
+        assert U_STD.apply(pair("0", "0101"), fuel).kind == "out-of-fuel"
 
 
 def test_nonhalting_program_runs_out_of_fuel():
     p = pair("", encode_machine(zoo.looper()))
-    out = universal_apply(U_STD, p, 100)
+    out = U_STD.apply(p, 100)
     assert out.kind == "out-of-fuel" and out.steps == 100
 
 
 def test_two_input_application():
     p2 = tm_program2(zoo.identity())
     assert p2 == sd(encode_machine(zoo.identity()))
-    out = universal_apply2(U_STD, p2, "01", 10_000)
+    out = U_STD.apply2(p2, "01", 10_000)
     assert out.halted and out.output == "01"
-    assert universal_apply2(U_STD, sd(encode_machine(zoo.looper())), "", 100).kind == "out-of-fuel"
-    assert universal_apply2(U_STD, "10", "0", 100).kind == "out-of-fuel"
+    assert U_STD.apply2(sd(encode_machine(zoo.looper())), "", 100).kind == "out-of-fuel"
+    assert U_STD.apply2("10", "0", 100).kind == "out-of-fuel"
     # a one-input program word carries a payload: rejected in two-input form
-    assert universal_apply2(U_STD, tm_program(zoo.identity(), "1"), "0", 100).kind == "out-of-fuel"
+    assert U_STD.apply2(tm_program(zoo.identity(), "1"), "0", 100).kind == "out-of-fuel"
 
 
 def test_wrapping_serves_exactly_the_prefixed_copy():
