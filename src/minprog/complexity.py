@@ -21,8 +21,7 @@ from heapq import merge
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .words import BINARY, MalformedPairError, pairs_of_length, sd_words_of_length, unpair
-from .turing import MachineTM, MachineValidationError, run_fueled
-from .inductive import TmAsItm, itm_run
+from .turing import MachineTM, run_fueled
 from .predicates import Predicate, PredicateSet, eval_set
 
 
@@ -141,10 +140,10 @@ def itm1_class(tm_interp=None, horizon_default: int | None = None) -> MachineCla
         from .universal import U_STD
 
         tm_interp = U_STD
-    from .codec import InvalidCodeError, codes_of_length, decode_machine
+    from .codec import codes_of_length
+    from .universal import itm_universal_apply
 
     def run_region(program: str, argument: str | None, budget: Budget) -> str | None:
-        horizon = budget.horizon or horizon_default or budget.fuel
         try:
             payload, code = unpair(program)
         except MalformedPairError:
@@ -153,17 +152,8 @@ def itm1_class(tm_interp=None, horizon_default: int | None = None) -> MachineCla
             if payload != "":
                 return None
             payload = argument
-        try:
-            machine = decode_machine(code)
-        except InvalidCodeError:
-            return None
-        if isinstance(machine, MachineTM):
-            machine = TmAsItm(machine)
-        try:
-            outcome = itm_run(machine, payload, horizon)
-        except MachineValidationError:
-            return None
-        return outcome.result
+        horizon = budget.horizon or horizon_default or budget.fuel
+        return itm_universal_apply(code, payload, horizon).result
 
     def produce(program: str, budget: Budget) -> str | None:
         if program.startswith(ITM_EMBED_HEADER):

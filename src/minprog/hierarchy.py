@@ -12,17 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .words import BINARY, nth_word, shortlex_index, sd
+from .words import BINARY, MalformedPairError, nth_word, shortlex_index, sd, unpair
 from .turing import MachineTM, RunOutcome, TmRun, run_fueled
 from .inductive import (
+    InductiveRun,
     ItmOutcome,
     MachineITM,
     MemoryGraph,
-    TmAsItm,
     build_limit_memory,
+    classify_run,
     itm_run,
+    start_if_fits,
 )
 from .codec import InvalidCodeError, decode_machine, encode_machine
+from .universal import start_itm_run
 
 
 @dataclass(frozen=True)
@@ -383,17 +386,12 @@ class ReductionTM(HostMachine):
     def run(self, input_word: str, fuel: int) -> RunOutcome:
         n = shortlex_index(input_word) + 1
         run = self.machine.start_run(self.x)
-        while run.steps < fuel:
-            if run.change_count >= n:
-                step_of_change, _ = run.change_log[n]
-                value_before = run.change_log[n - 1][1]
-                return RunOutcome.of_halt(value_before, step_of_change)
-            if not run.step():
-                break
-        if run.change_count >= n:
-            step_of_change, _ = run.change_log[n]
-            return RunOutcome.of_halt(run.change_log[n - 1][1], step_of_change)
-        return RunOutcome.of_fuel(fuel)
+        while run.change_count < n and run.steps < fuel and run.step():
+            pass
+        if run.change_count < n:
+            return RunOutcome.of_fuel(fuel)
+        # halt at the n-th change with the value the register held before it
+        return RunOutcome.of_halt(run.change_log[n - 1][1], run.change_log[n][0])
 
 
 def build_reduction_tm(itm_code: str, x: str) -> ReductionTM:
@@ -423,59 +421,30 @@ class SimDecider:
         return _SimDeciderRun(self, input_word)
 
 
-class _SimDeciderRun:
+class _SimDeciderRun(InductiveRun):
     def __init__(self, decider: SimDecider, input_word: str) -> None:
+        super().__init__()
         self.decider = decider
-        self.steps = 0
-        self.stopped_final = False
-        self.stopped_stuck = False
-        self.change_log: list[tuple[int, str]] = [(0, "")]
-        self.change_count = 0
-        self._output = ""
-        self._inner = None
-        self._invalid = False
-        from .turing import MachineValidationError
-        from .words import InvalidWordError, MalformedPairError, unpair
-
         try:
             payload, code = unpair(input_word)
-            machine = decode_machine(code)
-            if isinstance(machine, MachineTM):
-                machine = TmAsItm(machine)
-            self._inner = machine.start_run(payload)
-        except (MalformedPairError, InvalidCodeError, InvalidWordError, MachineValidationError):
+        except MalformedPairError:
             self._inner = None
-            self._invalid = True
-
-    def output_word(self) -> str:
-        return self._output
-
-    @property
-    def last_change_step(self) -> int:
-        return self.change_log[-1][0]
+        else:
+            self._inner = start_itm_run(code, payload)
 
     def step(self) -> bool:
         self.steps += 1
-        budget = self.decider.sim_steps
-        if self.steps <= budget and self._inner is not None:
-            if not (self._inner.stopped_final or self._inner.stopped_stuck):
-                self._inner.step()
-        if self.steps == budget:
-            self._output = "1" if self._inner_gives_result() else "0"
-            if self._output != self.change_log[-1][1]:
-                self.change_log.append((self.steps, self._output))
-                self.change_count += 1
+        if self.steps == self.decider.sim_steps:
+            self._observe("1" if self._inner_gives_result() else "0")
         return True
 
     def _inner_gives_result(self) -> bool:
-        if self._invalid or self._inner is None:
+        # the register stays empty until the budget step, so the simulation
+        # runs all at once there
+        if self._inner is None:
             return False
-        inner = self._inner
-        if inner.stopped_final:
-            return True
-        if inner.stopped_stuck:
-            return False
-        return inner.last_change_step < self.decider.sim_steps
+        budget = self.decider.sim_steps
+        return classify_run(self._inner.run_to(budget), budget).gives_result
 
 
 BUILTIN_DECIDERS: tuple[tuple[str, int], ...] = (("sim-64", 64),)
@@ -515,17 +484,12 @@ class DiagonalPipeline:
         return _PipelineRun(self, input_word)
 
 
-class _PipelineRun:
+class _PipelineRun(InductiveRun):
     def __init__(self, pipeline: DiagonalPipeline, input_word: str) -> None:
         BINARY.check_word(input_word)
+        super().__init__()
         self.pipeline = pipeline
         self.input_word = input_word
-        self.steps = 0
-        self.stopped_final = False
-        self.stopped_stuck = False
-        self.change_log: list[tuple[int, str]] = [(0, "")]
-        self.change_count = 0
-        self._output = ""
         self._alt = False
         try:
             decode_machine(input_word)
@@ -537,21 +501,6 @@ class _PipelineRun:
         self._d_run = None
         self.b_events: list[tuple[int, str]] = []
         self.d_events: list[tuple[int, str]] = [(0, "")]
-        self.ac_events: list[tuple[int, str]] = [(0, "")]
-
-    def output_word(self) -> str:
-        return self._output
-
-    @property
-    def last_change_step(self) -> int:
-        return self.change_log[-1][0]
-
-    def _record_output(self, value: str) -> None:
-        if value != self._output:
-            self._output = value
-            self.change_log.append((self.steps, value))
-            self.ac_events.append((self.steps, value))
-            self.change_count += 1
 
     def step(self) -> bool:
         if self.stopped_final or self.stopped_stuck:
@@ -564,20 +513,21 @@ class _PipelineRun:
                 self.stopped_stuck = True
                 return False
             self.b_events.append((self.steps, self._pair_word))
-            self._d_run = self.pipeline._runtime_decider.start_run(self._pair_word)
-        else:
+            # a decider that cannot hold the pair word has no run and so
+            # never claims anything: the filter alternates
+            self._d_run = start_if_fits(self.pipeline._runtime_decider, self._pair_word)
+        elif self._d_run is not None:
             d = self._d_run
-            if not (d.stopped_final or d.stopped_stuck):
-                d.step()
+            d.step()
             d_out = d.output_word()
             if not self.d_events or self.d_events[-1][1] != d_out:
                 self.d_events.append((self.steps, d_out))
         d_out = self._d_run.output_word() if self._d_run is not None else ""
         if d_out == "0":
-            self._record_output("1")
+            self._observe("1")
         else:
             self._alt = not self._alt
-            self._record_output("1" if self._alt else "0")
+            self._observe("1" if self._alt else "0")
         return True
 
 
@@ -613,14 +563,9 @@ class DiagonalReport:
 def diagonal_experiment(decider, horizon: int) -> DiagonalReport:
     """Run the composed machine on its own code and compare with the
     decider's standalone claim about that very run."""
-    from .inductive import classify_run
-
     pipeline = build_diagonal(decider)
     code = encode_machine(pipeline)
-    run = pipeline.start_run(code)
-    while run.steps < horizon:
-        if not run.step():
-            break
+    run = pipeline.start_run(code).run_to(horizon)
     own_run_outcome = classify_run(run, horizon)
     probe = sd(code) + code
     decider_outcome = itm_run(pipeline._runtime_decider, probe, horizon)
@@ -630,7 +575,7 @@ def diagonal_experiment(decider, horizon: int) -> DiagonalReport:
     histories = {
         "checker": run.b_events,
         "decider": run.d_events,
-        "filter": run.ac_events,
+        "filter": run.change_log,
     }
     return DiagonalReport(
         decider_name=pipeline.name,

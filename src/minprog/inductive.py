@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .words import BLANK, Alphabet
+from .words import BLANK, Alphabet, InvalidWordError
 from .turing import MachineTM, MachineValidationError, TmRun
 
 
@@ -312,13 +312,52 @@ class MachineITM:
         return ItmRun(self, input_word)
 
 
-class ItmRun:
-    """Stepper for one inductive machine on one input.
+class InductiveRun:
+    """One inductive run: its step count, how it stopped, and the history of
+    its output register.
 
-    Tracks the output register after every step; ``change_log`` records the
-    value taken after each change, which is the observable the reduction
-    construction consumes.
+    ``change_log`` holds (step, value) for the initial value and for every
+    change after it, the observable the horizon outcomes, the diagonal
+    machine and the output-change reduction consume.  Subclasses define
+    ``step`` and report each step's register value through ``_observe``.
     """
+
+    def __init__(self, output: str = "") -> None:
+        self.steps = 0
+        self.stopped_final = False
+        self.stopped_stuck = False
+        self.change_log: list[tuple[int, str]] = [(0, output)]
+
+    def step(self) -> bool:
+        """Advance one step; False once the run has stopped."""
+        raise NotImplementedError
+
+    def output_word(self) -> str:
+        return self.change_log[-1][1]
+
+    @property
+    def last_change_step(self) -> int:
+        return self.change_log[-1][0]
+
+    @property
+    def change_count(self) -> int:
+        return len(self.change_log) - 1
+
+    def _observe(self, value: str) -> None:
+        """Log ``value`` as the register content after the current step, if
+        it differs from the last logged value."""
+        if value != self.change_log[-1][1]:
+            self.change_log.append((self.steps, value))
+
+    def run_to(self, horizon: int) -> "InductiveRun":
+        """Step until ``horizon`` total steps or a stop, like :meth:`TmRun.run_to`."""
+        while self.steps < horizon and self.step():
+            pass
+        return self
+
+
+class ItmRun(InductiveRun):
+    """Stepper for one inductive machine on one input."""
 
     def __init__(self, machine: MachineITM, input_word: str) -> None:
         machine.alphabet.check_word(input_word)
@@ -326,40 +365,32 @@ class ItmRun:
         self.memory = machine.memory
         self.contents: dict[str, str] = {}
         self._out_ranks: dict[int, str] = {}
-        self._out_cache: str | None = ""
         for cell, sym in self.memory.initial_contents().items():
             self._set_cell(cell, sym)
         for i, ch in enumerate(input_word):
             self._set_cell(self.memory.input_cell(i), ch)
+        super().__init__(self._register())
         self.head = self.memory.start
         self.state = machine.start
-        self.steps = 0
         self.stopped_final = machine.start in machine.finals
-        self.stopped_stuck = False
-        self.change_log: list[tuple[int, str]] = [(0, self.output_word())]
-        self.change_count = 0
 
-    def _set_cell(self, cell: str, sym: str) -> None:
+    def _set_cell(self, cell: str, sym: str) -> bool:
+        """Write ``sym`` to ``cell``; True if the cell is in the output register."""
         if sym == BLANK:
             self.contents.pop(cell, None)
         else:
             self.contents[cell] = sym
         rank = self.memory.output_rank(cell)
-        if rank is not None:
-            if sym == BLANK:
-                self._out_ranks.pop(rank, None)
-            else:
-                self._out_ranks[rank] = sym
-            self._out_cache = None
+        if rank is None:
+            return False
+        if sym == BLANK:
+            self._out_ranks.pop(rank, None)
+        else:
+            self._out_ranks[rank] = sym
+        return True
 
-    def output_word(self) -> str:
-        if self._out_cache is None:
-            self._out_cache = "".join(sym for _, sym in sorted(self._out_ranks.items()))
-        return self._out_cache
-
-    @property
-    def last_change_step(self) -> int:
-        return self.change_log[-1][0]
+    def _register(self) -> str:
+        return "".join(sym for _, sym in sorted(self._out_ranks.items()))
 
     def step(self) -> bool:
         """Apply the unique matching rule; False once the machine stopped."""
@@ -370,10 +401,7 @@ class ItmRun:
         if rule is None:
             self.stopped_stuck = True
             return False
-        wrote_output = False
-        if rule.write is not None:
-            self._set_cell(self.head, rule.write)
-            wrote_output = self._out_cache is None
+        wrote_output = rule.write is not None and self._set_cell(self.head, rule.write)
         if rule.move is not None:
             target = self.memory.connection(self.head, rule.move)
             if target is not None:
@@ -382,10 +410,7 @@ class ItmRun:
         self.state = rule.next_state
         self.steps += 1
         if wrote_output:
-            out = self.output_word()
-            if out != self.change_log[-1][1]:
-                self.change_log.append((self.steps, out))
-                self.change_count += 1
+            self._observe(self._register())
         if self.state in self.machine.finals:
             self.stopped_final = True
         return True
@@ -418,11 +443,17 @@ def itm_run(machine, input_word: str, horizon: int) -> ItmOutcome:
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    run = machine.start_run(input_word)
-    while run.steps < horizon:
-        if not run.step():
-            break
-    return classify_run(run, horizon)
+    return classify_run(machine.start_run(input_word).run_to(horizon), horizon)
+
+
+def start_if_fits(machine, input_word: str) -> InductiveRun | None:
+    """Start ``machine`` on ``input_word``, or None when the input does not
+    fit it: a symbol outside its alphabet, or more input than its register
+    holds.  Such a run does not exist, so it gives no result."""
+    try:
+        return machine.start_run(input_word)
+    except (InvalidWordError, MachineValidationError):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -448,45 +479,20 @@ class TmAsItm:
         return _TmItmRun(self.tm, input_word)
 
 
-class _TmItmRun:
+class _TmItmRun(InductiveRun):
     def __init__(self, machine: MachineTM, input_word: str) -> None:
         self.run = TmRun(machine, input_word)
-        self.change_log: list[tuple[int, str]] = [(0, "")]
-        self.change_count = 0
-        self._seen_version = 0
-        self._out_cache = ""
-
-    @property
-    def steps(self) -> int:
-        return self.run.steps
-
-    @property
-    def stopped_final(self) -> bool:
-        return self.run.in_final
-
-    @property
-    def stopped_stuck(self) -> bool:
-        return self.run.stuck
-
-    def output_word(self) -> str:
-        if self._seen_version != self.run.output_version:
-            self._seen_version = self.run.output_version
-            tape = self.run.tapes[2]
-            self._out_cache = "".join(sym for _, sym in sorted(tape.items()))
-        return self._out_cache
-
-    @property
-    def last_change_step(self) -> int:
-        return self.change_log[-1][0]
+        super().__init__()
+        self.stopped_final = self.run.in_final
 
     def step(self) -> bool:
-        if self.run.in_final or self.run.stuck:
+        run = self.run
+        before = run.output_version
+        if not run.step():
+            self.stopped_stuck = run.stuck
             return False
-        before = self.run.output_version
-        advanced = self.run.step()
-        if advanced and self.run.output_version != before:
-            out = self.output_word()
-            if out != self.change_log[-1][1]:
-                self.change_log.append((self.run.steps, out))
-                self.change_count += 1
-        return advanced
+        self.steps = run.steps
+        self.stopped_final = run.in_final
+        if run.output_version != before:
+            self._observe(run.output_cells())
+        return True

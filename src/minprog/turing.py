@@ -179,21 +179,19 @@ class TmRun:
             pass
         return self
 
+    def output_cells(self) -> str:
+        """The non-blank cells of the output tape, in tape order."""
+        tape = self.tapes[2]
+        return "".join([tape[pos] for pos in sorted(tape)])
+
     def output_word(self) -> str:
         """Output tape content with surrounding blanks stripped."""
         tape = self.tapes[2]
-        if not tape:
-            return ""
-        lo, hi = min(tape), max(tape)
-        out = []
-        for pos in range(lo, hi + 1):
-            sym = tape.get(pos)
-            if sym is None:
-                raise MachineValidationError(
-                    f"machine {self.machine.name!r} left an interior blank on its output tape"
-                )
-            out.append(sym)
-        return "".join(out)
+        if tape and max(tape) - min(tape) >= len(tape):
+            raise MachineValidationError(
+                f"machine {self.machine.name!r} left an interior blank on its output tape"
+            )
+        return self.output_cells()
 
     def configuration(self) -> tuple:
         """Hashable full configuration, for step-by-step behaviour checks."""

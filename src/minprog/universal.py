@@ -43,7 +43,7 @@ from .words import (
     words_of_length,
 )
 from .turing import MachineTM, RunOutcome, run_fueled
-from .inductive import ItmOutcome, TmAsItm, itm_run
+from .inductive import InductiveRun, ItmOutcome, TmAsItm, classify_run, start_if_fits
 from .codec import KIND_TM, InvalidCodeError, codes_of_length, decode_machine
 
 WRAP_HEADER = "10"
@@ -246,23 +246,33 @@ def parse_interpreter_spec(spec: str) -> UniversalInterpreter:
     raise ValueError(f"unknown interpreter spec {spec!r}")
 
 
+def start_itm_run(code: str, input_word: str) -> InductiveRun | None:
+    """Start the machine coded by ``code`` on ``input_word`` under inductive
+    semantics, a Turing machine code as its inductive embedding (same
+    table, inductive observation).
+
+    None when the code does not decode or the input does not fit the
+    machine: a symbol outside its alphabet, or more input than its register
+    holds.  Either way there is no run and so no result.
+    """
+    try:
+        machine = decode_machine(code)
+    except InvalidCodeError:
+        return None
+    if isinstance(machine, MachineTM):
+        machine = TmAsItm(machine)
+    return start_if_fits(machine, input_word)
+
+
 def itm_universal_apply(program: str, input_word: str, horizon: int) -> ItmOutcome:
     """Run the machine coded by ``program`` under inductive semantics.
 
-    Turing machine codes are accepted and run as their inductive embedding
-    (same table, inductive observation).  Undecodable programs count as
-    divergent: unstable at every horizon.
+    A program that :func:`start_itm_run` cannot start counts as divergent:
+    unstable at every horizon.
     """
-    from .turing import MachineValidationError
-
-    try:
-        machine = decode_machine(program)
-    except InvalidCodeError:
-        return ItmOutcome("unstable", horizon=horizon, change_count=0)
-    if isinstance(machine, MachineTM):
-        machine = TmAsItm(machine)
-    try:
-        return itm_run(machine, input_word, horizon)
-    except MachineValidationError:
-        # input does not fit the machine's register layout: no run, no result
-        return ItmOutcome("unstable", horizon=horizon, change_count=0)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    run = start_itm_run(program, input_word)
+    if run is None:
+        return ItmOutcome("unstable", horizon=horizon)
+    return classify_run(run.run_to(horizon), horizon)

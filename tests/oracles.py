@@ -107,3 +107,28 @@ def rerun_range_enumerate(machine, input_word, fuel):
             if spent >= fuel:
                 break
     return "out-of-fuel", fuel, None
+
+
+# ---------------------------------------------------------------------------
+# a Turing machine watched as an inductive machine, one step at a time
+
+
+def stepwise_change_log(machine, word, horizon):
+    """(change_log, steps, final, stuck) of ``machine`` on ``word`` up to
+    ``horizon`` steps, watched as an inductive machine.
+
+    The log starts as [(0, "")]; after every step the non-blank output
+    cells in tape order are appended with the step number whenever they
+    differ from the last logged value.
+    """
+    run = TmRun(machine, word)
+    log = [(0, "")]
+    stuck = False
+    while run.steps < horizon and run.state not in machine.finals:
+        if not run.step():
+            stuck = True
+            break
+        out = "".join(sym for _, sym in sorted(run.tapes[2].items()))
+        if out != log[-1][1]:
+            log.append((run.steps, out))
+    return log, run.steps, run.state in machine.finals, stuck

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from minprog.turing import MOVES, MachineTM, Transition
 from minprog.words import BINARY, BLANK
+from minprog import zoo
 
 _SYMS = ("0", "1", BLANK)
 
@@ -23,3 +24,18 @@ def small_tms(draw):
         transitions.append(Transition(q, reads, draw(state), (reads[0], work, out), moves))
     finals = draw(st.frozensets(state))
     return MachineTM("random", states, states[0], finals, BINARY, tuple(transitions))
+
+
+def zoo_tms():
+    """The zoo's Turing machines: the scheduling pool and four extras."""
+    return zoo.acceptance_pool() + [zoo.halt_now(), zoo.blocked(), zoo.append_zero(), zoo.eraser()]
+
+
+def gap_writer():
+    """Writes 0, skips a cell, writes 1 and halts: an interior output blank."""
+    rows = (
+        Transition("q0", (BLANK, BLANK, BLANK), "q1", (BLANK, BLANK, "0"), ("S", "S", "R")),
+        Transition("q1", (BLANK, BLANK, BLANK), "q2", (BLANK, BLANK, BLANK), ("S", "S", "R")),
+        Transition("q2", (BLANK, BLANK, BLANK), "qf", (BLANK, BLANK, "1"), ("S", "S", "S")),
+    )
+    return MachineTM("gap-writer", ("q0", "q1", "q2", "qf"), "q0", frozenset({"qf"}), BINARY, rows)

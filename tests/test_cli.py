@@ -76,6 +76,16 @@ def test_complexity_itm1_class(capsys):
     assert report["budget"]["horizon"] == 64
 
 
+def test_itm1_search_past_a_machine_that_cannot_hold_its_input(capsys):
+    # the scan reaches sd(c) + "1" for a 20-bit code c of a Turing machine
+    # over the alphabet {0}: no run, so no result, not a crash
+    report = run_json(
+        capsys, "complexity", "--class", "itm1", "--interpreter", "std", "--predicate", "equals:1",
+        "--max-len", "43", "--horizon", "64",
+    )
+    assert report["kind"] == "no-witness-within-budget"
+
+
 def test_func_complexity(capsys):
     report = run_json(
         capsys, "func-complexity", "--pair", "=0", "--pair", "0=0", "--pair", "1=0",

@@ -35,7 +35,7 @@ from minprog.universal import (
     tm_program2,
     wrap_universal,
 )
-from minprog.codec import encode_machine
+from minprog.codec import codes_of_length, encode_machine
 from minprog.words import sd, words_up_to
 from minprog import zoo
 
@@ -318,6 +318,19 @@ def test_itm_class_runs_inductive_programs_in_their_own_region():
     program = pair("", encode_machine(zoo.writer()))
     out = hi.produce(program, Budget(4, 64, horizon=64))
     assert out == "1"
+
+
+def test_itm1_class_never_raises_on_short_codes():
+    # includes 00100110011000100010, a Turing machine over the alphabet {0}
+    # that cannot read the payload "1"
+    handle = itm1_class()
+    budget = Budget(max_len=64, fuel=64, horizon=64)
+    codes = [c for bits in range(23) for c in codes_of_length(bits)]
+    assert "00100110011000100010" in codes
+    for code in codes:
+        for x in binary_words(3):
+            handle.produce(sd(code) + x, budget)
+            handle.produce2(sd(code), x, budget)
 
 
 def test_verdict_report_field_names():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minprog.codec import InvalidCodeError, encode_machine
+from minprog.complexity import Budget, itm1_class
 from minprog.hierarchy import (
     SimDecider,
     build_diagonal,
@@ -18,12 +19,13 @@ from minprog.hierarchy import (
     totality_verdict,
 )
 from minprog.inductive import itm_run
-from minprog.turing import MachineTM, MachineValidationError, Transition, run_fueled, never_halts_by_inspection
-from minprog.words import BINARY, BLANK, nth_word
+from minprog.turing import MachineValidationError, run_fueled, never_halts_by_inspection
+from minprog.universal import itm_universal_apply
+from minprog.words import nth_word, sd
 from minprog import zoo
 
 from oracles import rerun_first_result_cycle, rerun_range_enumerate
-from strategies import small_tms
+from strategies import gap_writer, small_tms, zoo_tms
 
 POOL = zoo.acceptance_pool()
 CODES = [encode_machine(m) for m in POOL]
@@ -77,19 +79,9 @@ def test_emptiness_detects_the_exact_cycle():
     assert v.stabilized_since == max(2, steps_x2)
 
 
-def _gap_writer():
-    """Writes 0, skips a cell, writes 1 and halts: an interior output blank."""
-    rows = (
-        Transition("q0", (BLANK, BLANK, BLANK), "q1", (BLANK, BLANK, "0"), ("S", "S", "R")),
-        Transition("q1", (BLANK, BLANK, BLANK), "q2", (BLANK, BLANK, BLANK), ("S", "S", "R")),
-        Transition("q2", (BLANK, BLANK, BLANK), "qf", (BLANK, BLANK, "1"), ("S", "S", "S")),
-    )
-    return MachineTM("gap-writer", ("q0", "q1", "q2", "qf"), "q0", frozenset({"qf"}), BINARY, rows)
-
-
 def test_interior_output_blank_still_demonstrates_a_result():
     # halting means reaching a final state; the output tape is never read
-    code = encode_machine(_gap_writer())
+    code = encode_machine(gap_writer())
     v = emptiness_solver(code, 16)
     assert (v.value, v.stabilized_since, v.budget, v.halted) == ("0", 3, 3, True)
     # the range enumerator reads the output of every pair that surfaces
@@ -98,7 +90,7 @@ def test_interior_output_blank_still_demonstrates_a_result():
 
 
 _DOVETAIL_MACHINES = st.one_of(
-    st.sampled_from(POOL + [zoo.halt_now(), zoo.blocked(), zoo.append_zero(), zoo.eraser()]),
+    st.sampled_from(zoo_tms()),
     small_tms(),
 )
 
@@ -348,6 +340,35 @@ def test_diagonal_rejects_a_sim_decider_without_a_builtin_slot():
         build_diagonal(SimDecider(10))
     with pytest.raises(ValueError, match="10 steps"):
         diagonal_experiment(SimDecider(10), 100)
+
+
+# the alternator's explicit input register has one cell, too few for any
+# program pair, so its diagonal machine starts a decider that cannot run
+ALTERNATOR_DIAGONAL = encode_machine(build_diagonal(zoo.alternator()))
+
+
+def test_a_decider_that_cannot_hold_the_program_pair_claims_nothing():
+    x = encode_machine(zoo.halt_now())
+    out = itm_universal_apply(ALTERNATOR_DIAGONAL, x, 500)
+    assert out.kind == "unstable"
+    budget = Budget(max_len=400, fuel=500, horizon=500)
+    assert itm1_class().produce(sd(ALTERNATOR_DIAGONAL) + x, budget) is None
+    run = build_diagonal(zoo.alternator()).start_run(x).run_to(500)
+    assert run.d_events == [(0, "")]
+
+
+_DECIDERS = [zoo.writer(), zoo.alternator(), zoo.silent(), zoo.decider_yes(), zoo.decider_no(),
+             SimDecider(64)]
+_INPUTS = [encode_machine(m) for m in zoo_tms() + [zoo.writer(), zoo.alternator()]] + [
+    ALTERNATOR_DIAGONAL, "", "0", "11", "0110"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_DECIDERS), st.sampled_from(_INPUTS), st.integers(1, 1200))
+def test_diagonal_machines_never_raise(decider, word, horizon):
+    code = encode_machine(build_diagonal(decider))
+    out = itm_universal_apply(code, word, horizon)
+    assert out.kind in ("stabilized", "unstable", "halted-nonfinal")
 
 
 def test_diagonal_accepts_decider_codes():

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from minprog.hierarchy import SimDecider, build_diagonal
 from minprog.inductive import (
     ExplicitMemory,
+    ItmOutcome,
     ItmRun,
     MachineITM,
     Rule,
@@ -10,10 +13,13 @@ from minprog.inductive import (
     itm_run,
 )
 from minprog.turing import MachineValidationError, run_fueled
-from minprog.universal import itm_universal_apply
+from minprog.universal import itm_universal_apply, start_itm_run
 from minprog.codec import encode_machine
 from minprog.words import BINARY, BLANK, words_up_to
 from minprog import zoo
+
+from oracles import stepwise_change_log
+from strategies import gap_writer, small_tms, zoo_tms
 
 
 def _single_cell_machine(rules, cells=None, conn_types=(), states=("q0", "q1", "q2")):
@@ -150,6 +156,23 @@ def test_itm_universal_apply_accepts_tm_codes_as_embeddings():
     assert out.output == "10"
 
 
+def test_itm_universal_apply_checks_the_horizon_before_decoding():
+    for code in ("11", encode_machine(zoo.writer())):
+        with pytest.raises(ValueError, match="horizon"):
+            itm_universal_apply(code, "", 0)
+
+
+UNARY_CODE = "00100110011000100010"  # a Turing machine over the alphabet {0}
+
+
+def test_a_machine_that_cannot_hold_its_input_has_no_run():
+    assert start_itm_run(UNARY_CODE, "0") is not None
+    assert start_itm_run(UNARY_CODE, "1") is None
+    assert itm_universal_apply(UNARY_CODE, "1", 10).kind == "unstable"
+    # an explicit input register one cell too short
+    assert start_itm_run(encode_machine(zoo.alternator()), "00") is None
+
+
 def test_input_register_grows_lazily_on_linear_memory():
     long_word = "01" * 40
     run = ItmRun(zoo.decider_yes(), long_word)
@@ -159,6 +182,57 @@ def test_input_register_grows_lazily_on_linear_memory():
 def test_explicit_input_register_is_bounded():
     with pytest.raises(MachineValidationError, match="input register"):
         itm_run(zoo.alternator(), "00", 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from(zoo_tms() + [gap_writer()]), small_tms()),
+    st.text("01", max_size=4),
+    st.integers(1, 200),
+)
+def test_tm_as_itm_equals_the_stepwise_oracle(machine, word, horizon):
+    log, steps, final, stuck = stepwise_change_log(machine, word, horizon)
+    run = TmAsItm(machine).start_run(word).run_to(horizon)
+    assert (run.change_log, run.steps, run.stopped_final, run.stopped_stuck) == (log, steps, final, stuck)
+    last_step, last_value = log[-1]
+    if final:
+        # halted-final outcomes report no change count (bench/digests.json pins 0)
+        expected = ItmOutcome("halted-final", output=last_value, steps=steps)
+    elif stuck:
+        expected = ItmOutcome("halted-nonfinal", steps=steps)
+    elif last_step < horizon:
+        expected = ItmOutcome("stabilized", output=last_value, last_change_step=last_step,
+                              horizon=horizon, change_count=len(log) - 1)
+    else:
+        expected = ItmOutcome("unstable", horizon=horizon, change_count=len(log) - 1)
+    assert itm_run(TmAsItm(machine), word, horizon) == expected
+
+
+def _sim_diagonal_on_its_own_code():
+    pipeline = build_diagonal(SimDecider(64))
+    return pipeline.start_run(encode_machine(pipeline))
+
+
+_RUNS = {
+    "writer": lambda: zoo.writer().start_run(""),
+    "alternator": lambda: zoo.alternator().start_run(""),
+    "silent": lambda: zoo.silent().start_run(""),
+    "decider_yes": lambda: zoo.decider_yes().start_run("0110"),
+    "sim-diagonal": _sim_diagonal_on_its_own_code,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_RUNS)), st.integers(0, 400))
+def test_run_to_equals_repeated_single_steps(name, horizon):
+    resumed = _RUNS[name]().run_to(horizon)
+    stepped = _RUNS[name]()
+    for _ in range(horizon):
+        stepped.step()
+    for run in (resumed, stepped):
+        assert run.output_word() == run.change_log[-1][1]
+    assert (resumed.change_log, resumed.steps, resumed.stopped_final, resumed.stopped_stuck) == (
+        stepped.change_log, stepped.steps, stepped.stopped_final, stepped.stopped_stuck)
 
 
 # ---------------------------------------------------------------------------
