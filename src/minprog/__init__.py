@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .words import Alphabet, BINARY, pair, unpair, sd, shortlex_index, word_at
 from .turing import MachineTM, RunOutcome, run_fueled
-from .inductive import MachineITM, ItmOutcome, itm_run, build_limit_memory
+from .inductive import MachineITM, ItmOutcome, itm_run
 from .codec import encode_machine, decode_machine, InvalidCodeError
 from .universal import (
     U_STD,

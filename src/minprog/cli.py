@@ -435,7 +435,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload, lines = args.handler(args)
     except _ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
     elapsed_ms = int((time.monotonic() - started) * 1000)
     if args.json:

@@ -519,10 +519,12 @@ def codes_of_length(bits: int, kind: int | None = None) -> list[str]:
 
 def builtin_memory(name: str) -> MemoryGraph:
     """Instantiate a named builtin memory generator."""
+    from . import hierarchy  # imports this module, so not at the top
+
     if name == "linear":
         return LinearMemory()
-    if name in ("thm72", "limitlist"):
-        from . import hierarchy
-
-        return hierarchy.builtin_limit_backed_memory(name)
+    if name == "thm72":
+        return hierarchy.thm72_memory()
+    if name == "limitlist":
+        return hierarchy.limitlist_memory()
     raise ValueError(f"unknown builtin memory {name!r}")

@@ -126,7 +126,7 @@ def tm_class(interp=None) -> MachineClassHandle:
     return MachineClassHandle(f"tm[{interp.tag}]", produce, produce2, interp.live, interp.live2)
 
 
-def itm1_class(tm_interp=None, horizon_default: int | None = None) -> MachineClassHandle:
+def itm1_class(tm_interp=None) -> MachineClassHandle:
     """First-order inductive machines.
 
     Program space: a fixed two-symbol header followed by any Turing-class
@@ -152,7 +152,7 @@ def itm1_class(tm_interp=None, horizon_default: int | None = None) -> MachineCla
             if payload != "":
                 return None
             payload = argument
-        horizon = budget.horizon or horizon_default or budget.fuel
+        horizon = budget.horizon or budget.fuel
         return itm_universal_apply(code, payload, horizon).result
 
     def produce(program: str, budget: Budget) -> str | None:

@@ -17,15 +17,16 @@ from .turing import MachineTM, RunOutcome, TmRun, run_fueled
 from .inductive import (
     InductiveRun,
     ItmOutcome,
+    LimitMemory,
     MachineITM,
     MemoryGraph,
-    build_limit_memory,
     classify_run,
     itm_run,
     start_if_fits,
 )
 from .codec import InvalidCodeError, decode_machine, encode_machine
 from .universal import start_itm_run
+from .zoo import acceptance_pool
 
 
 @dataclass(frozen=True)
@@ -66,14 +67,15 @@ def halting_itm(code: str, input_word: str, horizon: int) -> InductiveVerdict:
 
 def first_result_cycle(machine: MachineTM, cycles: int) -> int | None:
     """First cycle n <= cycles at which the machine reaches a final state
-    when dovetailed over inputs x_1..x_n for n steps in cycle n.
+    when dovetailed over inputs x_1..x_n (words over its own alphabet) for
+    n steps in cycle n.
 
     Each input keeps one live run, started at its first cycle and resumed
     to n total steps in cycle n (see :meth:`TmRun.run_to`).
     """
     runs: list[TmRun] = []
     for n in range(1, cycles + 1):
-        runs.append(machine.start_run(nth_word(n)))
+        runs.append(machine.start_run(nth_word(n, machine.alphabet)))
         if any(run.run_to(n).in_final for run in runs):
             return n
     return None
@@ -112,11 +114,10 @@ class EnumerationList:
     halted_pairs: set[tuple[int, int]] = field(default_factory=set)
     last_moved: dict[str, int] = field(default_factory=dict)
 
-    def stable_prefix_estimate(self, window: int | None = None) -> list[str]:
+    def stable_prefix_estimate(self) -> list[str]:
         if self.cycle == 0:
             return []
-        if window is None:
-            window = max(1, self.cycle // 2)
+        window = max(1, self.cycle // 2)
         prefix = []
         for code in self.order:
             if self.last_moved.get(code, 0) <= self.cycle - window:
@@ -158,7 +159,8 @@ class _Dovetail:
     def _pair_halts_within(self, k: int, i: int, fuel: int) -> bool:
         run = self._runs.get((k, i))
         if run is None:
-            run = self._runs[(k, i)] = self.pool[k - 1].start_run(nth_word(i))
+            machine = self.pool[k - 1]
+            run = self._runs[(k, i)] = machine.start_run(nth_word(i, machine.alphabet))
         return run.run_to(fuel).in_final
 
     def _code(self, k: int) -> str | None:
@@ -272,26 +274,12 @@ def totality_verdict(pool: list[MachineTM], machine_index: int, cycles: int) -> 
 
 # ---------------------------------------------------------------------------
 # range / totality transformers
+#
+# The host machines below run through ``run_fueled``: one unit of fuel pays
+# for one simulated step of the machine they are built from.
 
 
-class HostMachine:
-    """A machine realized directly in the host language.
-
-    Exposes the fueled-run protocol; one unit of fuel pays for one
-    simulated step of the machine it is built from.  Host machines have no
-    code word and are never fed back into the codecs.
-    """
-
-    name: str
-
-    def run(self, input_word: str, fuel: int) -> RunOutcome:
-        raise NotImplementedError
-
-    def start_run(self, input_word: str):
-        raise TypeError(f"{self.name} does not support stepping")
-
-
-class RangeEnumerator(HostMachine):
+class RangeEnumerator:
     """On input x_n, dovetails the base machine over inputs and step counts
     and outputs the n-th distinct output value discovered; diverges when
     fewer than n values exist."""
@@ -307,7 +295,7 @@ class RangeEnumerator(HostMachine):
         spent = 0
         while spent < fuel:
             round_no = len(runs) + 1
-            runs.append(self.base.start_run(nth_word(round_no)))
+            runs.append(self.base.start_run(nth_word(round_no, self.base.alphabet)))
             for i, run in enumerate(runs, start=1):
                 run.run_to(round_no)
                 # a round charges each pair its step count so far (at least
@@ -326,7 +314,7 @@ class RangeEnumerator(HostMachine):
         return RunOutcome.of_fuel(fuel)
 
 
-class Totalizer(HostMachine):
+class Totalizer:
     """On input x_n, runs the base machine on x_1..x_n in order and outputs
     the last value; diverges as soon as any prefix input diverges."""
 
@@ -342,7 +330,7 @@ class Totalizer(HostMachine):
             remaining = fuel - spent
             if remaining <= 0:
                 return RunOutcome.of_fuel(fuel)
-            out = run_fueled(self.base, nth_word(i), remaining)
+            out = run_fueled(self.base, nth_word(i, self.base.alphabet), remaining)
             spent += out.steps
             if not out.halted:
                 return RunOutcome.of_fuel(fuel) if out.kind == "out-of-fuel" else RunOutcome.of_stuck(spent)
@@ -368,7 +356,7 @@ def build_totalizer(code: str) -> Totalizer:
 # reduction: result-giving of an inductive machine vs totality of a TM
 
 
-class ReductionTM(HostMachine):
+class ReductionTM:
     """T built from an inductive machine M and a fixed input x.
 
     On input x_n it replays M on x watching the output register; at the
@@ -619,11 +607,8 @@ def order_lookup(problem_name: str) -> OrderRow:
     if name in ORDER_TABLE:
         order, source = ORDER_TABLE[name]
         return OrderRow(name, order, source)
-    if name.startswith("RPI_"):
-        n = int(name[4:])
-        if n < 1:
-            raise KeyError(name)
-        return OrderRow(name, n + 1, "Thm 8.2")
+    if name.startswith("RPI_") and name[4:].isdecimal() and int(name[4:]) >= 1:
+        return OrderRow(name, int(name[4:]) + 1, "Thm 8.2")
     raise KeyError(f"unknown problem {problem_name!r}")
 
 
@@ -639,13 +624,14 @@ def order_rows() -> list[OrderRow]:
 # builtin limit-backed memories
 
 
-THM72_DEFAULT_BUDGET = 64
+# The stock memories dovetail the stock pool for this many cycles.
+STOCK_MEMORY_CYCLES = 64
 
 
 class _Thm72Base(MemoryGraph):
     """Start cell, a marker cell, an unbounded probe row, and an input
     chain.  The probe row is walked by t-connections; p-connections into
-    the marker cell are supplied by a driving process."""
+    the marker cell are asserted cycle by cycle (see :func:`thm72_memory`)."""
 
     conn_types = ("t", "p", "o", "r", "l", "i")
     start = "c0"
@@ -677,31 +663,17 @@ class _Thm72Base(MemoryGraph):
     def initial_contents(self) -> dict[str, str]:
         return {"c1": "1"}
 
-    def describe(self) -> tuple:
-        return ("builtin", "thm72")
 
-
-def thm72_memory(pool: list[MachineTM] | None = None, budget: int = THM72_DEFAULT_BUDGET) -> MemoryGraph:
-    """Probe-row memory over a machine pool: cell a_k links to the marker
+def thm72_memory() -> LimitMemory:
+    """Probe-row memory over the stock pool: cell a_k links to the marker
     exactly when pool machine k+1 demonstrates a result within the
-    dovetail allowance of the budget."""
-    default_pool = None
-    if pool is None:
-        from .zoo import acceptance_pool
-
-        pool = default_pool = acceptance_pool()
-    detections = [first_result_cycle(m, budget) for m in pool]
-
-    def driver(cycle: int) -> list[tuple[str, str, str]]:
-        return [
-            (f"a{k}", "p", "c1")
-            for k, det in enumerate(detections)
-            if det == cycle
-        ]
-
-    limit = build_limit_memory(driver, _Thm72Base())
-    label = ("builtin", "thm72") if pool is default_pool and budget == THM72_DEFAULT_BUDGET else None
-    return limit.snapshot(budget, label=label)
+    dovetail allowance of the stock cycles."""
+    cycles: list[list[tuple[str, str, str]]] = [[] for _ in range(STOCK_MEMORY_CYCLES)]
+    for k, machine in enumerate(acceptance_pool()):
+        detected = first_result_cycle(machine, STOCK_MEMORY_CYCLES)
+        if detected is not None:
+            cycles[detected - 1].append((f"a{k}", "p", "c1"))
+    return LimitMemory(_Thm72Base(), cycles, label=("builtin", "thm72"))
 
 
 class _LimitListBase(MemoryGraph):
@@ -730,42 +702,16 @@ class _LimitListBase(MemoryGraph):
     def output_rank(self, cell: str) -> int | None:
         return None
 
-    def describe(self) -> tuple:
-        return ("builtin", "limitlist")
 
-
-def limitlist_memory(pool: list[MachineTM] | None = None, budget: int = THM72_DEFAULT_BUDGET) -> MemoryGraph:
-    default_pool = None
-    if pool is None:
-        from .zoo import acceptance_pool
-
-        pool = default_pool = acceptance_pool()
-    dov = _Dovetail(pool)
-    code_to_machine = {code: k + 1 for k, code in enumerate(dov.codes)}
-
-    per_cycle: list[list[tuple[str, str, str]]] = []
-    for _ in range(budget):
+def limitlist_memory() -> LimitMemory:
+    """List memory over the stock pool: in each cycle, position h_j links
+    to the landmark cell d_k of the machine T_k the scheduler lists there."""
+    dov = _Dovetail(acceptance_pool())
+    machine_no = {code: k for k, code in enumerate(dov.codes, start=1)}
+    cycles = []
+    for _ in range(STOCK_MEMORY_CYCLES):
         dov.run_cycle()
-        per_cycle.append(
-            [
-                (f"h{j}", "m", f"d{code_to_machine[code]}")
-                for j, code in enumerate(dov.state.order, start=1)
-            ]
+        cycles.append(
+            [(f"h{j}", "m", f"d{machine_no[code]}") for j, code in enumerate(dov.state.order, start=1)]
         )
-
-    def driver(cycle: int) -> list[tuple[str, str, str]]:
-        if 1 <= cycle <= len(per_cycle):
-            return per_cycle[cycle - 1]
-        return []
-
-    limit = build_limit_memory(driver, _LimitListBase())
-    label = ("builtin", "limitlist") if pool is default_pool and budget == THM72_DEFAULT_BUDGET else None
-    return limit.snapshot(budget, label=label)
-
-
-def builtin_limit_backed_memory(name: str) -> MemoryGraph:
-    if name == "thm72":
-        return thm72_memory()
-    if name == "limitlist":
-        return limitlist_memory()
-    raise ValueError(f"unknown limit-backed memory {name!r}")
+    return LimitMemory(_LimitListBase(), cycles, label=("builtin", "limitlist"))

@@ -16,8 +16,9 @@ unbounded cell rows used by the scheduler constructions are representable.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable, Sequence
 
 from .words import BLANK, Alphabet, InvalidWordError
 from .turing import MachineTM, MachineValidationError, TmRun
@@ -144,63 +145,53 @@ class LinearMemory(MemoryGraph):
 
 
 # ---------------------------------------------------------------------------
-# limit memory: connections asserted over time by a driving process
-
-Driver = Callable[[int], list[tuple[str, str, str]]]
-"""Maps a cycle number (1-based) to the connection assertions of that cycle."""
+# limit memory: connections asserted cycle by cycle by a driving process
 
 
-class LimitMemory:
-    """A memory whose connections accrue from a cycle-structured driver.
+class LimitMemory(MemoryGraph):
+    """A memory whose connections accrue cycle by cycle over a base graph.
 
-    ``oracle(cell, type, budget)`` answers with the latest assertion made
-    within the first ``budget`` cycles, falling back to the base graph.
-    Answers depend only on (cell, type, budget), never on query order, and
-    stop changing once the driver stops reasserting the pair.
+    ``cycles[n - 1]`` holds the (cell, type, target) assertions of cycle n,
+    indexed once by (cell, type).  ``oracle(cell, type, budget)`` answers
+    with the latest assertion made within the first ``budget`` cycles,
+    falling back to the base graph; a budget past the last cycle answers as
+    at the last.  As an ordinary memory the graph answers at its last
+    cycle.  ``label`` lets a stock configuration advertise itself under a
+    serializable builtin name; an unlabelled limit memory has no code form.
     """
 
-    def __init__(self, driver: Driver, base: MemoryGraph) -> None:
-        self.driver = driver
+    def __init__(
+        self,
+        base: MemoryGraph,
+        cycles: Sequence[Iterable[tuple[str, str, str]]],
+        label: tuple | None = None,
+    ) -> None:
         self.base = base
-        self._cycles: list[list[tuple[str, str, str]]] = []  # per completed cycle
-
-    def _advance_to(self, budget: int) -> None:
-        while len(self._cycles) < budget:
-            cycle = len(self._cycles) + 1
-            self._cycles.append(list(self.driver(cycle)))
+        self.start = base.start
+        self.conn_types = base.conn_types
+        self.label = label
+        self.budget = len(cycles)
+        # (cell, type) -> (ascending cycle numbers, target asserted in each)
+        self._asserted: dict[tuple[str, str], tuple[list[int], list[str]]] = {}
+        for n, cycle in enumerate(cycles, start=1):
+            for cell, ctype, target in cycle:
+                numbers, targets = self._asserted.setdefault((cell, ctype), ([], []))
+                numbers.append(n)
+                targets.append(target)
 
     def oracle(self, cell: str, ctype: str, budget: int) -> str | None:
         if budget < 0:
             raise ValueError("budget must be non-negative")
-        self._advance_to(budget)
-        answer = self.base.connection(cell, ctype)
-        for cyc in range(budget):
-            for frm, typ, to in self._cycles[cyc]:
-                if frm == cell and typ == ctype:
-                    answer = to
-        return answer
-
-    def snapshot(self, budget: int, label: tuple | None = None) -> MemoryGraph:
-        """A fixed-budget view usable as an ordinary memory graph.
-
-        ``label`` lets a stock configuration advertise itself under a
-        serializable builtin name; anonymous snapshots have no code form.
-        """
-        self._advance_to(budget)
-        return _LimitSnapshot(self, budget, label)
-
-
-class _LimitSnapshot(MemoryGraph):
-    def __init__(self, limit: LimitMemory, budget: int, label: tuple | None = None) -> None:
-        self.limit = limit
-        self.budget = budget
-        self.base = limit.base
-        self.start = limit.base.start
-        self.conn_types = limit.base.conn_types
-        self.label = label
+        asserted = self._asserted.get((cell, ctype))
+        if asserted is not None:
+            numbers, targets = asserted
+            i = bisect_right(numbers, budget)
+            if i:
+                return targets[i - 1]
+        return self.base.connection(cell, ctype)
 
     def connection(self, cell: str, ctype: str) -> str | None:
-        return self.limit.oracle(cell, ctype, self.budget)
+        return self.oracle(cell, ctype, self.budget)
 
     def input_cell(self, i: int) -> str:
         return self.base.input_cell(i)
@@ -215,10 +206,6 @@ class _LimitSnapshot(MemoryGraph):
         if self.label is not None:
             return self.label
         return ("limit-snapshot", self.budget, self.base.describe())
-
-
-def build_limit_memory(driver: Driver, base: MemoryGraph) -> LimitMemory:
-    return LimitMemory(driver, base)
 
 
 # ---------------------------------------------------------------------------

@@ -200,15 +200,18 @@ def find_implication_counterexample(
     return None
 
 
+# Registering an edge checks it on every word up to this length.
+IMPLICATION_CHECK_LEN = 6
+
+
 @dataclass
 class ImplicationRegistry:
     """Append-only store of verified implication edges."""
 
-    check_len: int = 6
     edges: list[tuple[Predicate, Predicate, str]] = field(default_factory=list)
 
     def register(self, p: Predicate, q: Predicate, justification: str = "") -> None:
-        ce = find_implication_counterexample(p, q, self.check_len)
+        ce = find_implication_counterexample(p, q, IMPLICATION_CHECK_LEN)
         if ce is not None:
             raise ImplicationViolation(
                 f"{p.name} does not imply {q.name}: counterexample {ce!r}"
@@ -237,7 +240,7 @@ def shipped_registry(interp=None) -> ImplicationRegistry:
         from .universal import make_biased_universal
 
         interp = make_biased_universal(1)
-    reg = ImplicationRegistry(check_len=6)
+    reg = ImplicationRegistry()
     strict_pairs = ["0", "1", "00", "01", "10", "11", "000"]
     for z in strict_pairs:
         reg.register(lt(z), leq(z), "strict order implies non-strict")

@@ -4,7 +4,8 @@ Deliberately written as plain loops over itertools.product, sharing no
 code with the package's search machinery: where a test compares a library
 verdict against an oracle, the two sides must disagree if either scan is
 wrong.  The dovetail oracles use nothing of the package but the one-step
-machine stepper ``TmRun.step``.
+machine stepper ``TmRun.step``.  The limit-memory oracle reads nothing of
+the package but the base graph's ``connection``.
 """
 
 import itertools
@@ -59,9 +60,15 @@ def brute_force_outputs(produce, max_len):
 # dovetail schedules by reruns: every pair starts from scratch in every cycle
 
 
-def _nth_word(i):
-    """x_i of the 1-based shortlex enumeration of binary words."""
-    return bin(i)[3:]
+def _nth_word(i, symbols):
+    """x_i of the 1-based shortlex enumeration of words over ``symbols``:
+    i - 1 written in bijective base len(symbols)."""
+    n, k, digits = i - 1, len(symbols), []
+    while n:
+        n -= 1
+        digits.append(symbols[n % k])
+        n //= k
+    return "".join(reversed(digits))
 
 
 def _fresh_run(machine, word, fuel):
@@ -73,11 +80,13 @@ def _fresh_run(machine, word, fuel):
 
 
 def rerun_first_result_cycle(machine, cycles):
-    """First cycle n <= cycles in which some input x_1..x_n, run from scratch
-    for n steps, reaches a final state; None if no cycle does."""
+    """First cycle n <= cycles in which some input x_1..x_n over the
+    machine's alphabet, run from scratch for n steps, reaches a final state;
+    None if no cycle does."""
+    symbols = machine.alphabet.symbols
     for n in range(1, cycles + 1):
         for i in range(1, n + 1):
-            if _fresh_run(machine, _nth_word(i), n).in_final:
+            if _fresh_run(machine, _nth_word(i, symbols), n).in_final:
                 return n
     return None
 
@@ -85,10 +94,12 @@ def rerun_first_result_cycle(machine, cycles):
 def rerun_range_enumerate(machine, input_word, fuel):
     """(kind, steps, output) of the range enumerator on ``input_word``.
 
-    Round r reruns x_1..x_r from scratch for r steps each and charges each
-    run its steps (at least 1); a pair's output counts in the first round
-    covering both its input index and its halting time.
+    Round r reruns x_1..x_r (over the machine's alphabet) from scratch for
+    r steps each and charges each run its steps (at least 1); a pair's
+    output counts in the first round covering both its input index and its
+    halting time.  ``input_word`` is binary: it is x_n for the n-th value.
     """
+    symbols = machine.alphabet.symbols
     n = int("1" + input_word, 2)
     discovered = []
     spent = 0
@@ -96,7 +107,7 @@ def rerun_range_enumerate(machine, input_word, fuel):
     while spent < fuel:
         r += 1
         for i in range(1, r + 1):
-            run = _fresh_run(machine, _nth_word(i), r)
+            run = _fresh_run(machine, _nth_word(i, symbols), r)
             spent += run.steps if run.steps else 1
             if run.in_final and r == max(i, run.steps):
                 out = run.output_word()
@@ -132,3 +143,18 @@ def stepwise_change_log(machine, word, horizon):
         if out != log[-1][1]:
             log.append((run.steps, out))
     return log, run.steps, run.state in machine.finals, stuck
+
+
+# ---------------------------------------------------------------------------
+# a limit memory by a from-scratch scan of its assertion table
+
+
+def scan_limit_connection(base, cycles, cell, ctype, budget):
+    """The target of the latest (cell, ctype) assertion within the first
+    ``budget`` cycles of ``cycles``, or else the base graph's connection."""
+    answer = base.connection(cell, ctype)
+    for cycle in cycles[:budget]:
+        for frm, typ, to in cycle:
+            if frm == cell and typ == ctype:
+                answer = to
+    return answer

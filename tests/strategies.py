@@ -3,7 +3,7 @@
 from hypothesis import strategies as st
 
 from minprog.turing import MOVES, MachineTM, Transition
-from minprog.words import BINARY, BLANK
+from minprog.words import BINARY, BLANK, Alphabet
 from minprog import zoo
 
 _SYMS = ("0", "1", BLANK)
@@ -39,3 +39,23 @@ def gap_writer():
         Transition("q2", (BLANK, BLANK, BLANK), "qf", (BLANK, BLANK, "1"), ("S", "S", "S")),
     )
     return MachineTM("gap-writer", ("q0", "q1", "q2", "qf"), "q0", frozenset({"qf"}), BINARY, rows)
+
+
+UNARY = Alphabet(("0",))
+
+
+def unary_tms():
+    """Two machines over the one-symbol alphabet 0: the identity, and one
+    that halts exactly on inputs of two or more symbols."""
+    copy = (
+        Transition("q0", ("0", BLANK, BLANK), "q0", ("0", BLANK, "0"), ("R", "S", "R")),
+        Transition("q0", (BLANK, BLANK, BLANK), "qf", (BLANK, BLANK, BLANK), ("S", "S", "S")),
+    )
+    two = (
+        Transition("q0", ("0", BLANK, BLANK), "q1", ("0", BLANK, BLANK), ("R", "S", "S")),
+        Transition("q1", ("0", BLANK, BLANK), "qf", ("0", BLANK, BLANK), ("S", "S", "S")),
+    )
+    return [
+        MachineTM("unary-identity", ("q0", "qf"), "q0", frozenset({"qf"}), UNARY, copy),
+        MachineTM("unary-two-or-more", ("q0", "q1", "qf"), "q0", frozenset({"qf"}), UNARY, two),
+    ]

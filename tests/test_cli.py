@@ -119,6 +119,29 @@ def test_emptiness_and_totality(capsys):
     assert report["verdict"]["value"] == "1"
 
 
+UNARY_TWO_OR_MORE = """machine unary-two-or-more
+kind tm
+alphabet 0
+states q0 q1 qf
+start q0
+final qf
+trans q0 0 _ _ -> q1 0 _ _ R S S
+trans q1 0 _ _ -> qf 0 _ _ S S S
+"""
+
+
+def test_limit_commands_run_a_unary_machine_file(capsys, tmp_path):
+    # the dovetails feed x_1, x_2, x_3 = ε, 0, 00: the machine halts on x_3
+    path = tmp_path / "unary.tm"
+    path.write_text(UNARY_TWO_OR_MORE, encoding="utf-8")
+    report = run_json(capsys, "emptiness", "--machine", str(path), "--cycles", "8")
+    assert report["verdict"] == {"value": "0", "stabilized_since": 3, "budget": 3, "halted": True}
+    report = run_json(capsys, "enumerate-nontotal", "--machines", str(path), "--cycles", "4")
+    assert report["halted_pairs"] == [[1, 3], [1, 4]]
+    report = run_json(capsys, "totality", "--machines", str(path), "--index", "0", "--cycles", "4")
+    assert report["verdict"]["value"] == "0"
+
+
 def test_emptiness_pool_index_out_of_range_names_the_pool_size(capsys):
     code, out, err = run_cli(capsys, "emptiness", "--pool-index", "6")
     assert code == 1 and out == ""
@@ -149,6 +172,13 @@ def test_orders_single_and_table(capsys):
     rows = {r["problem"]: (r["order"], r["source"]) for r in report["rows"]}
     assert rows["TP"] == (2, "Thm 8.6")
     assert rows["RPI_3"] == (4, "Thm 8.2")
+
+
+@pytest.mark.parametrize("name", ["XYZ", "RPI_0", "RPI_x"])
+def test_orders_names_an_unknown_problem(capsys, name):
+    code, out, err = run_cli(capsys, "orders", name)
+    assert code == 1 and out == ""
+    assert err.strip() == f"error: unknown problem '{name}'"
 
 
 def test_reports_are_deterministic_modulo_elapsed(capsys):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minprog.codec import InvalidCodeError, encode_machine
+from minprog.codec import InvalidCodeError, decode_machine, encode_machine
 from minprog.complexity import Budget, itm1_class
 from minprog.hierarchy import (
     SimDecider,
@@ -25,7 +25,7 @@ from minprog.words import nth_word, sd
 from minprog import zoo
 
 from oracles import rerun_first_result_cycle, rerun_range_enumerate
-from strategies import gap_writer, small_tms, zoo_tms
+from strategies import gap_writer, small_tms, unary_tms, zoo_tms
 
 POOL = zoo.acceptance_pool()
 CODES = [encode_machine(m) for m in POOL]
@@ -90,9 +90,38 @@ def test_interior_output_blank_still_demonstrates_a_result():
 
 
 _DOVETAIL_MACHINES = st.one_of(
-    st.sampled_from(zoo_tms()),
+    st.sampled_from(zoo_tms() + unary_tms()),
     small_tms(),
 )
+
+# decodable machines over the one-symbol alphabet 0 with one state s0 and
+# no transitions: s0 is not final in the first and final in the second
+UNARY_STUCK = "00100110011000100010"
+UNARY_HALTING = "001001100110011000100010"
+
+
+def test_limit_constructions_feed_a_unary_machine_its_own_words():
+    v = emptiness_solver(UNARY_STUCK, 8)
+    assert (v.value, v.stabilized_since, v.budget, v.halted) == ("1", 1, 8, False)
+    out = build_range_enumerator(UNARY_STUCK).run("", 100)
+    assert (out.kind, out.steps) == ("out-of-fuel", 100)
+    state = dovetail_nontotal([decode_machine(UNARY_STUCK)], 4)
+    assert state.halted_pairs == set()
+    assert state.stable_prefix_estimate() == [UNARY_STUCK]
+    out = build_totalizer(UNARY_HALTING).run("1", 100)
+    assert (out.kind, out.output, out.steps) == ("halted", "", 0)
+
+
+def test_unary_machines_see_unary_inputs():
+    identity, two_or_more = unary_tms()
+    # x_3 over the alphabet 0 is 00, the first input two_or_more halts on
+    v = emptiness_solver(encode_machine(two_or_more), 8)
+    assert (v.value, v.stabilized_since) == ("0", 3)
+    # x_1, x_2, x_3 are ε, 0, 00: the identity lists them as its range
+    enumerator = build_range_enumerator(encode_machine(identity))
+    assert [enumerator.run(nth_word(n), 1000).output for n in (1, 2, 3)] == ["", "0", "00"]
+    out = build_totalizer(encode_machine(identity)).run(nth_word(3), 1000)
+    assert (out.kind, out.output) == ("halted", "00")
 
 
 @settings(max_examples=150, deadline=None)
@@ -398,6 +427,8 @@ def test_order_lookup_unknown_name():
         order_lookup("XYZ")
     with pytest.raises(KeyError):
         order_lookup("RPI_0")
+    with pytest.raises(KeyError):
+        order_lookup("RPI_x")
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +436,9 @@ def test_order_lookup_unknown_name():
 
 
 def test_limitlist_connections_follow_the_scheduler():
-    snapshot = limitlist_memory(POOL, budget=32)
-    state = dovetail_nontotal(POOL, 32)
+    memory = limitlist_memory()
+    state = dovetail_nontotal(POOL, 64)
     for j, code in enumerate(state.order, start=1):
         machine_no = state.codes.index(code) + 1
-        assert snapshot.connection(f"h{j}", "m") == f"d{machine_no}"
-    assert snapshot.connection("h1", "n") == "h2"
+        assert memory.connection(f"h{j}", "m") == f"d{machine_no}"
+    assert memory.connection("h1", "n") == "h2"

@@ -6,10 +6,10 @@ from minprog.inductive import (
     ExplicitMemory,
     ItmOutcome,
     ItmRun,
+    LimitMemory,
     MachineITM,
     Rule,
     TmAsItm,
-    build_limit_memory,
     itm_run,
 )
 from minprog.turing import MachineValidationError, run_fueled
@@ -18,7 +18,7 @@ from minprog.codec import encode_machine
 from minprog.words import BINARY, BLANK, words_up_to
 from minprog import zoo
 
-from oracles import stepwise_change_log
+from oracles import scan_limit_connection, stepwise_change_log
 from strategies import gap_writer, small_tms, zoo_tms
 
 
@@ -239,10 +239,6 @@ def test_run_to_equals_repeated_single_steps(name, horizon):
 # limit memory
 
 
-class _Base(ExplicitMemory):
-    pass
-
-
 def _base_memory():
     return ExplicitMemory(
         [("a_5", "work"), ("c_1", "work"), ("x", "work")],
@@ -251,45 +247,61 @@ def _base_memory():
     )
 
 
-def test_limit_memory_reports_driver_assertions_by_budget():
-    def driver(cycle):
-        if cycle == 3:
-            return [("a_5", "p", "c_1")]
-        return []
-
-    limit = build_limit_memory(driver, _base_memory())
+def test_limit_memory_reports_assertions_by_budget():
+    limit = LimitMemory(_base_memory(), [[], [], [("a_5", "p", "c_1")]])
     assert limit.oracle("a_5", "p", 2) is None
     assert limit.oracle("a_5", "p", 3) == "c_1"
+    # a budget past the table answers as at its end
     assert limit.oracle("a_5", "p", 7) == "c_1"
+    assert limit.connection("a_5", "p") == "c_1"
     # base connections survive at every budget
     assert limit.oracle("a_5", "t", 0) == "x"
+    # an unlabelled limit memory has no code form
+    assert limit.describe() == ("limit-snapshot", 3, _base_memory().describe())
 
 
-def test_empty_driver_is_the_base_graph_at_every_budget():
-    limit = build_limit_memory(lambda cycle: [], _base_memory())
-    for budget in (0, 1, 5, 20):
-        assert limit.oracle("a_5", "t", budget) == "x"
-        assert limit.oracle("a_5", "p", budget) is None
+def test_empty_assertion_table_is_the_base_graph_at_every_budget():
+    for cycles in ([], [[]] * 5):
+        limit = LimitMemory(_base_memory(), cycles)
+        for budget in (0, 1, 5, 20):
+            assert limit.oracle("a_5", "t", budget) == "x"
+            assert limit.oracle("a_5", "p", budget) is None
 
 
 def test_limit_memory_answers_do_not_depend_on_query_order():
-    def driver(cycle):
-        return [("a_5", "p", "c_1")] if cycle == 2 else []
-
-    first = build_limit_memory(driver, _base_memory())
+    cycles = [[], [("a_5", "p", "c_1")], [], [], []]
+    first = LimitMemory(_base_memory(), cycles)
     a = (first.oracle("a_5", "p", 5), first.oracle("a_5", "p", 1))
-    second = build_limit_memory(driver, _base_memory())
+    second = LimitMemory(_base_memory(), cycles)
     b = (second.oracle("a_5", "p", 1), second.oracle("a_5", "p", 5))
     assert a == (b[1], b[0])
+
+
+_CELLS = ("a_5", "c_1", "x")
+_assertion = st.tuples(st.sampled_from(_CELLS), st.sampled_from(("t", "p")), st.sampled_from(_CELLS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycles=st.lists(st.lists(_assertion, max_size=4), max_size=10))
+def test_limit_memory_equals_the_scan_of_its_assertions(cycles):
+    base = _base_memory()
+    limit = LimitMemory(base, cycles)
+    for cell in _CELLS:
+        for ctype in ("t", "p"):
+            for budget in range(len(cycles) + 3):
+                expected = scan_limit_connection(base, cycles, cell, ctype, budget)
+                assert limit.oracle(cell, ctype, budget) == expected, (cell, ctype, budget)
+            full = scan_limit_connection(base, cycles, cell, ctype, len(cycles))
+            assert limit.connection(cell, ctype) == full
 
 
 def test_thm72_memory_tracks_pool_halting():
     from minprog.hierarchy import thm72_memory
 
     pool = zoo.acceptance_pool()
-    snapshot = thm72_memory(pool, budget=64)
+    memory = thm72_memory()
     for k, machine in enumerate(pool):
-        connected = snapshot.connection(f"a{k}", "p") == "c1"
+        connected = memory.connection(f"a{k}", "p") == "c1"
         demonstrates = any(
             run_fueled(machine, w, 64).halted for w in words_up_to(4)
         )
