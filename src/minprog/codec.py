@@ -159,26 +159,6 @@ def canonical_state_order(machine: MachineTM | MachineITM) -> list[str]:
     return order
 
 
-def canonicalize_tm(machine: MachineTM) -> MachineTM:
-    """Behaviorally identical machine with states renamed s0, s1, ...."""
-    order = canonical_state_order(machine)
-    rename = {old: f"s{i}" for i, old in enumerate(order)}
-    trans = [
-        Transition(rename[t.state], t.reads, rename[t.next_state], t.writes, t.moves)
-        for t in machine.transitions
-    ]
-    key = lambda t: (int(t.state[1:]), tuple(_symbol_code(machine.alphabet, s) for s in t.reads))
-    trans.sort(key=key)
-    return MachineTM(
-        name=machine.name,
-        states=tuple(rename[s] for s in order),
-        start=rename[machine.start],
-        finals=frozenset(rename[s] for s in machine.finals),
-        alphabet=machine.alphabet,
-        transitions=tuple(trans),
-    )
-
-
 # ---------------------------------------------------------------------------
 # encoding
 

@@ -11,6 +11,7 @@ has no reachable way to stop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .words import BINARY, MalformedPairError, nth_word, shortlex_index, sd, unpair
 from .turing import MachineTM, RunOutcome, TmRun, run_fueled
@@ -374,8 +375,15 @@ class ReductionTM:
     def run(self, input_word: str, fuel: int) -> RunOutcome:
         n = shortlex_index(input_word) + 1
         run = self.machine.start_run(self.x)
-        while run.change_count < n and run.steps < fuel and run.step():
-            pass
+        # resume in doubling chunks: the change log does not depend on how
+        # the run was cut, so overshooting the n-th change costs at most
+        # as many steps as were needed to reach it
+        chunk = 1
+        while run.change_count < n and run.steps < fuel:
+            before = run.steps
+            if run.run_to(min(fuel, before + chunk)).steps == before:
+                break  # the run has stopped
+            chunk *= 2
         if run.change_count < n:
             return RunOutcome.of_fuel(fuel)
         # halt at the n-th change with the value the register held before it
@@ -664,10 +672,12 @@ class _Thm72Base(MemoryGraph):
         return {"c1": "1"}
 
 
+@cache
 def thm72_memory() -> LimitMemory:
     """Probe-row memory over the stock pool: cell a_k links to the marker
     exactly when pool machine k+1 demonstrates a result within the
-    dovetail allowance of the stock cycles."""
+    dovetail allowance of the stock cycles.  Built once per process: it
+    takes no parameters and nothing mutates a limit memory."""
     cycles: list[list[tuple[str, str, str]]] = [[] for _ in range(STOCK_MEMORY_CYCLES)]
     for k, machine in enumerate(acceptance_pool()):
         detected = first_result_cycle(machine, STOCK_MEMORY_CYCLES)
@@ -703,9 +713,11 @@ class _LimitListBase(MemoryGraph):
         return None
 
 
+@cache
 def limitlist_memory() -> LimitMemory:
     """List memory over the stock pool: in each cycle, position h_j links
-    to the landmark cell d_k of the machine T_k the scheduler lists there."""
+    to the landmark cell d_k of the machine T_k the scheduler lists there.
+    Built once per process, like :func:`thm72_memory`."""
     dov = _Dovetail(acceptance_pool())
     machine_no = {code: k for k, code in enumerate(dov.codes, start=1)}
     cycles = []

@@ -16,12 +16,12 @@ unbounded cell rows used by the scheduler constructions are representable.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .words import BLANK, Alphabet, InvalidWordError
-from .turing import MachineTM, MachineValidationError, TmRun
+from .turing import MachineTM, MachineValidationError, TmRun, compiled_write
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +248,18 @@ class ItmOutcome:
         return self.output if self.gives_result else None
 
 
+# A compiled rule: the next state, the write as compiled_write gives it, the
+# connection type to move by (None for no move), and whether the next state
+# is final.
+ItmStep = tuple[str, str | None, str | None, bool]
+
+
 class MachineITM:
-    """Deterministic first-order inductive machine."""
+    """Deterministic first-order inductive machine.
+
+    ``table`` maps (state, read) to the compiled :data:`ItmStep` of the
+    one rule with that left part.
+    """
 
     kind = "itm"
 
@@ -276,7 +286,7 @@ class MachineITM:
             if s not in declared:
                 raise MachineValidationError(f"final state {s!r} is not declared")
         self.rules = tuple(rules)
-        table: dict[tuple[str, str], Rule] = {}
+        table: dict[tuple[str, str], ItmStep] = {}
         for r in self.rules:
             if r.state not in declared or r.next_state not in declared:
                 raise MachineValidationError(f"rule {r.state}->{r.next_state} uses an undeclared state")
@@ -292,7 +302,8 @@ class MachineITM:
                 raise MachineValidationError(
                     f"two rules share the left part ({r.state}, {r.read})"
                 )
-            table[key] = r
+            write = compiled_write(r.read, r.write)
+            table[key] = (r.next_state, write, r.move, r.next_state in self.finals)
         self.table = table
 
     def start_run(self, input_word: str) -> "ItmRun":
@@ -305,36 +316,42 @@ class InductiveRun:
 
     ``change_log`` holds (step, value) for the initial value and for every
     change after it, the observable the horizon outcomes, the diagonal
-    machine and the output-change reduction consume.  Subclasses define
-    ``step`` and report each step's register value through ``_observe``.
+    machine and the output-change reduction consume.  A subclass defines
+    one of ``step`` and ``run_to``, each of which is written here in terms
+    of the other.
     """
 
     def __init__(self, output: str = "") -> None:
         self.steps = 0
         self.stopped_final = False
         self.stopped_stuck = False
-        self.change_log: list[tuple[int, str]] = [(0, output)]
+        self._log: list[tuple[int, str]] = [(0, output)]
 
     def step(self) -> bool:
         """Advance one step; False once the run has stopped."""
-        raise NotImplementedError
+        before = self.steps
+        return self.run_to(before + 1).steps > before
+
+    @property
+    def change_log(self) -> list[tuple[int, str]]:
+        return self._log
 
     def output_word(self) -> str:
-        return self.change_log[-1][1]
+        return self._log[-1][1]
 
     @property
     def last_change_step(self) -> int:
-        return self.change_log[-1][0]
+        return self._log[-1][0]
 
     @property
     def change_count(self) -> int:
-        return len(self.change_log) - 1
+        return len(self._log) - 1
 
     def _observe(self, value: str) -> None:
         """Log ``value`` as the register content after the current step, if
         it differs from the last logged value."""
-        if value != self.change_log[-1][1]:
-            self.change_log.append((self.steps, value))
+        if value != self._log[-1][1]:
+            self._log.append((self.steps, value))
 
     def run_to(self, horizon: int) -> "InductiveRun":
         """Step until ``horizon`` total steps or a stop, like :meth:`TmRun.run_to`."""
@@ -343,64 +360,89 @@ class InductiveRun:
         return self
 
 
+def _splice(positions: list[int], value: str, pos: int, sym: str) -> str:
+    """The register ``value`` after the cell at ``pos`` is set to ``sym``
+    ("" blanks it).  ``positions`` lists the positions of the non-blank
+    cells, which ``value`` holds in that order; it is updated in place."""
+    i = bisect_left(positions, pos)
+    if i < len(positions) and positions[i] == pos:
+        if not sym:
+            del positions[i]
+        return value[:i] + sym + value[i + 1 :]
+    if sym:
+        positions.insert(i, pos)
+    return value[:i] + sym + value[i:]
+
+
+_UNKNOWN = -1  # the head cell's output rank is not looked up yet
+
+
 class ItmRun(InductiveRun):
     """Stepper for one inductive machine on one input."""
 
     def __init__(self, machine: MachineITM, input_word: str) -> None:
         machine.alphabet.check_word(input_word)
         self.machine = machine
-        self.memory = machine.memory
-        self.contents: dict[str, str] = {}
-        self._out_ranks: dict[int, str] = {}
-        for cell, sym in self.memory.initial_contents().items():
-            self._set_cell(cell, sym)
+        self.memory = memory = machine.memory
+        self.contents: dict[str, str] = {
+            cell: sym for cell, sym in memory.initial_contents().items() if sym != BLANK
+        }
         for i, ch in enumerate(input_word):
-            self._set_cell(self.memory.input_cell(i), ch)
-        super().__init__(self._register())
-        self.head = self.memory.start
+            self.contents[memory.input_cell(i)] = ch
+        register = sorted(
+            (rank, sym)
+            for cell, sym in self.contents.items()
+            if (rank := memory.output_rank(cell)) is not None
+        )
+        self._ranks = [rank for rank, _ in register]
+        super().__init__("".join(sym for _, sym in register))
+        self.head = memory.start
         self.state = machine.start
         self.stopped_final = machine.start in machine.finals
 
-    def _set_cell(self, cell: str, sym: str) -> bool:
-        """Write ``sym`` to ``cell``; True if the cell is in the output register."""
-        if sym == BLANK:
-            self.contents.pop(cell, None)
-        else:
-            self.contents[cell] = sym
-        rank = self.memory.output_rank(cell)
-        if rank is None:
-            return False
-        if sym == BLANK:
-            self._out_ranks.pop(rank, None)
-        else:
-            self._out_ranks[rank] = sym
-        return True
-
-    def _register(self) -> str:
-        return "".join(sym for _, sym in sorted(self._out_ranks.items()))
-
-    def step(self) -> bool:
-        """Apply the unique matching rule; False once the machine stopped."""
-        if self.stopped_final or self.stopped_stuck:
-            return False
-        sym = self.contents.get(self.head, BLANK)
-        rule = self.machine.table.get((self.state, sym))
-        if rule is None:
-            self.stopped_stuck = True
-            return False
-        wrote_output = rule.write is not None and self._set_cell(self.head, rule.write)
-        if rule.move is not None:
-            target = self.memory.connection(self.head, rule.move)
-            if target is not None:
-                self.head = target
-            # no connection of the prescribed type: the head stays put
-        self.state = rule.next_state
-        self.steps += 1
-        if wrote_output:
-            self._observe(self._register())
-        if self.state in self.machine.finals:
-            self.stopped_final = True
-        return True
+    def run_to(self, horizon: int) -> "ItmRun":
+        """Apply the unique matching rule until ``horizon`` total steps or a
+        stop, on locals; the configuration is written back when it stops."""
+        steps = self.steps
+        if steps >= horizon or self.stopped_final or self.stopped_stuck:
+            return self
+        table = self.machine.table
+        connection, output_rank = self.memory.connection, self.memory.output_rank
+        contents = self.contents
+        get = contents.get
+        ranks = self._ranks
+        log = self._log
+        head, state = self.head, self.state
+        rank = _UNKNOWN
+        for steps in range(steps + 1, horizon + 1):
+            entry = table.get((state, get(head, BLANK)))
+            if entry is None:
+                self.stopped_stuck = True
+                steps -= 1
+                break
+            state, write, move, final = entry
+            if write is not None:
+                if write:
+                    contents[head] = write
+                else:
+                    del contents[head]
+                if rank == _UNKNOWN:
+                    rank = output_rank(head)
+                if rank is not None:
+                    value = _splice(ranks, log[-1][1], rank, write)
+                    if value != log[-1][1]:
+                        log.append((steps, value))
+            if move is not None:
+                target = connection(head, move)
+                if target is not None:
+                    head = target
+                    rank = _UNKNOWN
+                # no connection of the prescribed type: the head stays put
+            if final:
+                self.stopped_final = True
+                break
+        self.head, self.state, self.steps = head, state, steps
+        return self
 
 
 def classify_run(run, horizon: int) -> ItmOutcome:
@@ -467,19 +509,44 @@ class TmAsItm:
 
 
 class _TmItmRun(InductiveRun):
+    """A TM run watched as an inductive run.
+
+    The TM loop records each output-tape write; the output tape is never
+    erased, so each one changes the register, and the change log is their
+    replay.  Only a reader of old values needs it, so it is built on
+    demand; the outcome needs just the count, the last step and the tape.
+    """
+
     def __init__(self, machine: MachineTM, input_word: str) -> None:
         self.run = TmRun(machine, input_word)
+        self.run.output_writes = self._writes = []
+        self._positions: list[int] = []
         super().__init__()
         self.stopped_final = self.run.in_final
 
-    def step(self) -> bool:
-        run = self.run
-        before = run.output_version
-        if not run.step():
-            self.stopped_stuck = run.stuck
-            return False
+    def run_to(self, horizon: int) -> "_TmItmRun":
+        run = self.run.run_to(horizon)
         self.steps = run.steps
         self.stopped_final = run.in_final
-        if run.output_version != before:
-            self._observe(run.output_cells())
-        return True
+        self.stopped_stuck = run.stuck
+        return self
+
+    @property
+    def change_log(self) -> list[tuple[int, str]]:
+        log = self._log
+        value = log[-1][1]
+        for step, pos, sym in self._writes[len(log) - 1 :]:
+            value = _splice(self._positions, value, pos, sym)
+            log.append((step, value))
+        return log
+
+    def output_word(self) -> str:
+        return self.run.output_cells()
+
+    @property
+    def last_change_step(self) -> int:
+        return self._writes[-1][0] if self._writes else 0
+
+    @property
+    def change_count(self) -> int:
+        return len(self._writes)

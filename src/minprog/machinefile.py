@@ -26,7 +26,7 @@ from __future__ import annotations
 from .words import BLANK, Alphabet
 from .turing import MOVES, MachineTM, MachineValidationError, Transition
 from .inductive import ExplicitMemory, MachineITM, MemoryGraph, Rule
-from .codec import BUILTIN_MEMORIES, builtin_memory
+from .codec import BUILTIN_MEMORIES, InvalidCodeError, builtin_memory
 
 
 class ParseError(ValueError):
@@ -262,6 +262,8 @@ def serialize_machine(machine) -> str:
         desc = machine.memory.describe()  # type: ignore[attr-defined]
         if desc[0] == "builtin":
             lines.append(f"memory builtin:{desc[1]}")
+        elif desc[0] != "explicit":
+            raise InvalidCodeError(f"memory {desc[0]!r} has no serialized form")
         else:
             lines.append(f"conn-types {' '.join(machine.memory.conn_types)}".rstrip())
             lines.append("memory explicit")

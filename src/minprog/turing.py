@@ -57,12 +57,27 @@ class RunOutcome:
         return RunOutcome("no-result", steps)
 
 
+# A compiled transition: the next state, the tape-1 and tape-2 writes as
+# compiled_write gives them (tape 0 is read-only), the three head deltas,
+# and whether the next state is final.
+TmStep = tuple[str, str | None, str | None, int, int, int, bool]
+
+
+def compiled_write(read: str, write: str | None) -> str | None:
+    """A write as a compiled table holds it: None when it leaves the cell
+    as read (or there is none), "" when it blanks a non-blank cell."""
+    if write is None or write == read:
+        return None
+    return "" if write == BLANK else write
+
+
 @dataclass(frozen=True)
 class MachineTM:
     """A deterministic 3-tape transducer.
 
-    The table maps (state, read-triple) to (state', write-triple,
-    move-triple).  Structural rules enforced at construction:
+    ``table`` maps (state, r0, r1, r2) to the compiled :data:`TmStep` of the
+    one transition with that left part.  Structural rules enforced at
+    construction:
 
     * at most one transition per left part (determinism),
     * tape 0 is read-only (every write equals the read),
@@ -77,7 +92,7 @@ class MachineTM:
     finals: frozenset[str]
     alphabet: Alphabet
     transitions: tuple[Transition, ...]
-    table: dict[tuple[str, Triple], Transition] = field(init=False, repr=False, compare=False)
+    table: dict[tuple[str, str, str, str], TmStep] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         declared = set(self.states)
@@ -86,7 +101,7 @@ class MachineTM:
         for s in self.finals:
             if s not in declared:
                 raise MachineValidationError(f"final state {s!r} is not declared")
-        table: dict[tuple[str, Triple], Transition] = {}
+        table: dict[tuple[str, str, str, str], TmStep] = {}
         for tr in self.transitions:
             if tr.state not in declared or tr.next_state not in declared:
                 raise MachineValidationError(
@@ -105,12 +120,19 @@ class MachineTM:
                 raise MachineValidationError(
                     f"transition in state {tr.state!r} erases the output tape"
                 )
-            key = (tr.state, tr.reads)
+            key = (tr.state, *tr.reads)
             if key in table:
                 raise MachineValidationError(
                     f"two transitions share the left part ({tr.state}, {'/'.join(tr.reads)})"
                 )
-            table[key] = tr
+            d0, d1, d2 = (_MOVE_DELTA[m] for m in tr.moves)
+            table[key] = (
+                tr.next_state,
+                compiled_write(tr.reads[1], tr.writes[1]),
+                compiled_write(tr.reads[2], tr.writes[2]),
+                d0, d1, d2,
+                tr.next_state in self.finals,
+            )
         object.__setattr__(self, "table", table)
 
     def start_run(self, input_word: str) -> "TmRun":
@@ -122,25 +144,21 @@ class TmRun:
 
     Tapes are sparse dicts position -> symbol; absent means blank.  The
     configuration is inspectable between steps, which the schedulers and
-    the behavioural round-trip tests rely on.
+    the behavioural round-trip tests rely on.  ``output_version`` counts
+    the steps that changed the output tape.  When ``output_writes`` is a
+    list, each such step also appends (step, position, symbol) to it.
     """
 
     def __init__(self, machine: MachineTM, input_word: str) -> None:
         machine.alphabet.check_word(input_word)
         self.machine = machine
-        self.tapes: tuple[dict[int, str], ...] = ({}, {}, {})
-        for i, ch in enumerate(input_word):
-            self.tapes[0][i] = ch
+        self.tapes: tuple[dict[int, str], ...] = (dict(enumerate(input_word)), {}, {})
         self.heads = [0, 0, 0]
         self.state = machine.start
         self.steps = 0
         self.stuck = False
         self.output_version = 0
-
-    def reads(self) -> Triple:
-        return tuple(
-            self.tapes[t].get(self.heads[t], BLANK) for t in range(3)
-        )  # type: ignore[return-value]
+        self.output_writes: list[tuple[int, int, str]] | None = None
 
     @property
     def in_final(self) -> bool:
@@ -148,25 +166,8 @@ class TmRun:
 
     def step(self) -> bool:
         """Apply one transition.  Returns False if halted or stuck."""
-        if self.in_final or self.stuck:
-            return False
-        tr = self.machine.table.get((self.state, self.reads()))
-        if tr is None:
-            self.stuck = True
-            return False
-        for t in range(3):
-            sym = tr.writes[t]
-            pos = self.heads[t]
-            if t == 2 and self.tapes[2].get(pos, BLANK) != sym:
-                self.output_version += 1
-            if sym == BLANK:
-                self.tapes[t].pop(pos, None)
-            else:
-                self.tapes[t][pos] = sym
-            self.heads[t] += _MOVE_DELTA[tr.moves[t]]
-        self.state = tr.next_state
-        self.steps += 1
-        return True
+        before = self.steps
+        return self.run_to(before + 1).steps > before
 
     def run_to(self, fuel: int) -> "TmRun":
         """Step until ``fuel`` total steps, a final state, or stuck.
@@ -174,9 +175,45 @@ class TmRun:
         Machines are deterministic, so resuming a paused run up to n total
         steps leaves it exactly where a fresh n-step run would: the
         dovetailers keep one live run per pair and never repeat a step.
+        The loop runs on locals and writes the configuration back when it
+        stops.
         """
-        while self.steps < fuel and self.step():
-            pass
+        steps = self.steps
+        if steps >= fuel or self.stuck or self.in_final:
+            return self
+        table = self.machine.table
+        t0, t1, t2 = self.tapes
+        get0, get1, get2 = t0.get, t1.get, t2.get
+        h0, h1, h2 = self.heads
+        state = self.state
+        version = self.output_version
+        writes = self.output_writes
+        for steps in range(steps + 1, fuel + 1):
+            entry = table.get((state, get0(h0, BLANK), get1(h1, BLANK), get2(h2, BLANK)))
+            if entry is None:
+                self.stuck = True
+                steps -= 1
+                break
+            state, w1, w2, d0, d1, d2, final = entry
+            if w1 is not None:
+                if w1:
+                    t1[h1] = w1
+                else:
+                    del t1[h1]
+            if w2 is not None:
+                t2[h2] = w2
+                version += 1
+                if writes is not None:
+                    writes.append((steps, h2, w2))
+            h0 += d0
+            h1 += d1
+            h2 += d2
+            if final:
+                break
+        self.heads = [h0, h1, h2]
+        self.state = state
+        self.steps = steps
+        self.output_version = version
         return self
 
     def output_cells(self) -> str:
@@ -219,42 +256,3 @@ def run_fueled(machine, input_word: str, fuel: int) -> RunOutcome:
     if runner is None:
         raise TypeError(f"{machine!r} is not runnable")
     return runner(input_word, fuel)
-
-
-def never_halts_by_inspection(machine: MachineTM) -> bool:
-    """Conservative static proof that a machine can never stop.
-
-    Over-approximates the symbols each tape can ever hold (input: alphabet
-    plus blank; work/output: blank plus whatever some transition writes)
-    and demands that no final state is reachable and that every reachable
-    state has a transition for every read triple in the approximation.
-    Sound but incomplete.  Nothing in the package calls it: the scheduler
-    and the searches only ever observe machines under fuel.
-    """
-    if machine.start in machine.finals:
-        return False
-    possible: list[set[str]] = [
-        set(machine.alphabet.symbols) | {BLANK},
-        {BLANK},
-        {BLANK},
-    ]
-    for tr in machine.transitions:
-        possible[1].add(tr.writes[1])
-        possible[2].add(tr.writes[2])
-    reachable = {machine.start}
-    frontier = [machine.start]
-    while frontier:
-        state = frontier.pop()
-        for r0 in possible[0]:
-            for r1 in possible[1]:
-                for r2 in possible[2]:
-                    tr = machine.table.get((state, (r0, r1, r2)))
-                    if tr is None:
-                        return False  # could get stuck, i.e. stop
-                    nxt = tr.next_state
-                    if nxt in machine.finals:
-                        return False
-                    if nxt not in reachable:
-                        reachable.add(nxt)
-                        frontier.append(nxt)
-    return True

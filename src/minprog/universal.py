@@ -227,13 +227,6 @@ def tm_program(machine: MachineTM, payload: str) -> str:
     return sd(encode_machine(machine)) + payload
 
 
-def tm_program2(machine: MachineTM) -> str:
-    """The standard two-input program word for a machine."""
-    from .codec import encode_machine
-
-    return sd(encode_machine(machine))
-
-
 def parse_interpreter_spec(spec: str) -> UniversalInterpreter:
     """Interpreter grammar: ``std`` | ``biased:<n>`` | ``wrap:<inner>``."""
     spec = spec.strip()

@@ -3,14 +3,134 @@
 Deliberately written as plain loops over itertools.product, sharing no
 code with the package's search machinery: where a test compares a library
 verdict against an oracle, the two sides must disagree if either scan is
-wrong.  The dovetail oracles use nothing of the package but the one-step
-machine stepper ``TmRun.step``.  The limit-memory oracle reads nothing of
-the package but the base graph's ``connection``.
+wrong.  The reference steppers read a machine's ``transitions`` or
+``rules`` and its memory graph, and nothing else of the package but the
+error an interior output blank raises; the dovetail oracles are built on
+the TM one.  The limit-memory oracle reads
+nothing of the package but the base graph's ``connection``.
 """
 
 import itertools
 
-from minprog.turing import TmRun
+from minprog.turing import MachineValidationError
+
+BLANK = "_"  # the blank symbol of every machine
+DELTA = {"L": -1, "R": 1, "S": 0}
+
+
+# ---------------------------------------------------------------------------
+# reference steppers: one transition or rule per call, looked up afresh
+
+
+class PlainTm:
+    """A Turing machine run stepped one transition at a time, straight from
+    ``machine.transitions``, with the package stepper's observables."""
+
+    def __init__(self, machine, word):
+        self.rows = {(t.state, t.reads): t for t in machine.transitions}
+        self.finals = machine.finals
+        self.tapes = [dict(enumerate(word)), {}, {}]
+        self.heads = [0, 0, 0]
+        self.state = machine.start
+        self.steps = 0
+        self.stuck = False
+        self.output_version = 0
+
+    @property
+    def in_final(self):
+        return self.state in self.finals
+
+    def step(self):
+        if self.in_final or self.stuck:
+            return False
+        reads = tuple(self.tapes[t].get(self.heads[t], BLANK) for t in range(3))
+        tr = self.rows.get((self.state, reads))
+        if tr is None:
+            self.stuck = True
+            return False
+        if tr.writes[2] != reads[2]:
+            self.output_version += 1
+        for t in range(3):
+            if tr.writes[t] == BLANK:
+                self.tapes[t].pop(self.heads[t], None)
+            else:
+                self.tapes[t][self.heads[t]] = tr.writes[t]
+            self.heads[t] += DELTA[tr.moves[t]]
+        self.state = tr.next_state
+        self.steps += 1
+        return True
+
+    def output_cells(self):
+        return "".join(sym for _, sym in sorted(self.tapes[2].items()))
+
+    def output_word(self):
+        """The output cells; a halted output with an interior blank raises,
+        as the package's ``run_fueled`` does."""
+        cells = sorted(self.tapes[2])
+        if cells and cells[-1] - cells[0] >= len(cells):
+            raise MachineValidationError("interior blank on the output tape")
+        return self.output_cells()
+
+    def configuration(self):
+        frozen = tuple(tuple(sorted(t.items())) for t in self.tapes)
+        return (self.state, tuple(self.heads), frozen)
+
+
+class PlainItm:
+    """An inductive machine run stepped one rule at a time, straight from
+    ``machine.rules`` and the memory graph; the register is re-read from
+    every cell after every step."""
+
+    def __init__(self, machine, word):
+        self.rules = {(r.state, r.read): r for r in machine.rules}
+        self.finals = machine.finals
+        self.memory = machine.memory
+        self.contents = {}
+        for cell, sym in self.memory.initial_contents().items():
+            self._put(cell, sym)
+        for i, ch in enumerate(word):
+            self._put(self.memory.input_cell(i), ch)
+        self.head = self.memory.start
+        self.state = machine.start
+        self.steps = 0
+        self.final = machine.start in machine.finals
+        self.stuck = False
+        self.change_log = [(0, self.register())]
+
+    def _put(self, cell, sym):
+        if sym == BLANK:
+            self.contents.pop(cell, None)
+        else:
+            self.contents[cell] = sym
+
+    def register(self):
+        ranked = []
+        for cell, sym in self.contents.items():
+            rank = self.memory.output_rank(cell)
+            if rank is not None:
+                ranked.append((rank, sym))
+        return "".join(sym for _, sym in sorted(ranked))
+
+    def step(self):
+        if self.final or self.stuck:
+            return False
+        rule = self.rules.get((self.state, self.contents.get(self.head, BLANK)))
+        if rule is None:
+            self.stuck = True
+            return False
+        if rule.write is not None:
+            self._put(self.head, rule.write)
+        if rule.move is not None:
+            target = self.memory.connection(self.head, rule.move)
+            if target is not None:
+                self.head = target
+        self.state = rule.next_state
+        self.steps += 1
+        value = self.register()
+        if value != self.change_log[-1][1]:
+            self.change_log.append((self.steps, value))
+        self.final = self.state in self.finals
+        return True
 
 
 def binary_words(max_len):
@@ -72,7 +192,7 @@ def _nth_word(i, symbols):
 
 
 def _fresh_run(machine, word, fuel):
-    run = TmRun(machine, word)
+    run = PlainTm(machine, word)
     while not run.in_final and run.steps < fuel:
         if not run.step():
             break
@@ -132,17 +252,13 @@ def stepwise_change_log(machine, word, horizon):
     cells in tape order are appended with the step number whenever they
     differ from the last logged value.
     """
-    run = TmRun(machine, word)
+    run = PlainTm(machine, word)
     log = [(0, "")]
-    stuck = False
-    while run.steps < horizon and run.state not in machine.finals:
-        if not run.step():
-            stuck = True
-            break
-        out = "".join(sym for _, sym in sorted(run.tapes[2].items()))
+    while run.steps < horizon and run.step():
+        out = run.output_cells()
         if out != log[-1][1]:
             log.append((run.steps, out))
-    return log, run.steps, run.state in machine.finals, stuck
+    return log, run.steps, run.in_final, run.stuck
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Hypothesis strategies shared by the property tests."""
 
+import random
+
 from hypothesis import strategies as st
 
+from minprog.codec import builtin_memory
+from minprog.inductive import ExplicitMemory, LinearMemory, MachineITM, Rule
 from minprog.turing import MOVES, MachineTM, Transition
 from minprog.words import BINARY, BLANK, Alphabet
 from minprog import zoo
@@ -59,3 +63,51 @@ def unary_tms():
         MachineTM("unary-identity", ("q0", "qf"), "q0", frozenset({"qf"}), UNARY, copy),
         MachineTM("unary-two-or-more", ("q0", "q1", "qf"), "q0", frozenset({"qf"}), UNARY, two),
     ]
+
+
+def itm_zoo():
+    """The zoo's inductive machines."""
+    return [zoo.writer(), zoo.alternator(), zoo.silent(), zoo.decider_yes(), zoo.decider_no()]
+
+
+_CELLS = (("in0", "input"), ("in1", "input"), ("w0", "work"),
+          ("o0", "output"), ("o1", "output"), ("o2", "output"))
+
+
+def _explicit_memory(rng):
+    cells = rng.sample(_CELLS, len(_CELLS))  # the first declared cell is the start
+    names = [cell for cell, _ in _CELLS]
+    links = [(frm, ctype, rng.choice(names)) for frm in names for ctype in "ab" if rng.random() < 0.75]
+    return ExplicitMemory(cells, links, ("a", "b"))
+
+
+def random_itm(rng):
+    """A random valid inductive machine: up to 3 states, a rule for most
+    (state, read) pairs and at most one final state, not the start, over
+    an explicit memory of two input cells, a linear memory, or a stock
+    limit memory; every input of up to two symbols fits each of them."""
+    memory = rng.choice([
+        _explicit_memory(rng),
+        LinearMemory(),
+        builtin_memory(rng.choice(("thm72", "limitlist"))),
+    ])
+    states = tuple(f"q{i}" for i in range(rng.randint(1, 3)))
+    rules = []
+    for q in states:
+        for read in _SYMS:
+            if rng.random() < 0.1:
+                continue  # no rule: the run stops here
+            write = rng.choice((*_SYMS, None))
+            move = rng.choice((*memory.conn_types, None))
+            if write is None and move is None:
+                write = read
+            rules.append(Rule(q, read, rng.choice(states), write=write, move=move))
+    finals = {rng.choice(states[1:])} if len(states) > 1 and rng.random() < 0.5 else ()
+    return MachineITM("random-itm", states, states[0], finals, BINARY, rules, memory)
+
+
+def small_itms():
+    """Random inductive machines drawn by :func:`random_itm` from a seed,
+    which spreads them evenly where Hypothesis's own draws would favour
+    the simplest machines, most of which stop at once."""
+    return st.integers(0, 2**32).map(lambda seed: random_itm(random.Random(seed)))

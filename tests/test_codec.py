@@ -7,7 +7,6 @@ from minprog.codec import (
     KIND_TM,
     InvalidCodeError,
     TruncatedCodeError,
-    canonicalize_tm,
     codes_of_length,
     decode_machine,
     encode_machine,
@@ -17,6 +16,7 @@ from minprog.inductive import MachineITM, itm_run
 from minprog.words import BINARY, BLANK, words_up_to
 from minprog import zoo
 
+from helpers import canonicalize_tm
 from strategies import small_tms
 
 

@@ -32,13 +32,13 @@ from minprog.universal import (
     U_STD,
     make_biased_universal,
     parse_interpreter_spec,
-    tm_program2,
     wrap_universal,
 )
 from minprog.codec import codes_of_length, encode_machine
 from minprog.words import sd, words_up_to
 from minprog import zoo
 
+from helpers import tm_program2
 from oracles import binary_words, binary_words_of_len, brute_force_halts, brute_force_search
 
 U1 = make_biased_universal(1)

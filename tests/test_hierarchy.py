@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from minprog.codec import InvalidCodeError, decode_machine, encode_machine
+from minprog.codec import KIND_ITM, InvalidCodeError, builtin_memory, codes_of_length, decode_machine, encode_machine
 from minprog.complexity import Budget, itm1_class
 from minprog.hierarchy import (
+    ReductionTM,
     SimDecider,
     build_diagonal,
     build_range_enumerator,
@@ -16,16 +17,18 @@ from minprog.hierarchy import (
     limitlist_memory,
     order_lookup,
     order_rows,
+    thm72_memory,
     totality_verdict,
 )
-from minprog.inductive import itm_run
-from minprog.turing import MachineValidationError, run_fueled, never_halts_by_inspection
+from minprog.inductive import TmAsItm, itm_run, start_if_fits
+from minprog.turing import MachineValidationError, RunOutcome, run_fueled
 from minprog.universal import itm_universal_apply
 from minprog.words import nth_word, sd
 from minprog import zoo
 
-from oracles import rerun_first_result_cycle, rerun_range_enumerate
-from strategies import gap_writer, small_tms, unary_tms, zoo_tms
+from helpers import never_halts_by_inspection
+from oracles import PlainItm, rerun_first_result_cycle, rerun_range_enumerate, stepwise_change_log
+from strategies import gap_writer, itm_zoo, small_itms, small_tms, unary_tms, zoo_tms
 
 POOL = zoo.acceptance_pool()
 CODES = [encode_machine(m) for m in POOL]
@@ -333,6 +336,30 @@ def test_reduction_totality_tracks_result_giving():
         assert total == (not defined), machine.name
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from(itm_zoo()), small_itms(),
+              st.one_of(st.sampled_from(zoo_tms()), small_tms()).map(TmAsItm)),
+    st.text("01", max_size=1),
+    st.integers(1, 6),
+    st.integers(0, 120),
+)
+def test_reduction_equals_a_per_step_replay(machine, x, n, fuel):
+    if isinstance(machine, TmAsItm):
+        log = stepwise_change_log(machine.tm, x, fuel)[0]
+    else:
+        assume(start_if_fits(machine, x) is not None)
+        ref = PlainItm(machine, x)
+        while len(ref.change_log) - 1 < n and ref.steps < fuel and ref.step():
+            pass
+        log = ref.change_log
+    if len(log) - 1 < n:
+        expected = RunOutcome.of_fuel(fuel)
+    else:
+        expected = RunOutcome.of_halt(log[n - 1][1], log[n][0])
+    assert ReductionTM(machine, x).run(nth_word(n), fuel) == expected
+
+
 def test_reduction_rejects_tm_codes():
     with pytest.raises(InvalidCodeError):
         build_reduction_tm(encode_machine(zoo.identity()), "")
@@ -442,3 +469,14 @@ def test_limitlist_connections_follow_the_scheduler():
         machine_no = state.codes.index(code) + 1
         assert memory.connection(f"h{j}", "m") == f"d{machine_no}"
     assert memory.connection("h1", "n") == "h2"
+
+
+def test_stock_memories_are_built_once_per_process():
+    # walking the ITM code grammar to 30 bits decodes thm72 and limitlist
+    # prefixes over a dozen times
+    for bits in range(31):
+        codes_of_length(bits, KIND_ITM)
+    assert builtin_memory("thm72") is builtin_memory("thm72") is thm72_memory()
+    assert builtin_memory("limitlist") is limitlist_memory()
+    assert thm72_memory.cache_info().misses <= 1
+    assert limitlist_memory.cache_info().misses <= 1

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from minprog.hierarchy import SimDecider, build_diagonal
 from minprog.inductive import (
@@ -11,6 +11,7 @@ from minprog.inductive import (
     Rule,
     TmAsItm,
     itm_run,
+    start_if_fits,
 )
 from minprog.turing import MachineValidationError, run_fueled
 from minprog.universal import itm_universal_apply, start_itm_run
@@ -18,8 +19,8 @@ from minprog.codec import encode_machine
 from minprog.words import BINARY, BLANK, words_up_to
 from minprog import zoo
 
-from oracles import scan_limit_connection, stepwise_change_log
-from strategies import gap_writer, small_tms, zoo_tms
+from oracles import PlainItm, scan_limit_connection, stepwise_change_log
+from strategies import gap_writer, itm_zoo, small_itms, small_tms, unary_tms, zoo_tms
 
 
 def _single_cell_machine(rules, cells=None, conn_types=(), states=("q0", "q1", "q2")):
@@ -206,6 +207,47 @@ def test_tm_as_itm_equals_the_stepwise_oracle(machine, word, horizon):
     else:
         expected = ItmOutcome("unstable", horizon=horizon, change_count=len(log) - 1)
     assert itm_run(TmAsItm(machine), word, horizon) == expected
+
+
+_CHUNKS = st.lists(st.integers(0, 9), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(itm_zoo()), small_itms()), st.text("01", max_size=3), _CHUNKS)
+def test_itm_run_to_equals_the_reference_stepper_at_every_chunk_boundary(machine, word, chunks):
+    run = start_if_fits(machine, word)
+    assume(run is not None)
+    ref = PlainItm(machine, word)
+    for chunk in chunks:
+        target = run.steps + chunk
+        if chunk == 1:
+            assert run.step() == ref.step()
+        else:
+            run.run_to(target)
+            while ref.steps < target and ref.step():
+                pass
+        assert (run.contents, run.head, run.state, run.steps) == (ref.contents, ref.head, ref.state, ref.steps)
+        assert (run.stopped_final, run.stopped_stuck) == (ref.final, ref.stuck)
+        assert (run.output_word(), run.change_count, run.last_change_step) == (
+            ref.change_log[-1][1], len(ref.change_log) - 1, ref.change_log[-1][0])
+        assert run.change_log == ref.change_log
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(zoo_tms() + unary_tms() + [gap_writer()]), small_tms()), st.data())
+def test_tm_as_itm_equals_the_stepwise_oracle_at_every_chunk_boundary(machine, data):
+    word = data.draw(st.text("".join(machine.alphabet.symbols), max_size=4))
+    run = TmAsItm(machine).start_run(word)
+    horizon = 0
+    for chunk in data.draw(_CHUNKS):
+        horizon += chunk
+        run.run_to(horizon)
+        log, steps, final, stuck = stepwise_change_log(machine, word, horizon)
+        assert (run.steps, run.stopped_final, run.stopped_stuck) == (steps, final, stuck)
+        # read before the change log, which is built only on demand
+        assert (run.output_word(), run.change_count, run.last_change_step) == (
+            log[-1][1], len(log) - 1, log[-1][0])
+        assert run.change_log == log
 
 
 def _sim_diagonal_on_its_own_code():

@@ -2,11 +2,11 @@ from pathlib import Path
 
 import pytest
 
-from minprog.codec import encode_machine
-from minprog.inductive import itm_run
+from minprog.codec import InvalidCodeError, encode_machine
+from minprog.inductive import LimitMemory, LinearMemory, MachineITM, Rule, itm_run
 from minprog.machinefile import ParseError, parse_machine_file, serialize_machine
 from minprog.turing import MachineTM, run_fueled
-from minprog.words import words_up_to
+from minprog.words import BINARY, words_up_to
 
 MACHINE_DIR = Path(__file__).resolve().parent.parent / "machines"
 
@@ -149,6 +149,15 @@ def test_every_shipped_machine_file_round_trips():
         assert again.name == machine.name
         assert encode_machine(again) == encode_machine(machine), path.name
         assert serialize_machine(again) == text, path.name
+
+
+def test_unlabelled_limit_memory_has_no_serialized_form():
+    memory = LimitMemory(LinearMemory(), [[("i0", "r", "i5")]])
+    machine = MachineITM("snap", ("q0",), "q0", (), BINARY, [Rule("q0", "_", "q0", move="r")], memory)
+    message = "memory 'limit-snapshot' has no serialized form"
+    for serialize in (serialize_machine, encode_machine):
+        with pytest.raises(InvalidCodeError, match=message):
+            serialize(machine)
 
 
 def test_shipped_tm_files_equal_their_zoo_sources():

@@ -5,13 +5,14 @@ from minprog.turing import (
     MachineTM,
     MachineValidationError,
     Transition,
-    never_halts_by_inspection,
     run_fueled,
 )
 from minprog.words import BINARY, InvalidWordError, words_up_to
 from minprog import zoo
 
-from strategies import small_tms
+from helpers import never_halts_by_inspection
+from oracles import PlainTm
+from strategies import gap_writer, small_tms, unary_tms, zoo_tms
 
 
 def test_identity_copies_input():
@@ -123,6 +124,27 @@ def test_resumed_run_stands_where_a_fresh_run_stops(machine, word, first, second
     fresh = machine.start_run(word).run_to(max(first, second))
     assert resumed.configuration() == fresh.configuration()
     assert (resumed.steps, resumed.stuck) == (fresh.steps, fresh.stuck)
+
+
+_TMS = st.one_of(st.sampled_from(zoo_tms() + unary_tms() + [gap_writer()]), small_tms())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TMS, st.data())
+def test_run_to_equals_the_reference_stepper_at_every_chunk_boundary(machine, data):
+    word = data.draw(st.text("".join(machine.alphabet.symbols), max_size=4))
+    run, ref = machine.start_run(word), PlainTm(machine, word)
+    for chunk in data.draw(st.lists(st.integers(0, 9), max_size=12)):
+        target = run.steps + chunk
+        if chunk == 1:
+            assert run.step() == ref.step()
+        else:
+            run.run_to(target)
+            while ref.steps < target and ref.step():
+                pass
+        assert run.configuration() == ref.configuration()
+        assert (run.steps, run.output_version, run.in_final, run.stuck) == (
+            ref.steps, ref.output_version, ref.in_final, ref.stuck)
 
 
 def test_never_halts_by_inspection():

@@ -7,12 +7,12 @@ from minprog.universal import (
     make_biased_universal,
     parse_interpreter_spec,
     tm_program,
-    tm_program2,
     wrap_universal,
 )
 from minprog.words import BINARY, pair, sd, unpair, words_up_to
 from minprog import zoo
 
+from helpers import tm_program2
 from oracles import binary_words_of_len, brute_force_search
 
 
