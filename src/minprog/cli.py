@@ -272,7 +272,7 @@ def _cmd_diagonal(args):
     elif args.decider == "no":
         decider = zoo.decider_no()
     elif args.decider == "sim":
-        decider = SimDecider(64)
+        decider = SimDecider()
     else:
         raise PredicateConstructionError(f"unknown decider {args.decider!r}")
     report = diagonal_experiment(decider, args.horizon)
@@ -358,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    def budget_args(p, horizon=False, fuel_default=None):
+    def budget_args(p, horizon=False):
         p.add_argument("--max-len", dest="max_len", type=_NON_NEGATIVE, default=8)
-        p.add_argument("--fuel", type=_POSITIVE, default=fuel_default or 256)
+        p.add_argument("--fuel", type=_POSITIVE, default=256)
         if horizon:
             p.add_argument("--horizon", type=_POSITIVE, default=None)
 

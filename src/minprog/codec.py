@@ -273,12 +273,13 @@ def encode_machine(machine) -> str:
         _encode_itm_tokens(machine, tokens)
     elif kind == "diagonal-pipeline":
         _emit_number(tokens, KIND_PIPELINE)
-        if machine.decider_builtin is not None:
-            _emit_number(tokens, 1)
-            _emit_number(tokens, machine.decider_builtin)
-        else:
+        if isinstance(machine.decider, MachineITM):
             _emit_number(tokens, 0)
             _encode_itm_tokens(machine.decider, tokens)
+        else:
+            # slot form 1, builtin decider 0: the shipped SimDecider
+            _emit_number(tokens, 1)
+            _emit_number(tokens, 0)
     else:
         raise TypeError(f"{machine!r} has no code")
     return _tokens_to_word(tokens)
@@ -415,11 +416,14 @@ def decode_machine(word: str):
     elif kind == KIND_ITM:
         machine = _decode_itm(reader)
     elif kind == KIND_PIPELINE:
-        from .hierarchy import DiagonalPipeline  # cycle broken on purpose
+        from .hierarchy import DiagonalPipeline, SimDecider  # cycle broken on purpose
 
         slot = reader.number("decider slot form")
         if slot == 1:
-            machine = DiagonalPipeline(None, decider_builtin=reader.number("builtin decider"))
+            builtin = reader.number("builtin decider")
+            if builtin != 0:
+                raise InvalidCodeError(f"unknown builtin decider {builtin}")
+            machine = DiagonalPipeline(SimDecider())
         elif slot == 0:
             machine = DiagonalPipeline(_decode_itm(reader))
         else:

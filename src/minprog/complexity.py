@@ -116,12 +116,10 @@ def tm_class(interp=None) -> MachineClassHandle:
         interp = U_STD
 
     def produce(program: str, budget: Budget) -> str | None:
-        out = interp.apply(program, budget.fuel)
-        return out.output if out.halted else None
+        return interp.apply(program, budget.fuel).result
 
     def produce2(program: str, argument: str, budget: Budget) -> str | None:
-        out = interp.apply2(program, argument, budget.fuel)
-        return out.output if out.halted else None
+        return interp.apply2(program, argument, budget.fuel).result
 
     return MachineClassHandle(f"tm[{interp.tag}]", produce, produce2, interp.live, interp.live2)
 
@@ -157,14 +155,12 @@ def itm1_class(tm_interp=None) -> MachineClassHandle:
 
     def produce(program: str, budget: Budget) -> str | None:
         if program.startswith(ITM_EMBED_HEADER):
-            out = tm_interp.apply(program[len(ITM_EMBED_HEADER) :], budget.fuel)
-            return out.output if out.halted else None
+            return tm_interp.apply(program[len(ITM_EMBED_HEADER) :], budget.fuel).result
         return run_region(program, None, budget)
 
     def produce2(program: str, argument: str, budget: Budget) -> str | None:
         if program.startswith(ITM_EMBED_HEADER):
-            out = tm_interp.apply2(program[len(ITM_EMBED_HEADER) :], argument, budget.fuel)
-            return out.output if out.halted else None
+            return tm_interp.apply2(program[len(ITM_EMBED_HEADER) :], argument, budget.fuel).result
         return run_region(program, argument, budget)
 
     def embedded(live_tm: Callable[[int], Iterable[str]], length: int) -> Iterable[str]:
@@ -191,15 +187,13 @@ def compose_postprocess(base: MachineClassHandle, post: MachineTM) -> MachineCla
         word = base.produce(program, budget)
         if word is None:
             return None
-        out = run_fueled(post, word, budget.fuel)
-        return out.output if out.halted else None
+        return run_fueled(post, word, budget.fuel).result
 
     def produce2(program: str, argument: str, budget: Budget) -> str | None:
         word = base.produce2(program, argument, budget)
         if word is None:
             return None
-        out = run_fueled(post, word, budget.fuel)
-        return out.output if out.halted else None
+        return run_fueled(post, word, budget.fuel).result
 
     return MachineClassHandle(f"{base.tag}+{post.name}", produce, produce2, base.live, base.live2)
 

@@ -193,17 +193,17 @@ class _Dovetail:
         active = min(n, len(self.pool))
         all_halted: list[int] = []
         for k in range(1, active + 1):
-            simulated = 0
+            # pair (k, n) is new in cycle n, so each machine runs at least one
+            # pair and moves exactly when every one of its pairs has halted
             halted_all = True
             for i in range(1, n + 1):
                 if (k, i) in st.halted_pairs:
                     continue
-                simulated += 1
                 if self._pair_halts_within(k, i, n):
                     st.halted_pairs.add((k, i))
                 else:
                     halted_all = False
-            if simulated and halted_all:
+            if halted_all:
                 all_halted.append(k)
         movers = [self.codes[k - 1] for k in all_halted]
 
@@ -401,26 +401,29 @@ def build_reduction_tm(itm_code: str, x: str) -> ReductionTM:
 # diagonalization: M = checker -> decider -> alternating filter
 
 
+# The stock decider simulates each program pair for this many steps.
+SIM_DECIDER_STEPS = 64
+
+
 class SimDecider:
     """Shipped host-level decider: simulates the coded machine on its input
-    for a fixed number of steps and answers 1 if a result was observed,
-    otherwise guesses 0.  Deterministic, stabilizes after its simulation
-    budget; wrong whenever results take longer than the budget."""
+    for :data:`SIM_DECIDER_STEPS` steps and answers 1 if a result was
+    observed, otherwise guesses 0.  Deterministic, stabilizes after its
+    simulation budget; wrong whenever results take longer than the budget."""
 
     kind = "builtin-decider"
-
-    def __init__(self, sim_steps: int = 64) -> None:
-        self.sim_steps = sim_steps
-        self.name = f"decider-sim-{sim_steps}"
+    name = f"decider-sim-{SIM_DECIDER_STEPS}"
 
     def start_run(self, input_word: str) -> "_SimDeciderRun":
-        return _SimDeciderRun(self, input_word)
+        return _SimDeciderRun(input_word)
 
 
 class _SimDeciderRun(InductiveRun):
-    def __init__(self, decider: SimDecider, input_word: str) -> None:
+    """The register is empty until step :data:`SIM_DECIDER_STEPS`, then holds
+    the verdict; the run never stops, so each step past that is idle."""
+
+    def __init__(self, input_word: str) -> None:
         super().__init__()
-        self.decider = decider
         try:
             payload, code = unpair(input_word)
         except MalformedPairError:
@@ -428,28 +431,17 @@ class _SimDeciderRun(InductiveRun):
         else:
             self._inner = start_itm_run(code, payload)
 
-    def step(self) -> bool:
-        self.steps += 1
-        if self.steps == self.decider.sim_steps:
+    def run_to(self, horizon: int) -> "_SimDeciderRun":
+        if self.steps < SIM_DECIDER_STEPS <= horizon:
+            self.steps = SIM_DECIDER_STEPS
             self._observe("1" if self._inner_gives_result() else "0")
-        return True
+        self.steps = max(self.steps, horizon)
+        return self
 
     def _inner_gives_result(self) -> bool:
-        # the register stays empty until the budget step, so the simulation
-        # runs all at once there
         if self._inner is None:
             return False
-        budget = self.decider.sim_steps
-        return classify_run(self._inner.run_to(budget), budget).gives_result
-
-
-BUILTIN_DECIDERS: tuple[tuple[str, int], ...] = (("sim-64", 64),)
-
-
-def builtin_decider(index: int) -> SimDecider:
-    if not 0 <= index < len(BUILTIN_DECIDERS):
-        raise InvalidCodeError(f"unknown builtin decider {index}")
-    return SimDecider(BUILTIN_DECIDERS[index][1])
+        return classify_run(self._inner.run_to(SIM_DECIDER_STEPS), SIM_DECIDER_STEPS).gives_result
 
 
 class DiagonalPipeline:
@@ -466,14 +458,9 @@ class DiagonalPipeline:
 
     kind = "diagonal-pipeline"
 
-    def __init__(self, decider: MachineITM | None, decider_builtin: int | None = None) -> None:
-        if (decider is None) == (decider_builtin is None):
-            raise ValueError("exactly one of decider / decider_builtin must be given")
+    def __init__(self, decider: MachineITM | SimDecider) -> None:
         self.decider = decider
-        self.decider_builtin = decider_builtin
-        runtime = decider if decider is not None else builtin_decider(decider_builtin)
-        self._runtime_decider = runtime
-        self.name = f"diagonal({getattr(runtime, 'name', 'decider')})"
+        self.name = f"diagonal({decider.name})"
         self.alphabet = BINARY
 
     def start_run(self, input_word: str) -> "_PipelineRun":
@@ -511,10 +498,9 @@ class _PipelineRun(InductiveRun):
             self.b_events.append((self.steps, self._pair_word))
             # a decider that cannot hold the pair word has no run and so
             # never claims anything: the filter alternates
-            self._d_run = start_if_fits(self.pipeline._runtime_decider, self._pair_word)
+            self._d_run = start_if_fits(self.pipeline.decider, self._pair_word)
         elif self._d_run is not None:
-            d = self._d_run
-            d.step()
+            d = self._d_run.run_to(self.steps - self._b_latency)
             d_out = d.output_word()
             if not self.d_events or self.d_events[-1][1] != d_out:
                 self.d_events.append((self.steps, d_out))
@@ -529,19 +515,13 @@ class _PipelineRun(InductiveRun):
 
 def build_diagonal(decider) -> DiagonalPipeline:
     """Build the composed machine from a decider given as an inductive
-    machine, its code word, or a shipped builtin decider."""
+    machine, its code word, or the shipped :class:`SimDecider`."""
     if isinstance(decider, str):
-        machine = decode_machine(decider)
-        if not isinstance(machine, MachineITM):
+        decider = decode_machine(decider)
+        if not isinstance(decider, MachineITM):
             raise InvalidCodeError("the diagonal construction takes an inductive decider code")
-        return DiagonalPipeline(machine)
-    if isinstance(decider, MachineITM):
+    if isinstance(decider, (MachineITM, SimDecider)):
         return DiagonalPipeline(decider)
-    if isinstance(decider, SimDecider):
-        for index, (_, steps) in enumerate(BUILTIN_DECIDERS):
-            if steps == decider.sim_steps:
-                return DiagonalPipeline(None, decider_builtin=index)
-        raise ValueError(f"no builtin decider slot simulates {decider.sim_steps} steps")
     raise TypeError(f"cannot build a diagonal machine from {decider!r}")
 
 
@@ -564,7 +544,7 @@ def diagonal_experiment(decider, horizon: int) -> DiagonalReport:
     run = pipeline.start_run(code).run_to(horizon)
     own_run_outcome = classify_run(run, horizon)
     probe = sd(code) + code
-    decider_outcome = itm_run(pipeline._runtime_decider, probe, horizon)
+    decider_outcome = itm_run(pipeline.decider, probe, horizon)
     verdict = decider_outcome.result
     gives = own_run_outcome.gives_result
     contradiction = (verdict == "1" and not gives) or (verdict == "0" and gives)

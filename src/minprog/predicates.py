@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .words import BINARY, Alphabet, shortlex_le, shortlex_lt, words_up_to
+from .words import BINARY, shortlex_le, shortlex_lt, words_up_to
 
 
 class PredicateConstructionError(ValueError):
@@ -59,35 +59,35 @@ def non_empty() -> Predicate:
     return Predicate("nonempty", lambda w: w != "")
 
 
-def equals(u: str, alphabet: Alphabet = BINARY) -> Predicate:
-    alphabet.check_word(u)
+def equals(u: str) -> Predicate:
+    BINARY.check_word(u)
     return Predicate(f"equals:{u}", lambda w: w == u)
 
 
-def leq(z: str, alphabet: Alphabet = BINARY) -> Predicate:
-    alphabet.check_word(z)
-    return Predicate(f"leq:{z}", lambda w: shortlex_le(w, z, alphabet))
+def leq(z: str) -> Predicate:
+    BINARY.check_word(z)
+    return Predicate(f"leq:{z}", lambda w: shortlex_le(w, z))
 
 
-def geq(z: str, alphabet: Alphabet = BINARY) -> Predicate:
-    alphabet.check_word(z)
-    return Predicate(f"geq:{z}", lambda w: shortlex_le(z, w, alphabet))
+def geq(z: str) -> Predicate:
+    BINARY.check_word(z)
+    return Predicate(f"geq:{z}", lambda w: shortlex_le(z, w))
 
 
-def lt(z: str, alphabet: Alphabet = BINARY) -> Predicate:
-    alphabet.check_word(z)
-    return Predicate(f"lt:{z}", lambda w: shortlex_lt(w, z, alphabet))
+def lt(z: str) -> Predicate:
+    BINARY.check_word(z)
+    return Predicate(f"lt:{z}", lambda w: shortlex_lt(w, z))
 
 
-def contains_factor(z: str, alphabet: Alphabet = BINARY) -> Predicate:
+def contains_factor(z: str) -> Predicate:
     """The word contains z as a contiguous factor."""
-    alphabet.check_word(z)
+    BINARY.check_word(z)
     return Predicate(f"factor:{z}", lambda w: z in w)
 
 
-def is_factor_of(z: str, alphabet: Alphabet = BINARY) -> Predicate:
+def is_factor_of(z: str) -> Predicate:
     """The word occurs inside the fixed word z."""
-    alphabet.check_word(z)
+    BINARY.check_word(z)
     return Predicate(f"infactor:{z}", lambda w: w in z)
 
 
@@ -108,11 +108,7 @@ def computed_within(n: int, interp) -> Predicate:
         raise PredicateConstructionError("step bound must be non-negative")
 
     def check(w: str) -> bool:
-        for p in words_up_to(n):
-            out = interp.apply(p, n)
-            if out.halted and out.output == w:
-                return True
-        return False
+        return any(interp.apply(p, n).result == w for p in words_up_to(n))
 
     return Predicate(f"within:{n}", check)
 
@@ -139,7 +135,7 @@ def false_pred() -> Predicate:
     return Predicate("false", lambda w: False)
 
 
-def builtin(name: str, *, interp=None, budget=None, alphabet: Alphabet = BINARY) -> Predicate:
+def builtin(name: str, *, interp=None, budget=None) -> Predicate:
     """Constructor keyed by the textual predicate syntax, e.g. ``equals:01``.
 
     ``within:<n>`` and ``bounded-c-equals:<n>`` need an interpreter (and the
@@ -152,17 +148,17 @@ def builtin(name: str, *, interp=None, budget=None, alphabet: Alphabet = BINARY)
         if head == "nonempty":
             return non_empty()
         if head == "equals":
-            return equals(arg, alphabet)
+            return equals(arg)
         if head == "leq":
-            return leq(arg, alphabet)
+            return leq(arg)
         if head == "geq":
-            return geq(arg, alphabet)
+            return geq(arg)
         if head == "lt":
-            return lt(arg, alphabet)
+            return lt(arg)
         if head == "factor":
-            return contains_factor(arg, alphabet)
+            return contains_factor(arg)
         if head == "infactor":
-            return is_factor_of(arg, alphabet)
+            return is_factor_of(arg)
         if head == "len":
             return length_equals(int(arg))
         if head == "within":
@@ -186,15 +182,13 @@ def builtin(name: str, *, interp=None, budget=None, alphabet: Alphabet = BINARY)
 # implications
 
 
-def check_implication(p: Predicate, q: Predicate, max_len: int, alphabet: Alphabet = BINARY) -> bool:
+def check_implication(p: Predicate, q: Predicate, max_len: int) -> bool:
     """Exhaustively test that p(w) implies q(w) for all words up to max_len."""
-    return find_implication_counterexample(p, q, max_len, alphabet) is None
+    return find_implication_counterexample(p, q, max_len) is None
 
 
-def find_implication_counterexample(
-    p: Predicate, q: Predicate, max_len: int, alphabet: Alphabet = BINARY
-) -> str | None:
-    for w in words_up_to(max_len, alphabet):
+def find_implication_counterexample(p: Predicate, q: Predicate, max_len: int) -> str | None:
+    for w in words_up_to(max_len):
         if p(w) and not q(w):
             return w
     return None

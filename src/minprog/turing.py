@@ -44,6 +44,11 @@ class RunOutcome:
     def halted(self) -> bool:
         return self.kind == "halted"
 
+    @property
+    def result(self) -> str | None:
+        """The output of a halted run, else None."""
+        return self.output if self.halted else None
+
     @staticmethod
     def of_halt(output: str, steps: int) -> "RunOutcome":
         return RunOutcome("halted", steps, output)
@@ -144,9 +149,9 @@ class TmRun:
 
     Tapes are sparse dicts position -> symbol; absent means blank.  The
     configuration is inspectable between steps, which the schedulers and
-    the behavioural round-trip tests rely on.  ``output_version`` counts
-    the steps that changed the output tape.  When ``output_writes`` is a
-    list, each such step also appends (step, position, symbol) to it.
+    the behavioural round-trip tests rely on.  When ``output_writes`` is a
+    list, each step that changes the output tape appends (step, position,
+    symbol) to it.
     """
 
     def __init__(self, machine: MachineTM, input_word: str) -> None:
@@ -157,7 +162,6 @@ class TmRun:
         self.state = machine.start
         self.steps = 0
         self.stuck = False
-        self.output_version = 0
         self.output_writes: list[tuple[int, int, str]] | None = None
 
     @property
@@ -186,7 +190,6 @@ class TmRun:
         get0, get1, get2 = t0.get, t1.get, t2.get
         h0, h1, h2 = self.heads
         state = self.state
-        version = self.output_version
         writes = self.output_writes
         for steps in range(steps + 1, fuel + 1):
             entry = table.get((state, get0(h0, BLANK), get1(h1, BLANK), get2(h2, BLANK)))
@@ -202,7 +205,6 @@ class TmRun:
                     del t1[h1]
             if w2 is not None:
                 t2[h2] = w2
-                version += 1
                 if writes is not None:
                     writes.append((steps, h2, w2))
             h0 += d0
@@ -213,7 +215,6 @@ class TmRun:
         self.heads = [h0, h1, h2]
         self.state = state
         self.steps = steps
-        self.output_version = version
         return self
 
     def output_cells(self) -> str:

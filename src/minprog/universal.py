@@ -133,19 +133,15 @@ class StandardUniversal(UniversalInterpreter):
 
 
 class WrappedUniversal(UniversalInterpreter):
-    """Serves exactly the header-prefixed copy of another interpreter."""
+    """Serves exactly the :data:`WRAP_HEADER`-prefixed copy of another
+    interpreter."""
 
-    def __init__(self, inner: UniversalInterpreter, header: str = WRAP_HEADER) -> None:
-        if not header:
-            raise ValueError("wrap header must be non-empty")
-        BINARY.check_word(header)
+    header = WRAP_HEADER
+    header_cost = len(WRAP_HEADER)
+
+    def __init__(self, inner: UniversalInterpreter) -> None:
         self.inner = inner
-        self.header = header
-        self.tag = f"wrap[{header}]({inner.tag})"
-
-    @property
-    def header_cost(self) -> int:
-        return len(self.header)
+        self.tag = f"wrap[{WRAP_HEADER}]({inner.tag})"
 
     def apply(self, program: str, fuel: int) -> RunOutcome:
         if not program.startswith(self.header):
@@ -212,8 +208,8 @@ class BiasedUniversal(UniversalInterpreter):
 U_STD = StandardUniversal()
 
 
-def wrap_universal(inner: UniversalInterpreter, header: str = WRAP_HEADER) -> WrappedUniversal:
-    return WrappedUniversal(inner, header)
+def wrap_universal(inner: UniversalInterpreter) -> WrappedUniversal:
+    return WrappedUniversal(inner)
 
 
 def make_biased_universal(n: int) -> BiasedUniversal:

@@ -1,4 +1,4 @@
-"""Alphabets, shortlex-ordered words, and the self-delimiting pairing code.
+"""Alphabets, shortlex-ordered words, and the binary self-delimiting pairing code.
 
 Words are plain Python strings over a declared alphabet of single-character
 symbols.  The reserved blank ``_`` never occurs inside a word.  All word
@@ -52,8 +52,8 @@ class Alphabet:
                 raise InvalidWordError(f"symbol {ch!r} is not in alphabet {''.join(self.symbols)}")
         return w
 
-    def check_symbol(self, s: str, allow_blank: bool = True) -> str:
-        if s == BLANK and allow_blank:
+    def check_symbol(self, s: str) -> str:
+        if s == BLANK:
             return s
         if s not in self.index:
             raise InvalidWordError(f"symbol {s!r} is not in alphabet {''.join(self.symbols)}")
@@ -63,19 +63,13 @@ class Alphabet:
 BINARY = Alphabet()
 
 
-def shortlex_index(w: str, alphabet: Alphabet = BINARY) -> int:
-    """Index of ``w`` in the shortlex enumeration; the empty word is 0."""
-    alphabet.check_word(w)
-    k = len(alphabet)
-    # Words shorter than w: k + k^2 + ... + k^(len-1), then w's rank
-    # among words of its own length read as a base-k numeral.
-    n = 0
-    for length in range(len(w)):
-        n += k ** length
-    rank = 0
-    for ch in w:
-        rank = rank * k + alphabet.index[ch]
-    return n + rank
+def shortlex_index(w: str) -> int:
+    """Index of the binary word ``w`` in the shortlex enumeration; the empty
+    word is 0."""
+    BINARY.check_word(w)
+    # 2^len(w) - 1 shorter words, then w's rank among words of its own
+    # length read as a binary numeral
+    return (1 << len(w)) - 1 + (int(w, 2) if w else 0)
 
 
 def word_at(n: int, alphabet: Alphabet = BINARY) -> str:
@@ -103,16 +97,16 @@ def nth_word(n: int, alphabet: Alphabet = BINARY) -> str:
     return word_at(n - 1, alphabet)
 
 
-def shortlex_le(a: str, b: str, alphabet: Alphabet = BINARY) -> bool:
+def shortlex_le(a: str, b: str) -> bool:
+    """Shortlex order on binary words: by length, then as strings, since
+    "0" sorts before "1"."""
     if len(a) != len(b):
         return len(a) < len(b)
-    ia = [alphabet.index[c] for c in alphabet.check_word(a)]
-    ib = [alphabet.index[c] for c in alphabet.check_word(b)]
-    return ia <= ib
+    return BINARY.check_word(a) <= BINARY.check_word(b)
 
 
-def shortlex_lt(a: str, b: str, alphabet: Alphabet = BINARY) -> bool:
-    return a != b and shortlex_le(a, b, alphabet)
+def shortlex_lt(a: str, b: str) -> bool:
+    return a != b and shortlex_le(a, b)
 
 
 def words_of_length(length: int, alphabet: Alphabet = BINARY) -> Iterator[str]:
@@ -130,38 +124,36 @@ def words_of_length(length: int, alphabet: Alphabet = BINARY) -> Iterator[str]:
         yield "".join(reversed(digits))
 
 
-def words_up_to(max_len: int, alphabet: Alphabet = BINARY) -> Iterator[str]:
+def words_up_to(max_len: int) -> Iterator[str]:
+    """All binary words of at most ``max_len`` symbols, in shortlex order."""
     for length in range(max_len + 1):
-        yield from words_of_length(length, alphabet)
+        yield from words_of_length(length)
 
 
-def sd(u: str, alphabet: Alphabet = BINARY) -> str:
-    """Self-delimiting form of ``u``: each symbol doubled, then the two-symbol
-    terminator made of the alphabet's first two symbols.
+def sd(u: str) -> str:
+    """Self-delimiting form of the binary word ``u``: each symbol doubled,
+    then the terminator "01".
 
-    Over binary: sd("0") = "0001", sd(eps) = "01".  l(sd(u)) = 2*l(u) + 2.
+    sd("0") = "0001", sd(eps) = "01".  l(sd(u)) = 2*l(u) + 2.
     """
-    if len(alphabet) < 2:
-        raise ValueError("self-delimiting code needs at least two symbols")
-    alphabet.check_word(u)
-    a0, a1 = alphabet.symbols[0], alphabet.symbols[1]
-    return "".join(ch + ch for ch in u) + a0 + a1
+    BINARY.check_word(u)
+    return "".join(ch + ch for ch in u) + "01"
 
 
-def header_cost(u: str, alphabet: Alphabet = BINARY) -> int:
+def header_cost(u: str) -> int:
     """k_u in l(pair(w, u)) = l(w) + k_u; exactly 2*l(u) + 2."""
-    alphabet.check_word(u)
+    BINARY.check_word(u)
     return 2 * len(u) + 2
 
 
-def pair(w: str, u: str, alphabet: Alphabet = BINARY) -> str:
-    """Encode the pair (w, u) as sd(u) followed by w verbatim.
+def pair(w: str, u: str) -> str:
+    """Encode the binary pair (w, u) as sd(u) followed by w verbatim.
 
     The right component is the self-delimited one, so the payload w rides
     at the end and the cost of carrying u is the constant k_u.
     """
-    alphabet.check_word(w)
-    return sd(u, alphabet) + w
+    BINARY.check_word(w)
+    return sd(u) + w
 
 
 def sd_words_of_length(length: int, rights: Callable[[int], Iterable[str]]) -> list[str]:
@@ -184,23 +176,20 @@ def pairs_of_length(length: int, rights: Callable[[int], Iterable[str]]) -> Iter
             yield head + w
 
 
-def unpair(p: str, alphabet: Alphabet = BINARY) -> tuple[str, str]:
+def unpair(p: str) -> tuple[str, str]:
     """Total inverse of :func:`pair` on its image.
 
     Scans two symbols at a time: a doubled symbol contributes one symbol of
-    u, the terminator a0+a1 ends the prefix, anything else is malformed.
+    u, the terminator "01" ends the prefix, anything else is malformed.
     """
-    alphabet.check_word(p)
-    if len(alphabet) < 2:
-        raise MalformedPairError("alphabet too small for the pairing code")
-    a0, a1 = alphabet.symbols[0], alphabet.symbols[1]
+    BINARY.check_word(p)
     u_syms: list[str] = []
     i = 0
     while True:
         chunk = p[i : i + 2]
         if len(chunk) < 2:
             raise MalformedPairError(f"word {p!r} ends inside its self-delimiting prefix")
-        if chunk == a0 + a1:
+        if chunk == "01":
             return p[i + 2 :], "".join(u_syms)
         if chunk[0] == chunk[1]:
             u_syms.append(chunk[0])

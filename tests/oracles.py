@@ -7,12 +7,16 @@ wrong.  The reference steppers read a machine's ``transitions`` or
 ``rules`` and its memory graph, and nothing else of the package but the
 error an interior output blank raises; the dovetail oracles are built on
 the TM one.  The limit-memory oracle reads
-nothing of the package but the base graph's ``connection``.
+nothing of the package but the base graph's ``connection``.  The stock
+decider's reference decodes its program pair with the codec and runs it on
+the reference steppers.
 """
 
 import itertools
 
-from minprog.turing import MachineValidationError
+from minprog.codec import InvalidCodeError, decode_machine
+from minprog.inductive import MachineITM
+from minprog.turing import MachineTM, MachineValidationError
 
 BLANK = "_"  # the blank symbol of every machine
 DELTA = {"L": -1, "R": 1, "S": 0}
@@ -34,7 +38,7 @@ class PlainTm:
         self.state = machine.start
         self.steps = 0
         self.stuck = False
-        self.output_version = 0
+        self.output_changes = 0
 
     @property
     def in_final(self):
@@ -49,7 +53,7 @@ class PlainTm:
             self.stuck = True
             return False
         if tr.writes[2] != reads[2]:
-            self.output_version += 1
+            self.output_changes += 1
         for t in range(3):
             if tr.writes[t] == BLANK:
                 self.tapes[t].pop(self.heads[t], None)
@@ -274,3 +278,73 @@ def scan_limit_connection(base, cycles, cell, ctype, budget):
             if frm == cell and typ == ctype:
                 answer = to
     return answer
+
+
+# ---------------------------------------------------------------------------
+# the diagonal machine's stock decider, one step per call
+
+SIM_STEPS = 64  # the stock decider's simulation budget
+
+
+def _plain_unpair(word):
+    """(payload, code) of the pair word sd(code) + payload, or None when
+    ``word`` has no self-delimiting prefix."""
+    code = []
+    for i in range(0, len(word) - 1, 2):
+        a, b = word[i], word[i + 1]
+        if a + b == "01":
+            return word[i + 2 :], "".join(code)
+        if a != b:
+            return None
+        code.append(a)
+    return None
+
+
+def plain_gives_result(word, horizon):
+    """Whether the machine coded in the pair word ``word``, watched as an
+    inductive machine on the pair's payload, gives a result at ``horizon``:
+    it stopped in a final state, or it has not stopped and its register
+    last changed before ``horizon``.  No pair, no decodable code, or a
+    payload that does not fit the machine: no run, so no result."""
+    parts = _plain_unpair(word)
+    if parts is None:
+        return False
+    payload, code = parts
+    try:
+        machine = decode_machine(code)
+    except InvalidCodeError:
+        return False
+    if not set(payload) <= set(machine.alphabet.symbols):
+        return False
+    if isinstance(machine, MachineTM):
+        log, _, final, stuck = stepwise_change_log(machine, payload, horizon)
+    elif isinstance(machine, MachineITM):
+        try:
+            run = PlainItm(machine, payload)
+        except MachineValidationError:
+            return False  # more input than the register holds
+        while run.steps < horizon and run.step():
+            pass
+        log, final, stuck = run.change_log, run.final, run.stuck
+    else:
+        raise TypeError(f"no reference stepper for {machine!r}")
+    return final or (not stuck and log[-1][0] < horizon)
+
+
+class PlainSimDecider:
+    """The stock decider on one input word, stepped once per call: its
+    register is empty until step SIM_STEPS, then holds "1" if the pair
+    word's machine gives a result at horizon SIM_STEPS and "0" otherwise.
+    The run never stops."""
+
+    def __init__(self, word):
+        self.word = word
+        self.steps = 0
+        self.change_log = [(0, "")]
+
+    def step(self):
+        self.steps += 1
+        if self.steps == SIM_STEPS:
+            verdict = "1" if plain_gives_result(self.word, SIM_STEPS) else "0"
+            self.change_log.append((self.steps, verdict))
+        return True

@@ -203,7 +203,7 @@ def test_08_class_hierarchy():
 @criterion(9, "diagonal machine contradicts every shipped decider on its own code")
 def test_09_diagonalization():
     started = time.monotonic()
-    deciders = [zoo.decider_yes(), zoo.decider_no(), SimDecider(64)]
+    deciders = [zoo.decider_yes(), zoo.decider_no(), SimDecider()]
     for decider in deciders:
         report = diagonal_experiment(decider, 10_000)
         assert report.decider_verdict in ("0", "1"), report.decider_name

@@ -126,12 +126,30 @@ def test_itm_codes_roundtrip():
 def test_pipeline_codes_roundtrip():
     from minprog.hierarchy import SimDecider, build_diagonal
 
-    for decider in [zoo.decider_no(), SimDecider(64)]:
+    for decider in [zoo.decider_no(), SimDecider()]:
         pipeline = build_diagonal(decider)
         code = encode_machine(pipeline)
         back = decode_machine(code)
         assert back.kind == "diagonal-pipeline"
         assert encode_machine(back) == code
+
+
+SIM_DIAGONAL = "01001001100010"
+DECIDER_NO_DIAGONAL = (
+    "0100100010010110010010001001000110001000100100011000100010011001000010011000100110011001"
+    "000010011000100100100110010000100110011001001000100010010010010010001000100010010010"
+)
+
+
+def test_pipeline_codes_are_pinned():
+    from minprog.hierarchy import SimDecider, build_diagonal
+
+    assert encode_machine(build_diagonal(SimDecider())) == SIM_DIAGONAL
+    assert encode_machine(build_diagonal(zoo.decider_no())) == DECIDER_NO_DIAGONAL
+    assert isinstance(decode_machine(SIM_DIAGONAL).decider, SimDecider)
+    # slot form 1 with builtin 1: only builtin 0, the SimDecider, exists
+    with pytest.raises(InvalidCodeError, match="unknown builtin decider 1"):
+        decode_machine("01001001100110")
 
 
 def test_tm_and_itm_codes_never_collide():

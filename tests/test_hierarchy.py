@@ -27,7 +27,7 @@ from minprog.words import nth_word, sd
 from minprog import zoo
 
 from helpers import never_halts_by_inspection
-from oracles import PlainItm, rerun_first_result_cycle, rerun_range_enumerate, stepwise_change_log
+from oracles import PlainItm, PlainSimDecider, rerun_first_result_cycle, rerun_range_enumerate, stepwise_change_log
 from strategies import gap_writer, itm_zoo, small_itms, small_tms, unary_tms, zoo_tms
 
 POOL = zoo.acceptance_pool()
@@ -370,13 +370,19 @@ def test_reduction_rejects_tm_codes():
 
 
 @pytest.mark.parametrize(
-    "decider", [zoo.decider_yes(), zoo.decider_no(), SimDecider(64)],
+    "decider", [zoo.decider_yes(), zoo.decider_no(), SimDecider()],
     ids=["yes", "no", "sim"],
 )
 def test_diagonal_contradicts_every_shipped_decider(decider):
     report = diagonal_experiment(decider, 4000)
     assert report.decider_verdict in ("0", "1")
     assert report.contradiction
+    # the decider stage replays the decider's own run on the program pair,
+    # one step per step once the checker has copied the code
+    latency = 3 * len(report.code) + 2
+    alone = decider.start_run(sd(report.code) + report.code).run_to(4000 - latency)
+    assert report.stage_histories["decider"] == [(0, "")] + [
+        (latency + s, v) for s, v in alone.change_log[1:]]
 
 
 def test_diagonal_trace_reports_all_three_stages():
@@ -391,11 +397,22 @@ def test_diagonal_on_garbage_input_gives_no_result():
     assert out.kind == "halted-nonfinal"
 
 
-def test_diagonal_rejects_a_sim_decider_without_a_builtin_slot():
-    with pytest.raises(ValueError, match="10 steps"):
-        build_diagonal(SimDecider(10))
-    with pytest.raises(ValueError, match="10 steps"):
-        diagonal_experiment(SimDecider(10), 100)
+_SIM_WORDS = st.one_of(
+    st.builds(lambda m, x: sd(encode_machine(m)) + x,
+              st.sampled_from(zoo_tms() + itm_zoo()), st.text("01", max_size=4)),
+    st.text("01", max_size=40),  # mostly malformed pairs or undecodable codes
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SIM_WORDS, st.lists(st.integers(1, 200), min_size=1, max_size=6))
+def test_sim_decider_run_to_equals_the_reference_at_every_chunk_boundary(word, horizons):
+    run, ref = SimDecider().start_run(word), PlainSimDecider(word)
+    for horizon in horizons:
+        run.run_to(horizon)
+        while ref.steps < horizon:
+            ref.step()
+        assert (run.change_log, run.steps) == (ref.change_log, ref.steps)
 
 
 # the alternator's explicit input register has one cell, too few for any
@@ -414,7 +431,7 @@ def test_a_decider_that_cannot_hold_the_program_pair_claims_nothing():
 
 
 _DECIDERS = [zoo.writer(), zoo.alternator(), zoo.silent(), zoo.decider_yes(), zoo.decider_no(),
-             SimDecider(64)]
+             SimDecider()]
 _INPUTS = [encode_machine(m) for m in zoo_tms() + [zoo.writer(), zoo.alternator()]] + [
     ALTERNATOR_DIAGONAL, "", "0", "11", "0110"]
 

@@ -251,7 +251,7 @@ def test_tm_as_itm_equals_the_stepwise_oracle_at_every_chunk_boundary(machine, d
 
 
 def _sim_diagonal_on_its_own_code():
-    pipeline = build_diagonal(SimDecider(64))
+    pipeline = build_diagonal(SimDecider())
     return pipeline.start_run(encode_machine(pipeline))
 
 
