@@ -59,21 +59,11 @@ _ERRORS = (
 )
 
 
-def _load_machine(path: str):
-    return parse_machine_file(Path(path).read_text(encoding="utf-8"))
-
-
-def _load_tm(path: str) -> MachineTM:
-    m = _load_machine(path)
-    if not isinstance(m, MachineTM):
-        raise ParseError(f"{path} does not describe a tm machine")
-    return m
-
-
-def _load_itm(path: str) -> MachineITM:
-    m = _load_machine(path)
-    if not isinstance(m, MachineITM):
-        raise ParseError(f"{path} does not describe an itm machine")
+def _load(path: str, kind: type):
+    """The machine described in ``path``, which must be a ``kind``."""
+    m = parse_machine_file(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(m, kind):
+        raise ParseError(f"{path} does not describe {'a tm' if kind is MachineTM else 'an itm'} machine")
     return m
 
 
@@ -105,7 +95,7 @@ def _verdict_lines(payload: dict) -> list[str]:
 
 
 def _cmd_run_tm(args):
-    machine = _load_tm(args.machine)
+    machine = _load(args.machine, MachineTM)
     out = run_fueled(machine, args.input, args.fuel)
     payload = {
         "machine": machine.name,
@@ -117,7 +107,7 @@ def _cmd_run_tm(args):
 
 
 def _cmd_run_itm(args):
-    machine = _load_itm(args.machine)
+    machine = _load(args.machine, MachineITM)
     out = itm_run(machine, args.input, args.horizon)
     payload = {
         "machine": machine.name,
@@ -191,7 +181,7 @@ def _cmd_invariance(args):
 
 def _pool_from_args(args) -> list[MachineTM]:
     if getattr(args, "machines", None):
-        return [_load_tm(p) for p in args.machines]
+        return [_load(p, MachineTM) for p in args.machines]
     return zoo.acceptance_pool()
 
 
@@ -210,7 +200,7 @@ def _cmd_enumerate_nontotal(args):
 
 def _cmd_emptiness(args):
     if args.machine:
-        machine = _load_tm(args.machine)
+        machine = _load(args.machine, MachineTM)
     else:
         pool = zoo.acceptance_pool()
         if args.pool_index >= len(pool):
@@ -251,7 +241,7 @@ def _cmd_totality(args):
 
 
 def _cmd_halting_itm(args):
-    machine = _load_tm(args.machine)
+    machine = _load(args.machine, MachineTM)
     verdict = halting_itm(encode_machine(machine), args.input, args.horizon)
     payload = {
         "machine": machine.name,
@@ -294,7 +284,7 @@ def _cmd_diagonal(args):
 
 
 def _cmd_reduce(args):
-    machine = _load_itm(args.machine)
+    machine = _load(args.machine, MachineITM)
     reduction = build_reduction_tm(encode_machine(machine), args.input)
     from .words import nth_word
 

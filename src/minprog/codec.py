@@ -7,8 +7,10 @@ SEP; every list is count-prefixed, so the stream is prefix-decodable.
 
 States are renamed into first-use order before encoding (start state
 first, then breadth-first through the transition table in sorted read
-order), which makes the code of a machine independent of the names it was
-built with.  Decoding checks the full structural contract and rejects
+order), and an explicit memory's cells and connection types are numbered
+in declaration order, its links listed by those numbers.  Neither state
+names nor cell names reach the code: it is independent of the names a
+machine was built with.  Decoding checks the full structural contract and rejects
 anything else, so interpreters can treat undecodable program words as
 divergent.
 """
@@ -131,17 +133,14 @@ def _alphabet_of_size(k: int) -> Alphabet:
 def canonical_state_order(machine: MachineTM | MachineITM) -> list[str]:
     """States in first-use order: start, then targets of transitions taken
     in sorted read order, breadth first; unreachable states keep their
-    declaration order at the end."""
-    if isinstance(machine, MachineTM):
-        by_state: dict[str, list[tuple[tuple, str]]] = {}
-        for tr in machine.transitions:
-            key = tuple(_symbol_code(machine.alphabet, s) for s in tr.reads)
-            by_state.setdefault(tr.state, []).append((key, tr.next_state))
-    else:
-        by_state = {}
-        for r in machine.rules:
-            key = (_symbol_code(machine.alphabet, r.read),)
-            by_state.setdefault(r.state, []).append((key, r.next_state))
+    declaration order at the end.
+
+    Both machine kinds key their table by (state, *reads) and put the next
+    state first in each entry."""
+    by_state: dict[str, list[tuple[tuple[int, ...], str]]] = {}
+    for (state, *reads), entry in machine.table.items():
+        key = tuple(_symbol_code(machine.alphabet, s) for s in reads)
+        by_state.setdefault(state, []).append((key, entry[0]))
     order = [machine.start]
     seen = {machine.start}
     queue = [machine.start]
@@ -163,16 +162,23 @@ def canonical_state_order(machine: MachineTM | MachineITM) -> list[str]:
 # encoding
 
 
-def _encode_tm_tokens(machine: MachineTM, tokens: list[int]) -> None:
+def _encode_header(machine: MachineTM | MachineITM, tokens: list[int]) -> dict[str, int]:
+    """Emit the state count, the alphabet size and the canonical finals;
+    returns each state's canonical index."""
     order = canonical_state_order(machine)
     index = {s: i for i, s in enumerate(order)}
-    alpha = machine.alphabet
     _emit_number(tokens, len(order))
-    _emit_number(tokens, len(alpha))
+    _emit_number(tokens, len(machine.alphabet))
     finals = sorted(index[s] for s in machine.finals)
     _emit_number(tokens, len(finals))
     for f in finals:
         _emit_number(tokens, f)
+    return index
+
+
+def _encode_tm_tokens(machine: MachineTM, tokens: list[int]) -> None:
+    index = _encode_header(machine, tokens)
+    alpha = machine.alphabet
     rows = []
     for t in machine.transitions:
         rows.append(
@@ -197,42 +203,33 @@ def _encode_tm_tokens(machine: MachineTM, tokens: list[int]) -> None:
             _emit_number(tokens, m)
 
 
-def _encode_memory_tokens(memory: MemoryGraph, tokens: list[int]) -> list[str]:
-    """Emit the memory description; returns the canonical cell-name list
-    for explicit memories (used to index link endpoints)."""
+def _encode_memory_tokens(memory: MemoryGraph, tokens: list[int]) -> None:
+    """Emit the memory description: a builtin's id, or an explicit memory's
+    cell kinds and links, the links sorted by (source, type) index."""
     desc = memory.describe()  # type: ignore[attr-defined]
     if desc[0] == "builtin":
         _emit_number(tokens, 0)
         _emit_number(tokens, BUILTIN_MEMORIES.index(desc[1]))
-        return []
+        return
     if desc[0] != "explicit":
         raise InvalidCodeError(f"memory {desc[0]!r} has no serialized form")
     _, cells, links = desc
     kinds = {"input": 0, "work": 1, "output": 2}
-    names = [c for c, _ in cells]
-    index = {c: i for i, c in enumerate(names)}
+    index = {c: i for i, (c, _) in enumerate(cells)}
     _emit_number(tokens, 1)
     _emit_number(tokens, len(cells))
     for _, kind in cells:
         _emit_number(tokens, kinds[kind])
-    _emit_number(tokens, len(links))
-    for (frm, ctype), to in links:
-        _emit_number(tokens, index[frm])
-        _emit_number(tokens, memory.conn_types.index(ctype))
-        _emit_number(tokens, index[to])
-    return names
+    rows = sorted((index[frm], memory.conn_types.index(ctype), index[to]) for (frm, ctype), to in links)
+    _emit_number(tokens, len(rows))
+    for row in rows:
+        for n in row:
+            _emit_number(tokens, n)
 
 
 def _encode_itm_tokens(machine: MachineITM, tokens: list[int]) -> None:
-    order = canonical_state_order(machine)
-    index = {s: i for i, s in enumerate(order)}
+    index = _encode_header(machine, tokens)
     alpha = machine.alphabet
-    _emit_number(tokens, len(order))
-    _emit_number(tokens, len(alpha))
-    finals = sorted(index[s] for s in machine.finals)
-    _emit_number(tokens, len(finals))
-    for f in finals:
-        _emit_number(tokens, f)
     _emit_number(tokens, len(machine.memory.conn_types))
     _encode_memory_tokens(machine.memory, tokens)
     rows = []
@@ -289,7 +286,8 @@ def encode_machine(machine) -> str:
 # decoding
 
 
-def _decode_tm(reader: _TokenReader) -> MachineTM:
+def _decode_header(reader: _TokenReader) -> tuple[tuple[str, ...], Alphabet, frozenset[str]]:
+    """The states s0, s1, ..., the alphabet and the finals of a header."""
     nstates = reader.number("state count")
     if nstates < 1:
         raise InvalidCodeError("a machine needs at least one state")
@@ -299,6 +297,11 @@ def _decode_tm(reader: _TokenReader) -> MachineTM:
     if finals != sorted(set(finals)) or any(f >= nstates for f in finals):
         raise InvalidCodeError("final state list is not canonical")
     states = tuple(f"s{i}" for i in range(nstates))
+    return states, alpha, frozenset(states[f] for f in finals)
+
+
+def _decode_tm(reader: _TokenReader) -> MachineTM:
+    states, alpha, finals = _decode_header(reader)
     ntrans = reader.number("transition count")
     rows = []
     for _ in range(ntrans):
@@ -312,7 +315,7 @@ def _decode_tm(reader: _TokenReader) -> MachineTM:
             if m >= len(MOVES):
                 raise InvalidCodeError(f"move index {m} out of range")
             moves.append(MOVES[m])
-        if q >= nstates or nq >= nstates:
+        if q >= len(states) or nq >= len(states):
             raise InvalidCodeError("transition state index out of range")
         rows.append((q, reads, nq, writes, tuple(moves)))
     keys = [(q, tuple(_symbol_code(alpha, s) for s in reads)) for q, reads, *_ in rows]
@@ -322,21 +325,11 @@ def _decode_tm(reader: _TokenReader) -> MachineTM:
         Transition(states[q], reads, states[nq], writes, moves)
         for q, reads, nq, writes, moves in rows
     )
-    try:
-        return MachineTM("decoded", states, states[0], frozenset(states[f] for f in finals), alpha, trans)
-    except MachineValidationError as exc:
-        raise InvalidCodeError(str(exc)) from exc
+    return MachineTM("decoded", states, states[0], finals, alpha, trans)
 
 
 def _decode_itm(reader: _TokenReader) -> MachineITM:
-    nstates = reader.number("state count")
-    if nstates < 1:
-        raise InvalidCodeError("a machine needs at least one state")
-    alpha = _alphabet_of_size(reader.number("alphabet size"))
-    nfinals = reader.number("final count")
-    finals = [reader.number("final state") for _ in range(nfinals)]
-    if finals != sorted(set(finals)) or any(f >= nstates for f in finals):
-        raise InvalidCodeError("final state list is not canonical")
+    states, alpha, finals = _decode_header(reader)
     nconn = reader.number("connection type count")
     mem_form = reader.number("memory form")
     if mem_form == 0:
@@ -364,14 +357,12 @@ def _decode_itm(reader: _TokenReader) -> MachineITM:
             to = reader.number("link target")
             if frm >= ncells or to >= ncells or ct >= nconn:
                 raise InvalidCodeError("link index out of range")
-            links.append((f"k{frm}", conn_types[ct], f"k{to}"))
-        try:
-            memory = ExplicitMemory(cells, links, conn_types)
-        except MachineValidationError as exc:
-            raise InvalidCodeError(str(exc)) from exc
+            links.append((frm, ct, to))
+        if links != sorted(links):
+            raise InvalidCodeError("link list is not in canonical order")
+        memory = ExplicitMemory(cells, [(f"k{f}", conn_types[c], f"k{t}") for f, c, t in links], conn_types)
     else:
         raise InvalidCodeError(f"unknown memory form {mem_form}")
-    states = tuple(f"s{i}" for i in range(nstates))
     nrules = reader.number("rule count")
     rows = []
     for _ in range(nrules):
@@ -383,7 +374,7 @@ def _decode_itm(reader: _TokenReader) -> MachineITM:
         write = reader.number("write") if form in (0, 2) else None
         move = reader.number("move type") if form in (1, 2) else None
         nq = reader.number("next state")
-        if q >= nstates or nq >= nstates:
+        if q >= len(states) or nq >= len(states):
             raise InvalidCodeError("rule state index out of range")
         if move is not None and move >= len(memory.conn_types):
             raise InvalidCodeError("rule connection type out of range")
@@ -401,35 +392,35 @@ def _decode_itm(reader: _TokenReader) -> MachineITM:
         )
         for q, read, write, move, nq in rows
     )
-    try:
-        return MachineITM("decoded", states, states[0], frozenset(states[f] for f in finals), alpha, rules, memory)
-    except MachineValidationError as exc:
-        raise InvalidCodeError(str(exc)) from exc
+    return MachineITM("decoded", states, states[0], finals, alpha, rules, memory)
 
 
 def decode_machine(word: str):
     """Inverse of :func:`encode_machine`; raises InvalidCodeError off-image."""
     reader = _TokenReader(_word_to_tokens(word))
-    kind = reader.number("machine kind")
-    if kind == KIND_TM:
-        machine = _decode_tm(reader)
-    elif kind == KIND_ITM:
-        machine = _decode_itm(reader)
-    elif kind == KIND_PIPELINE:
-        from .hierarchy import DiagonalPipeline, SimDecider  # cycle broken on purpose
+    try:
+        kind = reader.number("machine kind")
+        if kind == KIND_TM:
+            machine = _decode_tm(reader)
+        elif kind == KIND_ITM:
+            machine = _decode_itm(reader)
+        elif kind == KIND_PIPELINE:
+            from .hierarchy import DiagonalPipeline, SimDecider  # cycle broken on purpose
 
-        slot = reader.number("decider slot form")
-        if slot == 1:
-            builtin = reader.number("builtin decider")
-            if builtin != 0:
-                raise InvalidCodeError(f"unknown builtin decider {builtin}")
-            machine = DiagonalPipeline(SimDecider())
-        elif slot == 0:
-            machine = DiagonalPipeline(_decode_itm(reader))
+            slot = reader.number("decider slot form")
+            if slot == 1:
+                builtin = reader.number("builtin decider")
+                if builtin != 0:
+                    raise InvalidCodeError(f"unknown builtin decider {builtin}")
+                machine = DiagonalPipeline(SimDecider())
+            elif slot == 0:
+                machine = DiagonalPipeline(_decode_itm(reader))
+            else:
+                raise InvalidCodeError(f"unknown decider slot form {slot}")
         else:
-            raise InvalidCodeError(f"unknown decider slot form {slot}")
-    else:
-        raise InvalidCodeError(f"unknown machine kind {kind}")
+            raise InvalidCodeError(f"unknown machine kind {kind}")
+    except MachineValidationError as exc:
+        raise InvalidCodeError(str(exc)) from exc
     if not reader.done():
         raise InvalidCodeError("trailing tokens after machine code")
     return machine

@@ -23,6 +23,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .words import BINARY, MalformedPairError, pairs_of_length, sd_words_of_length, unpair
 from .turing import MachineTM, run_fueled
 from .predicates import Predicate, PredicateSet, eval_set
+from .codec import codes_of_length
+from .universal import U_STD, WRAP_HEADER, itm_universal_apply, wrap_universal
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,8 @@ class FunctionTable:
 # ---------------------------------------------------------------------------
 # machine classes
 
-ITM_EMBED_HEADER = "10"
-K_EMBED = len(ITM_EMBED_HEADER)
+# itm1 runs a Turing-class program behind the wrap header, at this cost
+K_EMBED = len(WRAP_HEADER)
 
 
 @dataclass(frozen=True)
@@ -108,12 +110,8 @@ class MachineClassHandle:
     live2: Callable[[int], Iterable[str]] = field(compare=False)
 
 
-def tm_class(interp=None) -> MachineClassHandle:
+def tm_class(interp) -> MachineClassHandle:
     """Turing machines: a result is a halting run's output."""
-    if interp is None:
-        from .universal import U_STD
-
-        interp = U_STD
 
     def produce(program: str, budget: Budget) -> str | None:
         return interp.apply(program, budget.fuel).result
@@ -124,22 +122,17 @@ def tm_class(interp=None) -> MachineClassHandle:
     return MachineClassHandle(f"tm[{interp.tag}]", produce, produce2, interp.live, interp.live2)
 
 
-def itm1_class(tm_interp=None) -> MachineClassHandle:
+def itm1_class(tm_interp=U_STD) -> MachineClassHandle:
     """First-order inductive machines.
 
-    Program space: a fixed two-symbol header followed by any Turing-class
-    program (the class contains the Turing machines, at a constant cost of
-    exactly the header length), or a self-delimited inductive machine code
-    followed by its input.  The two regions cannot collide because the
-    header is never a valid start of a self-delimiting prefix.  A result is
-    a halting-final or stabilized-at-horizon output.
+    Program space: the programs of ``tm_interp`` behind the wrap header,
+    run by :func:`wrap_universal` (the class contains the Turing machines,
+    at a constant cost of exactly :data:`K_EMBED`), or a self-delimited
+    inductive machine code followed by its input.  The two regions cannot
+    collide because the header is never a valid start of a self-delimiting
+    prefix.  A result is a halting-final or stabilized-at-horizon output.
     """
-    if tm_interp is None:
-        from .universal import U_STD
-
-        tm_interp = U_STD
-    from .codec import codes_of_length
-    from .universal import itm_universal_apply
+    wrapped = wrap_universal(tm_interp)
 
     def run_region(program: str, argument: str | None, budget: Budget) -> str | None:
         try:
@@ -154,26 +147,21 @@ def itm1_class(tm_interp=None) -> MachineClassHandle:
         return itm_universal_apply(code, payload, horizon).result
 
     def produce(program: str, budget: Budget) -> str | None:
-        if program.startswith(ITM_EMBED_HEADER):
-            return tm_interp.apply(program[len(ITM_EMBED_HEADER) :], budget.fuel).result
+        if program.startswith(WRAP_HEADER):
+            return wrapped.apply(program, budget.fuel).result
         return run_region(program, None, budget)
 
     def produce2(program: str, argument: str, budget: Budget) -> str | None:
-        if program.startswith(ITM_EMBED_HEADER):
-            return tm_interp.apply2(program[len(ITM_EMBED_HEADER) :], argument, budget.fuel).result
+        if program.startswith(WRAP_HEADER):
+            return wrapped.apply2(program, argument, budget.fuel).result
         return run_region(program, argument, budget)
-
-    def embedded(live_tm: Callable[[int], Iterable[str]], length: int) -> Iterable[str]:
-        if length < K_EMBED:
-            return ()
-        return (ITM_EMBED_HEADER + p for p in live_tm(length - K_EMBED))
 
     # sd(c) never starts with the header, so the two regions merge cleanly.
     def live(length: int) -> Iterator[str]:
-        return merge(embedded(tm_interp.live, length), pairs_of_length(length, codes_of_length))
+        return merge(wrapped.live(length), pairs_of_length(length, codes_of_length))
 
     def live2(length: int) -> Iterator[str]:
-        return merge(embedded(tm_interp.live2, length), sd_words_of_length(length, codes_of_length))
+        return merge(wrapped.live2(length), sd_words_of_length(length, codes_of_length))
 
     return MachineClassHandle(f"itm1[{tm_interp.tag}]", produce, produce2, live, live2)
 

@@ -42,6 +42,14 @@ class InductiveVerdict:
     halted: bool = False
 
 
+def _decode(code: str, kind):
+    """The machine ``code`` codes, which must be an instance of ``kind``."""
+    machine = decode_machine(code)
+    if not isinstance(machine, kind):
+        raise InvalidCodeError(f"this construction does not take a {type(machine).__name__} code")
+    return machine
+
+
 # ---------------------------------------------------------------------------
 # the halting demonstrator
 
@@ -53,10 +61,7 @@ def halting_itm(code: str, input_word: str, horizon: int) -> InductiveVerdict:
     A 0 at the horizon means "has not halted yet", the converging
     approximation; a 1 is a finite certificate.
     """
-    machine = decode_machine(code)
-    if not isinstance(machine, MachineTM):
-        raise InvalidCodeError("the halting demonstrator simulates Turing machine codes")
-    run = machine.start_run(input_word).run_to(horizon)
+    run = _decode(code, MachineTM).start_run(input_word).run_to(horizon)
     if run.in_final or run.stuck:
         return InductiveVerdict("1", stabilized_since=run.steps, budget=horizon)
     return InductiveVerdict("0", stabilized_since=0, budget=horizon)
@@ -85,10 +90,7 @@ def first_result_cycle(machine: MachineTM, cycles: int) -> int | None:
 def emptiness_solver(code: str, cycles: int) -> InductiveVerdict:
     """The first observed result of the dovetail schedule flips the output
     to 0 and halts the solver; otherwise every completed cycle reasserts 1."""
-    machine = decode_machine(code)
-    if not isinstance(machine, MachineTM):
-        raise InvalidCodeError("the emptiness solver simulates Turing machine codes")
-    n = first_result_cycle(machine, cycles)
+    n = first_result_cycle(_decode(code, MachineTM), cycles)
     if n is None:
         return InductiveVerdict("1", stabilized_since=1, budget=cycles)
     return InductiveVerdict("0", stabilized_since=n, budget=n, halted=True)
@@ -340,17 +342,11 @@ class Totalizer:
 
 
 def build_range_enumerator(code: str) -> RangeEnumerator:
-    machine = decode_machine(code)
-    if not isinstance(machine, MachineTM):
-        raise InvalidCodeError("range enumeration is defined for Turing machine codes")
-    return RangeEnumerator(machine)
+    return RangeEnumerator(_decode(code, MachineTM))
 
 
 def build_totalizer(code: str) -> Totalizer:
-    machine = decode_machine(code)
-    if not isinstance(machine, MachineTM):
-        raise InvalidCodeError("the totalizer transform is defined for Turing machine codes")
-    return Totalizer(machine)
+    return Totalizer(_decode(code, MachineTM))
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +387,7 @@ class ReductionTM:
 
 
 def build_reduction_tm(itm_code: str, x: str) -> ReductionTM:
-    machine = decode_machine(itm_code)
-    if isinstance(machine, MachineTM):
-        raise InvalidCodeError("the reduction expects an inductive machine code")
-    return ReductionTM(machine, x)
+    return ReductionTM(_decode(itm_code, (MachineITM, DiagonalPipeline)), x)
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +510,7 @@ def build_diagonal(decider) -> DiagonalPipeline:
     """Build the composed machine from a decider given as an inductive
     machine, its code word, or the shipped :class:`SimDecider`."""
     if isinstance(decider, str):
-        decider = decode_machine(decider)
-        if not isinstance(decider, MachineITM):
-            raise InvalidCodeError("the diagonal construction takes an inductive decider code")
+        decider = _decode(decider, MachineITM)
     if isinstance(decider, (MachineITM, SimDecider)):
         return DiagonalPipeline(decider)
     raise TypeError(f"cannot build a diagonal machine from {decider!r}")

@@ -72,6 +72,8 @@ class ExplicitMemory(MemoryGraph):
             if kind not in ("input", "work", "output"):
                 raise MachineValidationError(f"unknown cell kind {kind!r}")
         self.conn_types = tuple(conn_types)
+        if len(set(self.conn_types)) != len(self.conn_types):
+            raise MachineValidationError("duplicate connection type declaration")
         self.start = names[0]
         self._names = set(names)
         self._links: dict[tuple[str, str], str] = {}
@@ -280,6 +282,8 @@ class MachineITM:
         self.alphabet = alphabet
         self.memory = memory
         declared = set(self.states)
+        if len(declared) != len(self.states):
+            raise MachineValidationError("duplicate state declaration")
         if start not in declared:
             raise MachineValidationError(f"start state {start!r} is not declared")
         for s in self.finals:

@@ -116,15 +116,18 @@ def parse_machine_file(text: str):
         raise ParseError("missing 'start' directive")
     finals = finals or []
 
-    if kind == "tm":
-        if rule_rows or cells or links or memory_decl or conn_types:
-            raise ParseError("itm directives are not allowed in a tm description")
-        return _build_tm(name, alphabet, states, start, finals, trans_rows)
-    if trans_rows:
-        raise ParseError("trans lines are not allowed in an itm description")
-    return _build_itm(
-        name, alphabet, states, start, finals, conn_types, memory_decl, cells, links, rule_rows
-    )
+    try:
+        if kind == "tm":
+            if rule_rows or cells or links or memory_decl or conn_types:
+                raise ParseError("itm directives are not allowed in a tm description")
+            return _build_tm(name, alphabet, states, start, finals, trans_rows)
+        if trans_rows:
+            raise ParseError("trans lines are not allowed in an itm description")
+        return _build_itm(
+            name, alphabet, states, start, finals, conn_types, memory_decl, cells, links, rule_rows
+        )
+    except MachineValidationError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _check_symbol(alphabet: Alphabet, sym: str, line: int) -> str:
@@ -157,10 +160,7 @@ def _build_tm(name, alphabet, states, start, finals, trans_rows) -> MachineTM:
             )
         seen[key] = line
         transitions.append(Transition(q, tuple(reads), nq, (w1, w2, w3), (m1, m2, m3)))
-    try:
-        return MachineTM(name, tuple(states), start, frozenset(finals), alphabet, tuple(transitions))
-    except MachineValidationError as exc:
-        raise ParseError(str(exc)) from exc
+    return MachineTM(name, tuple(states), start, frozenset(finals), alphabet, tuple(transitions))
 
 
 def _build_itm(
@@ -228,10 +228,7 @@ def _build_itm(
             )
         seen_rules[key] = line
         rules.append(Rule(q, sym, nq, write=write, move=move))
-    try:
-        return MachineITM(name, tuple(states), start, frozenset(finals), alphabet, tuple(rules), memory)
-    except MachineValidationError as exc:
-        raise ParseError(str(exc)) from exc
+    return MachineITM(name, tuple(states), start, frozenset(finals), alphabet, tuple(rules), memory)
 
 
 # ---------------------------------------------------------------------------
@@ -239,45 +236,42 @@ def _build_itm(
 
 
 def serialize_machine(machine) -> str:
-    lines = [f"machine {machine.name}"]
-    if isinstance(machine, MachineTM):
-        lines.append("kind tm")
-        lines.append(f"alphabet {''.join(machine.alphabet.symbols)}")
-        lines.append(f"states {' '.join(machine.states)}")
-        lines.append(f"start {machine.start}")
-        lines.append(f"final {' '.join(sorted(machine.finals))}".rstrip())
-        for t in machine.transitions:
-            lines.append(
-                "trans {} {} -> {} {} {}".format(
-                    t.state, " ".join(t.reads), t.next_state, " ".join(t.writes), " ".join(t.moves)
-                )
-            )
+    if not isinstance(machine, (MachineTM, MachineITM)):
+        raise TypeError(f"cannot serialize {machine!r}")
+    tm = isinstance(machine, MachineTM)
+    lines = [
+        f"machine {machine.name}",
+        f"kind {'tm' if tm else 'itm'}",
+        f"alphabet {''.join(machine.alphabet.symbols)}",
+        f"states {' '.join(machine.states)}",
+        f"start {machine.start}",
+        f"final {' '.join(sorted(machine.finals))}".rstrip(),
+    ]
+    if tm:
+        lines += (
+            f"trans {t.state} {' '.join(t.reads)} -> "
+            f"{t.next_state} {' '.join(t.writes)} {' '.join(t.moves)}"
+            for t in machine.transitions
+        )
         return "\n".join(lines) + "\n"
-    if isinstance(machine, MachineITM):
-        lines.append("kind itm")
-        lines.append(f"alphabet {''.join(machine.alphabet.symbols)}")
-        lines.append(f"states {' '.join(machine.states)}")
-        lines.append(f"start {machine.start}")
-        lines.append(f"final {' '.join(sorted(machine.finals))}".rstrip())
-        desc = machine.memory.describe()  # type: ignore[attr-defined]
-        if desc[0] == "builtin":
-            lines.append(f"memory builtin:{desc[1]}")
-        elif desc[0] != "explicit":
-            raise InvalidCodeError(f"memory {desc[0]!r} has no serialized form")
+    desc = machine.memory.describe()  # type: ignore[attr-defined]
+    if desc[0] == "builtin":
+        lines.append(f"memory builtin:{desc[1]}")
+    elif desc[0] != "explicit":
+        raise InvalidCodeError(f"memory {desc[0]!r} has no serialized form")
+    else:
+        lines.append(f"conn-types {' '.join(machine.memory.conn_types)}".rstrip())
+        lines.append("memory explicit")
+        for cell, kindname in desc[1]:
+            lines.append(f"cell {cell} {kindname}")
+        for (frm, ctype), to in desc[2]:
+            lines.append(f"link {frm} {ctype} {to}")
+    for r in machine.rules:
+        if r.write is not None and r.move is not None:
+            rhs = f"write {r.write} move {r.move} {r.next_state}"
+        elif r.write is not None:
+            rhs = f"write {r.write} {r.next_state}"
         else:
-            lines.append(f"conn-types {' '.join(machine.memory.conn_types)}".rstrip())
-            lines.append("memory explicit")
-            for cell, kindname in desc[1]:
-                lines.append(f"cell {cell} {kindname}")
-            for (frm, ctype), to in desc[2]:
-                lines.append(f"link {frm} {ctype} {to}")
-        for r in machine.rules:
-            if r.write is not None and r.move is not None:
-                rhs = f"write {r.write} move {r.move} {r.next_state}"
-            elif r.write is not None:
-                rhs = f"write {r.write} {r.next_state}"
-            else:
-                rhs = f"move {r.move} {r.next_state}"
-            lines.append(f"rule {r.state} {r.read} -> {rhs}")
-        return "\n".join(lines) + "\n"
-    raise TypeError(f"cannot serialize {machine!r}")
+            rhs = f"move {r.move} {r.next_state}"
+        lines.append(f"rule {r.state} {r.read} -> {rhs}")
+    return "\n".join(lines) + "\n"

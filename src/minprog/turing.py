@@ -101,6 +101,8 @@ class MachineTM:
 
     def __post_init__(self) -> None:
         declared = set(self.states)
+        if len(declared) != len(self.states):
+            raise MachineValidationError("duplicate state declaration")
         if self.start not in declared:
             raise MachineValidationError(f"start state {self.start!r} is not declared")
         for s in self.finals:

@@ -136,22 +136,19 @@ class WrappedUniversal(UniversalInterpreter):
     """Serves exactly the :data:`WRAP_HEADER`-prefixed copy of another
     interpreter."""
 
-    header = WRAP_HEADER
-    header_cost = len(WRAP_HEADER)
-
     def __init__(self, inner: UniversalInterpreter) -> None:
         self.inner = inner
         self.tag = f"wrap[{WRAP_HEADER}]({inner.tag})"
 
     def apply(self, program: str, fuel: int) -> RunOutcome:
-        if not program.startswith(self.header):
+        if not program.startswith(WRAP_HEADER):
             return self._diverge(fuel)
-        return self.inner.apply(program[len(self.header) :], fuel)
+        return self.inner.apply(program[len(WRAP_HEADER) :], fuel)
 
     def apply2(self, program: str, argument: str, fuel: int) -> RunOutcome:
-        if not program.startswith(self.header):
+        if not program.startswith(WRAP_HEADER):
             return self._diverge(fuel)
-        return self.inner.apply2(program[len(self.header) :], argument, fuel)
+        return self.inner.apply2(program[len(WRAP_HEADER) :], argument, fuel)
 
     def live(self, length: int) -> Iterator[str]:
         return self._live(length, self.inner.live)
@@ -160,9 +157,9 @@ class WrappedUniversal(UniversalInterpreter):
         return self._live(length, self.inner.live2)
 
     def _live(self, length: int, inner_live) -> Iterator[str]:
-        if length < len(self.header):
+        if length < len(WRAP_HEADER):
             return iter(())
-        return _headed([self.header], inner_live(length - len(self.header)))
+        return _headed([WRAP_HEADER], inner_live(length - len(WRAP_HEADER)))
 
 
 class BiasedUniversal(UniversalInterpreter):
@@ -229,8 +226,10 @@ def parse_interpreter_spec(spec: str) -> UniversalInterpreter:
     if spec == "std":
         return U_STD
     if spec.startswith("biased:"):
-        return make_biased_universal(int(spec.split(":", 1)[1]))
-    if spec.startswith("wrap:"):
+        n = spec.split(":", 1)[1]
+        if n.isascii() and n.isdigit():
+            return make_biased_universal(int(n))
+    elif spec.startswith("wrap:"):
         return wrap_universal(parse_interpreter_spec(spec.split(":", 1)[1]))
     raise ValueError(f"unknown interpreter spec {spec!r}")
 

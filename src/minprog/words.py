@@ -140,17 +140,11 @@ def sd(u: str) -> str:
     return "".join(ch + ch for ch in u) + "01"
 
 
-def header_cost(u: str) -> int:
-    """k_u in l(pair(w, u)) = l(w) + k_u; exactly 2*l(u) + 2."""
-    BINARY.check_word(u)
-    return 2 * len(u) + 2
-
-
 def pair(w: str, u: str) -> str:
     """Encode the binary pair (w, u) as sd(u) followed by w verbatim.
 
     The right component is the self-delimited one, so the payload w rides
-    at the end and the cost of carrying u is the constant k_u.
+    at the end and the cost of carrying u is the constant 2*l(u) + 2.
     """
     BINARY.check_word(w)
     return sd(u) + w

@@ -38,7 +38,7 @@ from minprog.hierarchy import (
 from minprog.inductive import itm_run
 from minprog.predicates import equals, geq, length_equals, leq, shipped_registry, small20_family
 from minprog.turing import run_fueled
-from minprog.universal import U_STD, make_biased_universal, wrap_universal
+from minprog.universal import U_STD, WRAP_HEADER, make_biased_universal, wrap_universal
 from minprog.words import nth_word, words_up_to
 from minprog import zoo
 
@@ -150,7 +150,7 @@ def test_05_invariance():
     family = small20_family(U1)
     res = invariance_gap(U1, outer, family, budget)
     assert sum(r.comparable for r in res.rows) >= 10
-    assert res.gap <= outer.header_cost
+    assert res.gap <= len(WRAP_HEADER)
 
     res = invariance_gap(U1, make_biased_universal(3), [equals(u) for u in words_up_to(2)], budget)
     assert res.gap >= 2

@@ -181,6 +181,13 @@ def test_orders_names_an_unknown_problem(capsys, name):
     assert err.strip() == f"error: unknown problem '{name}'"
 
 
+@pytest.mark.parametrize("spec", ["biased:x", "biased:", "wrap:biased:-1"])
+def test_complexity_names_a_bad_interpreter_spec(capsys, spec):
+    code, out, err = run_cli(capsys, "complexity", "--predicate", "equals:0", "--interpreter", spec)
+    assert code == 1 and out == ""
+    assert err.strip() == f"error: unknown interpreter spec '{spec.removeprefix('wrap:')}'"
+
+
 def test_reports_are_deterministic_modulo_elapsed(capsys):
     argv = ["--json", "complexity", "--predicate", "leq:1", "--interpreter", "biased:1",
             "--max-len", "6", "--fuel", "64"]

@@ -20,7 +20,7 @@ from minprog.hierarchy import (
     thm72_memory,
     totality_verdict,
 )
-from minprog.inductive import TmAsItm, itm_run, start_if_fits
+from minprog.inductive import MachineITM, TmAsItm, itm_run, start_if_fits
 from minprog.turing import MachineValidationError, RunOutcome, run_fueled
 from minprog.universal import itm_universal_apply
 from minprog.words import nth_word, sd
@@ -52,11 +52,6 @@ def test_halting_demonstrator_stays_zero_for_nonhalting_runs():
     assert run_fueled(zoo.epsilon_only(), "1", 1000).kind == "out-of-fuel"
     v = halting_itm(encode_machine(zoo.epsilon_only()), "1", 1000)
     assert v.value == "0"
-
-
-def test_halting_demonstrator_rejects_inductive_codes():
-    with pytest.raises(InvalidCodeError):
-        halting_itm(encode_machine(zoo.writer()), "", 100)
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +355,31 @@ def test_reduction_equals_a_per_step_replay(machine, x, n, fuel):
     assert ReductionTM(machine, x).run(nth_word(n), fuel) == expected
 
 
-def test_reduction_rejects_tm_codes():
-    with pytest.raises(InvalidCodeError):
-        build_reduction_tm(encode_machine(zoo.identity()), "")
+TM_CODE = encode_machine(zoo.identity())
+ITM_CODE = encode_machine(zoo.writer())
+PIPELINE_CODE = encode_machine(build_diagonal(SimDecider()))
+
+
+@pytest.mark.parametrize("construct, wrong_codes", [
+    (lambda code: halting_itm(code, "", 100), [ITM_CODE, PIPELINE_CODE]),
+    (lambda code: emptiness_solver(code, 4), [ITM_CODE, PIPELINE_CODE]),
+    (build_range_enumerator, [ITM_CODE, PIPELINE_CODE]),
+    (build_totalizer, [ITM_CODE, PIPELINE_CODE]),
+    (lambda code: build_reduction_tm(code, ""), [TM_CODE]),
+    (build_diagonal, [TM_CODE, PIPELINE_CODE]),
+], ids=["halting_itm", "emptiness_solver", "build_range_enumerator", "build_totalizer",
+        "build_reduction_tm", "build_diagonal"])
+def test_constructions_reject_a_code_of_the_wrong_kind(construct, wrong_codes):
+    for code in wrong_codes:
+        with pytest.raises(InvalidCodeError, match="does not take a"):
+            construct(code)
+
+
+def test_reduction_takes_inductive_and_pipeline_codes():
+    assert isinstance(build_reduction_tm(ITM_CODE, "").machine, MachineITM)
+    reduction = build_reduction_tm(PIPELINE_CODE, TM_CODE)
+    assert reduction.machine.kind == "diagonal-pipeline"
+    assert reduction.run(nth_word(3), 1000) == RunOutcome.of_halt("0", 3)
 
 
 # ---------------------------------------------------------------------------

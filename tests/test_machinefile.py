@@ -3,9 +3,9 @@ from pathlib import Path
 import pytest
 
 from minprog.codec import InvalidCodeError, encode_machine
-from minprog.inductive import LimitMemory, LinearMemory, MachineITM, Rule, itm_run
+from minprog.inductive import ExplicitMemory, LimitMemory, LinearMemory, MachineITM, Rule, itm_run
 from minprog.machinefile import ParseError, parse_machine_file, serialize_machine
-from minprog.turing import MachineTM, run_fueled
+from minprog.turing import MachineTM, MachineValidationError, run_fueled
 from minprog.words import BINARY, words_up_to
 
 MACHINE_DIR = Path(__file__).resolve().parent.parent / "machines"
@@ -165,3 +165,37 @@ def test_shipped_tm_files_equal_their_zoo_sources():
 
     machine = parse_machine_file((MACHINE_DIR / "identity.tm").read_text())
     assert machine == zoo.identity()
+
+
+WRITER_FILE = """\
+machine w
+kind itm
+states q0 qf
+start q0
+final qf
+conn-types r
+memory explicit
+cell c output
+rule q0 _ -> write 1 qf
+"""
+
+
+@pytest.mark.parametrize("text, line", [
+    (IDENTITY_FILE.replace("states q0 qf", "states q0 q0 qf"), None),
+    (WRITER_FILE.replace("states q0 qf", "states q0 q0 qf"), None),
+    (WRITER_FILE.replace("conn-types r", "conn-types r r"), 7),
+], ids=["tm states", "itm states", "conn-types"])
+def test_a_repeated_declaration_is_a_parse_error(text, line):
+    assert parse_machine_file(WRITER_FILE).states == ("q0", "qf")  # valid when declared once
+    with pytest.raises(ParseError, match="duplicate") as info:
+        parse_machine_file(text)
+    assert info.value.line == line
+
+
+def test_machines_and_memories_reject_a_repeated_declaration():
+    with pytest.raises(MachineValidationError, match="duplicate state declaration"):
+        MachineTM("m", ("q0", "q0", "qf"), "q0", frozenset(), BINARY, ())
+    with pytest.raises(MachineValidationError, match="duplicate state declaration"):
+        MachineITM("m", ("q0", "q0"), "q0", (), BINARY, (), LinearMemory())
+    with pytest.raises(MachineValidationError, match="duplicate connection type declaration"):
+        ExplicitMemory([("c", "work")], [], ("r", "r"))

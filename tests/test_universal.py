@@ -4,6 +4,7 @@ from minprog.codec import decode_machine, encode_machine
 from minprog.turing import MachineTM, run_fueled
 from minprog.universal import (
     U_STD,
+    WRAP_HEADER,
     make_biased_universal,
     parse_interpreter_spec,
     tm_program,
@@ -55,10 +56,10 @@ def test_two_input_application():
 def test_wrapping_serves_exactly_the_prefixed_copy():
     inner = make_biased_universal(1)
     outer = wrap_universal(inner)
-    assert outer.header_cost == 2
+    assert len(WRAP_HEADER) == 2
     for p in words_up_to(4):
         inner_out = inner.apply(p, 64)
-        outer_out = outer.apply(outer.header + p, 64)
+        outer_out = outer.apply(WRAP_HEADER + p, 64)
         assert (inner_out.kind, inner_out.output) == (outer_out.kind, outer_out.output)
     assert outer.apply("0110", 64).kind == "out-of-fuel"  # no header, not served
 
@@ -80,12 +81,12 @@ def test_wrapping_shifts_minima_by_exactly_the_header_cost():
         if v_in is None:
             assert v_out is None
         else:
-            assert v_out == v_in + outer.header_cost
+            assert v_out == v_in + len(WRAP_HEADER)
 
 
 def test_wrapping_a_real_pair_program():
     outer = wrap_universal(U_STD)
-    program = outer.header + tm_program(zoo.identity(), "1")
+    program = WRAP_HEADER + tm_program(zoo.identity(), "1")
     out = outer.apply(program, 5000)
     assert out.halted and out.output == "1"
 
@@ -176,5 +177,5 @@ def test_biased_and_wrapped_live_words_extend_std():
     assert list(u2.live(1)) == [] and list(u2.live(2)) == ["00"]
     assert list(u2.live(48)) == [h + p for h in ("00", "01", "10", "11") for p in U_STD.live(46)]
     wrapped = wrap_universal(U_STD)
-    assert list(wrapped.live(48)) == [wrapped.header + p for p in U_STD.live(46)]
-    assert list(wrapped.live2(56)) == [wrapped.header + p for p in U_STD.live2(54)]
+    assert list(wrapped.live(48)) == [WRAP_HEADER + p for p in U_STD.live(46)]
+    assert list(wrapped.live2(56)) == [WRAP_HEADER + p for p in U_STD.live2(54)]

@@ -5,7 +5,6 @@ from minprog.words import (
     Alphabet,
     InvalidWordError,
     MalformedPairError,
-    header_cost,
     nth_word,
     pair,
     sd,
@@ -60,9 +59,7 @@ def test_invalid_symbol_rejected():
 
 def test_pair_fixed_values():
     assert pair("", "") == "01"
-    assert header_cost("") == 2
     assert pair("1", "0") == "00011"
-    assert header_cost("0") == 4
 
 
 def test_unpair_by_hand_decoding():
@@ -82,7 +79,7 @@ def test_additive_length_law_exact():
     sample_u = list(words_up_to(3))[:10]
     assert len(sample_u) == 10
     for u in sample_u:
-        k_u = header_cost(u)
+        k_u = 2 * len(u) + 2
         for w in words_up_to(8):
             assert len(pair(w, u)) - len(w) == k_u
 
