@@ -15,10 +15,9 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .words import InvalidWordError, MalformedPairError
-from .turing import MachineTM, MachineValidationError, run_fueled
+from .turing import MachineTM, run_fueled
 from .inductive import MachineITM, itm_run
-from .codec import InvalidCodeError, encode_machine
+from .codec import encode_machine
 from .machinefile import ParseError, parse_machine_file
 from .predicates import PredicateConstructionError, builtin, small20_family
 from .universal import parse_interpreter_spec
@@ -45,18 +44,8 @@ from .hierarchy import (
 )
 from . import zoo
 
-_ERRORS = (
-    ParseError,
-    InvalidCodeError,
-    InvalidWordError,
-    MalformedPairError,
-    MachineValidationError,
-    PredicateConstructionError,
-    ValueError,
-    KeyError,
-    IndexError,
-    OSError,
-)
+# every package error subclasses ValueError
+_ERRORS = (ValueError, KeyError, IndexError, OSError)
 
 
 def _load(path: str, kind: type):
@@ -257,14 +246,7 @@ def _cmd_halting_itm(args):
 
 
 def _cmd_diagonal(args):
-    if args.decider == "yes":
-        decider = zoo.decider_yes()
-    elif args.decider == "no":
-        decider = zoo.decider_no()
-    elif args.decider == "sim":
-        decider = SimDecider()
-    else:
-        raise PredicateConstructionError(f"unknown decider {args.decider!r}")
+    decider = {"yes": zoo.decider_yes, "no": zoo.decider_no, "sim": SimDecider}[args.decider]()
     report = diagonal_experiment(decider, args.horizon)
     payload = {
         "decider": report.decider_name,

@@ -1,18 +1,22 @@
 """Injective, decodable codification of machines as binary words.
 
-A machine serializes to a token stream over {0, 1, SEP}; each token maps to
-a fixed 2-bit block, leaving the fourth block ("11") unused so that many
-words fall outside the image.  Numbers are canonical binary terminated by
-SEP; every list is count-prefixed, so the stream is prefix-decodable.
+A machine's code is a list of numbers: the machine kind, the header, then
+the table row by row, every list prefixed by its count.  In the word, each
+binary digit d of a number is the block ``0d`` and the block ``10`` ends
+the number; the fourth block, ``11``, is never used, so many words fall
+outside the image.  Numbers are canonical binary, without leading zeros.
 
 States are renamed into first-use order before encoding (start state
 first, then breadth-first through the transition table in sorted read
-order), and an explicit memory's cells and connection types are numbered
-in declaration order, its links listed by those numbers.  Neither state
-names nor cell names reach the code: it is independent of the names a
-machine was built with.  Decoding checks the full structural contract and rejects
-anything else, so interpreters can treat undecodable program words as
-divergent.
+order).  An explicit memory's cells are numbered in declaration order and
+its links listed by (source, type) number.  Its connection types are
+numbered by first use over the rule rows, and the types no rule moves by
+follow, ordered by their (source, target) links.  Neither state names nor
+cell or type names reach the code: it is independent of the names a
+machine was built with.  Decoding checks the full structural contract,
+these numberings included, and rejects anything else, so every decodable
+word is the code of the machine it decodes to, and interpreters can treat
+undecodable program words as divergent.
 """
 
 from __future__ import annotations
@@ -22,10 +26,6 @@ from functools import cache
 from .words import BLANK, Alphabet, BINARY
 from .turing import MOVES, MachineTM, MachineValidationError, Transition
 from .inductive import ExplicitMemory, LinearMemory, MachineITM, MemoryGraph, Rule
-
-SEP = 2
-_TOKEN_BITS = {0: "00", 1: "01", SEP: "10"}
-_BITS_TOKEN = {v: k for k, v in _TOKEN_BITS.items()}
 
 KIND_TM = 0
 KIND_ITM = 1
@@ -41,66 +41,56 @@ class InvalidCodeError(ValueError):
 
 
 class TruncatedCodeError(InvalidCodeError):
-    """The token stream ended inside a code: some extension may decode."""
+    """The word ended before its code did: it ran out inside a number or
+    before a number the code still needs, so some extension may decode."""
 
 
 # ---------------------------------------------------------------------------
-# token stream helpers
+# numbers and bits
+
+_DIGIT_BLOCKS = str.maketrans({"0": "00", "1": "01"})
 
 
-def _emit_number(tokens: list[int], n: int) -> None:
-    if n < 0:
-        raise ValueError("cannot encode a negative number")
-    for ch in format(n, "b"):
-        tokens.append(int(ch))
-    tokens.append(SEP)
+def _word(numbers: list[int]) -> str:
+    """The bit word of a list of numbers: each binary digit d becomes the
+    block ``0d``, and the block ``10`` ends the number."""
+    return "".join(f"{n:b}".translate(_DIGIT_BLOCKS) + "10" for n in numbers)
 
 
-class _TokenReader:
-    def __init__(self, tokens: list[int]) -> None:
-        self.tokens = tokens
+class _Numbers:
+    """The numbers of a word, split once and read one at a time."""
+
+    def __init__(self, word: str) -> None:
+        if len(word) % 2 != 0:
+            raise InvalidCodeError("odd-length word cannot be a token stream")
+        # a block's first bit is 1 only in the end block 10 (and in 11)
+        marks, digits = word[0::2], word[1::2]
+        self.fields: list[str] = []
+        start = 0
+        while (end := marks.find("1", start)) >= 0:
+            if digits[end] == "1":
+                raise InvalidCodeError("chunk '11' is not a token")
+            self.fields.append(digits[start:end])
+            start = end + 1
+        self.unended = start < len(digits)
         self.pos = 0
 
-    def number(self, what: str = "number") -> int:
-        digits: list[int] = []
-        while True:
-            if self.pos >= len(self.tokens):
-                raise TruncatedCodeError(f"truncated {what}")
-            tok = self.tokens[self.pos]
-            self.pos += 1
-            if tok == SEP:
-                break
-            digits.append(tok)
+    def number(self, what: str) -> int:
+        if self.pos == len(self.fields):
+            raise TruncatedCodeError(f"truncated {what}")
+        digits = self.fields[self.pos]
+        self.pos += 1
         if not digits:
             raise InvalidCodeError(f"empty {what}")
-        if digits[0] == 0 and len(digits) > 1:
+        if digits[0] == "0" and len(digits) > 1:
             raise InvalidCodeError(f"non-canonical {what}")
-        n = 0
-        for d in digits:
-            n = n * 2 + d
+        n = int(digits, 2)
         if n > _MAX_COUNT:
             raise InvalidCodeError(f"{what} out of range")
         return n
 
     def done(self) -> bool:
-        return self.pos == len(self.tokens)
-
-
-def _tokens_to_word(tokens: list[int]) -> str:
-    return "".join(_TOKEN_BITS[t] for t in tokens)
-
-
-def _word_to_tokens(word: str) -> list[int]:
-    if len(word) % 2 != 0:
-        raise InvalidCodeError("odd-length word cannot be a token stream")
-    tokens = []
-    for i in range(0, len(word), 2):
-        chunk = word[i : i + 2]
-        tok = _BITS_TOKEN.get(chunk)
-        if tok is None:
-            raise InvalidCodeError(f"chunk {chunk!r} is not a token")
-        tokens.append(tok)
-    return tokens
+        return self.pos == len(self.fields) and not self.unended
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +117,7 @@ def _alphabet_of_size(k: int) -> Alphabet:
 
 
 # ---------------------------------------------------------------------------
-# canonical state order
+# canonical numbering
 
 
 def canonical_state_order(machine: MachineTM | MachineITM) -> list[str]:
@@ -158,135 +148,121 @@ def canonical_state_order(machine: MachineTM | MachineITM) -> list[str]:
     return order
 
 
+def _conn_type_order(memory: ExplicitMemory, rules: list[Rule]) -> list[str]:
+    """An explicit memory's connection types in code order: the types the
+    rules (in row order) move by, in first use, then the others by their
+    (source, target) links, numbered by cell.  Types that tie have the same
+    links and no rule, so either order gives the same code."""
+    used = list(dict.fromkeys(r.move for r in rules if r.move is not None))
+    cell = {c: i for i, (c, _) in enumerate(memory.cells)}
+    links: dict[str, list[tuple[int, int]]] = {t: [] for t in memory.conn_types}
+    for (frm, ctype), to in memory.describe()[2]:
+        links[ctype].append((cell[frm], cell[to]))
+    rest = [t for t in memory.conn_types if t not in used]
+    return used + sorted(rest, key=lambda t: sorted(links[t]))
+
+
+def _require_canonical(machine: MachineTM | MachineITM) -> None:
+    """Reject a decoded machine whose numbering the encoder would change."""
+    memory = getattr(machine, "memory", None)
+    if isinstance(memory, ExplicitMemory) and _conn_type_order(memory, machine.rules) != list(memory.conn_types):
+        raise InvalidCodeError("connection types are not in canonical order")
+    if canonical_state_order(machine) != list(machine.states):
+        raise InvalidCodeError("states are not numbered in first-use order")
+
+
 # ---------------------------------------------------------------------------
 # encoding
 
 
-def _encode_header(machine: MachineTM | MachineITM, tokens: list[int]) -> dict[str, int]:
-    """Emit the state count, the alphabet size and the canonical finals;
+def _encode_header(machine: MachineTM | MachineITM, numbers: list[int]) -> dict[str, int]:
+    """Append the state count, the alphabet size and the canonical finals;
     returns each state's canonical index."""
     order = canonical_state_order(machine)
     index = {s: i for i, s in enumerate(order)}
-    _emit_number(tokens, len(order))
-    _emit_number(tokens, len(machine.alphabet))
     finals = sorted(index[s] for s in machine.finals)
-    _emit_number(tokens, len(finals))
-    for f in finals:
-        _emit_number(tokens, f)
+    numbers += (len(order), len(machine.alphabet), len(finals), *finals)
     return index
 
 
-def _encode_tm_tokens(machine: MachineTM, tokens: list[int]) -> None:
-    index = _encode_header(machine, tokens)
+def _encode_tm(machine: MachineTM, numbers: list[int]) -> None:
+    index = _encode_header(machine, numbers)
     alpha = machine.alphabet
-    rows = []
-    for t in machine.transitions:
-        rows.append(
-            (
-                index[t.state],
-                tuple(_symbol_code(alpha, s) for s in t.reads),
-                index[t.next_state],
-                tuple(_symbol_code(alpha, s) for s in t.writes),
-                tuple(MOVES.index(m) for m in t.moves),
-            )
+    rows = sorted(
+        (
+            index[t.state],
+            *(_symbol_code(alpha, s) for s in t.reads),
+            index[t.next_state],
+            *(_symbol_code(alpha, s) for s in t.writes),
+            *(MOVES.index(m) for m in t.moves),
         )
-    rows.sort(key=lambda r: (r[0], r[1]))
-    _emit_number(tokens, len(rows))
-    for q, reads, nq, writes, moves in rows:
-        _emit_number(tokens, q)
-        for r in reads:
-            _emit_number(tokens, r)
-        _emit_number(tokens, nq)
-        for w in writes:
-            _emit_number(tokens, w)
-        for m in moves:
-            _emit_number(tokens, m)
+        for t in machine.transitions
+    )
+    numbers.append(len(rows))
+    for row in rows:
+        numbers += row
 
 
-def _encode_memory_tokens(memory: MemoryGraph, tokens: list[int]) -> None:
-    """Emit the memory description: a builtin's id, or an explicit memory's
-    cell kinds and links, the links sorted by (source, type) index."""
+def _encode_itm(machine: MachineITM, numbers: list[int]) -> None:
+    """Append the header, the memory description (a builtin's id, or an
+    explicit memory's cell kinds and links) and the rule rows."""
+    index = _encode_header(machine, numbers)
+    alpha = machine.alphabet
+    memory = machine.memory
+    rules = sorted(machine.rules, key=lambda r: (index[r.state], _symbol_code(alpha, r.read)))
     desc = memory.describe()  # type: ignore[attr-defined]
     if desc[0] == "builtin":
-        _emit_number(tokens, 0)
-        _emit_number(tokens, BUILTIN_MEMORIES.index(desc[1]))
-        return
-    if desc[0] != "explicit":
+        types = list(memory.conn_types)
+        numbers += (len(types), 0, BUILTIN_MEMORIES.index(desc[1]))
+    elif desc[0] == "explicit":
+        _, cells, links = desc
+        types = _conn_type_order(memory, rules)  # type: ignore[arg-type]
+        kinds = ("input", "work", "output")
+        cell = {c: i for i, (c, _) in enumerate(cells)}
+        rows = sorted((cell[frm], types.index(ctype), cell[to]) for (frm, ctype), to in links)
+        numbers += (len(types), 1, len(cells), *(kinds.index(k) for _, k in cells), len(rows))
+        for row in rows:
+            numbers += row
+    else:
         raise InvalidCodeError(f"memory {desc[0]!r} has no serialized form")
-    _, cells, links = desc
-    kinds = {"input": 0, "work": 1, "output": 2}
-    index = {c: i for i, (c, _) in enumerate(cells)}
-    _emit_number(tokens, 1)
-    _emit_number(tokens, len(cells))
-    for _, kind in cells:
-        _emit_number(tokens, kinds[kind])
-    rows = sorted((index[frm], memory.conn_types.index(ctype), index[to]) for (frm, ctype), to in links)
-    _emit_number(tokens, len(rows))
-    for row in rows:
-        for n in row:
-            _emit_number(tokens, n)
-
-
-def _encode_itm_tokens(machine: MachineITM, tokens: list[int]) -> None:
-    index = _encode_header(machine, tokens)
-    alpha = machine.alphabet
-    _emit_number(tokens, len(machine.memory.conn_types))
-    _encode_memory_tokens(machine.memory, tokens)
-    rows = []
-    for r in machine.rules:
-        form = 2 if (r.write is not None and r.move is not None) else (0 if r.move is None else 1)
-        rows.append(
-            (
-                index[r.state],
-                _symbol_code(alpha, r.read),
-                form,
-                None if r.write is None else _symbol_code(alpha, r.write),
-                None if r.move is None else machine.memory.conn_types.index(r.move),
-                index[r.next_state],
-            )
-        )
-    rows.sort(key=lambda r: (r[0], r[1]))
-    _emit_number(tokens, len(rows))
-    for q, read, form, write, move, nq in rows:
-        _emit_number(tokens, q)
-        _emit_number(tokens, read)
-        _emit_number(tokens, form)
-        if form in (0, 2):
-            _emit_number(tokens, write)  # type: ignore[arg-type]
-        if form in (1, 2):
-            _emit_number(tokens, move)  # type: ignore[arg-type]
-        _emit_number(tokens, nq)
+    numbers.append(len(rules))
+    for r in rules:
+        row = (index[r.state], _symbol_code(alpha, r.read))
+        if r.move is None:
+            row += (0, _symbol_code(alpha, r.write))  # type: ignore[arg-type]
+        elif r.write is None:
+            row += (1, types.index(r.move))
+        else:
+            row += (2, _symbol_code(alpha, r.write), types.index(r.move))
+        numbers += (*row, index[r.next_state])
 
 
 def encode_machine(machine) -> str:
     """The binary code word of a machine.  Injective on canonical forms."""
-    tokens: list[int] = []
     kind = getattr(machine, "kind", None)
     if isinstance(machine, MachineTM):
-        _emit_number(tokens, KIND_TM)
-        _encode_tm_tokens(machine, tokens)
+        numbers = [KIND_TM]
+        _encode_tm(machine, numbers)
     elif isinstance(machine, MachineITM):
-        _emit_number(tokens, KIND_ITM)
-        _encode_itm_tokens(machine, tokens)
+        numbers = [KIND_ITM]
+        _encode_itm(machine, numbers)
     elif kind == "diagonal-pipeline":
-        _emit_number(tokens, KIND_PIPELINE)
         if isinstance(machine.decider, MachineITM):
-            _emit_number(tokens, 0)
-            _encode_itm_tokens(machine.decider, tokens)
+            numbers = [KIND_PIPELINE, 0]
+            _encode_itm(machine.decider, numbers)
         else:
             # slot form 1, builtin decider 0: the shipped SimDecider
-            _emit_number(tokens, 1)
-            _emit_number(tokens, 0)
+            numbers = [KIND_PIPELINE, 1, 0]
     else:
         raise TypeError(f"{machine!r} has no code")
-    return _tokens_to_word(tokens)
+    return _word(numbers)
 
 
 # ---------------------------------------------------------------------------
 # decoding
 
 
-def _decode_header(reader: _TokenReader) -> tuple[tuple[str, ...], Alphabet, frozenset[str]]:
+def _decode_header(reader: _Numbers) -> tuple[tuple[str, ...], Alphabet, frozenset[str]]:
     """The states s0, s1, ..., the alphabet and the finals of a header."""
     nstates = reader.number("state count")
     if nstates < 1:
@@ -300,7 +276,7 @@ def _decode_header(reader: _TokenReader) -> tuple[tuple[str, ...], Alphabet, fro
     return states, alpha, frozenset(states[f] for f in finals)
 
 
-def _decode_tm(reader: _TokenReader) -> MachineTM:
+def _decode_tm(reader: _Numbers) -> MachineTM:
     states, alpha, finals = _decode_header(reader)
     ntrans = reader.number("transition count")
     rows = []
@@ -328,7 +304,7 @@ def _decode_tm(reader: _TokenReader) -> MachineTM:
     return MachineTM("decoded", states, states[0], finals, alpha, trans)
 
 
-def _decode_itm(reader: _TokenReader) -> MachineITM:
+def _decode_itm(reader: _Numbers) -> MachineITM:
     states, alpha, finals = _decode_header(reader)
     nconn = reader.number("connection type count")
     mem_form = reader.number("memory form")
@@ -397,13 +373,14 @@ def _decode_itm(reader: _TokenReader) -> MachineITM:
 
 def decode_machine(word: str):
     """Inverse of :func:`encode_machine`; raises InvalidCodeError off-image."""
-    reader = _TokenReader(_word_to_tokens(word))
+    reader = _Numbers(word)
+    table = None  # the decoded machine with a table, whose numbering is checked last
     try:
         kind = reader.number("machine kind")
         if kind == KIND_TM:
-            machine = _decode_tm(reader)
+            machine = table = _decode_tm(reader)
         elif kind == KIND_ITM:
-            machine = _decode_itm(reader)
+            machine = table = _decode_itm(reader)
         elif kind == KIND_PIPELINE:
             from .hierarchy import DiagonalPipeline, SimDecider  # cycle broken on purpose
 
@@ -414,7 +391,8 @@ def decode_machine(word: str):
                     raise InvalidCodeError(f"unknown builtin decider {builtin}")
                 machine = DiagonalPipeline(SimDecider())
             elif slot == 0:
-                machine = DiagonalPipeline(_decode_itm(reader))
+                table = _decode_itm(reader)
+                machine = DiagonalPipeline(table)
             else:
                 raise InvalidCodeError(f"unknown decider slot form {slot}")
         else:
@@ -423,6 +401,8 @@ def decode_machine(word: str):
         raise InvalidCodeError(str(exc)) from exc
     if not reader.done():
         raise InvalidCodeError("trailing tokens after machine code")
+    if table is not None:
+        _require_canonical(table)
     return machine
 
 
@@ -430,25 +410,20 @@ def decode_machine(word: str):
 # enumerating the code grammar
 
 
-def _kind_head(kind: int) -> str:
-    tokens: list[int] = []
-    _emit_number(tokens, kind)
-    return _tokens_to_word(tokens)
-
-
 # Every code starts with its kind number.  The heads are prefix-disjoint, so
 # each kind's codes form one subtree, and listing the kinds in head order
 # lists all codes in lex order.
-_KIND_HEADS = {kind: _kind_head(kind) for kind in (KIND_TM, KIND_ITM, KIND_PIPELINE)}
+_KIND_HEADS = {kind: _word([kind]) for kind in (KIND_TM, KIND_ITM, KIND_PIPELINE)}
 
 
 class _CodeTree:
-    """The codes under one kind head, grown a token level at a time.
+    """The codes under one kind head, grown a block at a time.
 
-    The decoder is the grammar: a prefix that runs out of tokens is extended
-    by each token, a prefix that decodes is a code (its extensions carry
-    trailing tokens), and any other rejection prunes the prefix's subtree.
-    Only the deepest frontier is kept, so each prefix is decoded once.
+    The decoder is the grammar: a prefix that runs out of numbers is
+    extended by each block, a prefix that decodes is a code (its extensions
+    carry trailing numbers), and any other rejection prunes the prefix's
+    subtree.  Only the deepest frontier is kept, so each prefix is decoded
+    once.
     """
 
     def __init__(self, head: str) -> None:
@@ -460,8 +435,8 @@ class _CodeTree:
         while self.bits < bits and self.frontier:
             frontier = []
             for prefix in self.frontier:
-                for token in ("00", "01", "10"):
-                    word = prefix + token
+                for block in ("00", "01", "10"):
+                    word = prefix + block
                     try:
                         decode_machine(word)
                     except TruncatedCodeError:
@@ -487,7 +462,7 @@ def codes_of_length(bits: int, kind: int | None = None) -> list[str]:
     Results are cached for the life of the process.
     """
     if bits % 2:
-        return []  # codes are whole 2-bit tokens; do not grow the walk for none
+        return []  # codes are whole 2-bit blocks; do not grow the walk for none
     kinds = sorted(_KIND_HEADS, key=_KIND_HEADS.get) if kind is None else [kind]
     return [code for k in kinds for code in _code_tree(k).of_length(bits)]
 

@@ -142,13 +142,14 @@ class _Dovetail:
     """Incremental implementation of the cycle schedule.
 
     Cycle n simulates machines 1..n on inputs x_1..x_n, resuming each
-    still-active pair's live run to n total steps.  List maintenance follows
-    the construction's stated rules verbatim for the first three cycles,
-    including their peculiar early insertions, and the uniform rule
-    afterwards: append the next code, then demote every machine that
+    still-active pair's live run to n total steps.  List maintenance is the
+    uniform rule: append the next code, then demote every machine that
     produced a result on all of its probed inputs this cycle, preserving
-    relative order.  Insertions are idempotent so each code appears at most
-    once.
+    relative order.  The construction's stated rules make one exception, in
+    cycle 2 with exactly one mover and in cycle 3 when some but not all
+    listed codes move: the movers are demoted and the fourth code goes just
+    before the lowest-numbered mover, in place of the next code.
+    Insertions are idempotent so each code appears at most once.
     """
 
     def __init__(self, pool: list[MachineTM]) -> None:
@@ -208,42 +209,10 @@ class _Dovetail:
             if halted_all:
                 all_halted.append(k)
         movers = [self.codes[k - 1] for k in all_halted]
-
-        if n == 1:
-            nxt = self._code(2)
-            if movers:
-                self._insert(nxt, 0)
-                self._demote(movers, n)
-            else:
-                self._insert(nxt)
-        elif n == 2:
-            halted1 = 1 in all_halted
-            halted2 = 2 in all_halted and len(self.pool) >= 2
-            if not halted1 and not halted2:
-                self._insert(self._code(3))
-            elif halted1 and not halted2:
-                self._insert(self._code(2), 0)
-                self._demote([self.codes[0]], n)
-                pos = self.state.order.index(self.codes[0])
-                self._insert(self._code(4), pos)
-            elif halted2 and not halted1:
-                self._insert(self._code(1), 0)
-                self._demote([self.codes[1]], n)
-                pos = self.state.order.index(self.codes[1])
-                self._insert(self._code(4), pos)
-            else:
-                self._insert(self._code(3), 0)
-                self._demote([self.codes[0], self.codes[1]], n)
-        elif n == 3:
-            if not movers:
-                self._insert(self._code(4))
-            elif len(movers) == len(self.state.order):
-                self._insert(self._code(4), 0)
-                self._demote(movers, n)
-            else:
-                self._demote(movers, n)
-                first_mover = self.state.order.index(movers[0])
-                self._insert(self._code(4), first_mover)
+        listed = [c for c in st.order if c in movers]
+        if (n == 2 and len(movers) == 1) or (n == 3 and 0 < len(listed) < len(st.order)):
+            self._demote(movers, n)
+            self._insert(self._code(4), st.order.index(movers[0]))
         else:
             self._insert(self._code(n + 1))
             self._demote(movers, n)

@@ -177,6 +177,7 @@ def _build_itm(
         if conn_types is not None:
             unknown = [t for t in conn_types if t not in memory.conn_types]
             _require(not unknown, f"connection types {unknown} not provided by {mem_name}", decl_line)
+            _require(len(set(conn_types)) == len(conn_types), "duplicate connection type declaration", decl_line)
     elif spec == "explicit":
         if conn_types is None:
             conn_types = []

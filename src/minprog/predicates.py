@@ -215,13 +215,6 @@ class ImplicationRegistry:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def predicates(self) -> list[Predicate]:
-        seen: dict[str, Predicate] = {}
-        for p, q, _ in self.edges:
-            seen.setdefault(p.name, p)
-            seen.setdefault(q.name, q)
-        return list(seen.values())
-
 
 def shipped_registry(interp=None) -> ImplicationRegistry:
     """The stock edge set used by the monotonicity experiments.

@@ -62,12 +62,12 @@ class UniversalInterpreter:
 
     def live(self, length: int) -> Iterable[str]:
         """Every program word of ``length`` symbols on which ``apply`` can
-        halt, in shortlex order; here every word of that length."""
-        return words_of_length(length)
+        halt, in shortlex order."""
+        raise NotImplementedError
 
     def live2(self, length: int) -> Iterable[str]:
         """The same for ``apply2``."""
-        return words_of_length(length)
+        raise NotImplementedError
 
     def _diverge(self, fuel: int) -> RunOutcome:
         return RunOutcome.of_fuel(fuel)

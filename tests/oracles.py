@@ -244,6 +244,80 @@ def rerun_range_enumerate(machine, input_word, fuel):
     return "out-of-fuel", fuel, None
 
 
+def rerun_dovetail_list(pool, codes, cycles):
+    """(order, halted_pairs, last_moved, branches) of the list scheduler
+    after ``cycles`` cycles, by the construction's literal placement rules.
+
+    Cycle n reruns machines 1..n on x_1..x_n from scratch for n steps each;
+    a machine moves when all of its n runs reach a final state.  Machine k
+    is listed as ``codes[k - 1]``, and ``branches`` names the placement
+    rule each cycle took.
+    """
+    order, halted, last_moved, branches = [], set(), {}, []
+
+    def code(k):
+        return codes[k - 1] if 1 <= k <= len(codes) else None
+
+    def insert(c, position=None):
+        if c is not None and c not in order:
+            order.insert(len(order) if position is None else position, c)
+
+    def demote(movers, n):
+        tail = [c for c in order if c in movers]
+        order[:] = [c for c in order if c not in movers] + tail
+        for c in tail:
+            last_moved[c] = n
+
+    for n in range(1, cycles + 1):
+        if n == 1:
+            insert(code(1))
+        moved = []
+        for k, machine in enumerate(pool[:n], start=1):
+            symbols = machine.alphabet.symbols
+            ends = [_fresh_run(machine, _nth_word(i, symbols), n).in_final for i in range(1, n + 1)]
+            halted |= {(k, i) for i, end in enumerate(ends, start=1) if end}
+            if all(ends):
+                moved.append(k)
+        movers = [code(k) for k in moved]
+        if n == 1:
+            branch = "1: T1 moved" if movers else "1: T1 still"
+            insert(code(2), 0 if movers else None)
+            demote(movers, n)
+        elif n == 2:
+            first, second = 1 in moved, 2 in moved
+            if not first and not second:
+                branch = "2: none moved"
+                insert(code(3))
+            elif first and second:
+                branch = "2: both moved"
+                insert(code(3), 0)
+                demote(movers, n)
+            else:
+                branch = "2: T1 moved" if first else "2: T2 moved"
+                mover = code(1 if first else 2)
+                insert(code(2 if first else 1), 0)
+                demote([mover], n)
+                insert(code(4), order.index(mover))
+        elif n == 3:
+            if not movers:
+                branch = "3: none moved"
+                insert(code(4))
+            elif len(movers) == len(order):
+                branch = "3: all moved"
+                insert(code(4), 0)
+                demote(movers, n)
+            else:
+                branch = "3: some moved"
+                demote(movers, n)
+                insert(code(4), order.index(movers[0]))
+        else:
+            branch = "uniform"
+            insert(code(n + 1))
+            demote(movers, n)
+        branches.append(branch)
+    return order, halted, last_moved, branches
+
+
 # ---------------------------------------------------------------------------
 # a Turing machine watched as an inductive machine, one step at a time
 

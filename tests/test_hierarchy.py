@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from minprog.codec import KIND_ITM, InvalidCodeError, builtin_memory, codes_of_length, decode_machine, encode_machine
 from minprog.complexity import Budget, itm1_class
@@ -21,13 +21,20 @@ from minprog.hierarchy import (
     totality_verdict,
 )
 from minprog.inductive import MachineITM, TmAsItm, itm_run, start_if_fits
-from minprog.turing import MachineValidationError, RunOutcome, run_fueled
+from minprog.turing import MachineTM, MachineValidationError, RunOutcome, Transition, run_fueled
 from minprog.universal import itm_universal_apply
-from minprog.words import nth_word, sd
+from minprog.words import BINARY, BLANK, nth_word, sd
 from minprog import zoo
 
 from helpers import never_halts_by_inspection
-from oracles import PlainItm, PlainSimDecider, rerun_first_result_cycle, rerun_range_enumerate, stepwise_change_log
+from oracles import (
+    PlainItm,
+    PlainSimDecider,
+    rerun_dovetail_list,
+    rerun_first_result_cycle,
+    rerun_range_enumerate,
+    stepwise_change_log,
+)
 from strategies import gap_writer, itm_zoo, small_itms, small_tms, unary_tms, zoo_tms
 
 POOL = zoo.acceptance_pool()
@@ -177,6 +184,57 @@ def test_literal_early_cycle_insertions_with_a_fast_halting_leader():
     assert codes[3] in state.order
     assert (3, 1) in state.halted_pairs  # epsilon-only halted on the empty word
     assert state.order[0] == codes[1]  # the non-halting machine froze in front
+
+
+SCHEDULER_BRANCHES = {
+    "1: T1 moved", "1: T1 still",
+    "2: none moved", "2: T1 moved", "2: T2 moved", "2: both moved",
+    "3: none moved", "3: all moved", "3: some moved",
+    "uniform",
+}
+ZOO_TMS = {m.name: m for m in zoo_tms()}
+
+
+def test_scheduler_follows_the_literal_placement_rules():
+    taken = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(sorted(ZOO_TMS)), min_size=1, max_size=6, unique=True), st.integers(0, 12))
+    @example(["halt-now", "looper", "identity", "blocked"], 12)  # 1: T1 moved, 2: T1 moved, 3: some moved
+    @example(["epsilon-only", "halt-now", "looper"], 12)  # 2: T2 moved
+    @example(["halt-now", "eraser", "identity", "looper"], 12)  # 2: both moved, 3: all moved
+    @example(["looper", "blocked", "nonempty-only", "eraser"], 12)  # 1: T1 still, 2 and 3: none moved
+    def check(names, cycles):
+        pool = [ZOO_TMS[name] for name in names]
+        state = dovetail_nontotal(pool, cycles)
+        order, halted, last_moved, branches = rerun_dovetail_list(pool, state.codes, cycles)
+        assert (state.order, state.halted_pairs, state.last_moved) == (order, halted, last_moved)
+        taken.update(branches)
+
+    check()
+    assert taken == SCHEDULER_BRANCHES
+
+
+def test_a_lone_unlisted_mover_in_cycle_3_is_not_placed():
+    # T1 halts on x_1 and x_2 but never on x_3 = "1": cycle 2 takes the
+    # one-mover exception, which does not list T3, and in cycle 3 only T3
+    # moves.  Placing T4 before that unlisted mover used to raise.
+    rows = [("q0", (s, BLANK, BLANK), "q0" if s == "1" else "qf", (s, BLANK, BLANK), ("S", "S", "S"))
+            for s in ("0", "1", BLANK)]
+    not_on_1 = MachineTM("not-on-1", ("q0", "qf"), "q0", frozenset({"qf"}), BINARY,
+                         tuple(Transition(*row) for row in rows))
+    pool = [not_on_1, zoo.looper(), zoo.halt_now()]
+    state = dovetail_nontotal(pool, 6)
+    assert state.order == [state.codes[1], state.codes[0]]
+    assert state.last_moved == {state.codes[0]: 2}
+
+
+def test_a_machine_listed_twice_counts_once_in_cycle_3():
+    # identity is machines 1 and 2, so two of cycle 3's movers share one
+    # listed code; the looper did not move, so not all listed codes did
+    pool = [zoo.identity(), zoo.identity(), zoo.looper(), zoo.nonempty_only()]
+    state = dovetail_nontotal(pool, 3)
+    assert state.order == [state.codes[2], state.codes[3], state.codes[0]]
 
 
 def test_acceptance_pool_stable_prefix_is_exactly_the_non_total_codes():

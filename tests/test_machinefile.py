@@ -184,7 +184,8 @@ rule q0 _ -> write 1 qf
     (IDENTITY_FILE.replace("states q0 qf", "states q0 q0 qf"), None),
     (WRITER_FILE.replace("states q0 qf", "states q0 q0 qf"), None),
     (WRITER_FILE.replace("conn-types r", "conn-types r r"), 7),
-], ids=["tm states", "itm states", "conn-types"])
+    (WRITER_FILE.replace("conn-types r\nmemory explicit\ncell c output", "conn-types r r\nmemory builtin:linear"), 7),
+], ids=["tm states", "itm states", "conn-types", "builtin conn-types"])
 def test_a_repeated_declaration_is_a_parse_error(text, line):
     assert parse_machine_file(WRITER_FILE).states == ("q0", "qf")  # valid when declared once
     with pytest.raises(ParseError, match="duplicate") as info:

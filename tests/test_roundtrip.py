@@ -2,15 +2,19 @@
 the machine file: each is a fixed point on its own output, and a machine
 brought back runs exactly as the original does."""
 
+import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 
-from minprog.codec import InvalidCodeError, _emit_number, _tokens_to_word, decode_machine, encode_machine
-from minprog.inductive import ExplicitMemory, MachineITM, classify_run, start_if_fits
+from minprog import codec
+from minprog.codec import InvalidCodeError, _word, decode_machine, encode_machine
+from minprog.inductive import ExplicitMemory, MachineITM, Rule, classify_run, start_if_fits
 from minprog.machinefile import parse_machine_file, serialize_machine
-from minprog.words import nth_word
+from minprog.turing import MachineTM
+from minprog.words import BINARY, nth_word
 
 from strategies import gap_writer, itm_zoo, random_itm, small_itms, small_tms, unary_tms, zoo_tms
 
@@ -95,14 +99,8 @@ def test_cell_names_do_not_reach_the_code():
 def _explicit_itm_code(links):
     """A one-state ITM with no rules over an input cell and an output cell
     joined by ``links``, each (source, type, target) by index."""
-    tokens = []
-    for n in (1, 1, 2, 0, 1, 1, 2, 0, 2, len(links)):  # kind, header, one type, cells
-        _emit_number(tokens, n)
-    for link in links:
-        for n in link:
-            _emit_number(tokens, n)
-    _emit_number(tokens, 0)
-    return _tokens_to_word(tokens)
+    header = [1, 1, 2, 0, 1, 1, 2, 0, 2, len(links)]  # kind, header, one type, cells
+    return _word([*header, *(n for link in links for n in link), 0])
 
 
 def test_decoder_rejects_links_out_of_canonical_order():
@@ -113,3 +111,81 @@ def test_decoder_rejects_links_out_of_canonical_order():
     with pytest.raises(InvalidCodeError, match="link list is not in canonical order"):
         decode_machine(_explicit_itm_code(links[::-1]))
 
+
+
+# Three states and finals [2], with one row, from s0 to s2: s2 is used
+# first but numbered after the unreachable s1.  Its machine's code numbers
+# the states s0, s2, s1 as 0, 1, 2 and is 90 bits long.
+STATES_OUT_OF_ORDER = (
+    "0010010110010010011001001001100010010010010010010010010010010010010010010010010010010010010010"
+)
+
+
+def test_decoder_rejects_states_out_of_first_use_order():
+    with pytest.raises(InvalidCodeError, match="states are not numbered in first-use order"):
+        decode_machine(STATES_OUT_OF_ORDER)
+
+
+def _reachable(machine):
+    rows = machine.transitions if isinstance(machine, MachineTM) else machine.rules
+    seen, todo = {machine.start}, [machine.start]
+    while todo:
+        state = todo.pop()
+        for row in rows:
+            if row.state == state and row.next_state not in seen:
+                seen.add(row.next_state)
+                todo.append(row.next_state)
+    return seen
+
+
+def _check_renumbered_states(machine):
+    """Numbering the states of a decoded machine in any other order that
+    keeps the start first gives a word the decoder rejects exactly when a
+    reachable state moved; only unreachable states may trade numbers."""
+    machine = decode_machine(encode_machine(machine))
+    states, reachable = machine.states, _reachable(machine)
+    for rest in itertools.permutations(states[1:]):
+        order = [states[0], *rest]
+        with mock.patch.object(codec, "canonical_state_order", lambda m: order):
+            word = encode_machine(machine)
+        if any(s != t for s, t in zip(order, states) if t in reachable):
+            with pytest.raises(InvalidCodeError, match="states are not numbered in first-use order"):
+                decode_machine(word)
+        else:
+            assert encode_machine(decode_machine(word)) == word
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_tms().filter(lambda m: len(m.states) == 3))
+def test_tm_states_out_of_first_use_order_are_rejected(machine):
+    _check_renumbered_states(machine)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_itms().filter(lambda m: len(m.states) == 3))
+def test_itm_states_out_of_first_use_order_are_rejected(machine):
+    _check_renumbered_states(machine)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_itms().filter(lambda m: isinstance(m.memory, ExplicitMemory)))
+def test_connection_types_out_of_canonical_order_are_rejected(machine):
+    code = encode_machine(machine)
+    machine = decode_machine(code)
+    for order in itertools.permutations(machine.memory.conn_types):
+        with mock.patch.object(codec, "_conn_type_order", lambda memory, rules: list(order)):
+            word = encode_machine(machine)
+        if word != code:
+            with pytest.raises(InvalidCodeError, match="connection types are not in canonical order"):
+                decode_machine(word)
+
+
+@pytest.mark.parametrize("rules", [(), (Rule("q0", "_", "q0", move="s"),)], ids=["no rule", "a move by s"])
+def test_connection_type_declaration_order_does_not_reach_the_code(rules):
+    def machine(conn_types):
+        memory = ExplicitMemory([("a", "input"), ("b", "output")], [("a", "r", "b"), ("b", "s", "a")], conn_types)
+        return MachineITM("m", ("q0",), "q0", (), BINARY, rules, memory)
+
+    code = encode_machine(machine(("r", "s")))
+    assert encode_machine(machine(("s", "r"))) == code
+    assert encode_machine(decode_machine(code)) == code
