@@ -72,25 +72,34 @@ class _Numbers:
                 raise InvalidCodeError("chunk '11' is not a token")
             self.fields.append(digits[start:end])
             start = end + 1
-        self.unended = start < len(digits)
+        self.unended = digits[start:]  # the digits of a number the word does not end
         self.pos = 0
 
     def number(self, what: str) -> int:
-        if self.pos == len(self.fields):
-            raise TruncatedCodeError(f"truncated {what}")
-        digits = self.fields[self.pos]
+        try:
+            digits = self.fields[self.pos]
+        except IndexError:
+            if self.unended:
+                # more digits can only keep these non-canonical or too large
+                _value(self.unended, what)
+            raise TruncatedCodeError(f"truncated {what}") from None
         self.pos += 1
         if not digits:
             raise InvalidCodeError(f"empty {what}")
-        if digits[0] == "0" and len(digits) > 1:
-            raise InvalidCodeError(f"non-canonical {what}")
-        n = int(digits, 2)
-        if n > _MAX_COUNT:
-            raise InvalidCodeError(f"{what} out of range")
-        return n
+        return _value(digits, what)
 
     def done(self) -> bool:
         return self.pos == len(self.fields) and not self.unended
+
+
+def _value(digits: str, what: str) -> int:
+    """The number the binary ``digits`` spell, if canonical and in range."""
+    if digits[0] == "0" and len(digits) > 1:
+        raise InvalidCodeError(f"non-canonical {what}")
+    n = int(digits, 2)
+    if n > _MAX_COUNT:
+        raise InvalidCodeError(f"{what} out of range")
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -352,7 +352,8 @@ class ReductionTM:
         if run.change_count < n:
             return RunOutcome.of_fuel(fuel)
         # halt at the n-th change with the value the register held before it
-        return RunOutcome.of_halt(run.change_log[n - 1][1], run.change_log[n][0])
+        log = run.change_log
+        return RunOutcome.of_halt(log[n - 1][1], log[n][0])
 
 
 def build_reduction_tm(itm_code: str, x: str) -> ReductionTM:
@@ -382,7 +383,8 @@ class SimDecider:
 
 class _SimDeciderRun(InductiveRun):
     """The register is empty until step :data:`SIM_DECIDER_STEPS`, then holds
-    the verdict; the run never stops, so each step past that is idle."""
+    the verdict; the run never stops, so each step past that is idle, a
+    repeat of period 1."""
 
     def __init__(self, input_word: str) -> None:
         super().__init__()
@@ -397,6 +399,7 @@ class _SimDeciderRun(InductiveRun):
         if self.steps < SIM_DECIDER_STEPS <= horizon:
             self.steps = SIM_DECIDER_STEPS
             self._observe("1" if self._inner_gives_result() else "0")
+            self._log.repeat_from(SIM_DECIDER_STEPS, 1)
         self.steps = max(self.steps, horizon)
         return self
 
@@ -447,32 +450,46 @@ class _PipelineRun(InductiveRun):
         self.b_events: list[tuple[int, str]] = []
         self.d_events: list[tuple[int, str]] = [(0, "")]
 
-    def step(self) -> bool:
-        if self.stopped_final or self.stopped_stuck:
-            return False
-        self.steps += 1
-        if self.steps < self._b_latency:
-            pass  # checker still copying
-        elif self.steps == self._b_latency:
-            if not self._valid:
-                self.stopped_stuck = True
-                return False
-            self.b_events.append((self.steps, self._pair_word))
-            # a decider that cannot hold the pair word has no run and so
-            # never claims anything: the filter alternates
-            self._d_run = start_if_fits(self.pipeline.decider, self._pair_word)
-        elif self._d_run is not None:
-            d = self._d_run.run_to(self.steps - self._b_latency)
-            d_out = d.output_word()
-            if not self.d_events or self.d_events[-1][1] != d_out:
-                self.d_events.append((self.steps, d_out))
-        d_out = self._d_run.output_word() if self._d_run is not None else ""
-        if d_out == "0":
-            self._observe("1")
-        else:
-            self._alt = not self._alt
-            self._observe("1" if self._alt else "0")
-        return True
+    def run_to(self, horizon: int) -> "_PipelineRun":
+        """Step the three stages until ``horizon`` or until the decider's
+        register can no longer change.  From then on the filter repeats:
+        constant "1" on a claim of "0", else alternating, so its change log
+        takes a periodic tail of period 1 or 2 and the run skips to the
+        horizon."""
+        log = self._log
+        while self.steps < horizon and not (self.stopped_stuck or log.repeat):
+            self.steps += 1
+            if self.steps < self._b_latency:
+                pass  # checker still copying
+            elif self.steps == self._b_latency:
+                if not self._valid:
+                    self.stopped_stuck = True
+                    break
+                self.b_events.append((self.steps, self._pair_word))
+                # a decider that cannot hold the pair word has no run and so
+                # never claims anything: the filter alternates
+                self._d_run = start_if_fits(self.pipeline.decider, self._pair_word)
+            elif self._d_run is not None:
+                d_out = self._d_run.run_to(self.steps - self._b_latency).output_word()
+                if self.d_events[-1][1] != d_out:
+                    self.d_events.append((self.steps, d_out))
+            d_out = self._d_run.output_word() if self._d_run is not None else ""
+            if d_out == "0":
+                self._observe("1")
+            else:
+                self._alt = not self._alt
+                self._observe("1" if self._alt else "0")
+            if self.steps >= self._b_latency and (self._d_run is None or self._d_run.settled()):
+                if d_out == "0":
+                    log.repeat_from(self.steps, 1)
+                else:
+                    value = log.events[-1][1]
+                    other = "0" if value == "1" else "1"
+                    log.events += [(self.steps + 1, other), (self.steps + 2, value)]
+                    log.repeat_from(self.steps, 2)
+        if log.repeat:
+            self.steps = max(self.steps, horizon)
+        return self
 
 
 def build_diagonal(decider) -> DiagonalPipeline:

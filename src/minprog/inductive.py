@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .words import BLANK, Alphabet, InvalidWordError
-from .turing import MachineTM, MachineValidationError, TmRun, compiled_write
+from .turing import FIRST_SNAPSHOT, EventLog, MachineTM, MachineValidationError, TmRun, compiled_write
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +320,22 @@ class InductiveRun:
 
     ``change_log`` holds (step, value) for the initial value and for every
     change after it, the observable the horizon outcomes, the diagonal
-    machine and the output-change reduction consume.  A subclass defines
-    one of ``step`` and ``run_to``, each of which is written here in terms
-    of the other.
+    machine and the output-change reduction consume.  The run logs the
+    changes in an :class:`EventLog`, whose periodic tail stands for the
+    changes of the periods a repeating run skips; the counts and the last
+    change come from it, and the full list is built only when read.  A
+    subclass defines ``run_to``.
     """
 
     def __init__(self, output: str = "") -> None:
         self.steps = 0
         self.stopped_final = False
         self.stopped_stuck = False
-        self._log: list[tuple[int, str]] = [(0, output)]
+        self._log = EventLog([(0, output)])
+
+    def run_to(self, horizon: int) -> "InductiveRun":
+        """Step until ``horizon`` total steps or a stop, like :meth:`TmRun.run_to`."""
+        raise NotImplementedError
 
     def step(self) -> bool:
         """Advance one step; False once the run has stopped."""
@@ -338,30 +344,33 @@ class InductiveRun:
 
     @property
     def change_log(self) -> list[tuple[int, str]]:
-        return self._log
+        return self._log.upto(self.steps)
 
     def output_word(self) -> str:
-        return self._log[-1][1]
+        return self._last_change()[1]
 
     @property
     def last_change_step(self) -> int:
-        return self._log[-1][0]
+        return self._last_change()[0]
 
     @property
     def change_count(self) -> int:
-        return len(self._log) - 1
+        return self._log.count(self.steps) - 1
+
+    def _last_change(self) -> tuple[int, str]:
+        return self._log.event(self._log.count(self.steps) - 1)
+
+    def settled(self) -> bool:
+        """Whether the register can no longer change: the run has stopped,
+        or it repeats with no change in a period."""
+        return self.stopped_final or self.stopped_stuck or self._log.complete
 
     def _observe(self, value: str) -> None:
         """Log ``value`` as the register content after the current step, if
         it differs from the last logged value."""
-        if value != self._log[-1][1]:
-            self._log.append((self.steps, value))
-
-    def run_to(self, horizon: int) -> "InductiveRun":
-        """Step until ``horizon`` total steps or a stop, like :meth:`TmRun.run_to`."""
-        while self.steps < horizon and self.step():
-            pass
-        return self
+        events = self._log.events
+        if value != events[-1][1]:
+            events.append((self.steps, value))
 
 
 def _splice(positions: list[int], value: str, pos: int, sym: str) -> str:
@@ -379,6 +388,12 @@ def _splice(positions: list[int], value: str, pos: int, sym: str) -> str:
 
 
 _UNKNOWN = -1  # the head cell's output rank is not looked up yet
+
+
+def _no_rank(cell: str) -> None:
+    """The output rank lookup of a repeating run, whose register changes
+    are all in its change log's periodic tail."""
+    return None
 
 
 class ItmRun(InductiveRun):
@@ -403,10 +418,20 @@ class ItmRun(InductiveRun):
         self.head = memory.start
         self.state = machine.start
         self.stopped_final = machine.start in machine.finals
+        # (step, state, head, contents copy) at the last snapshot step
+        self._snapshot = (0, None, None, None)
 
     def run_to(self, horizon: int) -> "ItmRun":
         """Apply the unique matching rule until ``horizon`` total steps or a
-        stop, on locals; the configuration is written back when it stops."""
+        stop, on locals; the configuration is written back when it stops.
+
+        Like :meth:`TmRun.run_to`, each step compares the state and head
+        with a snapshot retaken each time the step count doubles, and a
+        match with equal contents is a repeat.  ``connection`` is a pure
+        function, so this holds on any memory.  The change log then takes
+        the changes since the snapshot as its periodic tail, and the run
+        skips whole periods and steps the rest without logging.
+        """
         steps = self.steps
         if steps >= horizon or self.stopped_final or self.stopped_stuck:
             return self
@@ -415,37 +440,59 @@ class ItmRun(InductiveRun):
         contents = self.contents
         get = contents.get
         ranks = self._ranks
-        log = self._log
+        history = self._log
+        log = history.events
         head, state = self.head, self.state
+        period = history.repeat[1] if history.repeat else 0
+        if period:
+            output_rank = _no_rank
+        since, s_state, s_head, s_contents = self._snapshot
         rank = _UNKNOWN
-        for steps in range(steps + 1, horizon + 1):
-            entry = table.get((state, get(head, BLANK)))
-            if entry is None:
-                self.stopped_stuck = True
-                steps -= 1
-                break
-            state, write, move, final = entry
-            if write is not None:
-                if write:
-                    contents[head] = write
-                else:
-                    del contents[head]
-                if rank == _UNKNOWN:
-                    rank = output_rank(head)
-                if rank is not None:
-                    value = _splice(ranks, log[-1][1], rank, write)
-                    if value != log[-1][1]:
-                        log.append((steps, value))
-            if move is not None:
-                target = connection(head, move)
-                if target is not None:
-                    head = target
-                    rank = _UNKNOWN
-                # no connection of the prescribed type: the head stays put
-            if final:
-                self.stopped_final = True
-                break
+        final = stuck = False
+        while steps < horizon and not (final or stuck):
+            if period:
+                steps += (horizon - steps) // period * period
+                mark = horizon
+            else:
+                mark = 2 * since or FIRST_SNAPSHOT
+                if steps == mark:
+                    since, s_state, s_head, s_contents = steps, state, head, dict(contents)
+                    mark *= 2
+            for steps in range(steps + 1, (mark if mark < horizon else horizon) + 1):
+                entry = table.get((state, get(head, BLANK)))
+                if entry is None:
+                    stuck = True
+                    steps -= 1
+                    break
+                state, write, move, final = entry
+                if write is not None:
+                    if write:
+                        contents[head] = write
+                    else:
+                        del contents[head]
+                    if rank == _UNKNOWN:
+                        rank = output_rank(head)
+                    if rank is not None:
+                        value = _splice(ranks, log[-1][1], rank, write)
+                        if value != log[-1][1]:
+                            log.append((steps, value))
+                if move is not None:
+                    target = connection(head, move)
+                    if target is not None:
+                        head = target
+                        rank = _UNKNOWN
+                    # no connection of the prescribed type: the head stays put
+                if final:
+                    break
+                if head == s_head and state == s_state and contents == s_contents:
+                    period = steps - since
+                    history.repeat_from(since, period)
+                    output_rank, rank = _no_rank, None
+                    s_state = s_head = s_contents = None
+                    break
         self.head, self.state, self.steps = head, state, steps
+        self.stopped_final, self.stopped_stuck = final, stuck
+        self._snapshot = (since, s_state, s_head, s_contents)
         return self
 
 
@@ -515,15 +562,16 @@ class TmAsItm:
 class _TmItmRun(InductiveRun):
     """A TM run watched as an inductive run.
 
-    The TM loop records each output-tape write; the output tape is never
-    erased, so each one changes the register, and the change log is their
-    replay.  Only a reader of old values needs it, so it is built on
-    demand; the outcome needs just the count, the last step and the tape.
+    The TM loop logs each output-tape write, with the periodic tail of a
+    repeating run; the output tape is never erased, so each one changes
+    the register, and the change log is their replay.  Only a reader of
+    old values needs it, so it is built on demand; the outcome needs just
+    the count, the last step and the tape.
     """
 
     def __init__(self, machine: MachineTM, input_word: str) -> None:
         self.run = TmRun(machine, input_word)
-        self.run.output_writes = self._writes = []
+        self.run.write_log = self._writes = EventLog([])
         self._positions: list[int] = []
         super().__init__()
         self.stopped_final = self.run.in_final
@@ -537,9 +585,9 @@ class _TmItmRun(InductiveRun):
 
     @property
     def change_log(self) -> list[tuple[int, str]]:
-        log = self._log
+        log = self._log.events
         value = log[-1][1]
-        for step, pos, sym in self._writes[len(log) - 1 :]:
+        for step, pos, sym in self._writes.upto(self.steps)[len(log) - 1 :]:
             value = _splice(self._positions, value, pos, sym)
             log.append((step, value))
         return log
@@ -549,8 +597,9 @@ class _TmItmRun(InductiveRun):
 
     @property
     def last_change_step(self) -> int:
-        return self._writes[-1][0] if self._writes else 0
+        count = self.change_count
+        return self._writes.event(count - 1)[0] if count else 0
 
     @property
     def change_count(self) -> int:
-        return len(self._writes)
+        return self._writes.count(self.steps)

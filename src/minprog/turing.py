@@ -9,7 +9,9 @@ running" from "stuck".
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .words import BLANK, Alphabet
 
@@ -146,14 +148,80 @@ class MachineTM:
         return TmRun(self, input_word)
 
 
+_STEP = itemgetter(0)
+
+# The step of a run's first snapshot; later ones are at its doublings.  A
+# run shorter than this copies no tapes.
+FIRST_SNAPSHOT = 16
+
+
+class EventLog:
+    """Step-stamped events, tuples led by their step, in step order.
+
+    ``events`` holds what a run logged.  Once the run repeats its
+    configuration, ``repeat`` is (start, period, first): from step ``start``
+    on the run goes through the same configurations every ``period`` steps,
+    and ``events[first:]`` are the events of one period, which recur shifted
+    by the period.  The events of the periods a run skips are worked out
+    from these, and listed only when asked for.
+    """
+
+    def __init__(self, events: list[tuple]) -> None:
+        self.events = events
+        self.repeat: tuple[int, int, int] | None = None
+
+    def repeat_from(self, start: int, period: int) -> None:
+        """Mark the events logged after step ``start`` as one period."""
+        events = self.events
+        first = len(events)
+        while first and events[first - 1][0] > start:
+            first -= 1
+        self.repeat = (start, period, first)
+
+    @property
+    def complete(self) -> bool:
+        """Whether no event can follow the logged ones: the run repeats with
+        no event in a period."""
+        return self.repeat is not None and self.repeat[2] == len(self.events)
+
+    def count(self, steps: int) -> int:
+        """How many events happen within the first ``steps`` steps."""
+        events = self.events
+        if self.repeat is None:
+            return len(events)
+        start, period, first = self.repeat
+        laps, offset = divmod(steps - start, period)
+        within = bisect_right(events, start + offset, first, key=_STEP) - first
+        return first + laps * (len(events) - first) + within
+
+    def event(self, n: int) -> tuple:
+        """The n-th event (from 0), with the step it happens at."""
+        events = self.events
+        if self.repeat is None or n < self.repeat[2]:
+            return events[n]
+        start, period, first = self.repeat
+        lap, j = divmod(n - first, len(events) - first)
+        step, *rest = events[first + j]
+        return (step + lap * period, *rest)
+
+    def upto(self, steps: int) -> list[tuple]:
+        """The events of the first ``steps`` steps, the periods unrolled."""
+        if self.repeat is None:
+            return self.events
+        return [self.event(n) for n in range(self.count(steps))]
+
+
 class TmRun:
     """Mutable stepper for one machine on one input.
 
     Tapes are sparse dicts position -> symbol; absent means blank.  The
     configuration is inspectable between steps, which the schedulers and
-    the behavioural round-trip tests rely on.  When ``output_writes`` is a
-    list, each step that changes the output tape appends (step, position,
-    symbol) to it.
+    the behavioural round-trip tests rely on.  When ``write_log`` is an
+    :class:`EventLog`, each step that changes the output tape logs (step,
+    position, symbol) in it.
+
+    A run that comes back to an earlier configuration repeats forever:
+    ``period`` is then its length, and the run skips whole periods.
     """
 
     def __init__(self, machine: MachineTM, input_word: str) -> None:
@@ -164,7 +232,11 @@ class TmRun:
         self.state = machine.start
         self.steps = 0
         self.stuck = False
-        self.output_writes: list[tuple[int, int, str]] | None = None
+        self.period = 0
+        # (step, state, heads, work and output tape copies) at the last
+        # snapshot step, which later steps are compared with
+        self._snapshot = (0, None, None, None, None, None, None)
+        self.write_log: EventLog | None = None
 
     @property
     def in_final(self) -> bool:
@@ -183,6 +255,11 @@ class TmRun:
         dovetailers keep one live run per pair and never repeat a step.
         The loop runs on locals and writes the configuration back when it
         stops.
+
+        Each step compares the state and heads with a snapshot retaken
+        each time the step count doubles (Brent's cycle finding), and a
+        match with equal work and output tapes is a repeat.  The input tape is
+        read-only.  The run then skips whole periods and steps the rest.
         """
         steps = self.steps
         if steps >= fuel or self.stuck or self.in_final:
@@ -192,31 +269,54 @@ class TmRun:
         get0, get1, get2 = t0.get, t1.get, t2.get
         h0, h1, h2 = self.heads
         state = self.state
-        writes = self.output_writes
-        for steps in range(steps + 1, fuel + 1):
-            entry = table.get((state, get0(h0, BLANK), get1(h1, BLANK), get2(h2, BLANK)))
-            if entry is None:
-                self.stuck = True
-                steps -= 1
-                break
-            state, w1, w2, d0, d1, d2, final = entry
-            if w1 is not None:
-                if w1:
-                    t1[h1] = w1
-                else:
-                    del t1[h1]
-            if w2 is not None:
-                t2[h2] = w2
-                if writes is not None:
-                    writes.append((steps, h2, w2))
-            h0 += d0
-            h1 += d1
-            h2 += d2
-            if final:
-                break
+        period = self.period
+        log = self.write_log
+        writes = None if log is None or period else log.events
+        since, s_state, s0, s1, s2, s_work, s_out = self._snapshot
+        final = stuck = False
+        while steps < fuel and not (final or stuck):
+            if period:
+                steps += (fuel - steps) // period * period
+                mark = fuel
+            else:
+                mark = 2 * since or FIRST_SNAPSHOT
+                if steps == mark:
+                    since, s_state, s0, s1, s2, s_work, s_out = steps, state, h0, h1, h2, dict(t1), dict(t2)
+                    mark *= 2
+            for steps in range(steps + 1, (mark if mark < fuel else fuel) + 1):
+                entry = table.get((state, get0(h0, BLANK), get1(h1, BLANK), get2(h2, BLANK)))
+                if entry is None:
+                    stuck = True
+                    steps -= 1
+                    break
+                state, w1, w2, d0, d1, d2, final = entry
+                if w1 is not None:
+                    if w1:
+                        t1[h1] = w1
+                    else:
+                        del t1[h1]
+                if w2 is not None:
+                    t2[h2] = w2
+                    if writes is not None:
+                        writes.append((steps, h2, w2))
+                h0 += d0
+                h1 += d1
+                h2 += d2
+                if final:
+                    break
+                if h0 == s0 and h1 == s1 and h2 == s2 and state == s_state and t1 == s_work and t2 == s_out:
+                    period = steps - since
+                    if writes is not None:
+                        log.repeat_from(since, period)
+                        writes = None
+                    s_state = s0 = s1 = s2 = s_work = s_out = None
+                    break
         self.heads = [h0, h1, h2]
         self.state = state
         self.steps = steps
+        self.stuck = stuck
+        self.period = period
+        self._snapshot = (since, s_state, s0, s1, s2, s_work, s_out)
         return self
 
     def output_cells(self) -> str:

@@ -1,5 +1,6 @@
 """Hypothesis strategies shared by the property tests."""
 
+import itertools
 import random
 
 from hypothesis import strategies as st
@@ -28,6 +29,27 @@ def small_tms(draw):
         transitions.append(Transition(q, reads, draw(state), (reads[0], work, out), moves))
     finals = draw(st.frozensets(state))
     return MachineTM("random", states, states[0], finals, BINARY, tuple(transitions))
+
+
+def random_tm(rng):
+    """A random valid Turing machine with a row for every (state, reads)
+    left part, so it never gets stuck: up to 3 states, at most one final
+    state, not the start, and most rows moving no head, so that many of
+    them come back to an earlier configuration."""
+    states = tuple(f"q{i}" for i in range(rng.randint(1, 3)))
+    rows = []
+    for q in states:
+        for reads in itertools.product(_SYMS, repeat=3):
+            out = rng.choice(_SYMS if reads[2] == BLANK else _SYMS[:2])
+            moves = ("S",) * 3 if rng.random() < 0.75 else tuple(rng.choice(MOVES) for _ in range(3))
+            rows.append(Transition(q, reads, rng.choice(states), (reads[0], rng.choice(_SYMS), out), moves))
+    finals = {rng.choice(states[1:])} if len(states) > 1 and rng.random() < 0.3 else ()
+    return MachineTM("random-full", states, states[0], frozenset(finals), BINARY, tuple(rows))
+
+
+def full_tms():
+    """Random never-stuck machines drawn by :func:`random_tm` from a seed."""
+    return st.integers(0, 2**32).map(lambda seed: random_tm(random.Random(seed)))
 
 
 def zoo_tms():

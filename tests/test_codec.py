@@ -168,6 +168,20 @@ def _assert_proper_prefixes_truncated(code):
             decode_machine(code[:cut])
 
 
+def test_an_unended_number_no_ending_makes_valid_is_invalid_not_truncated():
+    def word(digits):  # machine kind 0, then the unended state count
+        return "0010" + digits.translate(str.maketrans({"0": "00", "1": "01"}))
+
+    for digits in ("0", "1", "1" + "0" * 20):  # it may still end as 0, 1 or 2^20
+        with pytest.raises(TruncatedCodeError):
+            decode_machine(word(digits))
+    for digits, message in (("01", "non-canonical state count"), ("00", "non-canonical state count"),
+                            ("1" + "0" * 21, "state count out of range")):
+        with pytest.raises(InvalidCodeError, match=message) as caught:
+            decode_machine(word(digits))
+        assert not isinstance(caught.value, TruncatedCodeError)
+
+
 def _zoo_machines():
     from minprog.hierarchy import build_diagonal
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minprog.turing import (
+    EventLog,
     MachineTM,
     MachineValidationError,
     Transition,
@@ -134,7 +135,7 @@ _TMS = st.one_of(st.sampled_from(zoo_tms() + unary_tms() + [gap_writer()]), smal
 def test_run_to_equals_the_reference_stepper_at_every_chunk_boundary(machine, data):
     word = data.draw(st.text("".join(machine.alphabet.symbols), max_size=4))
     run, ref = machine.start_run(word), PlainTm(machine, word)
-    run.output_writes = []
+    run.write_log = EventLog([])
     for chunk in data.draw(st.lists(st.integers(0, 9), max_size=12)):
         target = run.steps + chunk
         if chunk == 1:
@@ -144,7 +145,7 @@ def test_run_to_equals_the_reference_stepper_at_every_chunk_boundary(machine, da
             while ref.steps < target and ref.step():
                 pass
         assert run.configuration() == ref.configuration()
-        assert (run.steps, len(run.output_writes), run.in_final, run.stuck) == (
+        assert (run.steps, len(run.write_log.upto(run.steps)), run.in_final, run.stuck) == (
             ref.steps, ref.output_changes, ref.in_final, ref.stuck)
 
 
