@@ -62,14 +62,14 @@ class _Numbers:
 
     def __init__(self, word: str) -> None:
         if len(word) % 2 != 0:
-            raise InvalidCodeError("odd-length word cannot be a token stream")
+            raise InvalidCodeError("odd-length word cannot be split into 2-bit blocks")
         # a block's first bit is 1 only in the end block 10 (and in 11)
         marks, digits = word[0::2], word[1::2]
         self.fields: list[str] = []
         start = 0
         while (end := marks.find("1", start)) >= 0:
             if digits[end] == "1":
-                raise InvalidCodeError("chunk '11' is not a token")
+                raise InvalidCodeError("2-bit block '11' is neither a digit nor the end of a number")
             self.fields.append(digits[start:end])
             start = end + 1
         self.unended = digits[start:]  # the digits of a number the word does not end
@@ -409,7 +409,7 @@ def decode_machine(word: str):
     except MachineValidationError as exc:
         raise InvalidCodeError(str(exc)) from exc
     if not reader.done():
-        raise InvalidCodeError("trailing tokens after machine code")
+        raise InvalidCodeError("trailing 2-bit blocks after the last number of the machine code")
     if table is not None:
         _require_canonical(table)
     return machine

@@ -68,21 +68,47 @@ def halting_itm(code: str, input_word: str, horizon: int) -> InductiveVerdict:
 
 
 # ---------------------------------------------------------------------------
-# the emptiness solver
+# the probe row that every dovetail reads, and the emptiness solver
+
+
+class ProbeRow:
+    """One machine's live runs on inputs x_1, x_2, ... over its own
+    alphabet.  Round n starts the runs up to x_n and resumes each open run
+    to n total steps (see :meth:`TmRun.run_to`).  A run closes once it is
+    final, stuck or repeating: its answer can no longer change, so no later
+    round resumes it."""
+
+    def __init__(self, machine: MachineTM) -> None:
+        self.machine = machine
+        self.runs: list[TmRun] = []
+        self.finals = 0
+        self._open: list[int] = []
+
+    def run_round(self, n: int) -> list[int]:
+        """Play round n; return the inputs i (1-based, ascending) whose run
+        reached a final state in it."""
+        machine, runs = self.machine, self.runs
+        while len(runs) < n:
+            self._open.append(len(runs))
+            runs.append(machine.start_run(nth_word(len(runs) + 1, machine.alphabet)))
+        still, halted = [], []
+        for i in self._open:
+            run = runs[i].run_to(n)
+            if run.in_final:
+                halted.append(i + 1)
+            elif not (run.stuck or run.period):
+                still.append(i)
+        self._open = still
+        self.finals += len(halted)
+        return halted
 
 
 def first_result_cycle(machine: MachineTM, cycles: int) -> int | None:
     """First cycle n <= cycles at which the machine reaches a final state
-    when dovetailed over inputs x_1..x_n (words over its own alphabet) for
-    n steps in cycle n.
-
-    Each input keeps one live run, started at its first cycle and resumed
-    to n total steps in cycle n (see :meth:`TmRun.run_to`).
-    """
-    runs: list[TmRun] = []
+    when dovetailed over inputs x_1..x_n for n steps in cycle n."""
+    row = ProbeRow(machine)
     for n in range(1, cycles + 1):
-        runs.append(machine.start_run(nth_word(n, machine.alphabet)))
-        if any(run.run_to(n).in_final for run in runs):
+        if row.run_round(n):
             return n
     return None
 
@@ -141,31 +167,20 @@ class EnumerationList:
 class _Dovetail:
     """Incremental implementation of the cycle schedule.
 
-    Cycle n simulates machines 1..n on inputs x_1..x_n, resuming each
-    still-active pair's live run to n total steps.  List maintenance is the
-    uniform rule: append the next code, then demote every machine that
-    produced a result on all of its probed inputs this cycle, preserving
-    relative order.  The construction's stated rules make one exception, in
-    cycle 2 with exactly one mover and in cycle 3 when some but not all
-    listed codes move: the movers are demoted and the fourth code goes just
-    before the lowest-numbered mover, in place of the next code.
-    Insertions are idempotent so each code appears at most once.
+    Cycle n plays round n of the probe rows of machines 1..n.  List
+    maintenance is the uniform rule: append the next code, then demote
+    every machine that produced a result on all of its probed inputs this
+    cycle, preserving relative order.  The construction's stated rules make
+    one exception, in cycle 2 with exactly one mover and in cycle 3 when
+    some but not all listed codes move: the movers are demoted and the
+    fourth code goes just before the lowest-numbered mover, in place of the
+    next code.  Insertions are idempotent so each code appears at most once.
     """
 
     def __init__(self, pool: list[MachineTM]) -> None:
-        self.pool = pool
+        self.rows = [ProbeRow(m) for m in pool]
         self.codes = tuple(encode_machine(m) for m in pool)
-        self.state = EnumerationList(
-            pool_names=tuple(m.name for m in pool), codes=self.codes
-        )
-        self._runs: dict[tuple[int, int], TmRun] = {}
-
-    def _pair_halts_within(self, k: int, i: int, fuel: int) -> bool:
-        run = self._runs.get((k, i))
-        if run is None:
-            machine = self.pool[k - 1]
-            run = self._runs[(k, i)] = machine.start_run(nth_word(i, machine.alphabet))
-        return run.run_to(fuel).in_final
+        self.state = EnumerationList(tuple(m.name for m in pool), self.codes)
 
     def _code(self, k: int) -> str | None:
         """Code of machine T_k (1-based), if the pool has it."""
@@ -193,20 +208,11 @@ class _Dovetail:
         n = st.cycle + 1
         if n == 1:
             self._insert(self._code(1))
-        active = min(n, len(self.pool))
         all_halted: list[int] = []
-        for k in range(1, active + 1):
-            # pair (k, n) is new in cycle n, so each machine runs at least one
-            # pair and moves exactly when every one of its pairs has halted
-            halted_all = True
-            for i in range(1, n + 1):
-                if (k, i) in st.halted_pairs:
-                    continue
-                if self._pair_halts_within(k, i, n):
-                    st.halted_pairs.add((k, i))
-                else:
-                    halted_all = False
-            if halted_all:
+        for k, row in enumerate(self.rows[:n], start=1):
+            st.halted_pairs.update((k, i) for i in row.run_round(n))
+            # a machine moves exactly when all n of its pairs have halted
+            if row.finals == n:
                 all_halted.append(k)
         movers = [self.codes[k - 1] for k in all_halted]
         listed = [c for c in st.order if c in movers]
@@ -263,19 +269,19 @@ class RangeEnumerator:
     def run(self, input_word: str, fuel: int) -> RunOutcome:
         n = shortlex_index(input_word) + 1
         discovered: list[str] = []
-        runs: list[TmRun] = []
-        spent = 0
+        row = ProbeRow(self.base)
+        spent = round_no = 0
         while spent < fuel:
-            round_no = len(runs) + 1
-            runs.append(self.base.start_run(nth_word(round_no, self.base.alphabet)))
-            for i, run in enumerate(runs, start=1):
-                run.run_to(round_no)
-                # a round charges each pair its step count so far (at least
-                # 1), what a fresh run of round_no steps would cost
-                spent += run.steps or 1
-                # a pair surfaces in the first round covering both its input
-                # index and its halting time
-                if run.in_final and round_no == max(i, run.steps):
+            round_no += 1
+            # a pair surfaces in the round its run halts, the first round
+            # covering both its input index and its halting time
+            surfacing = set(row.run_round(round_no))
+            for i, run in enumerate(row.runs, start=1):
+                # a round charges each pair what a fresh run of round_no
+                # steps would cost: its step count so far (at least 1), or
+                # round_no for a repeating run, which is no longer resumed
+                spent += round_no if run.period else run.steps or 1
+                if i in surfacing:
                     output = run.output_word()
                     if output not in discovered:
                         discovered.append(output)
@@ -593,7 +599,23 @@ def order_rows() -> list[OrderRow]:
 STOCK_MEMORY_CYCLES = 64
 
 
-class _Thm72Base(MemoryGraph):
+class _InputChain(MemoryGraph):
+    """The stock memories' input chain i0, i1, ...: every cell's
+    i-connection enters it, and r- and l-connections walk it."""
+
+    def connection(self, cell: str, ctype: str) -> str | None:
+        if ctype == "i":
+            return "i0"
+        if ctype in ("r", "l") and cell.startswith("i"):
+            idx = int(cell[1:]) + (1 if ctype == "r" else -1)
+            return f"i{idx}" if idx >= 0 else None
+        return None
+
+    def input_cell(self, i: int) -> str:
+        return f"i{i}"
+
+
+class _Thm72Base(_InputChain):
     """Start cell, a marker cell, an unbounded probe row, and an input
     chain.  The probe row is walked by t-connections; p-connections into
     the marker cell are asserted cycle by cycle (see :func:`thm72_memory`)."""
@@ -604,23 +626,9 @@ class _Thm72Base(MemoryGraph):
     def connection(self, cell: str, ctype: str) -> str | None:
         if ctype == "o":
             return "out0"
-        if ctype == "i":
-            return "i0"
-        if ctype == "t":
-            if cell == "c0":
-                return "a0"
-            if cell.startswith("a"):
-                return f"a{int(cell[1:]) + 1}"
-            return None
-        if ctype in ("r", "l") and cell.startswith("i"):
-            idx = int(cell[1:])
-            if ctype == "r":
-                return f"i{idx + 1}"
-            return f"i{idx - 1}" if idx > 0 else None
-        return None
-
-    def input_cell(self, i: int) -> str:
-        return f"i{i}"
+        if ctype == "t" and (cell == "c0" or cell.startswith("a")):
+            return "a0" if cell == "c0" else f"a{int(cell[1:]) + 1}"
+        return super().connection(cell, ctype)
 
     def output_rank(self, cell: str) -> int | None:
         return 0 if cell == "out0" else None
@@ -643,10 +651,10 @@ def thm72_memory() -> LimitMemory:
     return LimitMemory(_Thm72Base(), cycles, label=("builtin", "thm72"))
 
 
-class _LimitListBase(MemoryGraph):
-    """Hypercell chain h1, h2, ... walked by n-connections; m-connections
-    point each position at the landmark cell of the machine currently
-    listed there."""
+class _LimitListBase(_InputChain):
+    """Hypercell chain h1, h2, ... walked by n-connections, and an input
+    chain; m-connections point each position at the landmark cell of the
+    machine currently listed there."""
 
     conn_types = ("n", "m", "r", "l", "i")
     start = "h1"
@@ -654,17 +662,7 @@ class _LimitListBase(MemoryGraph):
     def connection(self, cell: str, ctype: str) -> str | None:
         if ctype == "n" and cell.startswith("h"):
             return f"h{int(cell[1:]) + 1}"
-        if ctype == "i":
-            return "i0"
-        if ctype in ("r", "l") and cell.startswith("i"):
-            idx = int(cell[1:])
-            if ctype == "r":
-                return f"i{idx + 1}"
-            return f"i{idx - 1}" if idx > 0 else None
-        return None
-
-    def input_cell(self, i: int) -> str:
-        return f"i{i}"
+        return super().connection(cell, ctype)
 
     def output_rank(self, cell: str) -> int | None:
         return None

@@ -67,6 +67,23 @@ def gap_writer():
     return MachineTM("gap-writer", ("q0", "q1", "q2", "qf"), "q0", frozenset({"qf"}), BINARY, rows)
 
 
+def bouncer():
+    """Sweeps its work head right over a growing block of 1s, adds a 1 and
+    sweeps back, and halts on the first sweep that finds five 1s, at step
+    35.  Its state and heads at step 16 come back at step 26 on a longer
+    block: a repeat of state and heads whose work tape differs."""
+    right = [f"r{j}" for j in range(5)]
+    rows = []
+    for x in _SYMS:  # the input head stays on its first cell
+        for j, q in enumerate(right):
+            after = right[j + 1] if j < 4 else "h"
+            rows.append(Transition(q, (x, "1", BLANK), after, (x, "1", BLANK), ("S", "R", "S")))
+            rows.append(Transition(q, (x, BLANK, BLANK), "l", (x, "1", BLANK), ("S", "L", "S")))
+        rows.append(Transition("l", (x, "1", BLANK), "l", (x, "1", BLANK), ("S", "L", "S")))
+        rows.append(Transition("l", (x, BLANK, BLANK), "r0", (x, BLANK, BLANK), ("S", "R", "S")))
+    return MachineTM("bouncer", (*right, "l", "h"), "r0", frozenset({"h"}), BINARY, tuple(rows))
+
+
 UNARY = Alphabet(("0",))
 
 

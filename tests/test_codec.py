@@ -182,6 +182,18 @@ def test_an_unended_number_no_ending_makes_valid_is_invalid_not_truncated():
         assert not isinstance(caught.value, TruncatedCodeError)
 
 
+def test_malformed_words_are_named_in_numbers_and_blocks():
+    code = encode_machine(zoo.looper())
+    trailing = "trailing 2-bit blocks after the last number of the machine code"
+    for word, message in ((code + "0", "odd-length word cannot be split into 2-bit blocks"),
+                          ("0011", "2-bit block '11' is neither a digit nor the end of a number"),
+                          (code + "0010", trailing),  # one more number, 0
+                          (code + "00", trailing)):  # the first digit of one
+        with pytest.raises(InvalidCodeError, match=message) as caught:
+            decode_machine(word)
+        assert not isinstance(caught.value, TruncatedCodeError)
+
+
 def _zoo_machines():
     from minprog.hierarchy import build_diagonal
 

@@ -1,10 +1,12 @@
-"""The ``--json`` reports of the diagonal machine and of the output-change
-reduction print what they printed when ``golden/runs.json`` was recorded,
-``elapsed_ms`` aside.
+"""The ``--json`` reports of the diagonal machine, the output-change
+reduction and the three dovetailed limit constructions print what they
+printed when ``golden/runs.json`` was recorded, ``elapsed_ms`` aside.
 
 The horizons straddle the steps where the composed machine's stages hand
 over: the stock decider's verdict lands at step 108 of the pipeline on its
-own code, and the shipped ITM deciders start after a 518-step checker.
+own code, and the shipped ITM deciders start after a 518-step checker.  The
+limit commands cover every machine of the stock pool: the emptiness solver
+and the totality scanner on each, and the list scheduler over all of them.
 """
 
 import json
@@ -24,6 +26,10 @@ COMMANDS = [
     for horizon in (100, 108, 109, 4001)
 ] + [
     f"reduce --machine machines/{name}.itm --probes 6" for name in ("alternator", "writer")
+] + ["enumerate-nontotal --cycles 256"] + [
+    f"emptiness --pool-index {k} --cycles 64" for k in range(6)
+] + [
+    f"totality --index {k} --cycles 128" for k in range(6)
 ]
 
 
