@@ -405,7 +405,7 @@ class _SimDeciderRun(InductiveRun):
         if self.steps < SIM_DECIDER_STEPS <= horizon:
             self.steps = SIM_DECIDER_STEPS
             self._observe("1" if self._inner_gives_result() else "0")
-            self._log.repeat_from(SIM_DECIDER_STEPS, 1)
+            self.writes.repeat_from(SIM_DECIDER_STEPS, 1)
         self.steps = max(self.steps, horizon)
         return self
 
@@ -459,10 +459,10 @@ class _PipelineRun(InductiveRun):
     def run_to(self, horizon: int) -> "_PipelineRun":
         """Step the three stages until ``horizon`` or until the decider's
         register can no longer change.  From then on the filter repeats:
-        constant "1" on a claim of "0", else alternating, so its change log
+        constant "1" on a claim of "0", else alternating, so its write log
         takes a periodic tail of period 1 or 2 and the run skips to the
         horizon."""
-        log = self._log
+        log = self.writes
         while self.steps < horizon and not (self.stopped_stuck or log.repeat):
             self.steps += 1
             if self.steps < self._b_latency:
@@ -489,9 +489,9 @@ class _PipelineRun(InductiveRun):
                 if d_out == "0":
                     log.repeat_from(self.steps, 1)
                 else:
-                    value = log.events[-1][1]
+                    value = log.events[-1][2]
                     other = "0" if value == "1" else "1"
-                    log.events += [(self.steps + 1, other), (self.steps + 2, value)]
+                    log.events += [(self.steps + 1, 0, other), (self.steps + 2, 0, value)]
                     log.repeat_from(self.steps, 2)
         if log.repeat:
             self.steps = max(self.steps, horizon)

@@ -318,59 +318,82 @@ class InductiveRun:
     """One inductive run: its step count, how it stopped, and the history of
     its output register.
 
-    ``change_log`` holds (step, value) for the initial value and for every
-    change after it, the observable the horizon outcomes, the diagonal
-    machine and the output-change reduction consume.  The run logs the
-    changes in an :class:`EventLog`, whose periodic tail stands for the
-    changes of the periods a repeating run skips; the counts and the last
-    change come from it, and the full list is built only when read.  A
-    subclass defines ``run_to``.
+    ``writes`` logs (step, position, symbol) for each write that changes
+    the register ("" blanks the cell) in an :class:`EventLog`, whose
+    periodic tail stands for the writes of the periods a repeating run
+    skips.  The counts and the last change come from it; the values, and
+    ``change_log`` of (step, value) for the initial value ``register``
+    (its non-blank cells in position order) and every change after it,
+    are replayed from it only when read.  A subclass defines ``run_to``.
     """
 
-    def __init__(self, output: str = "") -> None:
+    def __init__(self, register: Sequence[tuple[int, str]] = ()) -> None:
         self.steps = 0
         self.stopped_final = False
         self.stopped_stuck = False
-        self._log = EventLog([(0, output)])
+        self.writes = EventLog()
+        # the replay so far: the positions of the non-blank cells after
+        # the last replayed write, and (step, value) after each write
+        self._positions = [pos for pos, _ in register]
+        self._changes = [(0, "".join(sym for _, sym in register))]
 
     def run_to(self, horizon: int) -> "InductiveRun":
         """Step until ``horizon`` total steps or a stop, like :meth:`TmRun.run_to`."""
         raise NotImplementedError
 
-    def step(self) -> bool:
-        """Advance one step; False once the run has stopped."""
-        before = self.steps
-        return self.run_to(before + 1).steps > before
-
     @property
     def change_log(self) -> list[tuple[int, str]]:
-        return self._log.upto(self.steps)
+        changes = self._replay()
+        count = self.change_count
+        if count + 1 == len(changes):
+            return changes
+        event = self.writes.event
+        return changes[:1] + [(event(n)[0], changes[self._logged(n + 1)][1]) for n in range(count)]
 
     def output_word(self) -> str:
-        return self._last_change()[1]
+        return self._replay()[self._logged(self.change_count)][1]
 
     @property
     def last_change_step(self) -> int:
-        return self._last_change()[0]
+        count = self.change_count
+        return self.writes.event(count - 1)[0] if count else 0
 
     @property
     def change_count(self) -> int:
-        return self._log.count(self.steps) - 1
-
-    def _last_change(self) -> tuple[int, str]:
-        return self._log.event(self._log.count(self.steps) - 1)
+        return self.writes.count(self.steps)
 
     def settled(self) -> bool:
         """Whether the register can no longer change: the run has stopped,
-        or it repeats with no change in a period."""
-        return self.stopped_final or self.stopped_stuck or self._log.complete
+        or it repeats with no write in a period."""
+        return self.stopped_final or self.stopped_stuck or self.writes.complete
 
-    def _observe(self, value: str) -> None:
-        """Log ``value`` as the register content after the current step, if
-        it differs from the last logged value."""
-        events = self._log.events
-        if value != events[-1][1]:
-            events.append((self.steps, value))
+    def _replay(self) -> list[tuple[int, str]]:
+        """(step, register value) before the first write and after each
+        logged one, replaying the writes not replayed yet."""
+        changes = self._changes
+        value = changes[-1][1]
+        for step, pos, sym in self.writes.events[len(changes) - 1 :]:
+            value = _splice(self._positions, value, pos, sym)
+            changes.append((step, value))
+        return changes
+
+    def _logged(self, n: int) -> int:
+        """The number of logged writes after which the register holds what
+        it holds after ``n`` writes.  Past the logged writes of a repeating
+        run, whole periods bring the register back to where it was at the
+        period's start, so ``n`` maps back into the logged period."""
+        events = self.writes.events
+        if n <= len(events):
+            return n
+        first = self.writes.repeat[2]
+        return first + (n - first) % (len(events) - first)
+
+    def _observe(self, sym: str) -> None:
+        """Log a write of ``sym`` to the one cell of a one-cell register,
+        empty at the start, if it changes the cell."""
+        events = self.writes.events
+        if not events or events[-1][2] != sym:
+            events.append((self.steps, 0, sym))
 
 
 def _splice(positions: list[int], value: str, pos: int, sym: str) -> str:
@@ -391,8 +414,8 @@ _UNKNOWN = -1  # the head cell's output rank is not looked up yet
 
 
 def _no_rank(cell: str) -> None:
-    """The output rank lookup of a repeating run, whose register changes
-    are all in its change log's periodic tail."""
+    """The output rank lookup of a repeating run, whose register writes
+    are all in its write log's periodic tail."""
     return None
 
 
@@ -408,13 +431,11 @@ class ItmRun(InductiveRun):
         }
         for i, ch in enumerate(input_word):
             self.contents[memory.input_cell(i)] = ch
-        register = sorted(
+        super().__init__(sorted(
             (rank, sym)
             for cell, sym in self.contents.items()
             if (rank := memory.output_rank(cell)) is not None
-        )
-        self._ranks = [rank for rank, _ in register]
-        super().__init__("".join(sym for _, sym in register))
+        ))
         self.head = memory.start
         self.state = machine.start
         self.stopped_final = machine.start in machine.finals
@@ -428,8 +449,8 @@ class ItmRun(InductiveRun):
         Like :meth:`TmRun.run_to`, each step compares the state and head
         with a snapshot retaken each time the step count doubles, and a
         match with equal contents is a repeat.  ``connection`` is a pure
-        function, so this holds on any memory.  The change log then takes
-        the changes since the snapshot as its periodic tail, and the run
+        function, so this holds on any memory.  The write log then takes
+        the writes since the snapshot as its periodic tail, and the run
         skips whole periods and steps the rest without logging.
         """
         steps = self.steps
@@ -439,8 +460,7 @@ class ItmRun(InductiveRun):
         connection, output_rank = self.memory.connection, self.memory.output_rank
         contents = self.contents
         get = contents.get
-        ranks = self._ranks
-        history = self._log
+        history = self.writes
         log = history.events
         head, state = self.head, self.state
         period = history.repeat[1] if history.repeat else 0
@@ -473,9 +493,7 @@ class ItmRun(InductiveRun):
                     if rank == _UNKNOWN:
                         rank = output_rank(head)
                     if rank is not None:
-                        value = _splice(ranks, log[-1][1], rank, write)
-                        if value != log[-1][1]:
-                            log.append((steps, value))
+                        log.append((steps, rank, write))
                 if move is not None:
                     target = connection(head, move)
                     if target is not None:
@@ -562,18 +580,15 @@ class TmAsItm:
 class _TmItmRun(InductiveRun):
     """A TM run watched as an inductive run.
 
-    The TM loop logs each output-tape write, with the periodic tail of a
-    repeating run; the output tape is never erased, so each one changes
-    the register, and the change log is their replay.  Only a reader of
-    old values needs it, so it is built on demand; the outcome needs just
-    the count, the last step and the tape.
+    The TM loop logs each output-tape write in ``writes``; the output tape
+    is never erased, so each one changes the register.  The register is
+    read off the tape, which is cheaper than replaying the writes.
     """
 
     def __init__(self, machine: MachineTM, input_word: str) -> None:
-        self.run = TmRun(machine, input_word)
-        self.run.write_log = self._writes = EventLog([])
-        self._positions: list[int] = []
         super().__init__()
+        self.run = TmRun(machine, input_word)
+        self.run.write_log = self.writes
         self.stopped_final = self.run.in_final
 
     def run_to(self, horizon: int) -> "_TmItmRun":
@@ -583,23 +598,5 @@ class _TmItmRun(InductiveRun):
         self.stopped_stuck = run.stuck
         return self
 
-    @property
-    def change_log(self) -> list[tuple[int, str]]:
-        log = self._log.events
-        value = log[-1][1]
-        for step, pos, sym in self._writes.upto(self.steps)[len(log) - 1 :]:
-            value = _splice(self._positions, value, pos, sym)
-            log.append((step, value))
-        return log
-
     def output_word(self) -> str:
         return self.run.output_cells()
-
-    @property
-    def last_change_step(self) -> int:
-        count = self.change_count
-        return self._writes.event(count - 1)[0] if count else 0
-
-    @property
-    def change_count(self) -> int:
-        return self._writes.count(self.steps)

@@ -163,11 +163,11 @@ class EventLog:
     on the run goes through the same configurations every ``period`` steps,
     and ``events[first:]`` are the events of one period, which recur shifted
     by the period.  The events of the periods a run skips are worked out
-    from these, and listed only when asked for.
+    from these when asked for.
     """
 
-    def __init__(self, events: list[tuple]) -> None:
-        self.events = events
+    def __init__(self) -> None:
+        self.events: list[tuple] = []
         self.repeat: tuple[int, int, int] | None = None
 
     def repeat_from(self, start: int, period: int) -> None:
@@ -204,12 +204,6 @@ class EventLog:
         step, *rest = events[first + j]
         return (step + lap * period, *rest)
 
-    def upto(self, steps: int) -> list[tuple]:
-        """The events of the first ``steps`` steps, the periods unrolled."""
-        if self.repeat is None:
-            return self.events
-        return [self.event(n) for n in range(self.count(steps))]
-
 
 class TmRun:
     """Mutable stepper for one machine on one input.
@@ -241,11 +235,6 @@ class TmRun:
     @property
     def in_final(self) -> bool:
         return self.state in self.machine.finals
-
-    def step(self) -> bool:
-        """Apply one transition.  Returns False if halted or stuck."""
-        before = self.steps
-        return self.run_to(before + 1).steps > before
 
     def run_to(self, fuel: int) -> "TmRun":
         """Step until ``fuel`` total steps, a final state, or stuck.
@@ -332,11 +321,6 @@ class TmRun:
                 f"machine {self.machine.name!r} left an interior blank on its output tape"
             )
         return self.output_cells()
-
-    def configuration(self) -> tuple:
-        """Hashable full configuration, for step-by-step behaviour checks."""
-        frozen = tuple(tuple(sorted(t.items())) for t in self.tapes)
-        return (self.state, tuple(self.heads), frozen)
 
 
 def run_fueled(machine, input_word: str, fuel: int) -> RunOutcome:

@@ -109,19 +109,13 @@ def shortlex_lt(a: str, b: str) -> bool:
     return a != b and shortlex_le(a, b)
 
 
-def words_of_length(length: int, alphabet: Alphabet = BINARY) -> Iterator[str]:
-    """All words of exactly ``length`` symbols, in shortlex (= lex) order."""
+def words_of_length(length: int) -> Iterator[str]:
+    """All binary words of exactly ``length`` symbols, in shortlex (= lex) order."""
     if length == 0:
         yield ""
         return
-    k = len(alphabet)
-    for rank in range(k ** length):
-        digits = []
-        r = rank
-        for _ in range(length):
-            digits.append(alphabet.symbols[r % k])
-            r //= k
-        yield "".join(reversed(digits))
+    for rank in range(1 << length):
+        yield format(rank, f"0{length}b")
 
 
 def words_up_to(max_len: int) -> Iterator[str]:

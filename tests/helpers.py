@@ -1,5 +1,6 @@
 """Machine helpers that only tests use: a static non-halting proof, state
-renaming into canonical form, and the standard two-input program word."""
+renaming into canonical form, the standard two-input program word, and
+single steps and configurations of the package's steppers."""
 
 from minprog.codec import canonical_state_order, encode_machine
 from minprog.turing import MachineTM, Transition
@@ -69,3 +70,16 @@ def canonicalize_tm(machine: MachineTM) -> MachineTM:
 def tm_program2(machine: MachineTM) -> str:
     """The standard two-input program word for a machine."""
     return sd(encode_machine(machine))
+
+
+def step(run) -> bool:
+    """Advance a stepper one step; False once the run has stopped."""
+    before = run.steps
+    return run.run_to(before + 1).steps > before
+
+
+def configuration(run) -> tuple:
+    """Hashable full configuration of a Turing machine run, as the
+    reference stepper gives it."""
+    frozen = tuple(tuple(sorted(t.items())) for t in run.tapes)
+    return (run.state, tuple(run.heads), frozen)

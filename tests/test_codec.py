@@ -16,7 +16,7 @@ from minprog.inductive import MachineITM, itm_run
 from minprog.words import BINARY, BLANK, words_up_to
 from minprog import zoo
 
-from helpers import canonicalize_tm
+from helpers import canonicalize_tm, configuration, step
 from strategies import small_tms
 
 
@@ -24,11 +24,11 @@ def _behaviorally_equal(a, b, inputs, fuel=500):
     for w in inputs:
         ra, rb = TmRun(a, w), TmRun(b, w)
         while True:
-            assert ra.configuration() == rb.configuration()
+            assert configuration(ra) == configuration(rb)
             if ra.in_final or ra.stuck or ra.steps >= fuel:
                 assert (ra.in_final, ra.stuck) == (rb.in_final, rb.stuck)
                 break
-            ra.step(), rb.step()
+            step(ra), step(rb)
     return True
 
 

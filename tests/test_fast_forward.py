@@ -16,8 +16,9 @@ from minprog.inductive import TmAsItm, start_if_fits
 from minprog.turing import EventLog, MachineTM, Transition
 from minprog.words import BINARY, BLANK
 
+from helpers import configuration
 from oracles import PlainItm, PlainTm, stepwise_change_log
-from strategies import full_tms, itm_zoo, small_itms, small_tms
+from strategies import full_tms, itm_zoo, small_itms, small_tms, zoo_tms
 
 # plain steps checked per example: the snapshots at steps 16, 32, 64 and
 # 128 catch the short cycles of the small machines well before it
@@ -96,8 +97,8 @@ def prefix(log, steps):
 def assert_tm_matches(views, log, run, watched, budget):
     steps, final, stuck, config, changes = views[budget]
     assert (run.steps, run.in_final, run.stuck) == (steps, final, stuck)
-    assert run.configuration() == config
-    assert len(run.write_log.upto(run.steps)) == changes
+    assert configuration(run) == config
+    assert run.write_log.count(run.steps) == changes
     expected = prefix(log, steps)
     assert (watched.steps, watched.stopped_final, watched.stopped_stuck) == (steps, final, stuck)
     # read before the change log, which is built only on demand
@@ -111,12 +112,12 @@ def check_tm(machine, word, data, reach=REACH):
     log = stepwise_change_log(machine, word, reach)[0]
     for budget in budgets_around(cycle, data, reach):
         run = machine.start_run(word)
-        run.write_log = EventLog([])
+        run.write_log = EventLog()
         run.run_to(budget)
         watched = TmAsItm(machine).start_run(word).run_to(budget)
         assert_tm_matches(views, log, run, watched, budget)
     run, watched = machine.start_run(word), TmAsItm(machine).start_run(word)
-    run.write_log = EventLog([])
+    run.write_log = EventLog()
     for budget in chunks_to(reach, data):
         run.run_to(budget)
         watched.run_to(budget)
@@ -189,3 +190,54 @@ def test_a_repeating_run_stops_stepping():
     assert run.steps == 10**9
     looper = zoo.looper().start_run("0").run_to(10**9)
     assert (looper.steps, looper.period) == (10**9, 1)
+
+
+def test_a_looping_tm_is_settled_as_its_inductive_twin():
+    assert TmAsItm(zoo.looper()).start_run("").run_to(100).settled()
+    assert zoo.silent().start_run("").run_to(100).settled()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(zoo_tms()), small_tms()), st.data(), st.integers(0, 120))
+def test_settled_is_a_stop_or_a_period_without_output_writes(machine, data, horizon):
+    word = data.draw(st.text("".join(machine.alphabet.symbols), max_size=3))
+    run = machine.start_run(word).run_to(horizon)
+    log = stepwise_change_log(machine, word, 4 * horizon)[0]
+    # a period is at most the steps run, so the log reaches past one more
+    quiet = run.period and not any(horizon < t <= horizon + run.period for t, _ in log)
+    settled = TmAsItm(machine).start_run(word).run_to(horizon).settled()
+    assert settled == bool(run.in_final or run.stuck or quiet)
+    if settled:
+        assert not any(horizon < t for t, _ in log)
+
+
+def read_history(run, log_first):
+    """The change log, output, change count and last change of ``run``,
+    with the full log read first or last."""
+    if log_first:
+        log = list(run.change_log)
+        return log, run.output_word(), run.change_count, run.last_change_step
+    latest = run.output_word(), run.change_count, run.last_change_step
+    return (list(run.change_log), *latest)
+
+
+def test_the_alternator_outruns_its_logged_writes():
+    run = zoo.alternator().start_run("").run_to(REACH)
+    assert run.change_count > len(run.writes.events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from([zoo.alternator(), zoo.writer()]), small_itms()),
+       st.text("01", max_size=2), st.data())
+def test_a_periodic_history_reads_alike_in_either_order(machine, word, data):
+    assume(start_if_fits(machine, word) is not None)
+    log = plain_itm_views(machine, word, REACH)[1]
+    budgets = sorted(data.draw(st.lists(st.integers(REACH // 2, REACH), min_size=1, max_size=3)))
+    resumed = machine.start_run(word)
+    for i, budget in enumerate(budgets):
+        expected = prefix(log, budget)
+        history = (expected, expected[-1][1], len(expected) - 1, expected[-1][0])
+        for log_first in (False, True):
+            assert read_history(machine.start_run(word).run_to(budget), log_first) == history
+        # a resumed run reads from what earlier reads cached
+        assert read_history(resumed.run_to(budget), i % 2 == 1) == history

@@ -19,6 +19,7 @@ from minprog.codec import encode_machine
 from minprog.words import BINARY, BLANK, words_up_to
 from minprog import zoo
 
+from helpers import step
 from oracles import PlainItm, scan_limit_connection, stepwise_change_log
 from strategies import gap_writer, itm_zoo, small_itms, small_tms, unary_tms, zoo_tms
 
@@ -35,7 +36,7 @@ def _single_cell_machine(rules, cells=None, conn_types=(), states=("q0", "q1", "
 def test_write_rule_sets_cell_and_state_without_moving():
     m = _single_cell_machine([Rule("q0", BLANK, "q1", write="1")])
     run = m.start_run("")
-    run.step()
+    step(run)
     assert run.contents["c"] == "1"
     assert run.state == "q1"
     assert run.head == "c"
@@ -47,7 +48,7 @@ def test_move_rule_with_missing_connection_keeps_head_but_changes_state():
     memory = ExplicitMemory([("c", "work")], [], ("t",))
     m = MachineITM("t", ("q0", "q2"), "q0", (), BINARY, [Rule("q0", BLANK, "q2", move="t")], memory)
     run = m.start_run("")
-    run.step()
+    step(run)
     assert run.head == "c"
     assert run.state == "q2"
 
@@ -57,7 +58,7 @@ def test_write_then_move_rule_does_both():
         [Rule("q0", BLANK, "q2", write="0", move="t")], conn_types=("t",)
     )
     run = m.start_run("")
-    run.step()
+    step(run)
     assert run.contents["c"] == "0"
     assert run.head == "d"
     assert run.state == "q2"
@@ -221,7 +222,7 @@ def test_itm_run_to_equals_the_reference_stepper_at_every_chunk_boundary(machine
     for chunk in chunks:
         target = run.steps + chunk
         if chunk == 1:
-            assert run.step() == ref.step()
+            assert step(run) == ref.step()
         else:
             run.run_to(target)
             while ref.steps < target and ref.step():
@@ -270,7 +271,7 @@ def test_run_to_equals_repeated_single_steps(name, horizon):
     resumed = _RUNS[name]().run_to(horizon)
     stepped = _RUNS[name]()
     for _ in range(horizon):
-        stepped.step()
+        step(stepped)
     for run in (resumed, stepped):
         assert run.output_word() == run.change_log[-1][1]
     assert (resumed.change_log, resumed.steps, resumed.stopped_final, resumed.stopped_stuck) == (

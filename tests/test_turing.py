@@ -11,7 +11,7 @@ from minprog.turing import (
 from minprog.words import BINARY, InvalidWordError, words_up_to
 from minprog import zoo
 
-from helpers import never_halts_by_inspection
+from helpers import configuration, never_halts_by_inspection, step
 from oracles import PlainTm
 from strategies import gap_writer, small_tms, unary_tms, zoo_tms
 
@@ -123,7 +123,7 @@ def test_run_to_stops_at_fuel_final_state_or_stuck():
 def test_resumed_run_stands_where_a_fresh_run_stops(machine, word, first, second):
     resumed = machine.start_run(word).run_to(first).run_to(second)
     fresh = machine.start_run(word).run_to(max(first, second))
-    assert resumed.configuration() == fresh.configuration()
+    assert configuration(resumed) == configuration(fresh)
     assert (resumed.steps, resumed.stuck) == (fresh.steps, fresh.stuck)
 
 
@@ -135,17 +135,17 @@ _TMS = st.one_of(st.sampled_from(zoo_tms() + unary_tms() + [gap_writer()]), smal
 def test_run_to_equals_the_reference_stepper_at_every_chunk_boundary(machine, data):
     word = data.draw(st.text("".join(machine.alphabet.symbols), max_size=4))
     run, ref = machine.start_run(word), PlainTm(machine, word)
-    run.write_log = EventLog([])
+    run.write_log = EventLog()
     for chunk in data.draw(st.lists(st.integers(0, 9), max_size=12)):
         target = run.steps + chunk
         if chunk == 1:
-            assert run.step() == ref.step()
+            assert step(run) == ref.step()
         else:
             run.run_to(target)
             while ref.steps < target and ref.step():
                 pass
-        assert run.configuration() == ref.configuration()
-        assert (run.steps, len(run.write_log.upto(run.steps)), run.in_final, run.stuck) == (
+        assert configuration(run) == ref.configuration()
+        assert (run.steps, run.write_log.count(run.steps), run.in_final, run.stuck) == (
             ref.steps, ref.output_changes, ref.in_final, ref.stuck)
 
 
