@@ -1,23 +1,27 @@
 """The code words of the shipped machines and of the benchmark's random
 search TMs, pinned in ``golden/codes.json``: a codec change that alters
-any code word fails here."""
+any code word fails here.  ``golden/decodes.json`` pins what the decoder
+makes of those codes, their edits and every short word, error messages
+included."""
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from minprog import zoo
-from minprog.codec import encode_machine
+from minprog.codec import InvalidCodeError, decode_machine, encode_machine
 from minprog.hierarchy import DiagonalPipeline, SimDecider
 from minprog.machinefile import parse_machine_file
 from minprog.turing import MachineTM, Transition
 from minprog.universal import tm_program
-from minprog.words import BINARY
+from minprog.words import BINARY, words_up_to
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "codes.json").read_text())
+DECODES = json.loads((Path(__file__).parent / "golden" / "decodes.json").read_text())
 
 ZOO = (
     zoo.identity, zoo.looper, zoo.blocked, zoo.halt_now, zoo.const_zero, zoo.last_symbol,
@@ -58,3 +62,64 @@ def test_shipped_code_words_are_pinned():
 def test_benchmark_search_programs_are_pinned(spec, x, digest):
     program = tm_program(random_search_tm(spec), x)
     assert hashlib.sha256(program.encode()).hexdigest() == digest
+
+
+def random_search_spec(rng):
+    """A spec for :func:`random_search_tm` drawn as the benchmark draws its
+    random search TMs: next state 0, 1 or final, an output write that never
+    erases, and random input and output moves."""
+    return "".join(
+        rng.choice("0101f") + rng.choice("01_" if r2 == "_" else "01") + rng.choice("LRS") + rng.choice("LRS")
+        for _ in range(6) for r2 in "_01"
+    )
+
+
+def edited_words(code, rng, count):
+    """``count`` seeded truncations, 1-bit edits, inserted 2-bit blocks and
+    inserted runs of 21 zero digits (numbers out of range, or with a leading
+    zero) of ``code`` each, or all of them when ``count`` is None."""
+    def pick(n):
+        return range(n) if count is None else [rng.randrange(n) for _ in range(count)]
+
+    flip = {"0": "1", "1": "0"}
+    return (
+        [code[:i] for i in pick(len(code))]
+        + [code[:i] + flip[code[i]] + code[i + 1:] for i in pick(len(code))]
+        + [code[:2 * i] + block + code[2 * i:] for i in pick(len(code) // 2 + 1)
+           for block in ("00", "01", "10", "11", "00" * 21)]
+    )
+
+
+def decode_families():
+    """The word families whose decode outcomes ``golden/decodes.json`` pins:
+    every word of up to 14 bits; every shipped code with all its
+    edits as :func:`edited_words` makes them; and 50 seeded
+    benchmark-style random TM codes with 30 of each."""
+    rng = random.Random("decode pins")
+    shipped = sorted(set(shipped_codes().values()))
+    randoms = [encode_machine(random_search_tm(random_search_spec(rng))) for _ in range(50)]
+    return {
+        "words up to 14 bits": list(words_up_to(14)),
+        "shipped codes": [w for code in shipped for w in [code, *edited_words(code, rng, None)]],
+        "random TM codes": [w for code in randoms for w in [code, *edited_words(code, rng, 30)]],
+    }
+
+
+def decode_digest(words):
+    """SHA-256 over each word's decode outcome in order: the re-encoded code
+    of a decodable word, else the error's type and message."""
+    h = hashlib.sha256()
+    for w in words:
+        try:
+            outcome = "ok " + encode_machine(decode_machine(w))
+        except InvalidCodeError as exc:
+            outcome = f"{type(exc).__name__} {exc}"
+        h.update(f"{w}\t{outcome}\n".encode())
+    return h.hexdigest()
+
+
+def test_decode_outcomes_are_pinned():
+    """Every decode error type and message, and every accepted code, stays
+    what it was when ``golden/decodes.json`` was recorded."""
+    got = {name: [len(words), decode_digest(words)] for name, words in decode_families().items()}
+    assert got == DECODES

@@ -194,6 +194,26 @@ def test_malformed_words_are_named_in_numbers_and_blocks():
         assert not isinstance(caught.value, TruncatedCodeError)
 
 
+def test_long_and_empty_codes():
+    """A code of over 20,000 bits, far past the 4,300 digits CPython
+    converts between int and a non-power-of-two base, and the empty word."""
+    states = [f"q{i}" for i in range(160)] + ["qf"]
+    rows = tuple(
+        Transition(q, (r, BLANK, BLANK), nxt, (r, BLANK, r), ("R", "S", "R"))
+        for q, nxt in zip(states, states[1:]) for r in ("0", "1")
+    )
+    machine = MachineTM("chain", tuple(states), "q0", frozenset({"qf"}), BINARY, rows)
+    code = encode_machine(machine)
+    assert len(code) > 20_000
+    assert encode_machine(decode_machine(code)) == code
+    for word, error, message in ((code[:-2], TruncatedCodeError, "truncated move"),
+                                 (code + "10", InvalidCodeError, "trailing 2-bit blocks"),
+                                 (code[:-4] + "010110", InvalidCodeError, "move index 3 out of range"),
+                                 ("", TruncatedCodeError, "truncated machine kind")):
+        with pytest.raises(error, match=message):
+            decode_machine(word)
+
+
 def _zoo_machines():
     from minprog.hierarchy import build_diagonal
 

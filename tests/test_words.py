@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from minprog.words import (
     Alphabet,
@@ -15,7 +15,7 @@ from minprog.words import (
     words_up_to,
 )
 
-from oracles import binary_words
+from oracles import _plain_unpair, binary_words
 
 binary = st.text(alphabet="01", max_size=12)
 
@@ -72,6 +72,57 @@ def test_unpair_malformed():
     for bad in ["", "1", "11", "10", "0010", "000"]:
         with pytest.raises(MalformedPairError):
             unpair(bad)
+    for bad in ["", "000"]:
+        with pytest.raises(MalformedPairError) as caught:
+            unpair(bad)
+        assert str(caught.value) == f"word {bad!r} ends inside its self-delimiting prefix"
+    for bad, offset in [("10", 0), ("0010", 2)]:
+        with pytest.raises(MalformedPairError) as caught:
+            unpair(bad)
+        assert str(caught.value) == f"word {bad!r} has no valid self-delimiting prefix at offset {offset}"
+    with pytest.raises(InvalidWordError) as caught:
+        unpair("00a1b")
+    assert str(caught.value) == "symbol 'a' is not in alphabet 01"
+
+
+def test_unpair_long_words():
+    """Far past the 4,300 digits CPython converts between int and a
+    non-power-of-two base: the offsets stay exact."""
+    u, w = "01" * 5_000, "1" * 1_001
+    p = pair(w, u)
+    assert len(p) > 20_000
+    assert unpair(p) == (w, u)
+    head = sd(u)[:-2]
+    with pytest.raises(MalformedPairError, match=f"at offset {len(head)}$"):
+        unpair(head + "10" + w)
+    with pytest.raises(MalformedPairError, match="ends inside its self-delimiting prefix$"):
+        unpair(head + "0")
+
+
+@st.composite
+def unpair_inputs(draw):
+    """Pairs, their truncations and 1-bit edits, and arbitrary words, odd
+    lengths included."""
+    word = draw(st.text(alphabet="01", max_size=40))
+    p = pair(draw(binary), draw(binary))
+    form = draw(st.sampled_from(["pair", "truncated", "edited", "any"]))
+    if form == "truncated":
+        return p[: draw(st.integers(0, len(p)))]
+    if form == "edited":
+        i = draw(st.integers(0, len(p) - 1))
+        return p[:i] + "10"[int(p[i])] + p[i + 1 :]
+    return p if form == "pair" else word
+
+
+@settings(max_examples=500)
+@given(unpair_inputs())
+def test_unpair_matches_the_plain_reader(p):
+    want = _plain_unpair(p)
+    if want is None:
+        with pytest.raises(MalformedPairError):
+            unpair(p)
+    else:
+        assert unpair(p) == want
 
 
 def test_additive_length_law_exact():
