@@ -22,6 +22,7 @@ undecodable program words as divergent.
 from __future__ import annotations
 
 from functools import cache
+from typing import NoReturn
 
 from .words import BLANK, Alphabet, BINARY
 from .turing import MOVES, MachineTM, MachineValidationError, Transition
@@ -57,49 +58,70 @@ def _word(numbers: list[int]) -> str:
     return "".join(f"{n:b}".translate(_DIGIT_BLOCKS) + "10" for n in numbers)
 
 
+# every canonical number below 2^10, by its digits
+_SMALL = {f"{n:b}": n for n in range(1 << 10)}
+
+
 class _Numbers:
-    """The numbers of a word, split once and read one at a time."""
+    """The numbers of a word, split and converted in one pass, read in order.
+
+    ``values`` holds the numbers before the first empty, non-canonical or
+    out-of-range one.  Reading past them raises that number's error, or a
+    truncation after the last ended number (the error of unended digits no
+    ending can make valid): the errors of reading one number at a time."""
 
     def __init__(self, word: str) -> None:
         if len(word) % 2 != 0:
             raise InvalidCodeError("odd-length word cannot be split into 2-bit blocks")
-        # a block's first bit is 1 only in the end block 10 (and in 11)
-        marks, digits = word[0::2], word[1::2]
-        self.fields: list[str] = []
-        start = 0
-        while (end := marks.find("1", start)) >= 0:
-            if digits[end] == "1":
-                raise InvalidCodeError("2-bit block '11' is neither a digit nor the end of a number")
-            self.fields.append(digits[start:end])
-            start = end + 1
-        self.unended = digits[start:]  # the digits of a number the word does not end
+        BINARY.check_word(word)  # int() would take hex digits, "_" and spaces
+        # As hex numerals, twice the blocks' first bits plus their second bits
+        # adds without carries: each block becomes its binary digit, or 2 for
+        # the end block 10 (3 for 11); the leading 1 keeps leading 00 blocks.
+        blocks = format(int("1" + word[0::2], 16) * 2 + int("0" + word[1::2], 16), "x")[1:]
+        if "3" in blocks:
+            raise InvalidCodeError("2-bit block '11' is neither a digit nor the end of a number")
+        *fields, unended = blocks.split("2")
+        self.values = values = list(map(_SMALL.get, fields))
         self.pos = 0
+        self.unended = unended
+        self.fault = unended and _fault(unended)  # the error past the values, "" for a truncation
+        while None in values:  # a number past the small ones, or a fault
+            i = values.index(None)
+            if fault := _fault(fields[i]):
+                del values[i:]
+                self.fault = fault
+                break
+            values[i] = int(fields[i], 2)
 
     def number(self, what: str) -> int:
-        try:
-            digits = self.fields[self.pos]
-        except IndexError:
-            if self.unended:
-                # more digits can only keep these non-canonical or too large
-                _value(self.unended, what)
-            raise TruncatedCodeError(f"truncated {what}") from None
+        if self.pos == len(self.values):
+            self.fail(what)
         self.pos += 1
-        if not digits:
-            raise InvalidCodeError(f"empty {what}")
-        return _value(digits, what)
+        return self.values[self.pos - 1]
+
+    def take(self, count: int) -> list[int]:
+        """The next ``count`` numbers, or as many as there are values."""
+        row = self.values[self.pos : self.pos + count]
+        self.pos += len(row)
+        return row
+
+    def fail(self, what: str) -> NoReturn:
+        """Raise the error of reading the number after the values as ``what``."""
+        if self.fault:
+            raise InvalidCodeError(self.fault.format(what))
+        raise TruncatedCodeError(f"truncated {what}")
 
     def done(self) -> bool:
-        return self.pos == len(self.fields) and not self.unended
+        return self.pos == len(self.values) and not (self.fault or self.unended)
 
 
-def _value(digits: str, what: str) -> int:
-    """The number the binary ``digits`` spell, if canonical and in range."""
+def _fault(digits: str) -> str:
+    """The error template for ``digits`` as a number, "" if canonical and in range."""
+    if not digits:
+        return "empty {}"
     if digits[0] == "0" and len(digits) > 1:
-        raise InvalidCodeError(f"non-canonical {what}")
-    n = int(digits, 2)
-    if n > _MAX_COUNT:
-        raise InvalidCodeError(f"{what} out of range")
-    return n
+        return "non-canonical {}"
+    return "{} out of range" if int(digits, 2) > _MAX_COUNT else ""
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +139,8 @@ def _symbol_from_code(alphabet: Alphabet, code: int, what: str) -> str:
     raise InvalidCodeError(f"{what} symbol index {code} out of range")
 
 
-def _alphabet_of_size(k: int) -> Alphabet:
-    if k == 2:
-        return BINARY
-    if not 1 <= k <= 10:
-        raise InvalidCodeError(f"unsupported alphabet size {k}")
-    return Alphabet(tuple(str(d) for d in range(k)))
+# the alphabet of each size a code may declare: the digits 0, 1, ..., k-1
+_ALPHABETS = {k: BINARY if k == 2 else Alphabet(tuple(str(d) for d in range(k))) for k in range(1, 11)}
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +294,9 @@ def _decode_header(reader: _Numbers) -> tuple[tuple[str, ...], Alphabet, frozens
     nstates = reader.number("state count")
     if nstates < 1:
         raise InvalidCodeError("a machine needs at least one state")
-    alpha = _alphabet_of_size(reader.number("alphabet size"))
+    if (k := reader.number("alphabet size")) not in _ALPHABETS:
+        raise InvalidCodeError(f"unsupported alphabet size {k}")
+    alpha = _ALPHABETS[k]
     nfinals = reader.number("final count")
     finals = [reader.number("final state") for _ in range(nfinals)]
     if finals != sorted(set(finals)) or any(f >= nstates for f in finals):
@@ -285,32 +305,45 @@ def _decode_header(reader: _Numbers) -> tuple[tuple[str, ...], Alphabet, frozens
     return states, alpha, frozenset(states[f] for f in finals)
 
 
+_TM_ROW = ("state", *["read"] * 3, "next state", *["write"] * 3, *["move"] * 3)
+
+
 def _decode_tm(reader: _Numbers) -> MachineTM:
     states, alpha, finals = _decode_header(reader)
     ntrans = reader.number("transition count")
-    rows = []
-    for _ in range(ntrans):
-        q = reader.number("state")
-        reads = tuple(_symbol_from_code(alpha, reader.number("read"), "read") for _ in range(3))
-        nq = reader.number("next state")
-        writes = tuple(_symbol_from_code(alpha, reader.number("write"), "write") for _ in range(3))
-        moves = []
-        for _ in range(3):
-            m = reader.number("move")
-            if m >= len(MOVES):
-                raise InvalidCodeError(f"move index {m} out of range")
-            moves.append(MOVES[m])
-        if q >= len(states) or nq >= len(states):
-            raise InvalidCodeError("transition state index out of range")
-        rows.append((q, reads, nq, writes, tuple(moves)))
-    keys = [(q, tuple(_symbol_code(alpha, s) for s in reads)) for q, reads, *_ in rows]
+    flat = reader.take(len(_TM_ROW) * ntrans)
+    rows = [flat[i : i + len(_TM_ROW)] for i in range(0, len(flat), len(_TM_ROW))]
+    sym = (*alpha.symbols, BLANK)  # by symbol code
+    try:  # a short row or an index out of range stops the build
+        trans = tuple(
+            Transition(states[q], (sym[r0], sym[r1], sym[r2]), states[nq],
+                       (sym[w0], sym[w1], sym[w2]), (MOVES[m0], MOVES[m1], MOVES[m2]))
+            for q, r0, r1, r2, nq, w0, w1, w2, m0, m1, m2 in rows
+        )
+    except (IndexError, ValueError):
+        trans = ()
+    if len(trans) < ntrans:
+        _raise_row_error(reader, rows, len(states), len(sym))
+    keys = [row[:4] for row in rows]
     if keys != sorted(keys):
         raise InvalidCodeError("transition table is not in canonical order")
-    trans = tuple(
-        Transition(states[q], reads, states[nq], writes, moves)
-        for q, reads, nq, writes, moves in rows
-    )
     return MachineTM("decoded", states, states[0], finals, alpha, trans)
+
+
+def _raise_row_error(reader: _Numbers, rows: list[list[int]], nstates: int, nsyms: int) -> NoReturn:
+    """Raise the first error of the transition rows in reading order; the
+    last row may stop short at the reader's values."""
+    for row in rows:
+        for i, what in enumerate(_TM_ROW):
+            if i == len(row):
+                reader.fail(what)
+            if what in ("read", "write") and row[i] >= nsyms:
+                raise InvalidCodeError(f"{what} symbol index {row[i]} out of range")
+            if what == "move" and row[i] >= len(MOVES):
+                raise InvalidCodeError(f"move index {row[i]} out of range")
+        if row[0] >= nstates or row[4] >= nstates:
+            raise InvalidCodeError("transition state index out of range")
+    reader.fail("state")
 
 
 def _decode_itm(reader: _Numbers) -> MachineITM:

@@ -30,6 +30,7 @@ class Alphabet:
 
     symbols: tuple[str, ...] = ("0", "1")
     index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _drop: dict[int, None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.symbols:
@@ -42,14 +43,17 @@ class Alphabet:
             if s == BLANK:
                 raise ValueError("the blank symbol is reserved and cannot be declared")
         object.__setattr__(self, "index", {s: i for i, s in enumerate(self.symbols)})
+        object.__setattr__(self, "_drop", str.maketrans("", "", "".join(self.symbols)))
 
     def __len__(self) -> int:
         return len(self.symbols)
 
     def check_word(self, w: str) -> str:
-        for ch in w:
-            if ch not in self.index:
-                raise InvalidWordError(f"symbol {ch!r} is not in alphabet {''.join(self.symbols)}")
+        """``w`` itself, or InvalidWordError naming its first symbol outside
+        the alphabet: what is left once one translate deletes every
+        alphabet symbol."""
+        if bad := w.translate(self._drop):
+            raise InvalidWordError(f"symbol {bad[0]!r} is not in alphabet {''.join(self.symbols)}")
         return w
 
     def check_symbol(self, s: str) -> str:
@@ -167,20 +171,19 @@ def pairs_of_length(length: int, rights: Callable[[int], Iterable[str]]) -> Iter
 def unpair(p: str) -> tuple[str, str]:
     """Total inverse of :func:`pair` on its image.
 
-    Scans two symbols at a time: a doubled symbol contributes one symbol of
-    u, the terminator "01" ends the prefix, anything else is malformed.
+    Reads the word in 2-bit blocks: a doubled symbol contributes one symbol
+    of u, the terminator "01" ends the prefix, anything else is malformed.
+    The first block whose two bits differ is the top set bit of the xor of
+    the blocks' first bits and their second bits, each read as a binary
+    numeral, so no Python loop runs per block.
     """
     BINARY.check_word(p)
-    u_syms: list[str] = []
-    i = 0
-    while True:
-        chunk = p[i : i + 2]
-        if len(chunk) < 2:
-            raise MalformedPairError(f"word {p!r} ends inside its self-delimiting prefix")
-        if chunk == "01":
-            return p[i + 2 :], "".join(u_syms)
-        if chunk[0] == chunk[1]:
-            u_syms.append(chunk[0])
-            i += 2
-            continue
-        raise MalformedPairError(f"word {p!r} has no valid self-delimiting prefix at offset {i}")
+    n = len(p) // 2
+    firsts = p[0 : 2 * n : 2]
+    differ = int("0" + firsts, 2) ^ int("0" + p[1 : 2 * n : 2], 2)
+    if not differ:
+        raise MalformedPairError(f"word {p!r} ends inside its self-delimiting prefix")
+    i = n - differ.bit_length()  # the first block whose bits differ
+    if firsts[i] == "1":
+        raise MalformedPairError(f"word {p!r} has no valid self-delimiting prefix at offset {2 * i}")
+    return p[2 * i + 2 :], firsts[:i]

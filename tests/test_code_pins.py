@@ -92,9 +92,9 @@ def edited_words(code, rng, count):
 
 def decode_families():
     """The word families whose decode outcomes ``golden/decodes.json`` pins:
-    every word of up to 14 bits; every shipped code with all its
-    edits as :func:`edited_words` makes them; and 50 seeded
-    benchmark-style random TM codes with 30 of each."""
+    every word of up to 14 bits; every shipped code with all the edits
+    :func:`edited_words` makes; and 50 seeded benchmark-style random TM
+    codes with 30 of each kind of edit."""
     rng = random.Random("decode pins")
     shipped = sorted(set(shipped_codes().values()))
     randoms = [encode_machine(random_search_tm(random_search_spec(rng))) for _ in range(50)]

@@ -13,7 +13,7 @@ from minprog.codec import (
 )
 from minprog.turing import MachineTM, Transition, TmRun, run_fueled
 from minprog.inductive import MachineITM, itm_run
-from minprog.words import BINARY, BLANK, words_up_to
+from minprog.words import BINARY, BLANK, InvalidWordError, words_up_to
 from minprog import zoo
 
 from helpers import canonicalize_tm, configuration, step
@@ -192,6 +192,14 @@ def test_malformed_words_are_named_in_numbers_and_blocks():
         with pytest.raises(InvalidCodeError, match=message) as caught:
             decode_machine(word)
         assert not isinstance(caught.value, TruncatedCodeError)
+
+
+def test_a_non_binary_word_is_an_invalid_word():
+    """The decoder reads the blocks as numerals, which would take other
+    digits, "_" or spaces, so it checks the symbols first."""
+    for word, bad in (("20", "2"), ("0a10", "a"), ("00_1", "_"), ("0010 0", " ")):
+        with pytest.raises(InvalidWordError, match=f"symbol {bad!r} is not in alphabet 01"):
+            decode_machine(word)
 
 
 def test_long_and_empty_codes():
