@@ -289,8 +289,9 @@ def encode_machine(machine) -> str:
 # decoding
 
 
-def _decode_header(reader: _Numbers) -> tuple[tuple[str, ...], Alphabet, frozenset[str]]:
-    """The states s0, s1, ..., the alphabet and the finals of a header."""
+def _decode_header(reader: _Numbers) -> tuple[int, Alphabet, list[int]]:
+    """The state count, the alphabet and the final state indices of a
+    header; the states are named only once the rows are read and checked."""
     nstates = reader.number("state count")
     if nstates < 1:
         raise InvalidCodeError("a machine needs at least one state")
@@ -301,32 +302,37 @@ def _decode_header(reader: _Numbers) -> tuple[tuple[str, ...], Alphabet, frozens
     finals = [reader.number("final state") for _ in range(nfinals)]
     if finals != sorted(set(finals)) or any(f >= nstates for f in finals):
         raise InvalidCodeError("final state list is not canonical")
-    states = tuple(f"s{i}" for i in range(nstates))
-    return states, alpha, frozenset(states[f] for f in finals)
+    return nstates, alpha, finals
 
 
 _TM_ROW = ("state", *["read"] * 3, "next state", *["write"] * 3, *["move"] * 3)
 
 
 def _decode_tm(reader: _Numbers) -> MachineTM:
-    states, alpha, finals = _decode_header(reader)
+    nstates, alpha, final_ids = _decode_header(reader)
     ntrans = reader.number("transition count")
-    flat = reader.take(len(_TM_ROW) * ntrans)
-    rows = [flat[i : i + len(_TM_ROW)] for i in range(0, len(flat), len(_TM_ROW))]
+    width = len(_TM_ROW)
+    flat = reader.take(width * ntrans)
+    rows = [flat[i : i + width] for i in range(0, len(flat), width)]
     sym = (*alpha.symbols, BLANK)  # by symbol code
-    try:  # a short row or an index out of range stops the build
+    # a short row or a state index out of range stops before the states are named
+    if len(flat) < width * ntrans or max(flat[0::width] + flat[4::width], default=0) >= nstates:
+        _raise_row_error(reader, rows, nstates, len(sym))
+    states = tuple(f"s{i}" for i in range(nstates))
+    try:  # a symbol or move index out of range stops the build
         trans = tuple(
             Transition(states[q], (sym[r0], sym[r1], sym[r2]), states[nq],
                        (sym[w0], sym[w1], sym[w2]), (MOVES[m0], MOVES[m1], MOVES[m2]))
             for q, r0, r1, r2, nq, w0, w1, w2, m0, m1, m2 in rows
         )
-    except (IndexError, ValueError):
+    except IndexError:
         trans = ()
     if len(trans) < ntrans:
-        _raise_row_error(reader, rows, len(states), len(sym))
+        _raise_row_error(reader, rows, nstates, len(sym))
     keys = [row[:4] for row in rows]
     if keys != sorted(keys):
         raise InvalidCodeError("transition table is not in canonical order")
+    finals = frozenset(states[f] for f in final_ids)
     return MachineTM("decoded", states, states[0], finals, alpha, trans)
 
 
@@ -347,7 +353,7 @@ def _raise_row_error(reader: _Numbers, rows: list[list[int]], nstates: int, nsym
 
 
 def _decode_itm(reader: _Numbers) -> MachineITM:
-    states, alpha, finals = _decode_header(reader)
+    nstates, alpha, final_ids = _decode_header(reader)
     nconn = reader.number("connection type count")
     mem_form = reader.number("memory form")
     if mem_form == 0:
@@ -392,7 +398,7 @@ def _decode_itm(reader: _Numbers) -> MachineITM:
         write = reader.number("write") if form in (0, 2) else None
         move = reader.number("move type") if form in (1, 2) else None
         nq = reader.number("next state")
-        if q >= len(states) or nq >= len(states):
+        if q >= nstates or nq >= nstates:
             raise InvalidCodeError("rule state index out of range")
         if move is not None and move >= len(memory.conn_types):
             raise InvalidCodeError("rule connection type out of range")
@@ -400,6 +406,7 @@ def _decode_itm(reader: _Numbers) -> MachineITM:
     keys = [(q, read) for q, read, *_ in rows]
     if keys != sorted(keys):
         raise InvalidCodeError("rule table is not in canonical order")
+    states = tuple(f"s{i}" for i in range(nstates))
     rules = tuple(
         Rule(
             state=states[q],
@@ -410,6 +417,7 @@ def _decode_itm(reader: _Numbers) -> MachineITM:
         )
         for q, read, write, move, nq in rows
     )
+    finals = frozenset(states[f] for f in final_ids)
     return MachineITM("decoded", states, states[0], finals, alpha, rules, memory)
 
 

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 from heapq import merge
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .words import BINARY, MalformedPairError, pairs_of_length, sd_words_of_length, unpair
+from .words import BINARY, pairs_of_length, sd_words_of_length
 from .turing import MachineTM, run_fueled
 from .predicates import Predicate, PredicateSet, eval_set
 from .codec import codes_of_length
-from .universal import U_STD, WRAP_HEADER, itm_universal_apply, wrap_universal
+from .universal import U_STD, WRAP_HEADER, itm_universal_apply, read_program, wrap_universal
 
 
 @dataclass(frozen=True)
@@ -134,27 +134,22 @@ def itm1_class(tm_interp=U_STD) -> MachineClassHandle:
     """
     wrapped = wrap_universal(tm_interp)
 
-    def run_region(program: str, argument: str | None, budget: Budget) -> str | None:
-        try:
-            payload, code = unpair(program)
-        except MalformedPairError:
-            return None
-        if argument is not None:
-            if payload != "":
-                return None
-            payload = argument
-        horizon = budget.horizon or budget.fuel
-        return itm_universal_apply(code, payload, horizon).result
-
-    def produce(program: str, budget: Budget) -> str | None:
-        if program.startswith(WRAP_HEADER):
+    def run(program: str, argument: str | None, budget: Budget) -> str | None:
+        # the wrapped region goes through the public entries, which a traced run counts
+        if program.startswith(WRAP_HEADER) and argument is None:
             return wrapped.apply(program, budget.fuel).result
-        return run_region(program, None, budget)
-
-    def produce2(program: str, argument: str, budget: Budget) -> str | None:
         if program.startswith(WRAP_HEADER):
             return wrapped.apply2(program, argument, budget.fuel).result
-        return run_region(program, argument, budget)
+        read = read_program(program, argument)
+        if read is None:
+            return None
+        return itm_universal_apply(read[1], read[0], budget.horizon or budget.fuel).result
+
+    def produce(program: str, budget: Budget) -> str | None:
+        return run(program, None, budget)
+
+    def produce2(program: str, argument: str, budget: Budget) -> str | None:
+        return run(program, argument, budget)
 
     # sd(c) never starts with the header, so the two regions merge cleanly.
     def live(length: int) -> Iterator[str]:
@@ -171,17 +166,18 @@ def compose_postprocess(base: MachineClassHandle, post: MachineTM) -> MachineCla
     post-processing machine; a post run that fails to halt within fuel
     makes the whole run divergent."""
 
+    def run(program: str, argument: str | None, budget: Budget) -> str | None:
+        if argument is None:
+            word = base.produce(program, budget)
+        else:
+            word = base.produce2(program, argument, budget)
+        return None if word is None else run_fueled(post, word, budget.fuel).result
+
     def produce(program: str, budget: Budget) -> str | None:
-        word = base.produce(program, budget)
-        if word is None:
-            return None
-        return run_fueled(post, word, budget.fuel).result
+        return run(program, None, budget)
 
     def produce2(program: str, argument: str, budget: Budget) -> str | None:
-        word = base.produce2(program, argument, budget)
-        if word is None:
-            return None
-        return run_fueled(post, word, budget.fuel).result
+        return run(program, argument, budget)
 
     return MachineClassHandle(f"{base.tag}+{post.name}", produce, produce2, base.live, base.live2)
 

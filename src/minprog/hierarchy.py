@@ -10,10 +10,10 @@ has no reachable way to stop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
-from .words import BINARY, MalformedPairError, nth_word, shortlex_index, sd, unpair
+from .words import BINARY, nth_word, shortlex_index, sd
 from .turing import MachineTM, RunOutcome, TmRun, run_fueled
 from .inductive import (
     InductiveRun,
@@ -26,7 +26,7 @@ from .inductive import (
     start_if_fits,
 )
 from .codec import InvalidCodeError, decode_machine, encode_machine
-from .universal import start_itm_run
+from .universal import read_program, start_itm_run
 from .zoo import acceptance_pool
 
 
@@ -126,22 +126,68 @@ def emptiness_solver(code: str, cycles: int) -> InductiveVerdict:
 # the non-total list scheduler
 
 
-@dataclass
 class EnumerationList:
-    """Snapshot of the cycle scheduler's list of machine codes.
+    """The cycle scheduler's list of machine codes, played one cycle at a
+    time by :meth:`run_cycle`.
 
-    Machines that keep demonstrating results are repeatedly demoted to the
-    back; machines with a diverging probe freeze in place.  The stable
+    Cycle n plays round n of the probe rows of machines 1..n.  List
+    maintenance is the uniform rule: append the next code, then demote
+    every machine that produced a result on all of its probed inputs this
+    cycle, preserving relative order.  The construction's stated rules make
+    one exception, in cycle 2 with exactly one mover and in cycle 3 when
+    some but not all listed codes move: the movers are demoted and the
+    fourth code goes just before the lowest-numbered mover, in place of the
+    next code.  Insertions are idempotent so each code appears at most once.
+
+    Machines that keep demonstrating results are thus repeatedly demoted to
+    the back; machines with a diverging probe freeze in place.  The stable
     prefix estimate is the longest prefix whose codes have not been demoted
     for the trailing half of the run.
     """
 
-    pool_names: tuple[str, ...]
-    codes: tuple[str, ...]
-    order: list[str] = field(default_factory=list)
-    cycle: int = 0
-    halted_pairs: set[tuple[int, int]] = field(default_factory=set)
-    last_moved: dict[str, int] = field(default_factory=dict)
+    def __init__(self, pool: list[MachineTM]) -> None:
+        if not pool:
+            raise ValueError("the scheduler needs a non-empty machine pool")
+        self.rows = [ProbeRow(m) for m in pool]
+        self.pool_names = tuple(m.name for m in pool)
+        self.codes = tuple(encode_machine(m) for m in pool)
+        self.order: list[str] = []
+        self.cycle = 0
+        self.halted_pairs: set[tuple[int, int]] = set()
+        self.last_moved: dict[str, int] = {}
+
+    def _insert(self, k: int, position: int) -> None:
+        """List the code of machine T_k (1-based), if the pool has it and it
+        is not listed yet, at ``position``."""
+        if 1 <= k <= len(self.codes) and self.codes[k - 1] not in self.order:
+            self.order.insert(position, self.codes[k - 1])
+
+    def _demote(self, movers: list[str], cycle: int) -> None:
+        keep = [c for c in self.order if c not in movers]
+        tail = [c for c in self.order if c in movers]
+        self.order = keep + tail
+        for c in tail:
+            self.last_moved[c] = cycle
+
+    def run_cycle(self) -> None:
+        n = self.cycle + 1
+        if n == 1:
+            self._insert(1, 0)
+        all_halted: list[int] = []
+        for k, row in enumerate(self.rows[:n], start=1):
+            self.halted_pairs.update((k, i) for i in row.run_round(n))
+            # a machine moves exactly when all n of its pairs have halted
+            if row.finals == n:
+                all_halted.append(k)
+        movers = [self.codes[k - 1] for k in all_halted]
+        listed = [c for c in self.order if c in movers]
+        if (n == 2 and len(movers) == 1) or (n == 3 and 0 < len(listed) < len(self.order)):
+            self._demote(movers, n)
+            self._insert(4, self.order.index(movers[0]))
+        else:
+            self._insert(n + 1, len(self.order))
+            self._demote(movers, n)
+        self.cycle = n
 
     def stable_prefix_estimate(self) -> list[str]:
         if self.cycle == 0:
@@ -164,74 +210,11 @@ class EnumerationList:
         }
 
 
-class _Dovetail:
-    """Incremental implementation of the cycle schedule.
-
-    Cycle n plays round n of the probe rows of machines 1..n.  List
-    maintenance is the uniform rule: append the next code, then demote
-    every machine that produced a result on all of its probed inputs this
-    cycle, preserving relative order.  The construction's stated rules make
-    one exception, in cycle 2 with exactly one mover and in cycle 3 when
-    some but not all listed codes move: the movers are demoted and the
-    fourth code goes just before the lowest-numbered mover, in place of the
-    next code.  Insertions are idempotent so each code appears at most once.
-    """
-
-    def __init__(self, pool: list[MachineTM]) -> None:
-        self.rows = [ProbeRow(m) for m in pool]
-        self.codes = tuple(encode_machine(m) for m in pool)
-        self.state = EnumerationList(tuple(m.name for m in pool), self.codes)
-
-    def _code(self, k: int) -> str | None:
-        """Code of machine T_k (1-based), if the pool has it."""
-        return self.codes[k - 1] if 1 <= k <= len(self.codes) else None
-
-    def _insert(self, code: str | None, position: int | None = None) -> None:
-        if code is None or code in self.state.order:
-            return
-        if position is None:
-            self.state.order.append(code)
-        else:
-            self.state.order.insert(position, code)
-
-    def _demote(self, movers: list[str], cycle: int) -> None:
-        if not movers:
-            return
-        keep = [c for c in self.state.order if c not in movers]
-        tail = [c for c in self.state.order if c in movers]
-        self.state.order = keep + tail
-        for c in tail:
-            self.state.last_moved[c] = cycle
-
-    def run_cycle(self) -> None:
-        st = self.state
-        n = st.cycle + 1
-        if n == 1:
-            self._insert(self._code(1))
-        all_halted: list[int] = []
-        for k, row in enumerate(self.rows[:n], start=1):
-            st.halted_pairs.update((k, i) for i in row.run_round(n))
-            # a machine moves exactly when all n of its pairs have halted
-            if row.finals == n:
-                all_halted.append(k)
-        movers = [self.codes[k - 1] for k in all_halted]
-        listed = [c for c in st.order if c in movers]
-        if (n == 2 and len(movers) == 1) or (n == 3 and 0 < len(listed) < len(st.order)):
-            self._demote(movers, n)
-            self._insert(self._code(4), st.order.index(movers[0]))
-        else:
-            self._insert(self._code(n + 1))
-            self._demote(movers, n)
-        st.cycle = n
-
-
 def dovetail_nontotal(pool: list[MachineTM], cycles: int) -> EnumerationList:
-    if not pool:
-        raise ValueError("the scheduler needs a non-empty machine pool")
-    dov = _Dovetail(pool)
+    state = EnumerationList(pool)
     for _ in range(cycles):
-        dov.run_cycle()
-    return dov.state
+        state.run_cycle()
+    return state
 
 
 def totality_verdict(pool: list[MachineTM], machine_index: int, cycles: int) -> InductiveVerdict:
@@ -380,7 +363,6 @@ class SimDecider:
     observed, otherwise guesses 0.  Deterministic, stabilizes after its
     simulation budget; wrong whenever results take longer than the budget."""
 
-    kind = "builtin-decider"
     name = f"decider-sim-{SIM_DECIDER_STEPS}"
 
     def start_run(self, input_word: str) -> "_SimDeciderRun":
@@ -394,12 +376,8 @@ class _SimDeciderRun(InductiveRun):
 
     def __init__(self, input_word: str) -> None:
         super().__init__()
-        try:
-            payload, code = unpair(input_word)
-        except MalformedPairError:
-            self._inner = None
-        else:
-            self._inner = start_itm_run(code, payload)
+        read = read_program(input_word, None)
+        self._inner = None if read is None else start_itm_run(read[1], read[0])
 
     def run_to(self, horizon: int) -> "_SimDeciderRun":
         if self.steps < SIM_DECIDER_STEPS <= horizon:
@@ -673,12 +651,12 @@ def limitlist_memory() -> LimitMemory:
     """List memory over the stock pool: in each cycle, position h_j links
     to the landmark cell d_k of the machine T_k the scheduler lists there.
     Built once per process, like :func:`thm72_memory`."""
-    dov = _Dovetail(acceptance_pool())
-    machine_no = {code: k for k, code in enumerate(dov.codes, start=1)}
+    state = EnumerationList(acceptance_pool())
+    machine_no = {code: k for k, code in enumerate(state.codes, start=1)}
     cycles = []
     for _ in range(STOCK_MEMORY_CYCLES):
-        dov.run_cycle()
+        state.run_cycle()
         cycles.append(
-            [(f"h{j}", "m", f"d{machine_no[code]}") for j, code in enumerate(dov.state.order, start=1)]
+            [(f"h{j}", "m", f"d{machine_no[code]}") for j, code in enumerate(state.order, start=1)]
         )
     return LimitMemory(_LimitListBase(), cycles, label=("builtin", "limitlist"))

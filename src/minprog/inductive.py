@@ -263,8 +263,6 @@ class MachineITM:
     one rule with that left part.
     """
 
-    kind = "itm"
-
     def __init__(
         self,
         name: str,
@@ -565,8 +563,6 @@ class TmAsItm:
     getting stuck halted-nonfinal, and an unfinished run is classified by
     the history of its output tape.
     """
-
-    kind = "tm-as-itm"
 
     def __init__(self, machine: MachineTM) -> None:
         self.name = f"{machine.name}@itm"

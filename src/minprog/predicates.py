@@ -100,15 +100,16 @@ def length_equals(n: int) -> Predicate:
 def computed_within(n: int, interp) -> Predicate:
     """Some program of length at most n yields the word within n steps.
 
-    Decidable by finite search over the program space; the interpreter is a
-    parameter of the predicate, so different interpreters give different
-    (still total) predicates.
+    Decidable by finite search over the program space, of which only the
+    interpreter's live words can halt; the interpreter is a parameter of
+    the predicate, so different interpreters give different (still total)
+    predicates.
     """
     if n < 0:
         raise PredicateConstructionError("step bound must be non-negative")
 
     def check(w: str) -> bool:
-        return any(interp.apply(p, n).result == w for p in words_up_to(n))
+        return any(interp.apply(p, n).result == w for k in range(n + 1) for p in interp.live(k))
 
     return Predicate(f"within:{n}", check)
 

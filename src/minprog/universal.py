@@ -4,11 +4,15 @@ A one-input program for the standard interpreter is pair(w, c(T)): the
 self-delimited code of a machine followed by its input.  Program words
 outside the image of the codec never halt, whatever the fuel, so they can
 never witness a complexity minimum.  The two-input form used for function
-tables carries the machine code alone and receives the argument separately.
+tables is the same pair with an empty payload, the argument taking its
+place.  :func:`read_program` is the one reader of both forms, and each
+interpreter runs both through one path, ``apply`` with no argument and
+``apply2`` with one.
 
-Every interpreter lists, for a given length, its live words: the only
-program words that can halt, in shortlex order.  The searches run just
-those and count the rest.  Under the standard interpreter they are
+Every interpreter lists, for a given length, its live words: ``live(n)``
+are the only program words of n symbols on which ``apply`` can halt, in
+shortlex order, and ``live2(n)`` the same for ``apply2``.  The searches run
+just those and count the rest.  Under the standard interpreter they are
 sd(c) + w for the binary Turing machine codes c, and the shortest code with
 a result is that of the machine that halts at once, 26 bits long: its
 program sd(c) of 54 bits is the minimum for ``anyword``.  A scan of every
@@ -49,31 +53,18 @@ from .codec import KIND_TM, InvalidCodeError, codes_of_length, decode_machine
 WRAP_HEADER = "10"
 
 
-class UniversalInterpreter:
-    """Interface: one-input and two-input fueled application."""
-
-    tag: str
-
-    def apply(self, program: str, fuel: int) -> RunOutcome:
-        raise NotImplementedError
-
-    def apply2(self, program: str, argument: str, fuel: int) -> RunOutcome:
-        raise NotImplementedError
-
-    def live(self, length: int) -> Iterable[str]:
-        """Every program word of ``length`` symbols on which ``apply`` can
-        halt, in shortlex order."""
-        raise NotImplementedError
-
-    def live2(self, length: int) -> Iterable[str]:
-        """The same for ``apply2``."""
-        raise NotImplementedError
-
-    def _diverge(self, fuel: int) -> RunOutcome:
-        return RunOutcome.of_fuel(fuel)
-
-    def __repr__(self) -> str:
-        return f"<interpreter {self.tag}>"
+def read_program(program: str, argument: str | None) -> tuple[str, str] | None:
+    """The input and the machine code of the pair program sd(c) + w: the
+    payload w, or else ``argument``, which a two-input program takes in
+    place of an empty payload.  None for a malformed pair, or for a
+    two-input program that still carries a payload."""
+    try:
+        payload, code = unpair(program)
+    except MalformedPairError:
+        return None
+    if argument is None:
+        return payload, code
+    return (argument, code) if payload == "" else None
 
 
 def _decode_tm_program(code: str) -> MachineTM | None:
@@ -100,30 +91,21 @@ def _headed(heads: Iterable[str], tails: Iterable[str]) -> Iterator[str]:
             yield head + tail
 
 
-class StandardUniversal(UniversalInterpreter):
+class StandardUniversal:
     tag = "std"
 
     def apply(self, program: str, fuel: int) -> RunOutcome:
-        try:
-            payload, code = unpair(program)
-        except MalformedPairError:
-            return self._diverge(fuel)
-        machine = _decode_tm_program(code)
-        if machine is None:
-            return self._diverge(fuel)
-        return run_fueled(machine, payload, fuel)
+        return self._apply(program, None, fuel)
 
     def apply2(self, program: str, argument: str, fuel: int) -> RunOutcome:
-        try:
-            payload, code = unpair(program)
-        except MalformedPairError:
-            return self._diverge(fuel)
-        if payload != "":
-            return self._diverge(fuel)
-        machine = _decode_tm_program(code)
+        return self._apply(program, argument, fuel)
+
+    def _apply(self, program: str, argument: str | None, fuel: int) -> RunOutcome:
+        read = read_program(program, argument)
+        machine = None if read is None else _decode_tm_program(read[1])
         if machine is None:
-            return self._diverge(fuel)
-        return run_fueled(machine, argument, fuel)
+            return RunOutcome.of_fuel(fuel)
+        return run_fueled(machine, read[0], fuel)
 
     def live(self, length: int) -> Iterator[str]:
         return pairs_of_length(length, _tm_codes)
@@ -132,23 +114,24 @@ class StandardUniversal(UniversalInterpreter):
         return sd_words_of_length(length, _tm_codes)
 
 
-class WrappedUniversal(UniversalInterpreter):
+class WrappedUniversal:
     """Serves exactly the :data:`WRAP_HEADER`-prefixed copy of another
     interpreter."""
 
-    def __init__(self, inner: UniversalInterpreter) -> None:
+    def __init__(self, inner: Interpreter) -> None:
         self.inner = inner
         self.tag = f"wrap[{WRAP_HEADER}]({inner.tag})"
 
     def apply(self, program: str, fuel: int) -> RunOutcome:
-        if not program.startswith(WRAP_HEADER):
-            return self._diverge(fuel)
-        return self.inner.apply(program[len(WRAP_HEADER) :], fuel)
+        return self._apply(program, None, fuel)
 
     def apply2(self, program: str, argument: str, fuel: int) -> RunOutcome:
+        return self._apply(program, argument, fuel)
+
+    def _apply(self, program: str, argument: str | None, fuel: int) -> RunOutcome:
         if not program.startswith(WRAP_HEADER):
-            return self._diverge(fuel)
-        return self.inner.apply2(program[len(WRAP_HEADER) :], argument, fuel)
+            return RunOutcome.of_fuel(fuel)
+        return self.inner._apply(program[len(WRAP_HEADER) :], argument, fuel)
 
     def live(self, length: int) -> Iterator[str]:
         return self._live(length, self.inner.live)
@@ -162,7 +145,7 @@ class WrappedUniversal(UniversalInterpreter):
         return _headed([WRAP_HEADER], inner_live(length - len(WRAP_HEADER)))
 
 
-class BiasedUniversal(UniversalInterpreter):
+class BiasedUniversal:
     """Diverges below length n, shortcuts 0^n to the output "0", and strips
     an n-symbol prefix off everything else before deferring to std."""
 
@@ -175,18 +158,17 @@ class BiasedUniversal(UniversalInterpreter):
         self.tag = f"biased[{n}]"
 
     def apply(self, program: str, fuel: int) -> RunOutcome:
-        if len(program) < self.n:
-            return self._diverge(fuel)
-        if program == self.shortcut:
-            return RunOutcome.of_halt("0", 0)
-        return self.base.apply(program[self.n :], fuel)
+        return self._apply(program, None, fuel)
 
     def apply2(self, program: str, argument: str, fuel: int) -> RunOutcome:
+        return self._apply(program, argument, fuel)
+
+    def _apply(self, program: str, argument: str | None, fuel: int) -> RunOutcome:
         if len(program) < self.n:
-            return self._diverge(fuel)
+            return RunOutcome.of_fuel(fuel)
         if program == self.shortcut:
-            return RunOutcome.of_halt("0", 0)  # the constant-"0" function
-        return self.base.apply2(program[self.n :], argument, fuel)
+            return RunOutcome.of_halt("0", 0)  # with an argument, the constant-"0" function
+        return self.base._apply(program[self.n :], argument, fuel)
 
     def live(self, length: int) -> Iterator[str]:
         return self._live(length, self.base.live)
@@ -202,10 +184,12 @@ class BiasedUniversal(UniversalInterpreter):
         return _headed(words_of_length(self.n), base_live(length - self.n))
 
 
+Interpreter = StandardUniversal | WrappedUniversal | BiasedUniversal
+
 U_STD = StandardUniversal()
 
 
-def wrap_universal(inner: UniversalInterpreter) -> WrappedUniversal:
+def wrap_universal(inner: Interpreter) -> WrappedUniversal:
     return WrappedUniversal(inner)
 
 
@@ -220,7 +204,7 @@ def tm_program(machine: MachineTM, payload: str) -> str:
     return sd(encode_machine(machine)) + payload
 
 
-def parse_interpreter_spec(spec: str) -> UniversalInterpreter:
+def parse_interpreter_spec(spec: str) -> Interpreter:
     """Interpreter grammar: ``std`` | ``biased:<n>`` | ``wrap:<inner>``."""
     spec = spec.strip()
     if spec == "std":

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -221,6 +222,23 @@ def test_long_and_empty_codes():
         with pytest.raises(error, match=message):
             decode_machine(word)
 
+
+
+def test_a_huge_state_count_fails_fast():
+    """A header may declare 2^20 states in a few bits; a word that stops or
+    errs before its rows are whole reports so without naming each state."""
+    from minprog.codec import _word
+
+    cases = (([0, 1 << 20, 2, 0], "truncated transition count"),
+             ([0, 1 << 20, 2, 1, 5], "truncated transition count"),
+             ([0, 1 << 20, 2, 0, 1, 0], "truncated read"),
+             ([1, 1 << 20, 2, 0], "truncated connection type count"),
+             ([1, 1 << 20, 2, 0, 1, 1, 1, 0, 0], "truncated rule count"))
+    start = time.perf_counter()
+    for numbers, message in cases:
+        with pytest.raises(TruncatedCodeError, match=message):
+            decode_machine(_word(numbers))
+    assert time.perf_counter() - start < 0.25
 
 def _zoo_machines():
     from minprog.hierarchy import build_diagonal

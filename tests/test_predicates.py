@@ -125,3 +125,14 @@ def test_small20_family_has_twenty_distinct_predicates():
     fam = small20_family(make_biased_universal(1))
     assert len(fam) == 20
     assert len({p.name for p in fam}) == 20
+
+
+@pytest.mark.parametrize("spec", ["std", "wrap:std", "biased:1", "biased:2", "biased:3"])
+def test_computed_within_agrees_with_the_all_words_definition(spec):
+    from minprog.universal import parse_interpreter_spec
+
+    interp = parse_interpreter_spec(spec)
+    for n in range(7):
+        p = computed_within(n, interp)
+        for w in words_up_to(4):
+            assert p(w) == any(interp.apply(q, n).result == w for q in words_up_to(n)), (n, w)

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minprog.codec import decode_machine, encode_machine
+from minprog.complexity import Budget, itm1_class
 from minprog.turing import MachineTM, run_fueled
 from minprog.universal import (
     U_STD,
@@ -15,6 +17,7 @@ from minprog import zoo
 
 from helpers import tm_program2
 from oracles import binary_words_of_len, brute_force_search
+from strategies import small_tms, zoo_tms
 
 
 def test_universality_against_direct_simulation():
@@ -179,3 +182,52 @@ def test_biased_and_wrapped_live_words_extend_std():
     wrapped = wrap_universal(U_STD)
     assert list(wrapped.live(48)) == [WRAP_HEADER + p for p in U_STD.live(46)]
     assert list(wrapped.live2(56)) == [WRAP_HEADER + p for p in U_STD.live2(54)]
+
+
+# ---------------------------------------------------------------------------
+# the two-input form is the one-input form with the argument as payload
+
+_FUEL = 300
+_words = st.text("01", max_size=5)
+_codes = st.one_of(st.sampled_from(zoo_tms()), small_tms()).map(encode_machine)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=st.sampled_from(["std", "wrap:std"]), code=_codes, argument=_words, word=_words)
+def test_two_input_application_is_one_input_with_the_argument_as_payload(spec, code, argument, word):
+    interp = parse_interpreter_spec(spec)
+    head = WRAP_HEADER if spec.startswith("wrap:") else ""
+    program = head + sd(code)
+    assert interp.apply2(program, argument, _FUEL) == interp.apply(program + argument, _FUEL)
+    if word:  # a program that still carries a payload takes no argument
+        assert interp.apply2(program + word, argument, _FUEL).kind == "out-of-fuel"
+    # an arbitrary word either diverges or reads as the pair program
+    out = interp.apply2(word, argument, _FUEL)
+    assert out.kind == "out-of-fuel" or out == interp.apply(word + argument, _FUEL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3), code=_codes, argument=_words, word=st.text("01", max_size=8))
+def test_biased_application_strips_its_prefix_or_shortcuts(n, code, argument, word):
+    biased = make_biased_universal(n)
+    assert biased.apply2("0" * n, argument, _FUEL) == biased.apply("0" * n, _FUEL)
+    assert biased.apply2("0" * n, argument, _FUEL).output == "0"
+    for program in (word, word[:n].ljust(n, "1") + sd(code)):
+        if len(program) < n:
+            assert biased.apply2(program, argument, _FUEL).kind == "out-of-fuel"
+        elif program != "0" * n:
+            assert biased.apply(program, _FUEL) == U_STD.apply(program[n:], _FUEL)
+            assert biased.apply2(program, argument, _FUEL) == U_STD.apply2(program[n:], argument, _FUEL)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wrapped=st.booleans(), code=_codes, argument=_words, word=_words)
+def test_itm1_two_input_form_is_the_one_input_form(wrapped, code, argument, word):
+    handle = itm1_class()
+    budget = Budget(0, _FUEL, 64)
+    program = (WRAP_HEADER if wrapped else "") + sd(code)
+    assert handle.produce2(program, argument, budget) == handle.produce(program + argument, budget)
+    if word:
+        assert handle.produce2(program + word, argument, budget) is None
+    got = handle.produce2(word, argument, budget)
+    assert got is None or got == handle.produce(word + argument, budget)
