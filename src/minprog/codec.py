@@ -16,11 +16,14 @@ cell or type names reach the code: it is independent of the names a
 machine was built with.  Decoding checks the full structural contract,
 these numberings included, and rejects anything else, so every decodable
 word is the code of the machine it decodes to, and interpreters can treat
-undecodable program words as divergent.
+undecodable program words as divergent.  The encoder numbers states with
+:func:`canonical_state_order`; the decoder checks the numbering on the
+state indices of the rows it read, without naming the states.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cache
 from typing import NoReturn
 
@@ -150,7 +153,8 @@ _ALPHABETS = {k: BINARY if k == 2 else Alphabet(tuple(str(d) for d in range(k)))
 def canonical_state_order(machine: MachineTM | MachineITM) -> list[str]:
     """States in first-use order: start, then targets of transitions taken
     in sorted read order, breadth first; unreachable states keep their
-    declaration order at the end.
+    declaration order at the end.  The encoder's numbering; the decoder
+    checks it on the rows it read with :func:`_first_use`.
 
     Both machine kinds key their table by (state, *reads) and put the next
     state first in each entry."""
@@ -175,6 +179,26 @@ def canonical_state_order(machine: MachineTM | MachineITM) -> list[str]:
     return order
 
 
+def _first_use(pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether states numbered by index are in first-use order, given the
+    (state, next state) indices of a table's rows in canonical row order.
+
+    While the numbering holds, the breadth-first walk from state 0 takes the
+    states in index order, each with its rows in read order: it is the walk
+    over the rows in row order.  Each state a row reaches first must then be
+    the next index.  The walk ends at a row of a state not reached: the
+    states from there on are unreachable, and they keep index order."""
+    reached = 1  # states 0 .. reached-1 are reached
+    for state, nxt in pairs:
+        if state >= reached:
+            break
+        if nxt >= reached:
+            if nxt > reached:
+                return False
+            reached += 1
+    return True
+
+
 def _conn_type_order(memory: ExplicitMemory, rules: list[Rule]) -> list[str]:
     """An explicit memory's connection types in code order: the types the
     rules (in row order) move by, in first use, then the others by their
@@ -189,12 +213,13 @@ def _conn_type_order(memory: ExplicitMemory, rules: list[Rule]) -> list[str]:
     return used + sorted(rest, key=lambda t: sorted(links[t]))
 
 
-def _require_canonical(machine: MachineTM | MachineITM) -> None:
-    """Reject a decoded machine whose numbering the encoder would change."""
+def _require_canonical(machine: MachineTM | MachineITM, first_use: bool) -> None:
+    """Reject a decoded machine whose numbering the encoder would change;
+    ``first_use`` is :func:`_first_use` on its rows."""
     memory = getattr(machine, "memory", None)
     if isinstance(memory, ExplicitMemory) and _conn_type_order(memory, machine.rules) != list(memory.conn_types):
         raise InvalidCodeError("connection types are not in canonical order")
-    if canonical_state_order(machine) != list(machine.states):
+    if not first_use:
         raise InvalidCodeError("states are not numbered in first-use order")
 
 
@@ -308,7 +333,8 @@ def _decode_header(reader: _Numbers) -> tuple[int, Alphabet, list[int]]:
 _TM_ROW = ("state", *["read"] * 3, "next state", *["write"] * 3, *["move"] * 3)
 
 
-def _decode_tm(reader: _Numbers) -> MachineTM:
+def _decode_tm(reader: _Numbers) -> tuple[MachineTM, bool]:
+    """The machine, and whether its rows number the states in first-use order."""
     nstates, alpha, final_ids = _decode_header(reader)
     ntrans = reader.number("transition count")
     width = len(_TM_ROW)
@@ -333,7 +359,8 @@ def _decode_tm(reader: _Numbers) -> MachineTM:
     if keys != sorted(keys):
         raise InvalidCodeError("transition table is not in canonical order")
     finals = frozenset(states[f] for f in final_ids)
-    return MachineTM("decoded", states, states[0], finals, alpha, trans)
+    machine = MachineTM("decoded", states, states[0], finals, alpha, trans)
+    return machine, _first_use(zip(flat[0::width], flat[4::width]))
 
 
 def _raise_row_error(reader: _Numbers, rows: list[list[int]], nstates: int, nsyms: int) -> NoReturn:
@@ -352,7 +379,8 @@ def _raise_row_error(reader: _Numbers, rows: list[list[int]], nstates: int, nsym
     reader.fail("state")
 
 
-def _decode_itm(reader: _Numbers) -> MachineITM:
+def _decode_itm(reader: _Numbers) -> tuple[MachineITM, bool]:
+    """The machine, and whether its rows number the states in first-use order."""
     nstates, alpha, final_ids = _decode_header(reader)
     nconn = reader.number("connection type count")
     mem_form = reader.number("memory form")
@@ -418,19 +446,20 @@ def _decode_itm(reader: _Numbers) -> MachineITM:
         for q, read, write, move, nq in rows
     )
     finals = frozenset(states[f] for f in final_ids)
-    return MachineITM("decoded", states, states[0], finals, alpha, rules, memory)
+    machine = MachineITM("decoded", states, states[0], finals, alpha, rules, memory)
+    return machine, _first_use((q, nq) for q, *_, nq in rows)
 
 
 def decode_machine(word: str):
     """Inverse of :func:`encode_machine`; raises InvalidCodeError off-image."""
     reader = _Numbers(word)
     table = None  # the decoded machine with a table, whose numbering is checked last
+    first_use = True  # whether its rows number its states in first-use order
     try:
         kind = reader.number("machine kind")
-        if kind == KIND_TM:
-            machine = table = _decode_tm(reader)
-        elif kind == KIND_ITM:
-            machine = table = _decode_itm(reader)
+        if kind in (KIND_TM, KIND_ITM):
+            table, first_use = (_decode_tm if kind == KIND_TM else _decode_itm)(reader)
+            machine = table
         elif kind == KIND_PIPELINE:
             from .hierarchy import DiagonalPipeline, SimDecider  # cycle broken on purpose
 
@@ -441,7 +470,7 @@ def decode_machine(word: str):
                     raise InvalidCodeError(f"unknown builtin decider {builtin}")
                 machine = DiagonalPipeline(SimDecider())
             elif slot == 0:
-                table = _decode_itm(reader)
+                table, first_use = _decode_itm(reader)
                 machine = DiagonalPipeline(table)
             else:
                 raise InvalidCodeError(f"unknown decider slot form {slot}")
@@ -452,7 +481,7 @@ def decode_machine(word: str):
     if not reader.done():
         raise InvalidCodeError("trailing 2-bit blocks after the last number of the machine code")
     if table is not None:
-        _require_canonical(table)
+        _require_canonical(table, first_use)
     return machine
 
 

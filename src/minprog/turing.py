@@ -84,13 +84,16 @@ class MachineTM:
 
     ``table`` maps (state, r0, r1, r2) to the compiled :data:`TmStep` of the
     one transition with that left part.  Structural rules enforced at
-    construction:
+    construction, each transition checked in this order:
 
-    * at most one transition per left part (determinism),
+    * it reads, writes and moves on exactly three tapes,
+    * its states are declared, its symbols are in the alphabet or blank,
+      and its moves are L, R or S,
     * tape 0 is read-only (every write equals the read),
     * the output tape is never erased (a non-blank cell is never
       overwritten with blank), which keeps "the word on the output tape"
-      unambiguous.
+      unambiguous,
+    * at most one transition per left part (determinism).
     """
 
     name: str
@@ -107,40 +110,47 @@ class MachineTM:
             raise MachineValidationError("duplicate state declaration")
         if self.start not in declared:
             raise MachineValidationError(f"start state {self.start!r} is not declared")
-        for s in self.finals:
+        finals = self.finals
+        for s in finals:
             if s not in declared:
                 raise MachineValidationError(f"final state {s!r} is not declared")
+        symbols = {BLANK, *self.alphabet.symbols}
         table: dict[tuple[str, str, str, str], TmStep] = {}
         for tr in self.transitions:
-            if tr.state not in declared or tr.next_state not in declared:
+            state, nxt, reads, writes, moves = tr.state, tr.next_state, tr.reads, tr.writes, tr.moves
+            try:
+                (r0, r1, r2), (w0, w1, w2), (m0, m1, m2) = reads, writes, moves
+            except ValueError:
                 raise MachineValidationError(
-                    f"transition {tr.state}->{tr.next_state} uses an undeclared state"
-                )
-            for sym in (*tr.reads, *tr.writes):
-                self.alphabet.check_symbol(sym)
-            for mv in tr.moves:
-                if mv not in MOVES:
-                    raise MachineValidationError(f"unknown move {mv!r}")
-            if tr.writes[0] != tr.reads[0]:
+                    f"transition in state {state!r} does not read, write and move on three tapes"
+                ) from None
+            if state not in declared or nxt not in declared:
+                raise MachineValidationError(f"transition {state}->{nxt} uses an undeclared state")
+            if not (symbols.issuperset(reads) and symbols.issuperset(writes)):
+                for sym in (*reads, *writes):
+                    self.alphabet.check_symbol(sym)
+            if m0 not in _MOVE_DELTA or m1 not in _MOVE_DELTA or m2 not in _MOVE_DELTA:
+                bad = next(m for m in moves if m not in _MOVE_DELTA)
+                raise MachineValidationError(f"unknown move {bad!r}")
+            if w0 != r0:
                 raise MachineValidationError(
-                    f"transition in state {tr.state!r} writes to the read-only input tape"
+                    f"transition in state {state!r} writes to the read-only input tape"
                 )
-            if tr.reads[2] != BLANK and tr.writes[2] == BLANK:
+            if r2 != BLANK and w2 == BLANK:
                 raise MachineValidationError(
-                    f"transition in state {tr.state!r} erases the output tape"
+                    f"transition in state {state!r} erases the output tape"
                 )
-            key = (tr.state, *tr.reads)
+            key = (state, r0, r1, r2)
             if key in table:
                 raise MachineValidationError(
-                    f"two transitions share the left part ({tr.state}, {'/'.join(tr.reads)})"
+                    f"two transitions share the left part ({state}, {r0}/{r1}/{r2})"
                 )
-            d0, d1, d2 = (_MOVE_DELTA[m] for m in tr.moves)
             table[key] = (
-                tr.next_state,
-                compiled_write(tr.reads[1], tr.writes[1]),
-                compiled_write(tr.reads[2], tr.writes[2]),
-                d0, d1, d2,
-                tr.next_state in self.finals,
+                nxt,
+                compiled_write(r1, w1),
+                compiled_write(r2, w2),
+                _MOVE_DELTA[m0], _MOVE_DELTA[m1], _MOVE_DELTA[m2],
+                nxt in finals,
             )
         object.__setattr__(self, "table", table)
 

@@ -1,24 +1,26 @@
 import itertools
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from minprog.codec import (
     KIND_TM,
     InvalidCodeError,
     TruncatedCodeError,
+    canonical_state_order,
     codes_of_length,
     decode_machine,
     encode_machine,
 )
 from minprog.turing import MachineTM, Transition, TmRun, run_fueled
-from minprog.inductive import MachineITM, itm_run
+from minprog.inductive import ExplicitMemory, MachineITM, Rule, itm_run
 from minprog.words import BINARY, BLANK, InvalidWordError, words_up_to
-from minprog import zoo
+from minprog import codec, zoo
 
 from helpers import canonicalize_tm, configuration, step
-from strategies import small_tms
+from strategies import full_tms, small_itms, small_tms
 
 
 def _behaviorally_equal(a, b, inputs, fuel=500):
@@ -274,3 +276,62 @@ def test_codes_of_length_match_trial_decoding_of_every_token_word():
             found.append(word)
         assert codes_of_length(2 * ntokens) == found, ntokens
     assert codes_of_length(13) == []
+
+
+def _renumbered(machine, order):
+    """The code of ``machine`` with its states numbered in ``order`` (the
+    encoder's numbering replaced), and the machine that code reads as:
+    states s0, s1, ... in that order, s0 the start."""
+    rename = {s: f"s{i}" for i, s in enumerate(order)}
+    with mock.patch.object(codec, "canonical_state_order", lambda m: order):
+        word = encode_machine(machine)
+    states = tuple(rename[s] for s in order)
+    finals = frozenset(rename[s] for s in machine.finals)
+    if isinstance(machine, MachineTM):
+        rows = tuple(Transition(rename[t.state], t.reads, rename[t.next_state], t.writes, t.moves)
+                     for t in machine.transitions)
+        return word, MachineTM(machine.name, states, "s0", finals, machine.alphabet, rows)
+    rules = tuple(Rule(rename[r.state], r.read, rename[r.next_state], write=r.write, move=r.move)
+                  for r in machine.rules)
+    return word, MachineITM(machine.name, states, "s0", finals, machine.alphabet, rules, machine.memory)
+
+
+def _check_first_use(machine, order):
+    """The decoder rejects a numbering exactly when the encoder's
+    canonical_state_order would change it, and decodes it otherwise."""
+    word, named = _renumbered(machine, order)
+    if canonical_state_order(named) == list(named.states):
+        assert encode_machine(decode_machine(word)) == word
+    else:
+        with pytest.raises(InvalidCodeError) as exc:
+            decode_machine(word)
+        assert str(exc.value) == "states are not numbered in first-use order"
+
+
+_NUMBERED_MACHINES = st.one_of(
+    small_tms(), full_tms(), small_itms(),
+    small_itms().filter(lambda m: isinstance(m.memory, ExplicitMemory)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NUMBERED_MACHINES, st.data())
+def test_decoder_first_use_check_agrees_with_canonical_state_order(machine, data):
+    _check_first_use(machine, data.draw(st.permutations(machine.states)))
+
+
+@pytest.mark.parametrize("declared", [("q0", "a", "b"), ("q0", "b", "a")])
+def test_unreachable_states_decode_in_either_declaration_order(declared):
+    """q0 loops on itself, so a and b, whose rows differ, are unreachable;
+    both declaration orders give a code, and each numbering of the three
+    states is checked like any other."""
+    rows = (
+        Transition("q0", (BLANK,) * 3, "q0", (BLANK,) * 3, ("S",) * 3),
+        Transition("a", ("0", BLANK, BLANK), "a", ("0", BLANK, BLANK), ("R", "S", "S")),
+        Transition("b", ("1", BLANK, BLANK), "b", ("1", BLANK, "1"), ("S", "S", "S")),
+    )
+    machine = MachineTM("unreachable", declared, "q0", frozenset(), BINARY, rows)
+    word = encode_machine(machine)
+    assert encode_machine(decode_machine(word)) == word
+    for order in itertools.permutations(declared):
+        _check_first_use(machine, list(order))

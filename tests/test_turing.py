@@ -108,6 +108,58 @@ def test_undeclared_states_rejected():
         MachineTM("t", ("q0",), "q1", frozenset(), BINARY, ())
 
 
+_OK = ("q0", ("0", "_", "_"), "qf", ("0", "_", "_"), ("S", "S", "S"))
+_ARITY = "transition in state 'q0' does not read, write and move on three tapes"
+
+
+@pytest.mark.parametrize("part", [1, 3, 4])
+@pytest.mark.parametrize("size", [2, 4])
+def test_transitions_read_write_and_move_on_three_tapes(part, size):
+    row = list(_OK)
+    row[part] = (row[part] * 2)[:size]
+    with pytest.raises(MachineValidationError) as exc:
+        _tm([row])
+    assert str(exc.value) == _ARITY
+
+
+# Two faults each, in one transition or in two: the first faulty transition
+# wins, and within it the checks run in the order MachineTM's docstring lists.
+@pytest.mark.parametrize("rows, error, message", [
+    ([("qx", ("0", "_"), "qf", ("0", "_", "_"), ("S", "S", "S"))], MachineValidationError,
+     "transition in state 'qx' does not read, write and move on three tapes"),
+    ([("q0", ("2", "_", "_"), "qf", ("0", "_", "_"), ("S", "S"))], MachineValidationError, _ARITY),
+    ([("qx", ("2", "_", "_"), "qf", ("0", "_", "_"), ("S", "S", "S"))], MachineValidationError,
+     "transition qx->qf uses an undeclared state"),
+    ([("q0", ("0", "_", "_"), "qx", ("0", "_", "_"), ("X", "S", "S"))], MachineValidationError,
+     "transition q0->qx uses an undeclared state"),
+    ([("q0", ("0", "_", "x"), "qf", ("0", "y", "_"), ("S", "S", "S"))], InvalidWordError,
+     "symbol 'x' is not in alphabet 01"),
+    ([("q0", ("0", "_", "_"), "qf", ("0", "y", "_"), ("S", "X", "S"))], InvalidWordError,
+     "symbol 'y' is not in alphabet 01"),
+    ([("q0", ("0", "_", "_"), "qf", ("1", "_", "_"), ("S", "X", "Y"))], MachineValidationError,
+     "unknown move 'X'"),
+    ([("q0", ("0", "_", "1"), "qf", ("1", "_", "_"), ("S", "S", "S"))], MachineValidationError,
+     "transition in state 'q0' writes to the read-only input tape"),
+    ([_OK, ("q0", ("0", "_", "_"), "qf", ("1", "_", "_"), ("S", "S", "S"))], MachineValidationError,
+     "transition in state 'q0' writes to the read-only input tape"),
+    ([("q0", ("0", "_", "1"), "qf", ("0", "_", "1"), ("S", "S", "S")),
+      ("q0", ("0", "_", "1"), "qf", ("0", "_", "_"), ("S", "S", "S"))], MachineValidationError,
+     "transition in state 'q0' erases the output tape"),
+    ([("q0", ("0", "_", "1"), "qf", ("0", "_", "_"), ("S", "S", "S")),
+      ("qx", ("1", "_", "_"), "qf", ("1", "_", "_"), ("S", "S", "S"))], MachineValidationError,
+     "transition in state 'q0' erases the output tape"),
+    ([_OK, _OK, ("q0", ("1", "_", "_"), "qf", ("1", "_", "_"), ("S", "S"))], MachineValidationError,
+     "two transitions share the left part (q0, 0/_/_)"),
+    ([_OK, ("q0", ("1", "_"), "qf", ("1", "_", "_"), ("S", "S", "S")), _OK], MachineValidationError, _ARITY),
+], ids=["arity-state", "arity-move", "state-symbol", "state-move", "read-write", "write-move",
+        "move-input", "input-output", "input-left-part", "output-left-part", "output-then-state",
+        "left-part-then-arity", "arity-then-left-part"])
+def test_the_first_fault_in_check_order_is_reported(rows, error, message):
+    with pytest.raises(error) as exc:
+        _tm(rows)
+    assert str(exc.value) == message
+
+
 def test_run_to_stops_at_fuel_final_state_or_stuck():
     run = zoo.looper().start_run("0").run_to(5)
     assert (run.steps, run.in_final, run.stuck) == (5, False, False)
