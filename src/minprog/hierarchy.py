@@ -82,6 +82,8 @@ class ProbeRow:
         self.machine = machine
         self.runs: list[TmRun] = []
         self.finals = 0
+        # the runs that stopped (final or stuck), and their steps, at least 1 each
+        self.stopped = self.stopped_steps = 0
         self._open: list[int] = []
 
     def run_round(self, n: int) -> list[int]:
@@ -94,9 +96,12 @@ class ProbeRow:
         still, halted = [], []
         for i in self._open:
             run = runs[i].run_to(n)
-            if run.in_final:
-                halted.append(i + 1)
-            elif not (run.stuck or run.period):
+            if run.in_final or run.stuck:
+                self.stopped += 1
+                self.stopped_steps += run.steps or 1
+                if run.in_final:
+                    halted.append(i + 1)
+            elif not run.period:
                 still.append(i)
         self._open = still
         self.finals += len(halted)
@@ -253,25 +258,32 @@ class RangeEnumerator:
         n = shortlex_index(input_word) + 1
         discovered: list[str] = []
         row = ProbeRow(self.base)
+        runs = row.runs
+
+        def charged(k: int) -> int:
+            # what fresh runs of round_no steps on the first k pairs would cost
+            return sum(round_no if run.period else run.steps or 1 for run in runs[:k])
+
         spent = round_no = 0
         while spent < fuel:
             round_no += 1
             # a pair surfaces in the round its run halts, the first round
             # covering both its input index and its halting time
-            surfacing = set(row.run_round(round_no))
-            for i, run in enumerate(row.runs, start=1):
-                # a round charges each pair what a fresh run of round_no
-                # steps would cost: its step count so far (at least 1), or
-                # round_no for a repeating run, which is no longer resumed
-                spent += round_no if run.period else run.steps or 1
-                if i in surfacing:
-                    output = run.output_word()
-                    if output not in discovered:
-                        discovered.append(output)
-                        if len(discovered) >= n:
-                            return RunOutcome.of_halt(discovered[n - 1], min(spent, fuel))
-                if spent >= fuel:
+            surfacing = row.run_round(round_no)
+            # a round charges each pair what a fresh run of round_no steps
+            # would cost: the steps of a stopped run (at least 1), else
+            # round_no, also for a repeating run, which is no longer resumed;
+            # the pairs are charged in order, and the round ends at the fuel
+            total = row.stopped_steps + round_no * (len(runs) - row.stopped)
+            for i in surfacing:
+                if spent + total >= fuel and spent + charged(i - 1) >= fuel:
                     break
+                output = runs[i - 1].output_word()
+                if output not in discovered:
+                    discovered.append(output)
+                    if len(discovered) >= n:
+                        return RunOutcome.of_halt(output, min(spent + charged(i), fuel))
+            spent += total
         return RunOutcome.of_fuel(fuel)
 
 

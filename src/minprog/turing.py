@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 
 from .words import BLANK, Alphabet
@@ -66,8 +68,11 @@ class RunOutcome:
 
 # A compiled transition: the next state, the tape-1 and tape-2 writes as
 # compiled_write gives them (tape 0 is read-only), the three head deltas,
-# and whether the next state is final.
-TmStep = tuple[str, str | None, str | None, int, int, int, bool]
+# whether the next state is final, and whether it is a sweep step: one that
+# reads a non-blank input symbol and a blank output cell, moves the input
+# head right, leaves the work head and its cell alone, enters no final
+# state, and either leaves the output alone or writes it and moves right.
+TmStep = tuple[str, str | None, str | None, int, int, int, bool, bool]
 
 
 def compiled_write(read: str, write: str | None) -> str | None:
@@ -145,14 +150,31 @@ class MachineTM:
                 raise MachineValidationError(
                     f"two transitions share the left part ({state}, {r0}/{r1}/{r2})"
                 )
+            final = nxt in finals
             table[key] = (
                 nxt,
                 compiled_write(r1, w1),
                 compiled_write(r2, w2),
                 _MOVE_DELTA[m0], _MOVE_DELTA[m1], _MOVE_DELTA[m2],
-                nxt in finals,
+                final,
+                r0 != BLANK and r2 == BLANK and m0 == "R" and m1 == "S" and w1 == r1
+                and m2 == ("S" if w2 == BLANK else "R") and not final,
             )
         object.__setattr__(self, "table", table)
+
+    @cached_property
+    def sweeps(self) -> dict[str, dict[str, dict]]:
+        """The sweep steps of ``table`` as a transducer, built on first use:
+        per work symbol, state -> {input symbol: (next state, output write
+        or "", next state's row), or None where no sweep step reads it}."""
+        maps: dict[str, dict[str, dict]] = {}
+        for (state, r0, r1, _), (nxt, _, w2, *_, sweep) in self.table.items():
+            if sweep:
+                if r1 not in maps:
+                    maps[r1] = {q: dict.fromkeys(self.alphabet.symbols) for q in self.states}
+                rows = maps[r1]
+                rows[state][r0] = (nxt, w2 or "", rows[nxt])
+        return maps
 
     def start_run(self, input_word: str) -> "TmRun":
         return TmRun(self, input_word)
@@ -163,6 +185,10 @@ _STEP = itemgetter(0)
 # The step of a run's first snapshot; later ones are at its doublings.  A
 # run shorter than this copies no tapes.
 FIRST_SNAPSHOT = 16
+
+# A sweep costs about as much to set up as this many single steps, so a run
+# takes one only when at least this many steps and input symbols are ahead.
+SWEEP_MIN = 8
 
 
 class EventLog:
@@ -225,12 +251,17 @@ class TmRun:
     position, symbol) in it.
 
     A run that comes back to an earlier configuration repeats forever:
-    ``period`` is then its length, and the run skips whole periods.
+    ``period`` is then its length, and the run skips whole periods.  The
+    input word is also kept as the string ``input_word``, which sweeps read.
     """
+
+    # the rightmost output cell of the first n written, and n; sweeps update it
+    _top = (float("-inf"), 0)
 
     def __init__(self, machine: MachineTM, input_word: str) -> None:
         machine.alphabet.check_word(input_word)
         self.machine = machine
+        self.input_word = input_word
         self.tapes: tuple[dict[int, str], ...] = (dict(enumerate(input_word)), {}, {})
         self.heads = [0, 0, 0]
         self.state = machine.start
@@ -259,9 +290,16 @@ class TmRun:
         each time the step count doubles (Brent's cycle finding), and a
         match with equal work and output tapes is a repeat.  The input tape is
         read-only.  The run then skips whole periods and steps the rest.
+
+        A sweep step (see :data:`TmStep`) hands the rest of its sweep to
+        :meth:`_sweep` when the next snapshot step or the fuel, and the end
+        of the input, are at least :data:`SWEEP_MIN` steps ahead and the
+        input head is past the snapshot's.  This is exact: a sweep ends by
+        the snapshot step, enters no final state, and only moves the input
+        head right, so no step inside it can match the snapshot.
         """
         steps = self.steps
-        if steps >= fuel or self.stuck or self.in_final:
+        if steps >= fuel or self.stuck or self.state in self.machine.finals:
             return self
         table = self.machine.table
         t0, t1, t2 = self.tapes
@@ -282,13 +320,15 @@ class TmRun:
                 if steps == mark:
                     since, s_state, s0, s1, s2, s_work, s_out = steps, state, h0, h1, h2, dict(t1), dict(t2)
                     mark *= 2
-            for steps in range(steps + 1, (mark if mark < fuel else fuel) + 1):
+            limit = mark if mark < fuel else fuel
+            room = limit - SWEEP_MIN  # the last step a sweep may follow
+            for steps in range(steps + 1, limit + 1):
                 entry = table.get((state, get0(h0, BLANK), get1(h1, BLANK), get2(h2, BLANK)))
                 if entry is None:
                     stuck = True
                     steps -= 1
                     break
-                state, w1, w2, d0, d1, d2, final = entry
+                state, w1, w2, d0, d1, d2, final, sweep = entry
                 if w1 is not None:
                     if w1:
                         t1[h1] = w1
@@ -303,6 +343,12 @@ class TmRun:
                 h2 += d2
                 if final:
                     break
+                if (sweep and s0 is not None and steps <= room and h0 > s0
+                        and h0 + SWEEP_MIN <= len(self.input_word)):
+                    swept = self._sweep(state, h0, h1, h2, steps, limit, writes)
+                    if swept:
+                        state, h0, h2, steps = swept
+                        break
                 if h0 == s0 and h1 == s1 and h2 == s2 and state == s_state and t1 == s_work and t2 == s_out:
                     period = steps - since
                     if writes is not None:
@@ -318,15 +364,54 @@ class TmRun:
         self._snapshot = (since, s_state, s0, s1, s2, s_work, s_out)
         return self
 
+    def _sweep(
+        self, state: str, h0: int, h1: int, h2: int, steps: int, limit: int, writes: list[tuple] | None
+    ) -> tuple[str, int, int, int] | None:
+        """Take the rest of a sweep at once, up to step ``limit``: run the
+        input through the machine's ``sweeps`` and write the output tape and
+        the write log in bulk.  The state, heads and steps after it, or None
+        if it takes no step or an output cell from the output head on is set."""
+        t2 = self.tapes[2]
+        # output cells are never erased and a dict keeps insertion order:
+        # the cells written since the last sweep are its last keys
+        top, known = self._top
+        if len(t2) > known:
+            top = max(top, max(islice(reversed(t2), len(t2) - known)))
+            self._top = (top, len(t2))
+        if h2 <= top:
+            return None
+        row = self.machine.sweeps[self.tapes[1].get(h1, BLANK)][state]
+        trail: list[str] = []  # the output write of each step, or ""
+        put = trail.append
+        for symbol in self.input_word[h0 : h0 + limit - steps]:
+            hit = row[symbol]
+            if hit is None:
+                break
+            state, w2, row = hit
+            put(w2)
+        if not trail:
+            return None
+        if out := "".join(trail):
+            cells = range(h2, h2 + len(out))
+            t2.update(zip(cells, out))
+            if writes is not None:
+                writes.extend(zip([steps + i for i, w in enumerate(trail, 1) if w], cells, out))
+            h2 += len(out)
+            self._top = (h2 - 1, len(t2))
+        return state, h0 + len(trail), h2, steps + len(trail)
+
     def output_cells(self) -> str:
         """The non-blank cells of the output tape, in tape order."""
         tape = self.tapes[2]
-        return "".join([tape[pos] for pos in sorted(tape)])
+        cells = list(tape)
+        ordered = sorted(cells)
+        # a tape written from left to right holds its cells in tape order
+        return "".join(tape.values() if cells == ordered else [tape[pos] for pos in ordered])
 
     def output_word(self) -> str:
         """Output tape content with surrounding blanks stripped."""
-        tape = self.tapes[2]
-        if tape and max(tape) - min(tape) >= len(tape):
+        cells = sorted(self.tapes[2])
+        if cells and cells[-1] - cells[0] >= len(cells):
             raise MachineValidationError(
                 f"machine {self.machine.name!r} left an interior blank on its output tape"
             )

@@ -47,6 +47,37 @@ def random_tm(rng):
     return MachineTM("random-full", states, states[0], frozenset(finals), BINARY, tuple(rows))
 
 
+def random_sweep_tm(rng):
+    """A random valid Turing machine whose rows are mostly sweep steps: at
+    most 4 states, a row for most (state, reads) left parts, and at most one
+    final state, not the start.  Where it reads a non-blank input symbol and
+    a blank output cell a row most often moves the input head right, leaves
+    the work tape alone, and either leaves the output alone or writes it
+    and moves right; the other rows write and move at random, the input
+    head more often left than right, so that sweeps turn around."""
+    states = tuple(f"q{i}" for i in range(rng.randint(1, 4)))
+    rows = []
+    for q in states:
+        for r0, r1, r2 in itertools.product(_SYMS, repeat=3):
+            if rng.random() < 0.15:
+                continue  # no row: the run gets stuck here
+            if r0 != BLANK and r2 == BLANK and rng.random() < 0.7:
+                out = rng.choice(_SYMS)
+                moves = ("R", "S", "S" if out == BLANK else "R")
+                rows.append(Transition(q, (r0, r1, r2), rng.choice(states), (r0, r1, out), moves))
+                continue
+            out = rng.choice(_SYMS if r2 == BLANK else _SYMS[:2])
+            moves = (rng.choice("LLRS"), rng.choice(MOVES), rng.choice(MOVES))
+            rows.append(Transition(q, (r0, r1, r2), rng.choice(states), (r0, rng.choice(_SYMS), out), moves))
+    finals = {rng.choice(states[1:])} if len(states) > 1 and rng.random() < 0.3 else ()
+    return MachineTM("random-sweep", states, states[0], frozenset(finals), BINARY, tuple(rows))
+
+
+def sweep_tms():
+    """Random sweep-heavy machines drawn by :func:`random_sweep_tm` from a seed."""
+    return st.integers(0, 2**32).map(lambda seed: random_sweep_tm(random.Random(seed)))
+
+
 def full_tms():
     """Random never-stuck machines drawn by :func:`random_tm` from a seed."""
     return st.integers(0, 2**32).map(lambda seed: random_tm(random.Random(seed)))

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -351,6 +353,16 @@ def test_range_enumerator_of_constant_machine_stops_after_one_value():
     first = run_fueled(m, nth_word(1), 100_000)
     assert first.halted and first.output == "0"
     assert run_fueled(m, nth_word(2), 100_000).kind == "out-of-fuel"
+
+
+def test_range_enumerator_charges_a_round_at_once():
+    # about 14,000 rounds of up to 14,000 stopped pairs each: a charge per
+    # pair would take over ten seconds, a charge per round about 0.2 s
+    m = build_range_enumerator(encode_machine(zoo.const_zero()))
+    start = time.perf_counter()
+    out = m.run(nth_word(2), 10**8)
+    assert (out.kind, out.steps) == ("out-of-fuel", 10**8)
+    assert time.perf_counter() - start < 3.0
 
 
 def test_pool_equivalence_totalizer_halts_iff_base_halts_on_prefix():

@@ -1,0 +1,195 @@
+"""A run that takes a sweep over its input at once must report what plain
+stepping reports: steps, state, heads, tapes, the period of a repeat and
+the write log with its periodic tail, at every fuel, whether reached in one
+call or in resumed chunks.
+
+The reference is the one-step-at-a-time stepper of ``oracles.py``.  Where
+the stepper's repeat check must find a repeat follows from the plain
+configurations and the snapshot steps 16, 32, 64, ..., written out here, so
+the oracle stays a plain stepper.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from minprog import zoo
+from minprog.turing import FIRST_SNAPSHOT, EventLog, MachineTM, Transition
+from minprog.words import BINARY, BLANK
+
+from helpers import configuration
+from oracles import PlainTm
+from strategies import bouncer, sweep_tms, unary_tms, zoo_tms
+
+# snapshot steps 16 ... 256, and room past the last one for a repeat of it
+SNAPSHOTS = [FIRST_SNAPSHOT << k for k in range(5)]
+REACH = 2 * SNAPSHOTS[-1] + 8
+
+
+def ping_pong():
+    """Sweeps its input right in state R and walks it back left in state L,
+    turning on the blank past either end, forever.  Its input head passes
+    the snapshot's cell inside a sweep, so only a sweep that starts past the
+    snapshot's input head may skip the repeat check."""
+    rows = []
+    for s in "01":
+        rows.append(Transition("R", (s, BLANK, BLANK), "R", (s, BLANK, BLANK), ("R", "S", "S")))
+        rows.append(Transition("L", (s, BLANK, BLANK), "L", (s, BLANK, BLANK), ("L", "S", "S")))
+    rows.append(Transition("R", (BLANK, BLANK, BLANK), "L", (BLANK, BLANK, BLANK), ("L", "S", "S")))
+    rows.append(Transition("L", (BLANK, BLANK, BLANK), "R", (BLANK, BLANK, BLANK), ("R", "S", "S")))
+    return MachineTM("ping-pong", ("R", "L"), "R", frozenset(), BINARY, tuple(rows))
+
+
+def rewinder():
+    """Copies its input to the output tape, walks both heads back to the
+    blank left of the input, and copies again from one output cell further
+    left, forever.  From the second pass on the output head writes one
+    blank cell and then meets the cells it wrote before, which it passes
+    without writing: only a sweep that finds every output cell ahead blank
+    may copy at once."""
+    rows = []
+    for s in "01":
+        rows.append(Transition("A", (s, BLANK, BLANK), "A", (s, BLANK, s), ("R", "S", "R")))
+        for o in (*"01", BLANK):
+            if o != BLANK:
+                rows.append(Transition("A", (s, BLANK, o), "A", (s, BLANK, o), ("R", "S", "R")))
+            rows.append(Transition("B", (s, BLANK, o), "B", (s, BLANK, o), ("L", "S", "L")))
+    for o in (*"01", BLANK):
+        rows.append(Transition("A", (BLANK, BLANK, o), "B", (BLANK, BLANK, o), ("L", "S", "L")))
+        rows.append(Transition("B", (BLANK, BLANK, o), "A", (BLANK, BLANK, o), ("R", "S", "S")))
+    return MachineTM("rewinder", ("A", "B"), "A", frozenset(), BINARY, tuple(rows))
+
+
+def plain_trace(machine, word, reach=REACH):
+    """What plain stepping shows after t steps, for t up to ``reach``, as
+    (steps, final, stuck, configuration); the output-tape changes as
+    (step, position, symbol); and the (start, period) of the repeat the
+    stepper's check finds: the first step t past the first snapshot step
+    whose configuration equals that of the last snapshot step before t."""
+    ref = PlainTm(machine, word)
+    views, events, configs = [], [], []
+    while len(views) <= reach:
+        configs.append(ref.configuration())
+        views.append((ref.steps, ref.in_final, ref.stuck, configs[-1]))
+        pos = ref.heads[2]
+        before = ref.tapes[2].get(pos)
+        if ref.step() and ref.tapes[2].get(pos) != before:
+            events.append((ref.steps, pos, ref.tapes[2][pos]))
+    repeat = None
+    if not (ref.in_final or ref.stuck):
+        for t in range(FIRST_SNAPSHOT + 1, reach + 1):
+            mark = FIRST_SNAPSHOT
+            while 2 * mark < t:
+                mark *= 2
+            if configs[t] == configs[mark]:
+                repeat = (mark, t - mark)
+                break
+    return views, events, repeat
+
+
+def assert_matches(trace, run, fuel, logged):
+    views, events, repeat = trace
+    steps, final, stuck, config = views[fuel]
+    assert (run.steps, run.in_final, run.stuck) == (steps, final, stuck)
+    assert configuration(run) == config
+    found = repeat is not None and fuel >= sum(repeat)
+    assert run.period == (repeat[1] if found else 0)
+    if logged:
+        until = sum(repeat) if found else fuel
+        assert run.write_log.events == [e for e in events if e[0] <= until]
+        first = found and sum(1 for e in events if e[0] <= repeat[0])
+        assert run.write_log.repeat == ((*repeat, first) if found else None)
+
+
+def fuels_for(word, data):
+    """Fuels on both sides of each snapshot step and of the input's length,
+    and a few anywhere up to the reach."""
+    near = [mark + d for mark in SNAPSHOTS for d in (-1, 0, 1)]
+    near += [len(word) + d for d in (-1, 0, 1, 2)]
+    drawn = data.draw(st.lists(st.integers(0, REACH), max_size=3))
+    return sorted({f for f in near + drawn if 0 <= f <= REACH})
+
+
+def check_sweeps(machine, word, data):
+    trace = plain_trace(machine, word)
+    fuels = fuels_for(word, data)
+    for logged in (False, True):
+        for fuel in fuels:
+            run = machine.start_run(word)
+            if logged:
+                run.write_log = EventLog()
+            assert_matches(trace, run.run_to(fuel), fuel, logged)
+        # resumed through a drawn subset of the fuels, some one step apart
+        run = machine.start_run(word)
+        if logged:
+            run.write_log = EventLog()
+        chunks = data.draw(st.lists(st.sampled_from(fuels), max_size=8))
+        for fuel in sorted(chunks + [f + 1 for f in chunks[:2] if f < REACH]):
+            assert_matches(trace, run.run_to(fuel), fuel, logged)
+    return trace
+
+
+def words_for(machine, data):
+    symbols = "".join(machine.alphabet.symbols)
+    return data.draw(st.one_of(st.text(symbols, max_size=4), st.text(symbols, min_size=10, max_size=300)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_tms(), st.data())
+def test_sweeping_equals_plain_stepping(machine, data):
+    check_sweeps(machine, words_for(machine, data), data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(zoo_tms() + unary_tms() + [bouncer(), ping_pong(), rewinder()]), st.data())
+def test_sweeping_stock_machines_equals_plain_stepping(machine, data):
+    check_sweeps(machine, words_for(machine, data), data)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_a_sweep_never_skips_the_check_it_passes(data):
+    # the input head passes the snapshot's cell inside a sweep from the left
+    # on its way to the repeat found at step 32 + 22
+    _, _, repeat = check_sweeps(ping_pong(), "0110100111", data)
+    assert repeat == (32, 22)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_a_sweep_never_writes_over_written_cells(data):
+    # from its second pass on the rewinder writes one cell, left of the
+    # cells it wrote before, which lie ahead of its output head
+    _, events, repeat = check_sweeps(rewinder(), "0011011101", data)
+    assert repeat is None and events[9:12] == [(10, 9, "1"), (23, -1, "0"), (45, -2, "0")]
+
+
+def test_a_sweep_writes_the_output_and_the_log_in_bulk():
+    word = "0110" * 2500
+    run = zoo.identity().start_run(word)
+    run.write_log = EventLog()
+    run.run_to(10**6)
+    assert (run.steps, run.in_final, run.output_word()) == (len(word) + 1, True, word)
+    assert run.write_log.events == [(i + 1, i, s) for i, s in enumerate(word)]
+    # so does a copy over the one-symbol alphabet
+    assert unary_tms()[0].start_run("0" * 500).run_to(10**6).output_word() == "0" * 500
+
+
+def test_the_sweep_rows_are_read_off_the_table():
+    rows = zoo.last_symbol().sweeps
+    assert set(rows) == {BLANK}
+    by_state = rows[BLANK]
+    assert by_state["q0"]["1"][:2] == ("c1", "") and by_state["q0"]["1"][2] is by_state["c1"]
+    assert by_state["qf"] == {"0": None, "1": None}
+    # const-zero writes and stays: no sweep step
+    assert zoo.const_zero().sweeps == {}
+
+
+def test_one_step_resumes_take_no_sweep():
+    # a sweep needs SWEEP_MIN steps ahead of it before the fuel: a run
+    # resumed one step at a time never builds the row map
+    m = zoo.identity()
+    machine = MachineTM(m.name, m.states, m.start, m.finals, m.alphabet, m.transitions)
+    run = machine.start_run("01" * 100)
+    for fuel in range(1, 161):
+        assert run.run_to(fuel).steps == fuel
+    assert "sweeps" not in vars(machine)
+    assert run.run_to(190).steps == 190 and "sweeps" in vars(machine)
