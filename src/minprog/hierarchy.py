@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 
-from .words import BINARY, nth_word, shortlex_index, sd
+from .words import BINARY, sd, shortlex_index, shortlex_words
 from .turing import MachineTM, RunOutcome, TmRun, run_fueled
 from .inductive import (
     InductiveRun,
@@ -73,14 +74,16 @@ def halting_itm(code: str, input_word: str, horizon: int) -> InductiveVerdict:
 
 class ProbeRow:
     """One machine's live runs on inputs x_1, x_2, ... over its own
-    alphabet.  Round n starts the runs up to x_n and resumes each open run
-    to n total steps (see :meth:`TmRun.run_to`).  A run closes once it is
-    final, stuck or repeating: its answer can no longer change, so no later
-    round resumes it."""
+    alphabet, read in turn from one :func:`shortlex_words`.  Round n starts
+    the runs up to x_n and resumes each open run to n total steps (see
+    :meth:`TmRun.run_to`).  A run closes once it is final, stuck or
+    repeating: its answer can no longer change, so no later round resumes
+    it; a run that stays in place closes at its first step."""
 
     def __init__(self, machine: MachineTM) -> None:
         self.machine = machine
         self.runs: list[TmRun] = []
+        self._inputs = shortlex_words(machine.alphabet)
         self.finals = 0
         # the runs that stopped (final or stuck), and their steps, at least 1 each
         self.stopped = self.stopped_steps = 0
@@ -92,7 +95,7 @@ class ProbeRow:
         machine, runs = self.machine, self.runs
         while len(runs) < n:
             self._open.append(len(runs))
-            runs.append(machine.start_run(nth_word(len(runs) + 1, machine.alphabet)))
+            runs.append(machine.start_run(next(self._inputs)))
         still, halted = [], []
         for i in self._open:
             run = runs[i].run_to(n)
@@ -299,11 +302,11 @@ class Totalizer:
         n = shortlex_index(input_word) + 1
         spent = 0
         last = ""
-        for i in range(1, n + 1):
+        for word in islice(shortlex_words(self.base.alphabet), n):
             remaining = fuel - spent
             if remaining <= 0:
                 return RunOutcome.of_fuel(fuel)
-            out = run_fueled(self.base, nth_word(i, self.base.alphabet), remaining)
+            out = run_fueled(self.base, word, remaining)
             spent += out.steps
             if not out.halted:
                 return RunOutcome.of_fuel(fuel) if out.kind == "out-of-fuel" else RunOutcome.of_stuck(spent)

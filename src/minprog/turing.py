@@ -68,11 +68,14 @@ class RunOutcome:
 
 # A compiled transition: the next state, the tape-1 and tape-2 writes as
 # compiled_write gives them (tape 0 is read-only), the three head deltas,
-# whether the next state is final, and whether it is a sweep step: one that
-# reads a non-blank input symbol and a blank output cell, moves the input
-# head right, leaves the work head and its cell alone, enters no final
-# state, and either leaves the output alone or writes it and moves right.
-TmStep = tuple[str, str | None, str | None, int, int, int, bool, bool]
+# whether the next state is final, and its kind: 0, SWEEP or STAY.  A sweep
+# step reads a non-blank input symbol and a blank output cell, moves the
+# input head right, leaves the work head and its cell alone, enters no
+# final state, and either leaves the output alone or writes it and moves
+# right.  A stay step keeps its state, changes no cell, moves no head and
+# enters no final state: the configuration after it is the one before it.
+TmStep = tuple[str, str | None, str | None, int, int, int, bool, int]
+SWEEP, STAY = 1, 2
 
 
 def compiled_write(read: str, write: str | None) -> str | None:
@@ -151,15 +154,17 @@ class MachineTM:
                     f"two transitions share the left part ({state}, {r0}/{r1}/{r2})"
                 )
             final = nxt in finals
-            table[key] = (
-                nxt,
-                compiled_write(r1, w1),
-                compiled_write(r2, w2),
-                _MOVE_DELTA[m0], _MOVE_DELTA[m1], _MOVE_DELTA[m2],
-                final,
-                r0 != BLANK and r2 == BLANK and m0 == "R" and m1 == "S" and w1 == r1
-                and m2 == ("S" if w2 == BLANK else "R") and not final,
-            )
+            c1, c2 = compiled_write(r1, w1), compiled_write(r2, w2)
+            if final:
+                kind = 0
+            elif (r0 != BLANK and r2 == BLANK and m0 == "R" and m1 == "S" and c1 is None
+                    and m2 == ("S" if c2 is None else "R")):
+                kind = SWEEP
+            elif nxt == state and m0 == m1 == m2 == "S" and c1 is None and c2 is None:
+                kind = STAY
+            else:
+                kind = 0
+            table[key] = (nxt, c1, c2, _MOVE_DELTA[m0], _MOVE_DELTA[m1], _MOVE_DELTA[m2], final, kind)
         object.__setattr__(self, "table", table)
 
     @cached_property
@@ -168,8 +173,8 @@ class MachineTM:
         per work symbol, state -> {input symbol: (next state, output write
         or "", next state's row), or None where no sweep step reads it}."""
         maps: dict[str, dict[str, dict]] = {}
-        for (state, r0, r1, _), (nxt, _, w2, *_, sweep) in self.table.items():
-            if sweep:
+        for (state, r0, r1, _), (nxt, _, w2, *_, kind) in self.table.items():
+            if kind == SWEEP:
                 if r1 not in maps:
                     maps[r1] = {q: dict.fromkeys(self.alphabet.symbols) for q in self.states}
                 rows = maps[r1]
@@ -244,15 +249,16 @@ class EventLog:
 class TmRun:
     """Mutable stepper for one machine on one input.
 
-    Tapes are sparse dicts position -> symbol; absent means blank.  The
-    configuration is inspectable between steps, which the schedulers and
-    the behavioural round-trip tests rely on.  When ``write_log`` is an
-    :class:`EventLog`, each step that changes the output tape logs (step,
-    position, symbol) in it.
+    The input tape is the input word itself, the string ``input_word``;
+    every cell off its ends is blank.  The work and output tapes are sparse
+    dicts position -> symbol; absent means blank.  The configuration is
+    inspectable between steps, which the schedulers and the behavioural
+    round-trip tests rely on.  When ``write_log`` is an :class:`EventLog`,
+    each step that changes the output tape logs (step, position, symbol)
+    in it.
 
     A run that comes back to an earlier configuration repeats forever:
-    ``period`` is then its length, and the run skips whole periods.  The
-    input word is also kept as the string ``input_word``, which sweeps read.
+    ``period`` is then its length, and the run skips whole periods.
     """
 
     # the rightmost output cell of the first n written, and n; sweeps update it
@@ -262,7 +268,7 @@ class TmRun:
         machine.alphabet.check_word(input_word)
         self.machine = machine
         self.input_word = input_word
-        self.tapes: tuple[dict[int, str], ...] = (dict(enumerate(input_word)), {}, {})
+        self.tapes: tuple[str, dict[int, str], dict[int, str]] = (input_word, {}, {})
         self.heads = [0, 0, 0]
         self.state = machine.start
         self.steps = 0
@@ -289,7 +295,9 @@ class TmRun:
         Each step compares the state and heads with a snapshot retaken
         each time the step count doubles (Brent's cycle finding), and a
         match with equal work and output tapes is a repeat.  The input tape is
-        read-only.  The run then skips whole periods and steps the rest.
+        read-only.  A stay step (see :data:`TmStep`) is a repeat of period 1
+        from the step before it, found without the snapshot.  After a repeat
+        the run skips whole periods and steps the rest.
 
         A sweep step (see :data:`TmStep`) hands the rest of its sweep to
         :meth:`_sweep` when the next snapshot step or the fuel, and the end
@@ -302,8 +310,9 @@ class TmRun:
         if steps >= fuel or self.stuck or self.state in self.machine.finals:
             return self
         table = self.machine.table
-        t0, t1, t2 = self.tapes
-        get0, get1, get2 = t0.get, t1.get, t2.get
+        x, t1, t2 = self.tapes
+        n = len(x)
+        get1, get2 = t1.get, t2.get
         h0, h1, h2 = self.heads
         state = self.state
         period = self.period
@@ -323,12 +332,13 @@ class TmRun:
             limit = mark if mark < fuel else fuel
             room = limit - SWEEP_MIN  # the last step a sweep may follow
             for steps in range(steps + 1, limit + 1):
-                entry = table.get((state, get0(h0, BLANK), get1(h1, BLANK), get2(h2, BLANK)))
+                # two int comparisons run faster than one chained comparison
+                entry = table.get((state, x[h0] if h0 >= 0 and h0 < n else BLANK, get1(h1, BLANK), get2(h2, BLANK)))
                 if entry is None:
                     stuck = True
                     steps -= 1
                     break
-                state, w1, w2, d0, d1, d2, final, sweep = entry
+                state, w1, w2, d0, d1, d2, final, kind = entry
                 if w1 is not None:
                     if w1:
                         t1[h1] = w1
@@ -343,12 +353,19 @@ class TmRun:
                 h2 += d2
                 if final:
                     break
-                if (sweep and s0 is not None and steps <= room and h0 > s0
-                        and h0 + SWEEP_MIN <= len(self.input_word)):
-                    swept = self._sweep(state, h0, h1, h2, steps, limit, writes)
-                    if swept:
-                        state, h0, h2, steps = swept
+                if kind:
+                    if kind == STAY:
+                        period = 1
+                        if writes is not None:
+                            log.repeat_from(steps - 1, 1)
+                            writes = None
+                        s_state = s0 = s1 = s2 = s_work = s_out = None
                         break
+                    if s0 is not None and steps <= room and h0 > s0 and h0 + SWEEP_MIN <= n:
+                        swept = self._sweep(state, h0, h1, h2, steps, limit, writes)
+                        if swept:
+                            state, h0, h2, steps = swept
+                            break
                 if h0 == s0 and h1 == s1 and h2 == s2 and state == s_state and t1 == s_work and t2 == s_out:
                     period = steps - since
                     if writes is not None:
@@ -402,11 +419,7 @@ class TmRun:
 
     def output_cells(self) -> str:
         """The non-blank cells of the output tape, in tape order."""
-        tape = self.tapes[2]
-        cells = list(tape)
-        ordered = sorted(cells)
-        # a tape written from left to right holds its cells in tape order
-        return "".join(tape.values() if cells == ordered else [tape[pos] for pos in ordered])
+        return self._joined(sorted(self.tapes[2]))
 
     def output_word(self) -> str:
         """Output tape content with surrounding blanks stripped."""
@@ -415,7 +428,14 @@ class TmRun:
             raise MachineValidationError(
                 f"machine {self.machine.name!r} left an interior blank on its output tape"
             )
-        return self.output_cells()
+        return self._joined(cells)
+
+    def _joined(self, ordered: list[int]) -> str:
+        """The output cells at the positions ``ordered``, the tape's sorted
+        positions, joined."""
+        tape = self.tapes[2]
+        # a tape written from left to right holds its cells in tape order
+        return "".join(tape.values() if list(tape) == ordered else [tape[pos] for pos in ordered])
 
 
 def run_fueled(machine, input_word: str, fuel: int) -> RunOutcome:

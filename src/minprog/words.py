@@ -11,6 +11,7 @@ the schedulers is well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count, product
 from typing import Callable, Iterable, Iterator
 
 BLANK = "_"
@@ -99,6 +100,14 @@ def nth_word(n: int, alphabet: Alphabet = BINARY) -> str:
     if n < 1:
         raise ValueError("word enumeration is 1-based")
     return word_at(n - 1, alphabet)
+
+
+def shortlex_words(alphabet: Alphabet = BINARY) -> Iterator[str]:
+    """x_1, x_2, ... over ``alphabet`` without end: the words of
+    :func:`nth_word` in turn, at far less cost per word."""
+    for length in count():
+        for letters in product(alphabet.symbols, repeat=length):
+            yield "".join(letters)
 
 
 def shortlex_le(a: str, b: str) -> bool:

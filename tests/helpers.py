@@ -81,5 +81,6 @@ def step(run) -> bool:
 def configuration(run) -> tuple:
     """Hashable full configuration of a Turing machine run, as the
     reference stepper gives it."""
-    frozen = tuple(tuple(sorted(t.items())) for t in run.tapes)
+    work, output = run.tapes[1:]
+    frozen = (tuple(enumerate(run.input_word)), tuple(sorted(work.items())), tuple(sorted(output.items())))
     return (run.state, tuple(run.heads), frozen)

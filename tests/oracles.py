@@ -6,7 +6,8 @@ verdict against an oracle, the two sides must disagree if either scan is
 wrong.  The reference steppers read a machine's ``transitions`` or
 ``rules`` and its memory graph, and nothing else of the package but the
 error an interior output blank raises; the dovetail oracles are built on
-the TM one.  The limit-memory oracle reads
+the TM one, and ``stepper_repeat`` states where the TM stepper must find a
+repeat, from the plain configurations alone.  The limit-memory oracle reads
 nothing of the package but the base graph's ``connection``.  The stock
 decider's reference decodes its program pair with the codec and runs it on
 the reference steppers.
@@ -78,6 +79,27 @@ class PlainTm:
     def configuration(self):
         frozen = tuple(tuple(sorted(t.items())) for t in self.tapes)
         return (self.state, tuple(self.heads), frozen)
+
+
+def stepper_repeat(configs, first_snapshot):
+    """The (start, period) of the repeat the package's TM stepper must find
+    on a run that does not stop, from its plain configurations ``configs``
+    after 0, 1, ... steps, or None if it finds none among them.  Of two
+    rules the earlier step wins: a step s whose configuration equals the
+    one at s - 1 (a stay step) gives (s - 1, 1), and a step t past
+    ``first_snapshot`` whose configuration equals that of the last snapshot
+    step before t (``first_snapshot`` and its doublings) gives
+    (mark, t - mark)."""
+    for t in range(1, len(configs)):
+        if configs[t] == configs[t - 1]:
+            return (t - 1, 1)
+        if t > first_snapshot:
+            mark = first_snapshot
+            while 2 * mark < t:
+                mark *= 2
+            if configs[t] == configs[mark]:
+                return (mark, t - mark)
+    return None
 
 
 class PlainItm:

@@ -73,6 +73,49 @@ def random_sweep_tm(rng):
     return MachineTM("random-sweep", states, states[0], frozenset(finals), BINARY, tuple(rows))
 
 
+def random_stay_tm(rng):
+    """A random valid Turing machine with at least one stay row: one that
+    keeps its state, writes what it reads and moves no head.  Up to 3
+    states, a row for most (state, reads) left parts, and at most one
+    final state, not the start, which has no rows.  About one row in five
+    is a stay row, and about one in four moves no head but is no stay: it
+    changes its state, its work cell or its output cell.  The other rows
+    write and move at random."""
+    states = tuple(f"q{i}" for i in range(rng.randint(1, 3)))
+    finals = {rng.choice(states[1:])} if len(states) > 1 and rng.random() < 0.3 else set()
+    lefts = [(q, reads) for q in states if q not in finals for reads in itertools.product(_SYMS, repeat=3)]
+    stays = {left for left in lefts if rng.random() < 0.2} or {rng.choice(lefts)}
+    rows = []
+    for q, (r0, r1, r2) in lefts:
+        nxt, writes, moves = q, (r0, r1, r2), ("S", "S", "S")
+        if (q, (r0, r1, r2)) not in stays:
+            roll = rng.random()
+            if roll < 0.15:
+                continue  # no row: the run gets stuck here
+            if roll < 0.45:
+                change = rng.choice(("state", "work", "output"))
+                if change == "state" and len(states) > 1:
+                    nxt = rng.choice([s for s in states if s != q])
+                elif change == "work":
+                    writes = (r0, rng.choice([s for s in _SYMS if s != r1]), r2)
+                elif r2 == BLANK:
+                    writes = (r0, r1, rng.choice(_SYMS[:2]))
+                else:
+                    writes = (r0, r1, _SYMS[1 - _SYMS.index(r2)])
+            else:
+                nxt = rng.choice(states)
+                out = rng.choice(_SYMS if r2 == BLANK else _SYMS[:2])
+                writes = (r0, rng.choice(_SYMS), out)
+                moves = tuple(rng.choice(MOVES) for _ in range(3))
+        rows.append(Transition(q, (r0, r1, r2), nxt, writes, moves))
+    return MachineTM("random-stay", states, states[0], frozenset(finals), BINARY, tuple(rows))
+
+
+def stay_tms():
+    """Random machines with stay rows drawn by :func:`random_stay_tm` from a seed."""
+    return st.integers(0, 2**32).map(lambda seed: random_stay_tm(random.Random(seed)))
+
+
 def sweep_tms():
     """Random sweep-heavy machines drawn by :func:`random_sweep_tm` from a seed."""
     return st.integers(0, 2**32).map(lambda seed: random_sweep_tm(random.Random(seed)))

@@ -13,11 +13,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from minprog import zoo
 from minprog.inductive import TmAsItm, start_if_fits
-from minprog.turing import EventLog, MachineTM, Transition
+from minprog.turing import FIRST_SNAPSHOT, EventLog, MachineTM, Transition
 from minprog.words import BINARY, BLANK
 
 from helpers import configuration
-from oracles import PlainItm, PlainTm, stepwise_change_log
+from oracles import PlainItm, PlainTm, stepper_repeat, stepwise_change_log
 from strategies import full_tms, itm_zoo, small_itms, small_tms, zoo_tms
 
 # plain steps checked per example: the snapshots at steps 16, 32, 64 and
@@ -94,10 +94,13 @@ def prefix(log, steps):
     return [entry for entry in log if entry[0] <= steps]
 
 
-def assert_tm_matches(views, log, run, watched, budget):
+def assert_tm_matches(views, log, repeat, run, watched, budget):
     steps, final, stuck, config, changes = views[budget]
     assert (run.steps, run.in_final, run.stuck) == (steps, final, stuck)
     assert configuration(run) == config
+    found = repeat is not None and budget >= sum(repeat)
+    assert (run.period, run.write_log.repeat and run.write_log.repeat[:2]) == (
+        (repeat[1], repeat) if found else (0, None))
     assert run.write_log.count(run.steps) == changes
     expected = prefix(log, steps)
     assert (watched.steps, watched.stopped_final, watched.stopped_stuck) == (steps, final, stuck)
@@ -109,19 +112,21 @@ def assert_tm_matches(views, log, run, watched, budget):
 
 def check_tm(machine, word, data, reach=REACH):
     views, cycle = plain_tm_views(machine, word, reach)
+    stops = views[-1][1] or views[-1][2]
+    repeat = None if stops else stepper_repeat([view[3] for view in views], FIRST_SNAPSHOT)
     log = stepwise_change_log(machine, word, reach)[0]
     for budget in budgets_around(cycle, data, reach):
         run = machine.start_run(word)
         run.write_log = EventLog()
         run.run_to(budget)
         watched = TmAsItm(machine).start_run(word).run_to(budget)
-        assert_tm_matches(views, log, run, watched, budget)
+        assert_tm_matches(views, log, repeat, run, watched, budget)
     run, watched = machine.start_run(word), TmAsItm(machine).start_run(word)
     run.write_log = EventLog()
     for budget in chunks_to(reach, data):
         run.run_to(budget)
         watched.run_to(budget)
-        assert_tm_matches(views, log, run, watched, budget)
+        assert_tm_matches(views, log, repeat, run, watched, budget)
     return cycle
 
 
@@ -182,6 +187,19 @@ def test_zoo_itms_skip_periods_exactly(data):
         (t, "1" if t % 2 else "0") for t in range(1, 10**4 + 1)]
     run = zoo.writer().start_run("").run_to(10**6)
     assert (run.change_count, run.last_change_step, run.output_word()) == (1, 3, "1")
+
+
+def test_a_stay_step_closes_the_run_at_once():
+    # the looper keeps its state and every cell and moves no head: its
+    # first step repeats the start configuration
+    run = zoo.looper().start_run("01")
+    run.write_log = EventLog()
+    assert run.run_to(1).period == 1 and run.write_log.repeat == (0, 1, 0)
+    assert run.run_to(10**9).steps == 10**9
+    # the flipper changes its output cell on every step: no stay step, and
+    # the snapshot at step 16 finds its period-2 repeat at step 18
+    run = flipper().start_run("").run_to(17)
+    assert run.period == 0 and run.run_to(18).period == 2
 
 
 def test_a_repeating_run_stops_stepping():

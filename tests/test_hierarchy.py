@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from minprog.codec import KIND_ITM, InvalidCodeError, builtin_memory, codes_of_length, decode_machine, encode_machine
 from minprog.complexity import Budget, itm1_class
 from minprog.hierarchy import (
+    ProbeRow,
     ReductionTM,
     SimDecider,
     build_diagonal,
@@ -23,7 +24,7 @@ from minprog.hierarchy import (
     totality_verdict,
 )
 from minprog.inductive import MachineITM, TmAsItm, itm_run, start_if_fits
-from minprog.turing import MachineTM, MachineValidationError, RunOutcome, Transition, run_fueled
+from minprog.turing import MachineTM, MachineValidationError, RunOutcome, TmRun, Transition, run_fueled
 from minprog.universal import itm_universal_apply
 from minprog.words import BINARY, BLANK, nth_word, sd
 from minprog import zoo
@@ -84,6 +85,24 @@ def test_emptiness_detects_the_exact_cycle():
     v = emptiness_solver(encode_machine(zoo.nonempty_only()), 32)
     assert v.value == "0"
     assert v.stabilized_since == max(2, steps_x2)
+
+
+def test_a_run_that_stays_in_place_closes_in_the_round_it_starts(monkeypatch):
+    # the looper's first step on every input is a stay step: each run is
+    # stepped once, found repeating, and never resumed
+    calls = {}
+    run_to = TmRun.run_to
+
+    def counted(run, fuel):
+        calls[run] = calls.get(run, 0) + 1
+        return run_to(run, fuel)
+
+    monkeypatch.setattr(TmRun, "run_to", counted)
+    row = ProbeRow(zoo.looper())
+    for n in range(1, 41):
+        assert row.run_round(n) == []
+    assert [calls[run] for run in row.runs] == [1] * 40
+    assert [(run.steps, run.period) for run in row.runs] == [(n, 1) for n in range(1, 41)]
 
 
 def test_interior_output_blank_still_demonstrates_a_result():

@@ -1,12 +1,13 @@
-"""A run that takes a sweep over its input at once must report what plain
-stepping reports: steps, state, heads, tapes, the period of a repeat and
-the write log with its periodic tail, at every fuel, whether reached in one
-call or in resumed chunks.
+"""A run that takes a sweep over its input at once, or closes at a stay
+step, must report what plain stepping reports: steps, state, heads, tapes,
+the period of a repeat and the write log with its periodic tail, at every
+fuel, whether reached in one call or in resumed chunks.
 
 The reference is the one-step-at-a-time stepper of ``oracles.py``.  Where
-the stepper's repeat check must find a repeat follows from the plain
-configurations and the snapshot steps 16, 32, 64, ..., written out here, so
-the oracle stays a plain stepper.
+the stepper's repeat checks must find a repeat follows from the plain
+configurations, the stay rule and the snapshot steps 16, 32, 64, ..., as
+``oracles.stepper_repeat`` writes them out, so the oracle stays a plain
+stepper.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -16,8 +17,8 @@ from minprog.turing import FIRST_SNAPSHOT, EventLog, MachineTM, Transition
 from minprog.words import BINARY, BLANK
 
 from helpers import configuration
-from oracles import PlainTm
-from strategies import bouncer, sweep_tms, unary_tms, zoo_tms
+from oracles import PlainTm, stepper_repeat
+from strategies import bouncer, stay_tms, sweep_tms, unary_tms, zoo_tms
 
 # snapshot steps 16 ... 256, and room past the last one for a repeat of it
 SNAPSHOTS = [FIRST_SNAPSHOT << k for k in range(5)]
@@ -62,8 +63,7 @@ def plain_trace(machine, word, reach=REACH):
     """What plain stepping shows after t steps, for t up to ``reach``, as
     (steps, final, stuck, configuration); the output-tape changes as
     (step, position, symbol); and the (start, period) of the repeat the
-    stepper's check finds: the first step t past the first snapshot step
-    whose configuration equals that of the last snapshot step before t."""
+    stepper's checks find (see ``oracles.stepper_repeat``)."""
     ref = PlainTm(machine, word)
     views, events, configs = [], [], []
     while len(views) <= reach:
@@ -73,15 +73,7 @@ def plain_trace(machine, word, reach=REACH):
         before = ref.tapes[2].get(pos)
         if ref.step() and ref.tapes[2].get(pos) != before:
             events.append((ref.steps, pos, ref.tapes[2][pos]))
-    repeat = None
-    if not (ref.in_final or ref.stuck):
-        for t in range(FIRST_SNAPSHOT + 1, reach + 1):
-            mark = FIRST_SNAPSHOT
-            while 2 * mark < t:
-                mark *= 2
-            if configs[t] == configs[mark]:
-                repeat = (mark, t - mark)
-                break
+    repeat = None if ref.in_final or ref.stuck else stepper_repeat(configs, FIRST_SNAPSHOT)
     return views, events, repeat
 
 
@@ -135,6 +127,12 @@ def words_for(machine, data):
 @settings(max_examples=150, deadline=None)
 @given(sweep_tms(), st.data())
 def test_sweeping_equals_plain_stepping(machine, data):
+    check_sweeps(machine, words_for(machine, data), data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stay_tms(), st.data())
+def test_closing_at_a_stay_step_equals_plain_stepping(machine, data):
     check_sweeps(machine, words_for(machine, data), data)
 
 

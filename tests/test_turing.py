@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minprog.turing import (
+    FIRST_SNAPSHOT,
     EventLog,
     MachineTM,
     MachineValidationError,
@@ -12,7 +13,7 @@ from minprog.words import BINARY, InvalidWordError, words_up_to
 from minprog import zoo
 
 from helpers import configuration, never_halts_by_inspection, step
-from oracles import PlainTm
+from oracles import PlainTm, stepper_repeat
 from strategies import gap_writer, small_tms, unary_tms, zoo_tms
 
 
@@ -186,9 +187,15 @@ _TMS = st.one_of(st.sampled_from(zoo_tms() + unary_tms() + [gap_writer()]), smal
 @given(_TMS, st.data())
 def test_run_to_equals_the_reference_stepper_at_every_chunk_boundary(machine, data):
     word = data.draw(st.text("".join(machine.alphabet.symbols), max_size=4))
+    chunks = data.draw(st.lists(st.integers(0, 9), max_size=12))
+    plain = PlainTm(machine, word)
+    configs = [plain.configuration()]
+    while len(configs) <= sum(chunks) and plain.step():
+        configs.append(plain.configuration())
+    repeat = None if plain.in_final or plain.stuck else stepper_repeat(configs, FIRST_SNAPSHOT)
     run, ref = machine.start_run(word), PlainTm(machine, word)
     run.write_log = EventLog()
-    for chunk in data.draw(st.lists(st.integers(0, 9), max_size=12)):
+    for chunk in chunks:
         target = run.steps + chunk
         if chunk == 1:
             assert step(run) == ref.step()
@@ -199,6 +206,8 @@ def test_run_to_equals_the_reference_stepper_at_every_chunk_boundary(machine, da
         assert configuration(run) == ref.configuration()
         assert (run.steps, run.write_log.count(run.steps), run.in_final, run.stuck) == (
             ref.steps, ref.output_changes, ref.in_final, ref.stuck)
+        found = repeat is not None and run.steps >= sum(repeat)
+        assert run.period == (repeat[1] if found else 0)
 
 
 def test_never_halts_by_inspection():

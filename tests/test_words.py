@@ -1,7 +1,10 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minprog.words import (
+    BINARY,
     Alphabet,
     InvalidWordError,
     MalformedPairError,
@@ -10,6 +13,7 @@ from minprog.words import (
     sd,
     shortlex_index,
     shortlex_le,
+    shortlex_words,
     unpair,
     word_at,
     words_up_to,
@@ -47,6 +51,13 @@ def test_nth_word_is_one_based():
     assert nth_word(2) == "0"
     assert nth_word(3) == "1"
     assert nth_word(4) == "00"
+
+
+@pytest.mark.parametrize("alphabet", [BINARY, Alphabet(("1", "0")), Alphabet(("a", "b", "c")), Alphabet(("0",))],
+                         ids=["binary", "reversed", "three", "unary"])
+def test_shortlex_words_are_the_nth_words_in_turn(alphabet):
+    count = 400
+    assert list(islice(shortlex_words(alphabet), count)) == [nth_word(i, alphabet) for i in range(1, count + 1)]
 
 
 def test_invalid_symbol_rejected():
