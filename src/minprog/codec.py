@@ -502,31 +502,31 @@ class _CodeTree:
     extended by each block, a prefix that decodes is a code (its extensions
     carry trailing numbers), and any other rejection prunes the prefix's
     subtree.  Only the deepest frontier is kept, so each prefix is decoded
-    once.
+    once, and each code keeps the machine it decoded to.
     """
 
     def __init__(self, head: str) -> None:
         self.frontier = [head]
         self.bits = len(head)
-        self.codes: dict[int, list[str]] = {}
+        self.codes: dict[int, dict[str, object]] = {}
 
-    def of_length(self, bits: int) -> list[str]:
+    def of_length(self, bits: int) -> dict[str, object]:
         while self.bits < bits and self.frontier:
             frontier = []
             for prefix in self.frontier:
                 for block in ("00", "01", "10"):
                     word = prefix + block
                     try:
-                        decode_machine(word)
+                        machine = decode_machine(word)
                     except TruncatedCodeError:
                         frontier.append(word)
                     except InvalidCodeError:
                         continue
                     else:
-                        self.codes.setdefault(len(word), []).append(word)
+                        self.codes.setdefault(len(word), {})[word] = machine
             self.frontier = frontier
             self.bits += 2
-        return self.codes.get(bits, [])
+        return self.codes.get(bits, {})
 
 
 @cache
@@ -534,16 +534,17 @@ def _code_tree(kind: int) -> _CodeTree:
     return _CodeTree(_KIND_HEADS[kind])
 
 
-def codes_of_length(bits: int, kind: int | None = None) -> list[str]:
-    """Every decodable code of exactly ``bits`` bits, in lex order; only
-    the codes of one machine kind when ``kind`` is given.
+def codes_of_length(bits: int, kind: int | None = None) -> dict[str, object]:
+    """Every decodable code of exactly ``bits`` bits, in lex order, mapped
+    to the machine it decodes to; only the codes of one machine kind when
+    ``kind`` is given.
 
-    Results are cached for the life of the process.
+    The walk is cached for the life of the process.
     """
     if bits % 2:
-        return []  # codes are whole 2-bit blocks; do not grow the walk for none
+        return {}  # codes are whole 2-bit blocks; do not grow the walk for none
     kinds = sorted(_KIND_HEADS, key=_KIND_HEADS.get) if kind is None else [kind]
-    return [code for k in kinds for code in _code_tree(k).of_length(bits)]
+    return {code: m for k in kinds for code, m in _code_tree(k).of_length(bits).items()}
 
 
 def builtin_memory(name: str) -> MemoryGraph:

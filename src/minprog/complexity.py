@@ -4,10 +4,12 @@ The central operation scans every program word up to a length cap in
 shortlex order, runs it under a machine class's universal interpreter with
 a fuel or horizon bound, and returns the length of the first program whose
 output satisfies the predicate.  Only the class's live words, those that
-can give a result at all, are run; the rest of each tier is counted as
-scanned without running it.  A full length tier is always finished
-before a verdict is fixed, so the reported witness is the shortlex-least
-program of minimal length no matter how candidates were scheduled.
+can give a result at all, are run: the machine of each of the tier's heads,
+decoded once by the code walk, runs on every payload that fills the tier.
+The rest of each tier is counted as scanned without running it.  A full
+length tier is always finished before a verdict is fixed, so the reported
+witness is the shortlex-least program of minimal length no matter how
+candidates were scheduled.
 
 Nothing here ever claims a true infinity: a failed search is reported as
 no-witness-within-budget, and every verdict carries the budget it is
@@ -17,14 +19,23 @@ relative to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import merge
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
-from .words import BINARY, pairs_of_length, sd_words_of_length
+from .words import BINARY, words_of_length
 from .turing import MachineTM, run_fueled
 from .predicates import Predicate, PredicateSet, eval_set
-from .codec import codes_of_length
-from .universal import U_STD, WRAP_HEADER, itm_universal_apply, read_program, wrap_universal
+from .universal import (
+    U_STD,
+    WRAP_HEADER,
+    itm_outcome,
+    itm_universal_apply,
+    read_program,
+    sd_heads,
+    wrap_universal,
+)
 
 
 @dataclass(frozen=True)
@@ -93,21 +104,41 @@ class FunctionTable:
 K_EMBED = len(WRAP_HEADER)
 
 
+# A head's result function: what its machine gives on a word within a budget.
+Result = Callable[[str, Budget], str | None]
+
+
 @dataclass(frozen=True)
 class MachineClassHandle:
     """A class of machines reduced to what the searches need: run a program
-    word under the class's universal interpreter and report the produced
-    word, or None when the class's run semantics give no result.
+    word (``produce``) or a two-input program on an argument (``produce2``)
+    under the class's universal interpreter and report the produced word,
+    or None when the class's run semantics give no result.
 
-    ``live(n)`` and ``live2(n)`` list, in shortlex order, the only words of
-    n symbols for which ``produce`` and ``produce2`` can give a result.
+    ``live(n)`` lists tier n's heads in lex order, each with its result
+    function.  Only head + w, for every w of n - |head| symbols, can give a
+    result, and ``produce`` gives result(w) on it; of the two-input
+    programs, only the heads of exactly n symbols, on which ``produce2``
+    gives result(argument).
     """
 
     tag: str
     produce: Callable[[str, Budget], str | None] = field(compare=False)
     produce2: Callable[[str, str, Budget], str | None] = field(compare=False)
-    live: Callable[[int], Iterable[str]] = field(compare=False)
-    live2: Callable[[int], Iterable[str]] = field(compare=False)
+    live: Callable[[int], Iterable[tuple[str, Result]]] = field(compare=False)
+
+
+def _run_tm(machine, word: str, budget: Budget) -> str | None:
+    return run_fueled(machine, word, budget.fuel).result
+
+
+def _run_itm(machine, word: str, budget: Budget) -> str | None:
+    return itm_outcome(machine, word, budget.horizon or budget.fuel).result
+
+
+def _results(run, heads) -> list[tuple[str, Result]]:
+    """Each (head, machine) as (head, ``run`` of that machine)."""
+    return [(head, partial(run, machine)) for head, machine in heads]
 
 
 def tm_class(interp) -> MachineClassHandle:
@@ -119,7 +150,10 @@ def tm_class(interp) -> MachineClassHandle:
     def produce2(program: str, argument: str, budget: Budget) -> str | None:
         return interp.apply2(program, argument, budget.fuel).result
 
-    return MachineClassHandle(f"tm[{interp.tag}]", produce, produce2, interp.live, interp.live2)
+    def live(length: int) -> list[tuple[str, Result]]:
+        return _results(_run_tm, interp.live(length))
+
+    return MachineClassHandle(f"tm[{interp.tag}]", produce, produce2, live)
 
 
 def itm1_class(tm_interp=U_STD) -> MachineClassHandle:
@@ -128,9 +162,10 @@ def itm1_class(tm_interp=U_STD) -> MachineClassHandle:
     Program space: the programs of ``tm_interp`` behind the wrap header,
     run by :func:`wrap_universal` (the class contains the Turing machines,
     at a constant cost of exactly :data:`K_EMBED`), or a self-delimited
-    inductive machine code followed by its input.  The two regions cannot
-    collide because the header is never a valid start of a self-delimiting
-    prefix.  A result is a halting-final or stabilized-at-horizon output.
+    machine code of any kind followed by its input, run under inductive
+    semantics.  The two regions cannot collide because the header is never
+    a valid start of a self-delimiting prefix.  A result is a halting-final
+    or stabilized-at-horizon output.
     """
     wrapped = wrap_universal(tm_interp)
 
@@ -152,13 +187,11 @@ def itm1_class(tm_interp=U_STD) -> MachineClassHandle:
         return run(program, argument, budget)
 
     # sd(c) never starts with the header, so the two regions merge cleanly.
-    def live(length: int) -> Iterator[str]:
-        return merge(wrapped.live(length), pairs_of_length(length, codes_of_length))
+    def live(length: int) -> Iterable[tuple[str, Result]]:
+        tms, codes = _results(_run_tm, wrapped.live(length)), _results(_run_itm, sd_heads(length))
+        return merge(tms, codes, key=itemgetter(0))
 
-    def live2(length: int) -> Iterator[str]:
-        return merge(wrapped.live2(length), sd_words_of_length(length, codes_of_length))
-
-    return MachineClassHandle(f"itm1[{tm_interp.tag}]", produce, produce2, live, live2)
+    return MachineClassHandle(f"itm1[{tm_interp.tag}]", produce, produce2, live)
 
 
 def compose_postprocess(base: MachineClassHandle, post: MachineTM) -> MachineClassHandle:
@@ -166,20 +199,20 @@ def compose_postprocess(base: MachineClassHandle, post: MachineTM) -> MachineCla
     post-processing machine; a post run that fails to halt within fuel
     makes the whole run divergent."""
 
-    def run(program: str, argument: str | None, budget: Budget) -> str | None:
-        if argument is None:
-            word = base.produce(program, budget)
-        else:
-            word = base.produce2(program, argument, budget)
+    def piped(word: str | None, budget: Budget) -> str | None:
         return None if word is None else run_fueled(post, word, budget.fuel).result
 
     def produce(program: str, budget: Budget) -> str | None:
-        return run(program, None, budget)
+        return piped(base.produce(program, budget), budget)
 
     def produce2(program: str, argument: str, budget: Budget) -> str | None:
-        return run(program, argument, budget)
+        return piped(base.produce2(program, argument, budget), budget)
 
-    return MachineClassHandle(f"{base.tag}+{post.name}", produce, produce2, base.live, base.live2)
+    def live(length: int) -> list[tuple[str, Result]]:
+        return [(head, lambda w, budget, result=result: piped(result(w, budget), budget))
+                for head, result in base.live(length)]
+
+    return MachineClassHandle(f"{base.tag}+{post.name}", produce, produce2, live)
 
 
 # ---------------------------------------------------------------------------
@@ -187,24 +220,26 @@ def compose_postprocess(base: MachineClassHandle, post: MachineTM) -> MachineCla
 
 
 def _tier_scan(
-    live: Callable[[int], Iterable[str]],
-    results: Callable[[str], object | None],
+    live: Callable[[int], Iterable[tuple[str, Result]]],
+    results: Callable[[Result, str], object | None],
     accept: Callable[[object], bool],
     budget: Budget,
 ) -> ComplexityVerdict:
-    """Run the live words of each length tier in shortlex order; a tier's
-    other words give no result, so they count as scanned without a run."""
+    """Run the live words of each length tier in shortlex order: each head's
+    result function on every payload that fills the tier.  A tier's other
+    words give no result, so they count as scanned without a run."""
     scanned = 0
     halted = 0
     for length in range(budget.max_len + 1):
         best: str | None = None
-        for program in live(length):
-            result = results(program)
-            if result is None:
-                continue
-            halted += 1
-            if best is None and accept(result):
-                best = program
+        for head, result_of in live(length):
+            for payload in words_of_length(length - len(head)):
+                result = results(result_of, payload)
+                if result is None:
+                    continue
+                halted += 1
+                if best is None and accept(result):
+                    best = head + payload
         scanned += 1 << length
         if best is not None:
             return ComplexityVerdict("finite", length, best, scanned, halted)
@@ -215,7 +250,7 @@ def bounded_problem_complexity(
     handle: MachineClassHandle, predicate: Predicate, budget: Budget
 ) -> ComplexityVerdict:
     """Minimum program length whose produced word satisfies the predicate."""
-    return _tier_scan(handle.live, lambda p: handle.produce(p, budget), predicate, budget)
+    return _tier_scan(handle.live, lambda result_of, w: result_of(w, budget), predicate, budget)
 
 
 def bounded_set_problem_complexity(
@@ -240,11 +275,14 @@ def bounded_functional_complexity(
     counts as halted when any probe gives a result."""
     wanted = [fx for _, fx in table.pairs]
 
-    def results(program: str) -> list[str | None] | None:
-        outs = [handle.produce2(program, x, budget) for x, _ in table.pairs]
+    def programs(length: int) -> list[tuple[str, Result]]:
+        return [(head, result_of) for head, result_of in handle.live(length) if len(head) == length]
+
+    def results(result_of: Result, _: str) -> list[str | None] | None:
+        outs = [result_of(x, budget) for x, _ in table.pairs]
         return outs if any(r is not None for r in outs) else None
 
-    return _tier_scan(handle.live2, results, wanted.__eq__, budget)
+    return _tier_scan(programs, results, wanted.__eq__, budget)
 
 
 # ---------------------------------------------------------------------------

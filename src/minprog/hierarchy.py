@@ -27,7 +27,7 @@ from .inductive import (
     start_if_fits,
 )
 from .codec import InvalidCodeError, decode_machine, encode_machine
-from .universal import read_program, start_itm_run
+from .universal import itm_universal_apply, read_program
 from .zoo import acceptance_pool
 
 
@@ -391,21 +391,17 @@ class _SimDeciderRun(InductiveRun):
 
     def __init__(self, input_word: str) -> None:
         super().__init__()
-        read = read_program(input_word, None)
-        self._inner = None if read is None else start_itm_run(read[1], read[0])
+        self._read = read_program(input_word, None)
 
     def run_to(self, horizon: int) -> "_SimDeciderRun":
         if self.steps < SIM_DECIDER_STEPS <= horizon:
             self.steps = SIM_DECIDER_STEPS
-            self._observe("1" if self._inner_gives_result() else "0")
+            read = self._read
+            halts = read is not None and itm_universal_apply(read[1], read[0], SIM_DECIDER_STEPS).gives_result
+            self._observe("1" if halts else "0")
             self.writes.repeat_from(SIM_DECIDER_STEPS, 1)
         self.steps = max(self.steps, horizon)
         return self
-
-    def _inner_gives_result(self) -> bool:
-        if self._inner is None:
-            return False
-        return classify_run(self._inner.run_to(SIM_DECIDER_STEPS), SIM_DECIDER_STEPS).gives_result
 
 
 class DiagonalPipeline:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .words import BINARY, shortlex_le, shortlex_lt, words_up_to
+from .words import BINARY, shortlex_le, shortlex_lt, words_of_length, words_up_to
+from .turing import run_fueled
 
 
 class PredicateConstructionError(ValueError):
@@ -101,15 +102,17 @@ def computed_within(n: int, interp) -> Predicate:
     """Some program of length at most n yields the word within n steps.
 
     Decidable by finite search over the program space, of which only the
-    interpreter's live words can halt; the interpreter is a parameter of
-    the predicate, so different interpreters give different (still total)
+    interpreter's live words can halt: each head's machine runs on every
+    payload that fills a length.  The interpreter is a parameter of the
+    predicate, so different interpreters give different (still total)
     predicates.
     """
     if n < 0:
         raise PredicateConstructionError("step bound must be non-negative")
 
     def check(w: str) -> bool:
-        return any(interp.apply(p, n).result == w for k in range(n + 1) for p in interp.live(k))
+        return any(run_fueled(machine, payload, n).result == w for k in range(n + 1)
+                   for head, machine in interp.live(k) for payload in words_of_length(k - len(head)))
 
     return Predicate(f"within:{n}", check)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
+from typing import NamedTuple
 
 from .words import BLANK, Alphabet
 
@@ -27,8 +28,7 @@ class MachineValidationError(ValueError):
     """The transition table violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     state: str
     reads: Triple
     next_state: str
@@ -124,8 +124,7 @@ class MachineTM:
                 raise MachineValidationError(f"final state {s!r} is not declared")
         symbols = {BLANK, *self.alphabet.symbols}
         table: dict[tuple[str, str, str, str], TmStep] = {}
-        for tr in self.transitions:
-            state, nxt, reads, writes, moves = tr.state, tr.next_state, tr.reads, tr.writes, tr.moves
+        for state, reads, nxt, writes, moves in self.transitions:
             try:
                 (r0, r1, r2), (w0, w1, w2), (m0, m1, m2) = reads, writes, moves
             except ValueError:

@@ -7,17 +7,20 @@ never witness a complexity minimum.  The two-input form used for function
 tables is the same pair with an empty payload, the argument taking its
 place.  :func:`read_program` is the one reader of both forms, and each
 interpreter runs both through one path, ``apply`` with no argument and
-``apply2`` with one.
+``apply2`` with one: the path of single programs.
 
-Every interpreter lists, for a given length, its live words: ``live(n)``
-are the only program words of n symbols on which ``apply`` can halt, in
-shortlex order, and ``live2(n)`` the same for ``apply2``.  The searches run
-just those and count the rest.  Under the standard interpreter they are
-sd(c) + w for the binary Turing machine codes c, and the shortest code with
-a result is that of the machine that halts at once, 26 bits long: its
-program sd(c) of 54 bits is the minimum for ``anyword``.  A scan of every
-word would need 2^55 runs to reach it; the live words of all tiers up to
-there number 578.
+The searches read no program word.  ``live(n)`` lists an interpreter's
+heads for length n in lex order, each with the machine it runs.  The only
+words of n symbols on which ``apply`` can halt are head + w, the machine
+running on w of n - |head| symbols; the only ones on which ``apply2`` can
+halt are the heads of exactly n symbols, the machine running on the
+argument.  Heads are prefix-free, so a tier's words in head order are in
+shortlex order.  Under the standard interpreter the heads are sd(c) for
+the binary Turing machine codes c, each with the machine the code walk
+decoded.  The shortest code with a result is that of the machine that
+halts at once, 26 bits long: its program sd(c) of 54 bits is the minimum
+for ``anyword``.  A scan of every word would need 2^55 runs to reach it;
+the live words of all tiers up to there number 578.
 
 Two constructions produce further interpreters from existing ones:
 
@@ -35,19 +38,11 @@ interpreter's start at 54.
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, Iterator
+from operator import itemgetter
 
-from .words import (
-    BINARY,
-    MalformedPairError,
-    pairs_of_length,
-    sd,
-    sd_words_of_length,
-    unpair,
-    words_of_length,
-)
+from .words import BINARY, MalformedPairError, sd, unpair, words_of_length
 from .turing import MachineTM, RunOutcome, run_fueled
-from .inductive import InductiveRun, ItmOutcome, TmAsItm, classify_run, start_if_fits
+from .inductive import ItmOutcome, TmAsItm, classify_run, start_if_fits
 from .codec import KIND_TM, InvalidCodeError, codes_of_length, decode_machine
 
 WRAP_HEADER = "10"
@@ -67,28 +62,22 @@ def read_program(program: str, argument: str | None) -> tuple[str, str] | None:
     return (argument, code) if payload == "" else None
 
 
-def _decode_tm_program(code: str) -> MachineTM | None:
-    try:
-        machine = decode_machine(code)
-    except InvalidCodeError:
-        return None
-    if isinstance(machine, MachineTM) and machine.alphabet is BINARY:
-        return machine
-    return None
-
-
 @cache
-def _tm_codes(bits: int) -> tuple[str, ...]:
-    """The codes of exactly ``bits`` bits that the standard interpreter runs."""
-    return tuple(c for c in codes_of_length(bits, KIND_TM) if _decode_tm_program(c) is not None)
+def sd_heads(length: int, kind: int | None = None) -> tuple[tuple[str, object], ...]:
+    """(sd(c), machine) for every code c of ``kind``, every kind when None,
+    with sd(c) of at most ``length`` bits, in lex order."""
+    heads = [(sd(code), machine) for bits in range((length - 2) // 2 + 1)  # |sd(c)| = 2|c| + 2
+             for code, machine in codes_of_length(bits, kind).items()]
+    return tuple(sorted(heads, key=itemgetter(0)))
 
 
-def _headed(heads: Iterable[str], tails: Iterable[str]) -> Iterator[str]:
-    """Each head followed by each tail, in the order of the two lists."""
-    tails = list(tails)
-    for head in heads:
-        for tail in tails:
-            yield head + tail
+class Shortcut:
+    """The machine of a biased interpreter's shortcut: "0" at once, whatever
+    its input."""
+
+    @staticmethod
+    def run(input_word: str, fuel: int) -> RunOutcome:
+        return RunOutcome.of_halt("0", 0)
 
 
 class StandardUniversal:
@@ -102,16 +91,16 @@ class StandardUniversal:
 
     def _apply(self, program: str, argument: str | None, fuel: int) -> RunOutcome:
         read = read_program(program, argument)
-        machine = None if read is None else _decode_tm_program(read[1])
-        if machine is None:
+        try:
+            machine = None if read is None else decode_machine(read[1])
+        except InvalidCodeError:
+            machine = None
+        if not isinstance(machine, MachineTM) or machine.alphabet is not BINARY:
             return RunOutcome.of_fuel(fuel)
         return run_fueled(machine, read[0], fuel)
 
-    def live(self, length: int) -> Iterator[str]:
-        return pairs_of_length(length, _tm_codes)
-
-    def live2(self, length: int) -> list[str]:
-        return sd_words_of_length(length, _tm_codes)
+    def live(self, length: int) -> list[tuple[str, MachineTM]]:
+        return [head for head in sd_heads(length, KIND_TM) if head[1].alphabet is BINARY]
 
 
 class WrappedUniversal:
@@ -133,16 +122,9 @@ class WrappedUniversal:
             return RunOutcome.of_fuel(fuel)
         return self.inner._apply(program[len(WRAP_HEADER) :], argument, fuel)
 
-    def live(self, length: int) -> Iterator[str]:
-        return self._live(length, self.inner.live)
-
-    def live2(self, length: int) -> Iterator[str]:
-        return self._live(length, self.inner.live2)
-
-    def _live(self, length: int, inner_live) -> Iterator[str]:
-        if length < len(WRAP_HEADER):
-            return iter(())
-        return _headed([WRAP_HEADER], inner_live(length - len(WRAP_HEADER)))
+    def live(self, length: int) -> list[tuple[str, object]]:
+        inner = self.inner.live(length - len(WRAP_HEADER))
+        return [(WRAP_HEADER + head, machine) for head, machine in inner]
 
 
 class BiasedUniversal:
@@ -167,21 +149,16 @@ class BiasedUniversal:
         if len(program) < self.n:
             return RunOutcome.of_fuel(fuel)
         if program == self.shortcut:
-            return RunOutcome.of_halt("0", 0)  # with an argument, the constant-"0" function
+            return Shortcut.run(program, fuel)  # with an argument, the constant-"0" function
         return self.base._apply(program[self.n :], argument, fuel)
 
-    def live(self, length: int) -> Iterator[str]:
-        return self._live(length, self.base.live)
-
-    def live2(self, length: int) -> Iterator[str]:
-        return self._live(length, self.base.live2)
-
-    def _live(self, length: int, base_live) -> Iterator[str]:
-        if length < self.n:
-            return iter(())
-        if length == self.n:
-            return iter([self.shortcut])
-        return _headed(words_of_length(self.n), base_live(length - self.n))
+    def live(self, length: int) -> list[tuple[str, object]]:
+        if length <= self.n:
+            return [(self.shortcut, Shortcut)] if length == self.n else []
+        base = self.base.live(length - self.n)
+        if not base:  # no prefix to list
+            return []
+        return [(prefix + head, machine) for prefix in words_of_length(self.n) for head, machine in base]
 
 
 Interpreter = StandardUniversal | WrappedUniversal | BiasedUniversal
@@ -218,33 +195,28 @@ def parse_interpreter_spec(spec: str) -> Interpreter:
     raise ValueError(f"unknown interpreter spec {spec!r}")
 
 
-def start_itm_run(code: str, input_word: str) -> InductiveRun | None:
-    """Start the machine coded by ``code`` on ``input_word`` under inductive
-    semantics, a Turing machine code as its inductive embedding (same
-    table, inductive observation).
+def itm_outcome(machine, input_word: str, horizon: int) -> ItmOutcome:
+    """The outcome at ``horizon`` of ``machine`` on ``input_word`` under
+    inductive semantics, a Turing machine as its inductive embedding.
 
-    None when the code does not decode or the input does not fit the
-    machine: a symbol outside its alphabet, or more input than its register
-    holds.  Either way there is no run and so no result.
+    A machine that the input does not fit has no run, which counts as
+    divergent: unstable at every horizon.
     """
-    try:
-        machine = decode_machine(code)
-    except InvalidCodeError:
-        return None
     if isinstance(machine, MachineTM):
         machine = TmAsItm(machine)
-    return start_if_fits(machine, input_word)
-
-
-def itm_universal_apply(program: str, input_word: str, horizon: int) -> ItmOutcome:
-    """Run the machine coded by ``program`` under inductive semantics.
-
-    A program that :func:`start_itm_run` cannot start counts as divergent:
-    unstable at every horizon.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    run = start_itm_run(program, input_word)
+    run = start_if_fits(machine, input_word)
     if run is None:
         return ItmOutcome("unstable", horizon=horizon)
     return classify_run(run.run_to(horizon), horizon)
+
+
+def itm_universal_apply(program: str, input_word: str, horizon: int) -> ItmOutcome:
+    """Run the machine coded by ``program`` under inductive semantics, by
+    :func:`itm_outcome`; a program that does not decode counts as divergent."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    try:
+        machine = decode_machine(program)
+    except InvalidCodeError:
+        return ItmOutcome("unstable", horizon=horizon)
+    return itm_outcome(machine, input_word, horizon)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count, product
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 BLANK = "_"
 
@@ -155,26 +155,6 @@ def pair(w: str, u: str) -> str:
     """
     BINARY.check_word(w)
     return sd(u) + w
-
-
-def sd_words_of_length(length: int, rights: Callable[[int], Iterable[str]]) -> list[str]:
-    """Every binary sd(u) of exactly ``length`` symbols with u one of
-    ``rights(len(u))``, in the order ``rights`` lists them."""
-    n, odd = divmod(length - 2, 2)
-    return [] if odd or n < 0 else [sd(u) for u in rights(n)]
-
-
-def pairs_of_length(length: int, rights: Callable[[int], Iterable[str]]) -> Iterator[str]:
-    """Every binary pair(w, u) of exactly ``length`` symbols whose right part
-    is one of ``rights(len(u))``, in lex order.
-
-    The sd prefixes are prefix-free, so two pairs with different right
-    parts compare as their sd prefixes do.
-    """
-    heads = sorted(h for m in range(length + 1) for h in sd_words_of_length(m, rights))
-    for head in heads:
-        for w in words_of_length(length - len(head)):
-            yield head + w
 
 
 def unpair(p: str) -> tuple[str, str]:

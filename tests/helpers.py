@@ -1,6 +1,9 @@
 """Machine helpers that only tests use: a static non-halting proof, state
-renaming into canonical form, the standard two-input program word, and
-single steps and configurations of the package's steppers."""
+renaming into canonical form, the standard two-input program word, the
+live words of a tier built from its heads, and single steps and
+configurations of the package's steppers."""
+
+import itertools
 
 from minprog.codec import canonical_state_order, encode_machine
 from minprog.turing import MachineTM, Transition
@@ -70,6 +73,16 @@ def canonicalize_tm(machine: MachineTM) -> MachineTM:
 def tm_program2(machine: MachineTM) -> str:
     """The standard two-input program word for a machine."""
     return sd(encode_machine(machine))
+
+
+def tier_words(heads, length: int) -> list[tuple[str, str, str, object]]:
+    """(head + w, head, w, what the head runs) for each head of a tier and
+    every binary w that fills it to ``length`` symbols, in head order."""
+    return [
+        (head + "".join(w), head, "".join(w), runs)
+        for head, runs in heads
+        for w in itertools.product("01", repeat=length - len(head))
+    ]
 
 
 def step(run) -> bool:

@@ -274,8 +274,11 @@ def test_codes_of_length_match_trial_decoding_of_every_token_word():
             except InvalidCodeError:
                 continue
             found.append(word)
-        assert codes_of_length(2 * ntokens) == found, ntokens
-    assert codes_of_length(13) == []
+        codes = codes_of_length(2 * ntokens)
+        assert list(codes) == found, ntokens
+        # the walk keeps each code's machine; MachineITM has no __eq__, so compare codes
+        assert all(encode_machine(machine) == code for code, machine in codes.items()), ntokens
+    assert codes_of_length(13) == {}
 
 
 def _renumbered(machine, order):

@@ -35,11 +35,11 @@ from minprog.universal import (
     parse_interpreter_spec,
     wrap_universal,
 )
-from minprog.codec import codes_of_length, encode_machine
+from minprog.codec import codes_of_length, decode_machine, encode_machine
 from minprog.words import sd, words_up_to
-from minprog import zoo
+from minprog import codec, universal, zoo
 
-from helpers import tm_program2
+from helpers import tier_words, tm_program2
 from oracles import binary_words, binary_words_of_len, brute_force_halts, brute_force_search
 
 U1 = make_biased_universal(1)
@@ -345,6 +345,34 @@ def test_verdict_report_field_names():
 
 
 # ---------------------------------------------------------------------------
+# long std scans reach the Turing machine heads
+
+# README "Why biased:1": sd(c) for the code of zoo.halt_now
+README_WITNESS = "000011000011110000110000110000111100000011000000110001"
+
+
+def test_long_std_scans_run_the_heads_machines_without_decoding(monkeypatch):
+    verdict = bounded_problem_complexity(HSTD, any_word(), Budget(54, 64))
+    assert (verdict.value, verdict.witness, verdict.runs_halted) == (54, README_WITNESS, 1)
+    budget = Budget(58, 64)
+    verdict = bounded_problem_complexity(HSTD, equals("0"), budget)
+    # the reference runs every head + payload word through the single-program path
+    words = [w for n in range(budget.max_len + 1) for w, *_ in tier_words(U_STD.live(n), n)]
+    halted = sum(HSTD.produce(w, budget) is not None for w in words)
+    assert verdict.kind == "no-witness-within-budget" and verdict.runs_halted == halted == 33
+    decodes = []
+
+    def counting(word):
+        decodes.append(word)
+        return decode_machine(word)
+
+    monkeypatch.setattr(codec, "decode_machine", counting)
+    monkeypatch.setattr(universal, "decode_machine", counting)
+    assert bounded_problem_complexity(HSTD, equals("0"), budget) == verdict
+    assert decodes == []
+
+
+# ---------------------------------------------------------------------------
 # the pruned scan against the naive one
 
 ORACLE_BUDGET = Budget(max_len=12, fuel=64, horizon=32)
@@ -407,12 +435,18 @@ def test_pruned_functional_scan_equals_naive_scan(name):
 def test_class_words_outside_live_give_no_result(name):
     handle = PRUNED_CLASSES[name]
     for n in range(15):
-        live, live2 = list(handle.live(n)), list(handle.live2(n))
-        assert live == sorted(set(live)) and live2 == sorted(set(live2))
-        live, live2 = set(live), set(live2)
+        heads = list(handle.live(n))
+        words = tier_words(heads, n)
+        assert [w for w, *_ in words] == sorted({w for w, *_ in words})
+        live = {w: (payload, result_of) for w, _, payload, result_of in words}
+        live2 = {head: result_of for head, result_of in heads if len(head) == n}
         for w in binary_words_of_len(n):
-            if w not in live:
+            if w in live:
+                payload, result_of = live[w]
+                assert handle.produce(w, ORACLE_BUDGET) == result_of(payload, ORACLE_BUDGET), w
+            else:
                 assert handle.produce(w, ORACLE_BUDGET) is None, w
-            if w not in live2:
+            if w in live2:
+                assert handle.produce2(w, "01", ORACLE_BUDGET) == live2[w]("01", ORACLE_BUDGET), w
+            else:
                 assert handle.produce2(w, "01", ORACLE_BUDGET) is None, w
-

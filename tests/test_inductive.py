@@ -14,8 +14,8 @@ from minprog.inductive import (
     start_if_fits,
 )
 from minprog.turing import MachineValidationError, run_fueled
-from minprog.universal import itm_universal_apply, start_itm_run
-from minprog.codec import encode_machine
+from minprog.universal import itm_outcome, itm_universal_apply
+from minprog.codec import decode_machine, encode_machine
 from minprog.words import BINARY, BLANK, words_up_to
 from minprog import zoo
 
@@ -168,11 +168,13 @@ UNARY_CODE = "00100110011000100010"  # a Turing machine over the alphabet {0}
 
 
 def test_a_machine_that_cannot_hold_its_input_has_no_run():
-    assert start_itm_run(UNARY_CODE, "0") is not None
-    assert start_itm_run(UNARY_CODE, "1") is None
+    unary = decode_machine(UNARY_CODE)
+    assert start_if_fits(TmAsItm(unary), "0") is not None
+    assert start_if_fits(TmAsItm(unary), "1") is None
     assert itm_universal_apply(UNARY_CODE, "1", 10).kind == "unstable"
+    assert itm_outcome(unary, "1", 10).kind == "unstable"
     # an explicit input register one cell too short
-    assert start_itm_run(encode_machine(zoo.alternator()), "00") is None
+    assert start_if_fits(decode_machine(encode_machine(zoo.alternator())), "00") is None
 
 
 def test_input_register_grows_lazily_on_linear_memory():

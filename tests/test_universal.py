@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minprog.codec import decode_machine, encode_machine
+from minprog.codec import KIND_TM, codes_of_length, decode_machine, encode_machine
 from minprog.complexity import Budget, itm1_class
-from minprog.turing import MachineTM, run_fueled
+from minprog.turing import MachineTM, RunOutcome, run_fueled
 from minprog.universal import (
     U_STD,
     WRAP_HEADER,
@@ -15,7 +15,7 @@ from minprog.universal import (
 from minprog.words import BINARY, pair, sd, unpair, words_up_to
 from minprog import zoo
 
-from helpers import tm_program2
+from helpers import tier_words, tm_program2
 from oracles import binary_words_of_len, brute_force_search
 from strategies import small_tms, zoo_tms
 
@@ -146,42 +146,56 @@ def test_parse_interpreter_spec():
 
 
 # ---------------------------------------------------------------------------
-# live words
+# heads and the live words built from them
 
 
 @pytest.mark.parametrize("spec", ["std", "wrap:std", "biased:1", "biased:2", "biased:3", "wrap:biased:2"])
 def test_words_outside_live_never_halt(spec):
     interp = parse_interpreter_spec(spec)
     for n in range(15):
-        live, live2 = list(interp.live(n)), list(interp.live2(n))
-        assert live == sorted(set(live)) and live2 == sorted(set(live2))
-        live, live2 = set(live), set(live2)
+        heads = interp.live(n)
+        words = tier_words(heads, n)
+        assert [w for w, *_ in words] == sorted({w for w, *_ in words})
+        live = {w: (payload, machine) for w, _, payload, machine in words}
+        live2 = {head: machine for head, machine in heads if len(head) == n}
         for w in binary_words_of_len(n):
-            if w not in live:
+            if w in live:
+                payload, machine = live[w]
+                assert interp.apply(w, 64) == run_fueled(machine, payload, 64), w
+            else:
                 assert not interp.apply(w, 64).halted, w
-            if w not in live2:
+            if w in live2:
+                assert interp.apply2(w, "01", 64) == run_fueled(live2[w], "01", 64), w
+            else:
                 assert not interp.apply2(w, "01", 64).halted, w
 
 
 def test_std_live_words_are_binary_tm_pair_programs():
-    assert list(U_STD.live(45)) == [] and list(U_STD.live2(45)) == []
-    assert sd(encode_machine(zoo.halt_now())) in U_STD.live2(54)
+    assert U_STD.live(45) == []
+    assert sd(encode_machine(zoo.halt_now())) in [head for head, _ in U_STD.live(54)]
     for n in range(46, 55):
-        live = list(U_STD.live(n))
-        assert live and live == sorted(set(live))
-        assert set(U_STD.live2(n)) == {p for p in live if unpair(p)[0] == ""}
-        for p in live:
-            machine = decode_machine(unpair(p)[1])
-            assert len(p) == n and isinstance(machine, MachineTM) and machine.alphabet is BINARY
+        heads = [head for head, _ in U_STD.live(n)]
+        codes = [c for bits in range(n // 2) for c in codes_of_length(bits, KIND_TM)]
+        binary = [c for c in codes if decode_machine(c).alphabet is BINARY]
+        assert heads and heads == sorted(sd(c) for c in binary if len(sd(c)) <= n)
+        for head, machine in U_STD.live(n):
+            payload, code = unpair(head)
+            assert payload == "" and len(head) <= n
+            assert isinstance(machine, MachineTM) and machine.alphabet is BINARY
+            assert encode_machine(machine) == code
 
 
 def test_biased_and_wrapped_live_words_extend_std():
     u2 = make_biased_universal(2)
-    assert list(u2.live(1)) == [] and list(u2.live(2)) == ["00"]
-    assert list(u2.live(48)) == [h + p for h in ("00", "01", "10", "11") for p in U_STD.live(46)]
+    assert u2.live(1) == []
+    (shortcut, runs), = u2.live(2)
+    assert shortcut == "00" and run_fueled(runs, "", 1) == run_fueled(runs, "1", 1) == RunOutcome.of_halt("0", 0)
+    assert u2.live(47) == []  # no std head, so no prefix is listed
+    assert u2.live(48) == [(h + head, m) for h in ("00", "01", "10", "11") for head, m in U_STD.live(46)]
     wrapped = wrap_universal(U_STD)
-    assert list(wrapped.live(48)) == [WRAP_HEADER + p for p in U_STD.live(46)]
-    assert list(wrapped.live2(56)) == [WRAP_HEADER + p for p in U_STD.live2(54)]
+    assert wrapped.live(1) == []
+    assert wrapped.live(48) == [(WRAP_HEADER + head, m) for head, m in U_STD.live(46)]
+    assert wrapped.live(56) == [(WRAP_HEADER + head, m) for head, m in U_STD.live(54)]
 
 
 # ---------------------------------------------------------------------------
