@@ -18,7 +18,10 @@ these numberings included, and rejects anything else, so every decodable
 word is the code of the machine it decodes to, and interpreters can treat
 undecodable program words as divergent.  The encoder numbers states with
 :func:`canonical_state_order`; the decoder checks the numbering on the
-state indices of the rows it read, without naming the states.
+state indices of the rows it read, without naming the states.  A Turing
+machine's rows are compiled as they are read, as numbers, straight into
+its table (:meth:`MachineTM.numbered`), and the encoder numbers the rows
+of a machine's table: neither builds a :class:`Transition`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import cache
 from typing import NoReturn
 
 from .words import BLANK, Alphabet, BINARY
-from .turing import MOVES, MachineTM, MachineValidationError, Transition
+from .turing import MOVE_DELTAS, MOVES, MachineTM, MachineValidationError
 from .inductive import ExplicitMemory, LinearMemory, MachineITM, MemoryGraph, Rule
 
 KIND_TM = 0
@@ -238,17 +241,15 @@ def _encode_header(machine: MachineTM | MachineITM, numbers: list[int]) -> dict[
 
 
 def _encode_tm(machine: MachineTM, numbers: list[int]) -> None:
+    """Append the header and the rows, numbered from the machine's table."""
     index = _encode_header(machine, numbers)
-    alpha = machine.alphabet
+    code = {**machine.alphabet.index, BLANK: len(machine.alphabet)}
+    code[""] = code[BLANK]  # a compiled write that blanks its cell
+    move = {d: i for i, d in enumerate(MOVE_DELTAS)}
     rows = sorted(
-        (
-            index[t.state],
-            *(_symbol_code(alpha, s) for s in t.reads),
-            index[t.next_state],
-            *(_symbol_code(alpha, s) for s in t.writes),
-            *(MOVES.index(m) for m in t.moves),
-        )
-        for t in machine.transitions
+        (index[q], code[r0], code[r1], code[r2], index[nxt], code[r0],
+         code[r1 if w1 is None else w1], code[r2 if w2 is None else w2], move[d0], move[d1], move[d2])
+        for (q, r0, r1, r2), (nxt, w1, w2, d0, d1, d2, *_) in machine.table.items()
     )
     numbers.append(len(rows))
     for row in rows:
@@ -334,49 +335,60 @@ _TM_ROW = ("state", *["read"] * 3, "next state", *["write"] * 3, *["move"] * 3)
 
 
 def _decode_tm(reader: _Numbers) -> tuple[MachineTM, bool]:
-    """The machine, and whether its rows number the states in first-use order."""
+    """The machine, and whether its rows number the states in first-use order.
+
+    The rows are compiled as read, straight into the machine's table.  The
+    errors keep one precedence: an index out of range (the first in reading
+    order), then rows out of canonical order, then a fault of a row."""
     nstates, alpha, final_ids = _decode_header(reader)
     ntrans = reader.number("transition count")
-    width = len(_TM_ROW)
+    width, nsyms = len(_TM_ROW), len(alpha) + 1
     flat = reader.take(width * ntrans)
-    rows = [flat[i : i + width] for i in range(0, len(flat), width)]
-    sym = (*alpha.symbols, BLANK)  # by symbol code
+    pairs = flat[0::width], flat[4::width]  # the state and next-state indices
     # a short row or a state index out of range stops before the states are named
-    if len(flat) < width * ntrans or max(flat[0::width] + flat[4::width], default=0) >= nstates:
-        _raise_row_error(reader, rows, nstates, len(sym))
+    if len(flat) < width * ntrans or max(pairs[0] + pairs[1], default=0) >= nstates:
+        _raise_row_error(reader, flat, nstates, nsyms)
+    rows = list(zip(*[iter(flat)] * width))
     states = tuple(f"s{i}" for i in range(nstates))
-    try:  # a symbol or move index out of range stops the build
-        trans = tuple(
-            Transition(states[q], (sym[r0], sym[r1], sym[r2]), states[nq],
-                       (sym[w0], sym[w1], sym[w2]), (MOVES[m0], MOVES[m1], MOVES[m2]))
-            for q, r0, r1, r2, nq, w0, w1, w2, m0, m1, m2 in rows
+    try:
+        machine = MachineTM.numbered(
+            "decoded", states, states[0], frozenset(states[f] for f in final_ids), alpha, rows
         )
-    except IndexError:
-        trans = ()
-    if len(trans) < ntrans:
-        _raise_row_error(reader, rows, nstates, len(sym))
-    keys = [row[:4] for row in rows]
-    if keys != sorted(keys):
+    except IndexError:  # a symbol or move index out of range
+        _raise_row_error(reader, flat, nstates, nsyms)
+    except MachineValidationError:  # a fault of a row, which ranks last
+        _check_indices(flat, nstates, nsyms)
+        _check_order([row[:4] for row in rows])
+        raise
+    # the compile found no shared left part, so the rows are in order when their keys are
+    _check_order(rows)
+    return machine, _first_use(zip(*pairs))
+
+
+def _check_order(rows: list) -> None:
+    if rows != sorted(rows):
         raise InvalidCodeError("transition table is not in canonical order")
-    finals = frozenset(states[f] for f in final_ids)
-    machine = MachineTM("decoded", states, states[0], finals, alpha, trans)
-    return machine, _first_use(zip(flat[0::width], flat[4::width]))
 
 
-def _raise_row_error(reader: _Numbers, rows: list[list[int]], nstates: int, nsyms: int) -> NoReturn:
-    """Raise the first error of the transition rows in reading order; the
-    last row may stop short at the reader's values."""
-    for row in rows:
-        for i, what in enumerate(_TM_ROW):
-            if i == len(row):
-                reader.fail(what)
-            if what in ("read", "write") and row[i] >= nsyms:
-                raise InvalidCodeError(f"{what} symbol index {row[i]} out of range")
-            if what == "move" and row[i] >= len(MOVES):
-                raise InvalidCodeError(f"move index {row[i]} out of range")
-        if row[0] >= nstates or row[4] >= nstates:
+def _raise_row_error(reader: _Numbers, flat: list[int], nstates: int, nsyms: int) -> NoReturn:
+    """Raise the first error of the transition rows ``flat`` in reading
+    order; the last row may stop short at the reader's values."""
+    _check_indices(flat, nstates, nsyms)
+    reader.fail(_TM_ROW[len(flat) % len(_TM_ROW)])
+
+
+def _check_indices(flat: list[int], nstates: int, nsyms: int) -> None:
+    """Raise the first index out of range in the rows ``flat``, in reading
+    order; a row's states are checked once the row is whole."""
+    width = len(_TM_ROW)
+    for i, value in enumerate(flat):
+        what = _TM_ROW[i % width]
+        if what in ("read", "write") and value >= nsyms:
+            raise InvalidCodeError(f"{what} symbol index {value} out of range")
+        if what == "move" and value >= len(MOVES):
+            raise InvalidCodeError(f"move index {value} out of range")
+        if i % width == width - 1 and max(flat[i - width + 1], flat[i - width + 5]) >= nstates:
             raise InvalidCodeError("transition state index out of range")
-    reader.fail("state")
 
 
 def _decode_itm(reader: _Numbers) -> tuple[MachineITM, bool]:

@@ -95,7 +95,8 @@ class ProbeRow:
         machine, runs = self.machine, self.runs
         while len(runs) < n:
             self._open.append(len(runs))
-            runs.append(machine.start_run(next(self._inputs)))
+            # the inputs are words over the machine's own alphabet
+            runs.append(TmRun(machine, next(self._inputs)))
         still, halted = [], []
         for i in self._open:
             run = runs[i].run_to(n)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .words import BLANK, Alphabet, InvalidWordError
-from .turing import FIRST_SNAPSHOT, EventLog, MachineTM, MachineValidationError, TmRun, compiled_write
+from .turing import FIRST_SNAPSHOT, EventLog, MachineTM, MachineValidationError, compiled_write
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +583,7 @@ class _TmItmRun(InductiveRun):
 
     def __init__(self, machine: MachineTM, input_word: str) -> None:
         super().__init__()
-        self.run = TmRun(machine, input_word)
+        self.run = machine.start_run(input_word)
         self.run.write_log = self.writes
         self.stopped_final = self.run.in_final
 

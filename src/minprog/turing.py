@@ -10,7 +10,8 @@ running" from "stuck".
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
@@ -19,7 +20,7 @@ from typing import NamedTuple
 from .words import BLANK, Alphabet
 
 MOVES = ("L", "R", "S")
-_MOVE_DELTA = {"L": -1, "R": 1, "S": 0}
+MOVE_DELTAS = (-1, 1, 0)  # the head delta of each move in MOVES
 
 Triple = tuple[str, str, str]
 
@@ -77,6 +78,15 @@ class RunOutcome:
 TmStep = tuple[str, str | None, str | None, int, int, int, bool, int]
 SWEEP, STAY = 1, 2
 
+# A numbered transition: the state's index, the three read symbols' codes,
+# the next state's index, the three write codes and the three move codes.
+# A symbol's code is its index in the alphabet, or the alphabet's size for
+# blank; a move's code is its index in MOVES.
+NumberedRow = tuple[int, int, int, int, int, int, int, int, int, int, int]
+
+_MOVE_CODE = {m: i for i, m in enumerate(MOVES)}
+_R, _S = _MOVE_CODE["R"], _MOVE_CODE["S"]
+
 
 def compiled_write(read: str, write: str | None) -> str | None:
     """A write as a compiled table holds it: None when it leaves the cell
@@ -86,12 +96,55 @@ def compiled_write(read: str, write: str | None) -> str | None:
     return "" if write == BLANK else write
 
 
-@dataclass(frozen=True)
+def _compile(
+    rows: Iterable[NumberedRow], states: tuple[str, ...], alphabet: Alphabet, finals: frozenset[str]
+) -> dict[tuple[str, str, str, str], TmStep]:
+    """The table of numbered rows, in row order.  Each row is checked before
+    the next is read: a write to the read-only input, an erased output cell,
+    then a left part an earlier row has.  An index out of range raises
+    IndexError."""
+    symbols = (*alphabet.symbols, BLANK)  # by code
+    blank = len(alphabet)
+    stored = (*alphabet.symbols, "")  # a write's compiled form by code, when it changes the cell
+    table: dict[tuple[str, str, str, str], TmStep] = {}
+    for q, r0, r1, r2, nq, w0, w1, w2, m0, m1, m2 in rows:
+        if w0 != r0:
+            raise MachineValidationError(
+                f"transition in state {states[q]!r} writes to the read-only input tape"
+            )
+        if w2 == blank and r2 != blank:
+            raise MachineValidationError(
+                f"transition in state {states[q]!r} erases the output tape"
+            )
+        key = (states[q], symbols[r0], symbols[r1], symbols[r2])
+        if key in table:
+            raise MachineValidationError(
+                f"two transitions share the left part ({key[0]}, {key[1]}/{key[2]}/{key[3]})"
+            )
+        nxt = states[nq]
+        c1 = None if w1 == r1 else stored[w1]
+        c2 = None if w2 == r2 else stored[w2]
+        d0, d1, d2 = MOVE_DELTAS[m0], MOVE_DELTAS[m1], MOVE_DELTAS[m2]
+        final = nxt in finals
+        if final:
+            kind = 0
+        elif (r0 != blank and r2 == blank and m0 == _R and m1 == _S and c1 is None
+                and m2 == (_S if c2 is None else _R)):
+            kind = SWEEP
+        elif nq == q and m0 == m1 == m2 == _S and c1 is None and c2 is None:
+            kind = STAY
+        else:
+            kind = 0
+        table[key] = (nxt, c1, c2, d0, d1, d2, final, kind)
+    return table
+
+
 class MachineTM:
     """A deterministic 3-tape transducer.
 
     ``table`` maps (state, r0, r1, r2) to the compiled :data:`TmStep` of the
-    one transition with that left part.  Structural rules enforced at
+    one transition with that left part; it is the machine's one form, and
+    ``transitions`` is read back from it.  Structural rules enforced at
     construction, each transition checked in this order:
 
     * it reads, writes and moves on exactly three tapes,
@@ -102,69 +155,107 @@ class MachineTM:
       overwritten with blank), which keeps "the word on the output tape"
       unambiguous,
     * at most one transition per left part (determinism).
+
+    The first two rules are checked on the names, then the row is numbered
+    (see :data:`NumberedRow`) and the others are checked as it is compiled;
+    :meth:`numbered` builds a machine from rows already numbered.  Two
+    machines are equal when their name, states, start, finals, alphabet and
+    transitions are.
     """
 
-    name: str
-    states: tuple[str, ...]
-    start: str
-    finals: frozenset[str]
-    alphabet: Alphabet
-    transitions: tuple[Transition, ...]
-    table: dict[tuple[str, str, str, str], TmStep] = field(init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        name: str,
+        states: tuple[str, ...],
+        start: str,
+        finals: frozenset[str],
+        alphabet: Alphabet,
+        transitions: Iterable[Transition],
+    ) -> None:
+        self._declare(name, states, start, finals, alphabet)
+        self.table = _compile(self._numbering(transitions), states, alphabet, finals)
 
-    def __post_init__(self) -> None:
-        declared = set(self.states)
-        if len(declared) != len(self.states):
+    @classmethod
+    def numbered(
+        cls,
+        name: str,
+        states: tuple[str, ...],
+        start: str,
+        finals: frozenset[str],
+        alphabet: Alphabet,
+        rows: Iterable[NumberedRow],
+    ) -> "MachineTM":
+        """The machine of rows numbered by ``states`` and ``alphabet`` (see
+        :data:`NumberedRow`); an index out of range raises IndexError."""
+        machine = cls.__new__(cls)
+        machine._declare(name, states, start, finals, alphabet)
+        machine.table = _compile(rows, states, alphabet, finals)
+        return machine
+
+    def _declare(self, name, states, start, finals, alphabet) -> None:
+        self.name = name
+        self.states = states
+        self.start = start
+        self.finals = finals
+        self.alphabet = alphabet
+        declared = set(states)
+        if len(declared) != len(states):
             raise MachineValidationError("duplicate state declaration")
-        if self.start not in declared:
-            raise MachineValidationError(f"start state {self.start!r} is not declared")
-        finals = self.finals
+        if start not in declared:
+            raise MachineValidationError(f"start state {start!r} is not declared")
         for s in finals:
             if s not in declared:
                 raise MachineValidationError(f"final state {s!r} is not declared")
-        symbols = {BLANK, *self.alphabet.symbols}
-        table: dict[tuple[str, str, str, str], TmStep] = {}
-        for state, reads, nxt, writes, moves in self.transitions:
+
+    def _numbering(self, transitions: Iterable[Transition]) -> Iterator[NumberedRow]:
+        """Each transition numbered, once its names check out."""
+        index = {s: i for i, s in enumerate(self.states)}
+        code = {**self.alphabet.index, BLANK: len(self.alphabet)}
+        symbols = set(code)
+        for state, reads, nxt, writes, moves in transitions:
             try:
                 (r0, r1, r2), (w0, w1, w2), (m0, m1, m2) = reads, writes, moves
             except ValueError:
                 raise MachineValidationError(
                     f"transition in state {state!r} does not read, write and move on three tapes"
                 ) from None
-            if state not in declared or nxt not in declared:
+            if state not in index or nxt not in index:
                 raise MachineValidationError(f"transition {state}->{nxt} uses an undeclared state")
             if not (symbols.issuperset(reads) and symbols.issuperset(writes)):
                 for sym in (*reads, *writes):
                     self.alphabet.check_symbol(sym)
-            if m0 not in _MOVE_DELTA or m1 not in _MOVE_DELTA or m2 not in _MOVE_DELTA:
-                bad = next(m for m in moves if m not in _MOVE_DELTA)
+            if m0 not in _MOVE_CODE or m1 not in _MOVE_CODE or m2 not in _MOVE_CODE:
+                bad = next(m for m in moves if m not in _MOVE_CODE)
                 raise MachineValidationError(f"unknown move {bad!r}")
-            if w0 != r0:
-                raise MachineValidationError(
-                    f"transition in state {state!r} writes to the read-only input tape"
-                )
-            if r2 != BLANK and w2 == BLANK:
-                raise MachineValidationError(
-                    f"transition in state {state!r} erases the output tape"
-                )
-            key = (state, r0, r1, r2)
-            if key in table:
-                raise MachineValidationError(
-                    f"two transitions share the left part ({state}, {r0}/{r1}/{r2})"
-                )
-            final = nxt in finals
-            c1, c2 = compiled_write(r1, w1), compiled_write(r2, w2)
-            if final:
-                kind = 0
-            elif (r0 != BLANK and r2 == BLANK and m0 == "R" and m1 == "S" and c1 is None
-                    and m2 == ("S" if c2 is None else "R")):
-                kind = SWEEP
-            elif nxt == state and m0 == m1 == m2 == "S" and c1 is None and c2 is None:
-                kind = STAY
-            else:
-                kind = 0
-            table[key] = (nxt, c1, c2, _MOVE_DELTA[m0], _MOVE_DELTA[m1], _MOVE_DELTA[m2], final, kind)
-        object.__setattr__(self, "table", table)
+            yield (index[state], code[r0], code[r1], code[r2], index[nxt], code[w0], code[w1], code[w2],
+                   _MOVE_CODE[m0], _MOVE_CODE[m1], _MOVE_CODE[m2])
+
+    @cached_property
+    def transitions(self) -> tuple[Transition, ...]:
+        """The transitions, read back from ``table`` in its order: the order
+        they were given in."""
+        move = dict(zip(MOVE_DELTAS, MOVES))
+        return tuple(
+            Transition(state, (r0, r1, r2), nxt,
+                       (r0, r1 if c1 is None else c1 or BLANK, r2 if c2 is None else c2 or BLANK),
+                       (move[d0], move[d1], move[d2]))
+            for (state, r0, r1, r2), (nxt, c1, c2, d0, d1, d2, *_) in self.table.items()
+        )
+
+    def _fields(self) -> tuple:
+        return (self.name, self.states, self.start, self.finals, self.alphabet, self.transitions)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"MachineTM(name={self.name!r}, states={self.states!r}, start={self.start!r}, "
+                f"finals={self.finals!r}, alphabet={self.alphabet!r}, transitions={self.transitions!r})")
 
     @cached_property
     def sweeps(self) -> dict[str, dict[str, dict]]:
@@ -181,7 +272,9 @@ class MachineTM:
         return maps
 
     def start_run(self, input_word: str) -> "TmRun":
-        return TmRun(self, input_word)
+        """A run on ``input_word``, once its symbols are checked against
+        the alphabet."""
+        return TmRun(self, self.alphabet.check_word(input_word))
 
 
 _STEP = itemgetter(0)
@@ -249,7 +342,9 @@ class TmRun:
     """Mutable stepper for one machine on one input.
 
     The input tape is the input word itself, the string ``input_word``;
-    every cell off its ends is blank.  The work and output tapes are sparse
+    every cell off its ends is blank.  The word is not checked here:
+    :meth:`MachineTM.start_run` checks it, and a caller that starts a run
+    directly passes a word over the machine's alphabet.  The work and output tapes are sparse
     dicts position -> symbol; absent means blank.  The configuration is
     inspectable between steps, which the schedulers and the behavioural
     round-trip tests rely on.  When ``write_log`` is an :class:`EventLog`,
@@ -264,7 +359,6 @@ class TmRun:
     _top = (float("-inf"), 0)
 
     def __init__(self, machine: MachineTM, input_word: str) -> None:
-        machine.alphabet.check_word(input_word)
         self.machine = machine
         self.input_word = input_word
         self.tapes: tuple[str, dict[int, str], dict[int, str]] = (input_word, {}, {})

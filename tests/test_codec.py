@@ -338,3 +338,61 @@ def test_unreachable_states_decode_in_either_declaration_order(declared):
     assert encode_machine(decode_machine(word)) == word
     for order in itertools.permutations(declared):
         _check_first_use(machine, list(order))
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_tms(), full_tms()))
+def test_a_decoded_machine_reads_its_transitions_from_its_table_on_first_use(machine):
+    code = encode_machine(machine)
+    back = decode_machine(code)
+    assert encode_machine(back) == code and "transitions" not in vars(back)
+    rows = back.transitions
+    assert "transitions" in vars(back)
+    again = MachineTM(back.name, back.states, back.start, back.finals, back.alphabet, rows)
+    assert again == back and encode_machine(again) == code
+
+# Binary TM codes with two faults each.  A header of two states, s1 final,
+# or of three with s2 final; symbol codes 0, 1 and 2 for blank; move code 2
+# for S.  Each case lists the code, the code without the winning fault, and
+# the two messages: the faults rank as an index out of range (the first in
+# reading order), rows out of canonical order, a fault of a row, trailing
+# blocks, then first-use numbering.
+_HEAD2, _HEAD3 = [0, 2, 2, 1, 1], [0, 3, 2, 1, 2]
+_STAY = [2, 2, 2]
+_TRAILING = "trailing 2-bit blocks after the last number of the machine code"
+
+
+@pytest.mark.parametrize("code, without, first, second", [
+    pytest.param(
+        [*_HEAD2, 2, 0, 0, 2, 2, 1, 1, 2, 2, *_STAY, 0, 1, 3, 2, 1, 1, 3, 2, *_STAY],
+        [*_HEAD2, 2, 0, 0, 2, 2, 1, 1, 2, 2, *_STAY, 0, 1, 1, 2, 1, 1, 1, 2, *_STAY],
+        "read symbol index 3 out of range",
+        "transition in state 's0' writes to the read-only input tape",
+        id="range-before-read-only"),
+    pytest.param(
+        [*_HEAD2, 2, 0, 1, 2, 0, 1, 1, 2, 2, *_STAY, 0, 0, 2, 2, 1, 0, 2, 2, *_STAY],
+        [*_HEAD2, 2, 0, 0, 2, 2, 1, 0, 2, 2, *_STAY, 0, 1, 2, 0, 1, 1, 2, 2, *_STAY],
+        "transition table is not in canonical order",
+        "transition in state 's0' erases the output tape",
+        id="order-before-erase"),
+    pytest.param(
+        [*_HEAD2, 2, *[0, 0, 2, 2, 1, 0, 2, 2, *_STAY] * 2, 0],
+        [*_HEAD2, 2, 0, 0, 2, 2, 1, 0, 2, 2, *_STAY, 0, 1, 2, 2, 1, 1, 2, 2, *_STAY, 0],
+        "two transitions share the left part (s0, 0/_/_)",
+        _TRAILING,
+        id="shared-left-part-before-trailing"),
+    pytest.param(
+        [*_HEAD3, 1, 0, 0, 2, 2, 2, 0, 2, 2, *_STAY, 0],
+        [*_HEAD3, 1, 0, 0, 2, 2, 2, 0, 2, 2, *_STAY],
+        _TRAILING,
+        "states are not numbered in first-use order",
+        id="trailing-before-first-use"),
+])
+def test_the_first_fault_in_decode_precedence_is_reported(code, without, first, second):
+    from minprog.codec import _word
+
+    for numbers, message in ((code, first), (without, second)):
+        with pytest.raises(InvalidCodeError) as exc:
+            decode_machine(_word(numbers))
+        assert str(exc.value) == message

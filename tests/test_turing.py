@@ -1,3 +1,6 @@
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +17,15 @@ from minprog import zoo
 
 from helpers import configuration, never_halts_by_inspection, step
 from oracles import PlainTm, stepper_repeat
-from strategies import gap_writer, small_tms, unary_tms, zoo_tms
+from strategies import (
+    gap_writer,
+    random_stay_tm,
+    random_sweep_tm,
+    random_tm,
+    small_tms,
+    unary_tms,
+    zoo_tms,
+)
 
 
 def test_identity_copies_input():
@@ -216,3 +227,50 @@ def test_never_halts_by_inspection():
     assert not never_halts_by_inspection(zoo.blocked())  # stuck counts as stopping
     assert not never_halts_by_inspection(zoo.epsilon_only())
     assert not never_halts_by_inspection(zoo.halt_now())
+
+
+def _built(make):
+    """Call ``make``; the machines it builds, each with the transitions
+    handed to its constructor."""
+    built = []
+    init = MachineTM.__init__
+
+    def recording(self, name, states, start, finals, alphabet, transitions):
+        init(self, name, states, start, finals, alphabet, transitions)
+        built.append((self, transitions))
+
+    with mock.patch.object(MachineTM, "__init__", recording):
+        make()
+    assert built
+    return built
+
+
+def _assert_read_back(machine, given):
+    """``transitions`` is read back from the table as given, in order, and
+    rebuilds the machine with the same table."""
+    assert machine.transitions == given
+    again = MachineTM(machine.name, machine.states, machine.start, machine.finals,
+                      machine.alphabet, machine.transitions)
+    assert again == machine and hash(again) == hash(machine)
+    assert list(again.table.items()) == list(machine.table.items())
+
+
+_RANDOM_TMS = {"full": random_tm, "sweep": random_sweep_tm, "stay": random_stay_tm}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_RANDOM_TMS)), st.integers(0, 2**32))
+def test_transitions_are_read_back_from_the_table_in_order(kind, seed):
+    for machine, given in _built(lambda: _RANDOM_TMS[kind](random.Random(seed))):
+        _assert_read_back(machine, given)
+
+
+_ZOO_TMS = (zoo.looper, zoo.nonempty_only, zoo.epsilon_only, zoo.identity, zoo.const_zero,
+            zoo.last_symbol, zoo.halt_now, zoo.blocked, zoo.append_zero, zoo.eraser)
+
+
+@pytest.mark.parametrize("make", [unary_tms, *(m.__wrapped__ for m in _ZOO_TMS)],
+                         ids=lambda make: make.__name__)
+def test_zoo_and_unary_transitions_are_read_back_from_the_table_in_order(make):
+    for machine, given in _built(make):
+        _assert_read_back(machine, given)
