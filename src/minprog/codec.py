@@ -22,12 +22,18 @@ state indices of the rows it read, without naming the states.  A Turing
 machine's rows are compiled as they are read, as numbers, straight into
 its table (:meth:`MachineTM.numbered`), and the encoder numbers the rows
 of a machine's table: neither builds a :class:`Transition`.
+
+The decoder reads numbers, not bits: a word is split into its numbers
+first, and :func:`codes_up_to` walks the code grammar over lists of
+numbers, a number of d binary digits costing 2d + 2 bits of the word, with
+the same decoder as the judge of every list.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import cache
+from operator import itemgetter
 from typing import NoReturn
 
 from .words import BLANK, Alphabet, BINARY
@@ -48,8 +54,9 @@ class InvalidCodeError(ValueError):
 
 
 class TruncatedCodeError(InvalidCodeError):
-    """The word ended before its code did: it ran out inside a number or
-    before a number the code still needs, so some extension may decode."""
+    """The code ended early: its word ran out inside a number, or its
+    numbers ran out before one the code still needs, so some extension may
+    decode.  The code walk extends exactly these number lists."""
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +76,27 @@ _SMALL = {f"{n:b}": n for n in range(1 << 10)}
 
 
 class _Numbers:
-    """The numbers of a word, split and converted in one pass, read in order.
+    """The numbers of a code, read in order.
 
-    ``values`` holds the numbers before the first empty, non-canonical or
-    out-of-range one.  Reading past them raises that number's error, or a
-    truncation after the last ended number (the error of unended digits no
-    ending can make valid): the errors of reading one number at a time."""
+    ``values`` are the numbers the reader holds.  Reading past them raises
+    ``fault``, the error of the number after them, or else a truncation;
+    ``unended`` are digits after the last ended number, which a finished
+    code may not carry.  A number list on its own, as the code walk reads
+    it, has neither: its values alone decide whether it is a code, a
+    truncated one or no code."""
 
-    def __init__(self, word: str) -> None:
+    def __init__(self, values: list[int], fault: str = "", unended: str = "") -> None:
+        self.values = values
+        self.pos = 0
+        self.fault = fault
+        self.unended = unended
+
+    @classmethod
+    def of_word(cls, word: str) -> _Numbers:
+        """The numbers of a word, split and converted in one pass: the
+        values before its first empty, non-canonical or out-of-range number,
+        that number's error (or, after the last ended number, the error of
+        unended digits no ending can make valid), and the unended digits."""
         if len(word) % 2 != 0:
             raise InvalidCodeError("odd-length word cannot be split into 2-bit blocks")
         BINARY.check_word(word)  # int() would take hex digits, "_" and spaces
@@ -87,17 +107,16 @@ class _Numbers:
         if "3" in blocks:
             raise InvalidCodeError("2-bit block '11' is neither a digit nor the end of a number")
         *fields, unended = blocks.split("2")
-        self.values = values = list(map(_SMALL.get, fields))
-        self.pos = 0
-        self.unended = unended
-        self.fault = unended and _fault(unended)  # the error past the values, "" for a truncation
+        values = list(map(_SMALL.get, fields))
+        fault = unended and _fault(unended)
         while None in values:  # a number past the small ones, or a fault
             i = values.index(None)
-            if fault := _fault(fields[i]):
+            if field_fault := _fault(fields[i]):
                 del values[i:]
-                self.fault = fault
+                fault = field_fault
                 break
             values[i] = int(fields[i], 2)
+        return cls(values, fault, unended)
 
     def number(self, what: str) -> int:
         if self.pos == len(self.values):
@@ -464,7 +483,12 @@ def _decode_itm(reader: _Numbers) -> tuple[MachineITM, bool]:
 
 def decode_machine(word: str):
     """Inverse of :func:`encode_machine`; raises InvalidCodeError off-image."""
-    reader = _Numbers(word)
+    return _decode(_Numbers.of_word(word))
+
+
+def _decode(reader: _Numbers):
+    """The machine whose code is the reader's numbers: the one judge of the
+    code grammar, for words and for the code walk's number lists."""
     table = None  # the decoded machine with a table, whose numbering is checked last
     first_use = True  # whether its rows number its states in first-use order
     try:
@@ -498,65 +522,37 @@ def decode_machine(word: str):
 
 
 # ---------------------------------------------------------------------------
-# enumerating the code grammar
+# walking the code grammar
 
 
-# Every code starts with its kind number.  The heads are prefix-disjoint, so
-# each kind's codes form one subtree, and listing the kinds in head order
-# lists all codes in lex order.
-_KIND_HEADS = {kind: _word([kind]) for kind in (KIND_TM, KIND_ITM, KIND_PIPELINE)}
+def _codes(numbers: list[int], spare: int) -> Iterator[tuple[str, object]]:
+    """(code, machine) for every code that extends the number list
+    ``numbers`` by at most ``spare`` bits.
 
-
-class _CodeTree:
-    """The codes under one kind head, grown a block at a time.
-
-    The decoder is the grammar: a prefix that runs out of numbers is
-    extended by each block, a prefix that decodes is a code (its extensions
-    carry trailing numbers), and any other rejection prunes the prefix's
-    subtree.  Only the deepest frontier is kept, so each prefix is decoded
-    once, and each code keeps the machine it decoded to.
-    """
-
-    def __init__(self, head: str) -> None:
-        self.frontier = [head]
-        self.bits = len(head)
-        self.codes: dict[int, dict[str, object]] = {}
-
-    def of_length(self, bits: int) -> dict[str, object]:
-        while self.bits < bits and self.frontier:
-            frontier = []
-            for prefix in self.frontier:
-                for block in ("00", "01", "10"):
-                    word = prefix + block
-                    try:
-                        machine = decode_machine(word)
-                    except TruncatedCodeError:
-                        frontier.append(word)
-                    except InvalidCodeError:
-                        continue
-                    else:
-                        self.codes.setdefault(len(word), {})[word] = machine
-            self.frontier = frontier
-            self.bits += 2
-        return self.codes.get(bits, {})
+    The decoder is the grammar: a list that runs out of numbers is extended
+    by each number that still fits, a list that decodes is a code (its
+    extensions carry trailing numbers), and any other rejection prunes the
+    list's extensions.  No number above the decoder's range is listed, so
+    every code listed is a word :func:`decode_machine` accepts."""
+    try:
+        machine = _decode(_Numbers(numbers))
+    except TruncatedCodeError:
+        for digits in range(1, spare // 2):  # a number of d binary digits costs 2d + 2 bits
+            for n in range(1 << digits - 1 if digits > 1 else 0, min(1 << digits, _MAX_COUNT + 1)):
+                yield from _codes([*numbers, n], spare - 2 * digits - 2)
+    except InvalidCodeError:
+        pass
+    else:
+        yield _word(numbers), machine
 
 
 @cache
-def _code_tree(kind: int) -> _CodeTree:
-    return _CodeTree(_KIND_HEADS[kind])
-
-
-def codes_of_length(bits: int, kind: int | None = None) -> dict[str, object]:
-    """Every decodable code of exactly ``bits`` bits, in lex order, mapped
-    to the machine it decodes to; only the codes of one machine kind when
-    ``kind`` is given.
-
-    The walk is cached for the life of the process.
-    """
-    if bits % 2:
-        return {}  # codes are whole 2-bit blocks; do not grow the walk for none
-    kinds = sorted(_KIND_HEADS, key=_KIND_HEADS.get) if kind is None else [kind]
-    return {code: m for k in kinds for code, m in _code_tree(k).of_length(bits).items()}
+def codes_up_to(bits: int, kind: int | None = None) -> dict[str, object]:
+    """Every code of at most ``bits`` bits, in lex order, mapped to the
+    machine it decodes to; only the codes of one machine kind when ``kind``
+    is given.  Cached for the life of the process."""
+    start = [] if kind is None else [kind]
+    return dict(sorted(_codes(start, bits - len(_word(start))), key=itemgetter(0)))
 
 
 def builtin_memory(name: str) -> MemoryGraph:

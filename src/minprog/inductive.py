@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .words import BLANK, Alphabet, InvalidWordError
-from .turing import FIRST_SNAPSHOT, EventLog, MachineTM, MachineValidationError, compiled_write
+from .turing import FIRST_SNAPSHOT, EventLog, MachineTM, MachineValidationError, check_states, compiled_write
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +279,7 @@ class MachineITM:
         self.finals = frozenset(finals)
         self.alphabet = alphabet
         self.memory = memory
-        declared = set(self.states)
-        if len(declared) != len(self.states):
-            raise MachineValidationError("duplicate state declaration")
-        if start not in declared:
-            raise MachineValidationError(f"start state {start!r} is not declared")
-        for s in self.finals:
-            if s not in declared:
-                raise MachineValidationError(f"final state {s!r} is not declared")
+        declared = check_states(self.states, start, self.finals)
         self.rules = tuple(rules)
         table: dict[tuple[str, str], ItmStep] = {}
         for r in self.rules:

@@ -88,6 +88,20 @@ _MOVE_CODE = {m: i for i, m in enumerate(MOVES)}
 _R, _S = _MOVE_CODE["R"], _MOVE_CODE["S"]
 
 
+def check_states(states: tuple[str, ...], start: str, finals: Iterable[str]) -> set[str]:
+    """The declared states, once they hold no duplicate and hold the start
+    state and every final state: the state checks of both machine kinds."""
+    declared = set(states)
+    if len(declared) != len(states):
+        raise MachineValidationError("duplicate state declaration")
+    if start not in declared:
+        raise MachineValidationError(f"start state {start!r} is not declared")
+    for s in finals:
+        if s not in declared:
+            raise MachineValidationError(f"final state {s!r} is not declared")
+    return declared
+
+
 def compiled_write(read: str, write: str | None) -> str | None:
     """A write as a compiled table holds it: None when it leaves the cell
     as read (or there is none), "" when it blanks a non-blank cell."""
@@ -198,14 +212,7 @@ class MachineTM:
         self.start = start
         self.finals = finals
         self.alphabet = alphabet
-        declared = set(states)
-        if len(declared) != len(states):
-            raise MachineValidationError("duplicate state declaration")
-        if start not in declared:
-            raise MachineValidationError(f"start state {start!r} is not declared")
-        for s in finals:
-            if s not in declared:
-                raise MachineValidationError(f"final state {s!r} is not declared")
+        check_states(states, start, finals)
 
     def _numbering(self, transitions: Iterable[Transition]) -> Iterator[NumberedRow]:
         """Each transition numbered, once its names check out."""

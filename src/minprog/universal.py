@@ -16,10 +16,11 @@ running on w of n - |head| symbols; the only ones on which ``apply2`` can
 halt are the heads of exactly n symbols, the machine running on the
 argument.  Heads are prefix-free, so a tier's words in head order are in
 shortlex order.  Under the standard interpreter the heads are sd(c) for
-the binary Turing machine codes c, each with the machine the code walk
-decoded.  The shortest code with a result is that of the machine that
-halts at once, 26 bits long: its program sd(c) of 54 bits is the minimum
-for ``anyword``.  A scan of every word would need 2^55 runs to reach it;
+the binary Turing machine codes c, each with the machine it decodes to,
+as the code walk over lists of numbers (:func:`codes_up_to`) lists them.
+The shortest code with a result is that of the machine that halts at
+once, 26 bits long: its program sd(c) of 54 bits is the minimum for
+``anyword``.  A scan of every word would need 2^55 runs to reach it;
 the live words of all tiers up to there number 578.
 
 Two constructions produce further interpreters from existing ones:
@@ -38,12 +39,11 @@ interpreter's start at 54.
 from __future__ import annotations
 
 from functools import cache
-from operator import itemgetter
 
 from .words import BINARY, MalformedPairError, sd, unpair, words_of_length
 from .turing import MachineTM, RunOutcome, run_fueled
 from .inductive import ItmOutcome, TmAsItm, classify_run, start_if_fits
-from .codec import KIND_TM, InvalidCodeError, codes_of_length, decode_machine
+from .codec import KIND_TM, InvalidCodeError, codes_up_to, decode_machine
 
 WRAP_HEADER = "10"
 
@@ -66,9 +66,9 @@ def read_program(program: str, argument: str | None) -> tuple[str, str] | None:
 def sd_heads(length: int, kind: int | None = None) -> tuple[tuple[str, object], ...]:
     """(sd(c), machine) for every code c of ``kind``, every kind when None,
     with sd(c) of at most ``length`` bits, in lex order."""
-    heads = [(sd(code), machine) for bits in range((length - 2) // 2 + 1)  # |sd(c)| = 2|c| + 2
-             for code, machine in codes_of_length(bits, kind).items()]
-    return tuple(sorted(heads, key=itemgetter(0)))
+    # |sd(c)| = 2|c| + 2; sd doubles each bit, so it keeps the lex order of
+    # the codes, which are prefix-free
+    return tuple((sd(code), machine) for code, machine in codes_up_to((length - 2) // 2, kind).items())
 
 
 class Shortcut:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 from unittest import mock
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minprog.codec import (
+    KIND_ITM,
+    KIND_PIPELINE,
     KIND_TM,
     InvalidCodeError,
     TruncatedCodeError,
     canonical_state_order,
-    codes_of_length,
+    codes_up_to,
     decode_machine,
     encode_machine,
 )
@@ -261,7 +264,11 @@ def test_proper_prefixes_of_random_codes_are_truncated(machine):
     code = encode_machine(machine)
     _assert_proper_prefixes_truncated(code)
     if len(code) <= 26:  # the code lists grow about 2.3x per token
-        assert code in codes_of_length(len(code), KIND_TM)
+        assert code in codes_up_to(len(code), KIND_TM)
+
+
+def _of_length(codes, bits):
+    return {code: machine for code, machine in codes.items() if len(code) == bits}
 
 
 def test_codes_of_length_match_trial_decoding_of_every_token_word():
@@ -274,11 +281,48 @@ def test_codes_of_length_match_trial_decoding_of_every_token_word():
             except InvalidCodeError:
                 continue
             found.append(word)
-        codes = codes_of_length(2 * ntokens)
+        codes = _of_length(codes_up_to(2 * ntokens), 2 * ntokens)
         assert list(codes) == found, ntokens
         # the walk keeps each code's machine; MachineITM has no __eq__, so compare codes
         assert all(encode_machine(machine) == code for code, machine in codes.items()), ntokens
-    assert codes_of_length(13) == {}
+    assert _of_length(codes_up_to(13), 13) == {}
+
+
+# every code of at most 32 bits, over all kinds, as the block-by-block walk
+# listed them: their number and the SHA-256 of their comma-joined lex list
+_CODES_32 = (664, "c96aa7e8226e0e57c5b808069defc1739108eb7fff171af0e184d53ac4d71917")
+
+
+def _pin(codes):
+    return len(codes), hashlib.sha256(",".join(codes).encode()).hexdigest()
+
+
+def test_the_code_walk_to_32_bits_is_pinned():
+    codes = codes_up_to(32)
+    assert _pin(codes) == _CODES_32
+    for kind in (KIND_TM, KIND_ITM, KIND_PIPELINE):
+        head = codec._word([kind])
+        assert list(codes_up_to(32, kind)) == [code for code in codes if code.startswith(head)], kind
+    for code, machine in codes.items():
+        assert encode_machine(decode_machine(code)) == encode_machine(machine) == code
+
+
+@pytest.fixture
+def fresh_code_walk():
+    codes_up_to.cache_clear()
+    yield
+    codes_up_to.cache_clear()
+
+
+def test_the_code_walk_lists_no_number_out_of_the_decoders_range(fresh_code_walk, monkeypatch):
+    codes = codes_up_to(32)
+    assert _pin(codes) == _CODES_32
+    short = [code for code in codes if len(code) <= 28]
+    small = [code for code in short if max(codec._Numbers.of_word(code).values) <= 5]
+    assert len(small) < len(short)  # some short code needs a number past 5
+    monkeypatch.setattr(codec, "_MAX_COUNT", 5)
+    codes_up_to.cache_clear()
+    assert list(codes_up_to(28)) == small
 
 
 def _renumbered(machine, order):

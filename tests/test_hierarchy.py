@@ -3,7 +3,7 @@ import time
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from minprog.codec import KIND_ITM, InvalidCodeError, builtin_memory, codes_of_length, decode_machine, encode_machine
+from minprog.codec import KIND_ITM, InvalidCodeError, builtin_memory, codes_up_to, decode_machine, encode_machine
 from minprog.complexity import Budget, itm1_class
 from minprog.hierarchy import (
     ProbeRow,
@@ -602,8 +602,7 @@ def test_limitlist_connections_follow_the_scheduler():
 def test_stock_memories_are_built_once_per_process():
     # walking the ITM code grammar to 30 bits decodes thm72 and limitlist
     # prefixes over a dozen times
-    for bits in range(31):
-        codes_of_length(bits, KIND_ITM)
+    codes_up_to(30, KIND_ITM)
     assert builtin_memory("thm72") is builtin_memory("thm72") is thm72_memory()
     assert builtin_memory("limitlist") is limitlist_memory()
     assert thm72_memory.cache_info().misses <= 1

@@ -12,6 +12,7 @@ from minprog.turing import (
     Transition,
     run_fueled,
 )
+from minprog.inductive import LinearMemory, MachineITM
 from minprog.words import BINARY, InvalidWordError, words_up_to
 from minprog import zoo
 
@@ -118,6 +119,24 @@ def test_undeclared_states_rejected():
         _tm([("qx", ("0", "_", "_"), "qf", ("0", "_", "_"), ("S", "S", "S"))])
     with pytest.raises(MachineValidationError):
         MachineTM("t", ("q0",), "q1", frozenset(), BINARY, ())
+
+
+_MACHINE_KINDS = {
+    "tm": lambda states, start, finals: MachineTM("t", states, start, frozenset(finals), BINARY, ()),
+    "itm": lambda states, start, finals: MachineITM("i", states, start, finals, BINARY, (), LinearMemory()),
+}
+
+
+@pytest.mark.parametrize("kind", list(_MACHINE_KINDS))
+@pytest.mark.parametrize("states, start, finals, message", [
+    (("q0", "q0"), "qx", ("qy",), "duplicate state declaration"),
+    (("q0",), "qx", ("qy",), "start state 'qx' is not declared"),
+    (("q0",), "q0", ("qy",), "final state 'qy' is not declared"),
+])
+def test_both_machine_kinds_check_their_states_in_one_order(kind, states, start, finals, message):
+    with pytest.raises(MachineValidationError) as info:
+        _MACHINE_KINDS[kind](states, start, finals)
+    assert str(info.value) == message
 
 
 _OK = ("q0", ("0", "_", "_"), "qf", ("0", "_", "_"), ("S", "S", "S"))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minprog.codec import KIND_TM, codes_of_length, decode_machine, encode_machine
+from minprog.codec import KIND_TM, codes_up_to, decode_machine, encode_machine
 from minprog.complexity import Budget, itm1_class
 from minprog.turing import MachineTM, RunOutcome, run_fueled
 from minprog.universal import (
@@ -175,7 +175,7 @@ def test_std_live_words_are_binary_tm_pair_programs():
     assert sd(encode_machine(zoo.halt_now())) in [head for head, _ in U_STD.live(54)]
     for n in range(46, 55):
         heads = [head for head, _ in U_STD.live(n)]
-        codes = [c for bits in range(n // 2) for c in codes_of_length(bits, KIND_TM)]
+        codes = list(codes_up_to(n // 2 - 1, KIND_TM))
         binary = [c for c in codes if decode_machine(c).alphabet is BINARY]
         assert heads and heads == sorted(sd(c) for c in binary if len(sd(c)) <= n)
         for head, machine in U_STD.live(n):
