@@ -146,7 +146,7 @@ def _cmd_invariance(args):
     if args.family == "small20":
         family = small20_family(u1)
     else:
-        family = [builtin(n, interp=u1) for n in args.family.split(",") if n]
+        family = [builtin(n, interp=u1, budget=budget) for n in args.family.split(",") if n]
     result = invariance_gap(u1, u2, family, budget)
     rows = [
         {

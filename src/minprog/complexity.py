@@ -9,7 +9,9 @@ decoded once by the code walk, runs on every payload that fills the tier.
 The rest of each tier is counted as scanned without running it.  A full
 length tier is always finished before a verdict is fixed, so the reported
 witness is the shortlex-least program of minimal length no matter how
-candidates were scheduled.
+candidates were scheduled.  One scan answers a whole list of predicates,
+each stopping at its own first witness, so an invariance gap scans each
+interpreter's programs once and a growth profile scans its class once.
 
 Nothing here ever claims a true infinity: a failed search is reported as
 no-witness-within-budget, and every verdict carries the budget it is
@@ -70,13 +72,6 @@ class ComplexityVerdict:
     @property
     def finite(self) -> bool:
         return self.kind == "finite"
-
-
-def verdict_le(a: ComplexityVerdict, b: ComplexityVerdict) -> bool:
-    """Order with every finite value below no-witness."""
-    if a.finite:
-        return (not b.finite) or a.value <= b.value
-    return not b.finite
 
 
 @dataclass(frozen=True)
@@ -222,35 +217,49 @@ def compose_postprocess(base: MachineClassHandle, post: MachineTM) -> MachineCla
 def _tier_scan(
     live: Callable[[int], Iterable[tuple[str, Result]]],
     results: Callable[[Result, str], object | None],
-    accept: Callable[[object], bool],
-    budget: Budget,
-) -> ComplexityVerdict:
+    accepts: Sequence[Callable[[object], bool]],
+    max_len: int,
+) -> list[ComplexityVerdict]:
     """Run the live words of each length tier in shortlex order: each head's
     result function on every payload that fills the tier.  A tier's other
-    words give no result, so they count as scanned without a run."""
-    scanned = 0
-    halted = 0
-    for length in range(budget.max_len + 1):
-        best: str | None = None
+    words give no result, so they count as scanned without a run.  Each
+    acceptance test sees every result up to its first witness and gets the
+    verdict a scan of its own would give; the scan ends once all have one."""
+    verdicts: dict[int, ComplexityVerdict] = {}
+    waiting = list(range(len(accepts)))
+    scanned = halted = 0
+    for length in range(max_len + 1):
+        if not waiting:
+            break
+        found: dict[int, str] = {}
         for head, result_of in live(length):
             for payload in words_of_length(length - len(head)):
                 result = results(result_of, payload)
                 if result is None:
                     continue
                 halted += 1
-                if best is None and accept(result):
-                    best = head + payload
+                for i in [i for i in waiting if accepts[i](result)]:
+                    found[i] = head + payload
+                    waiting.remove(i)
         scanned += 1 << length
-        if best is not None:
-            return ComplexityVerdict("finite", length, best, scanned, halted)
-    return ComplexityVerdict("no-witness-within-budget", None, None, scanned, halted)
+        for i, witness in found.items():
+            verdicts[i] = ComplexityVerdict("finite", length, witness, scanned, halted)
+    none = ComplexityVerdict("no-witness-within-budget", None, None, scanned, halted)
+    return [verdicts.get(i, none) for i in range(len(accepts))]
+
+
+def _problem_scan(
+    handle: MachineClassHandle, predicates: Sequence[Predicate], budget: Budget
+) -> list[ComplexityVerdict]:
+    """One scan of the class's programs for every predicate of a list."""
+    return _tier_scan(handle.live, lambda result_of, w: result_of(w, budget), predicates, budget.max_len)
 
 
 def bounded_problem_complexity(
     handle: MachineClassHandle, predicate: Predicate, budget: Budget
 ) -> ComplexityVerdict:
     """Minimum program length whose produced word satisfies the predicate."""
-    return _tier_scan(handle.live, lambda result_of, w: result_of(w, budget), predicate, budget)
+    return _problem_scan(handle, [predicate], budget)[0]
 
 
 def bounded_set_problem_complexity(
@@ -282,7 +291,7 @@ def bounded_functional_complexity(
         outs = [result_of(x, budget) for x, _ in table.pairs]
         return outs if any(r is not None for r in outs) else None
 
-    return _tier_scan(programs, results, wanted.__eq__, budget)
+    return _tier_scan(programs, results, [wanted.__eq__], budget.max_len)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +321,13 @@ class InvarianceResult:
 def invariance_gap(
     first_interp, second_interp, family: Sequence[Predicate], budget: Budget
 ) -> InvarianceResult:
-    h1 = tm_class(first_interp)
-    h2 = tm_class(second_interp)
-    rows = []
-    skipped = []
-    gap = 0
-    for pred in family:
-        v1 = bounded_problem_complexity(h1, pred, budget)
-        v2 = bounded_problem_complexity(h2, pred, budget)
-        row = GapRow(pred.name, v1, v2)
-        rows.append(row)
-        if row.comparable:
-            gap = max(gap, v2.value - v1.value)
-        elif v1.finite or v2.finite:
-            skipped.append(pred.name)
-    return InvarianceResult(gap, tuple(rows), tuple(skipped))
+    firsts = _problem_scan(tm_class(first_interp), family, budget)
+    seconds = _problem_scan(tm_class(second_interp), family, budget)
+    rows = tuple(GapRow(pred.name, v1, v2) for pred, v1, v2 in zip(family, firsts, seconds))
+    gap = max([0] + [row.second.value - row.first.value for row in rows if row.comparable])
+    skipped = tuple(row.predicate for row in rows
+                    if not row.comparable and (row.first.finite or row.second.finite))
+    return InvarianceResult(gap, rows, skipped)
 
 
 def growth_profile(
@@ -335,7 +336,8 @@ def growth_profile(
     n_values: Iterable[int],
     budget: Budget,
 ) -> list[tuple[int, ComplexityVerdict]]:
-    return [(n, bounded_problem_complexity(handle, family(n), budget)) for n in n_values]
+    n_values = list(n_values)
+    return list(zip(n_values, _problem_scan(handle, [family(n) for n in n_values], budget)))
 
 
 # ---------------------------------------------------------------------------

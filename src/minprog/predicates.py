@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .words import BINARY, shortlex_le, shortlex_lt, words_of_length, words_up_to
+from .words import BINARY, shortlex_le, shortlex_lt, words_up_to
 from .turing import run_fueled
 
 
@@ -109,10 +109,11 @@ def computed_within(n: int, interp) -> Predicate:
     """
     if n < 0:
         raise PredicateConstructionError("step bound must be non-negative")
+    from .complexity import _tier_scan
 
     def check(w: str) -> bool:
-        return any(run_fueled(machine, payload, n).result == w for k in range(n + 1)
-                   for head, machine in interp.live(k) for payload in words_of_length(k - len(head)))
+        return _tier_scan(interp.live, lambda machine, payload: run_fueled(machine, payload, n).result,
+                          [w.__eq__], n)[0].finite
 
     return Predicate(f"within:{n}", check)
 
@@ -184,11 +185,6 @@ def builtin(name: str, *, interp=None, budget=None) -> Predicate:
 
 # ---------------------------------------------------------------------------
 # implications
-
-
-def check_implication(p: Predicate, q: Predicate, max_len: int) -> bool:
-    """Exhaustively test that p(w) implies q(w) for all words up to max_len."""
-    return find_implication_counterexample(p, q, max_len) is None
 
 
 def find_implication_counterexample(p: Predicate, q: Predicate, max_len: int) -> str | None:

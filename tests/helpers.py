@@ -1,7 +1,7 @@
 """Machine helpers that only tests use: a static non-halting proof, state
 renaming into canonical form, the standard two-input program word, the
-live words of a tier built from its heads, and single steps and
-configurations of the package's steppers."""
+live words of a tier built from its heads, single steps and
+configurations of the package's steppers, and the order on verdicts."""
 
 import itertools
 
@@ -97,3 +97,10 @@ def configuration(run) -> tuple:
     work, output = run.tapes[1:]
     frozen = (tuple(enumerate(run.input_word)), tuple(sorted(work.items())), tuple(sorted(output.items())))
     return (run.state, tuple(run.heads), frozen)
+
+
+def verdict_le(a, b) -> bool:
+    """Order verdicts with every finite value below no-witness."""
+    if a.finite:
+        return (not b.finite) or a.value <= b.value
+    return not b.finite

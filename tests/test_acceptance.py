@@ -24,7 +24,6 @@ from minprog.complexity import (
     invariance_gap,
     itm1_class,
     tm_class,
-    verdict_le,
 )
 from minprog.hierarchy import (
     SimDecider,
@@ -42,6 +41,7 @@ from minprog.universal import U_STD, WRAP_HEADER, make_biased_universal, wrap_un
 from minprog.words import nth_word, words_up_to
 from minprog import zoo
 
+from helpers import verdict_le
 from oracles import brute_force_outputs, brute_force_search
 
 U1 = make_biased_universal(1)

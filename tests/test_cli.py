@@ -103,6 +103,17 @@ def test_invariance(capsys):
     assert len(report["rows"]) == 20
 
 
+def test_invariance_family_takes_the_budget_bounded_c_equals_needs(capsys):
+    report = run_json(
+        capsys, "invariance", "--u1", "biased:1", "--u2", "wrap:biased:1",
+        "--family", "bounded-c-equals:1,equals:0", "--max-len", "4",
+    )
+    assert [(row["predicate"], row["first"]["value"], row["second"]["value"]) for row in report["rows"]] == [
+        ("bounded-c-equals:1", 1, 3), ("equals:0", 1, 3),
+    ]
+    assert report["gap"] == 2
+
+
 def test_enumerate_nontotal_schema_and_prefix(capsys):
     report = run_json(capsys, "enumerate-nontotal", "--cycles", "32")
     assert set(report) >= {"cycle", "list", "halted_pairs", "stable_prefix_estimate"}

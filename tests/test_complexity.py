@@ -1,9 +1,12 @@
+import functools
+
 import pytest
 
 from minprog.complexity import (
     Budget,
     FunctionTable,
     K_EMBED,
+    MachineClassHandle,
     bounded_functional_complexity,
     bounded_kolmogorov,
     bounded_problem_complexity,
@@ -13,12 +16,13 @@ from minprog.complexity import (
     invariance_gap,
     itm1_class,
     tm_class,
-    verdict_le,
     verdict_report,
 )
 from minprog.predicates import (
+    Predicate,
     PredicateSet,
     any_word,
+    builtin,
     computed_within,
     equals,
     false_pred,
@@ -39,7 +43,7 @@ from minprog.codec import codes_up_to, decode_machine, encode_machine
 from minprog.words import sd, words_up_to
 from minprog import codec, universal, zoo
 
-from helpers import tier_words, tm_program2
+from helpers import tier_words, tm_program2, verdict_le
 from oracles import binary_words, binary_words_of_len, brute_force_halts, brute_force_search
 
 U1 = make_biased_universal(1)
@@ -450,3 +454,108 @@ def test_class_words_outside_live_give_no_result(name):
                 assert handle.produce2(w, "01", ORACLE_BUDGET) == live2[w]("01", ORACLE_BUDGET), w
             else:
                 assert handle.produce2(w, "01", ORACLE_BUDGET) is None, w
+
+
+# ---------------------------------------------------------------------------
+# one scan for a whole predicate family
+
+FAMILY_SPECS = ("std", "wrap:std", "biased:1", "biased:2", "biased:3")
+
+
+@functools.cache
+def _family_table(spec):
+    """Every program's result under ``spec`` at the family budgets' fuel."""
+    return _naive_table(tm_class(parse_interpreter_spec(spec)), Budget(12, 256))
+
+
+def _family(interp):
+    return [*small20_family(interp), false_pred()]
+
+
+@pytest.mark.parametrize("max_len", [10, 11, 12])
+@pytest.mark.parametrize("index", range(len(FAMILY_SPECS)))
+def test_invariance_rows_equal_single_scans_and_the_oracle(index, max_len):
+    specs = FAMILY_SPECS[index], FAMILY_SPECS[(index + 1) % len(FAMILY_SPECS)]
+    first, second = map(parse_interpreter_spec, specs)
+    budget = Budget(max_len, 256)
+    family = _family(first)
+    res = invariance_gap(first, second, family, budget)
+    assert [row.predicate for row in res.rows] == [pred.name for pred in family]
+    for row, pred in zip(res.rows, family):
+        for spec, interp, verdict in zip(specs, (first, second), (row.first, row.second)):
+            assert verdict == bounded_problem_complexity(tm_class(interp), pred, budget), (spec, pred.name)
+            value, witnesses = brute_force_search(_family_table(spec).__getitem__, pred, max_len)
+            assert (verdict.value, verdict.witness) == (value, min(witnesses, default=None)), (spec, pred.name)
+
+
+def _recording(pred, seen):
+    return Predicate(pred.name, lambda w: seen.append(w) or pred(w))
+
+
+# biased:n has one program with a result below 54 bits; std and wrap:std at
+# 58 bits have 33 and 7, all with output ε, which every finite row accepts first
+@pytest.mark.parametrize("specs, budget", [
+    (("biased:1", "biased:2"), Budget(10, 256)),
+    (("std", "wrap:std"), Budget(58, 64)),
+])
+def test_family_predicates_see_the_results_of_their_own_scans(specs, budget):
+    first, second = map(parse_interpreter_spec, specs)
+    in_family = {pred.name: [] for pred in _family(first)}
+    invariance_gap(first, second, [_recording(p, in_family[p.name]) for p in _family(first)], budget)
+    for pred in _family(first):
+        alone = []
+        for interp in (first, second):
+            bounded_problem_complexity(tm_class(interp), _recording(pred, alone), budget)
+        assert in_family[pred.name] == alone, pred.name
+
+
+class _CountingLive:
+    """An interpreter that counts the calls to its ``live``."""
+
+    def __init__(self, interp):
+        self.interp = interp
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.interp, name)
+
+    def live(self, length):
+        self.calls += 1
+        return self.interp.live(length)
+
+
+@pytest.mark.parametrize("specs", [("biased:1", "wrap:biased:1"), ("std", "wrap:std")])
+def test_invariance_lists_each_tier_once_per_interpreter(specs):
+    first, second = (_CountingLive(parse_interpreter_spec(spec)) for spec in specs)
+    budget = Budget(12, 256)
+    res = invariance_gap(first, second, _family(first.interp), budget)
+    assert res == invariance_gap(first.interp, second.interp, _family(first.interp), budget)
+    assert first.calls + second.calls <= 2 * (budget.max_len + 1)
+
+
+def _even_ones(word, budget):
+    """A word with an even number of 1s is its own result; the others have none."""
+    return word if word.count("1") % 2 == 0 else None
+
+
+# a class whose every word is live, so a tier holds many results and a
+# witness can come before the tier's last one
+EVEN_ONES = MachineClassHandle("even-ones", _even_ones, lambda p, x, budget: None, lambda n: [("", _even_ones)])
+
+
+def test_one_scan_gives_every_predicate_its_oracle_verdict():
+    budget = Budget(10, 1)
+    family = [builtin(name) for name in ("anyword", "nonempty", "leq:0", "geq:0", "lt:10", "factor:11",
+                                         "infactor:0110", "equals:0110", "equals:1", "false")]
+    family += [length_equals(n) for n in range(12)]
+    profile = growth_profile(EVEN_ONES, family.__getitem__, range(len(family)), budget)
+    table = _naive_table(EVEN_ONES, budget)
+    for pred, (_, verdict) in zip(family, profile):
+        assert _fields(verdict) == _expected_verdict(table, pred, budget.max_len), pred.name
+        assert verdict == bounded_problem_complexity(EVEN_ONES, pred, budget), pred.name
+
+
+def test_growth_profile_equals_its_per_n_scans():
+    budget = Budget(max_len=10, fuel=256)
+    profile = growth_profile(H1, length_equals, range(0, 41), budget)
+    assert profile == [(n, bounded_problem_complexity(H1, length_equals(n), budget)) for n in range(0, 41)]

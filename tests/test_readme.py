@@ -1,5 +1,5 @@
-"""Every ``minprog`` line of the README's CLI block prints what it printed
-when ``golden/readme.json`` was recorded, ``elapsed_ms`` aside."""
+"""Every ``minprog`` line of every README ``sh`` block prints what it
+printed when ``golden/readme.json`` was recorded, ``elapsed_ms`` aside."""
 
 import json
 import shlex
@@ -14,11 +14,14 @@ GOLDEN = json.loads((Path(__file__).parent / "golden" / "readme.json").read_text
 
 
 def readme_examples():
-    """The ``minprog`` lines of the first code block after ``## CLI``."""
-    lines = (ROOT / "README.md").read_text().splitlines()
-    block = lines[lines.index("## CLI"):]
-    start = block.index("```sh") + 1
-    return [line for line in block[start:block.index("```", start)] if line.startswith("minprog ")]
+    """The ``minprog`` lines of every ``sh`` code block, in README order."""
+    examples, in_sh = [], False
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("minprog "):
+            examples.append(line)
+    return examples
 
 
 def run_example(line, capsys):
