@@ -588,4 +588,4 @@ class _TmItmRun(InductiveRun):
         return self
 
     def output_word(self) -> str:
-        return self.run.output_cells()
+        return self.run.output_word()

@@ -125,13 +125,14 @@ def bounded_complexity_equals(n: int, interp, budget) -> Predicate:
     computable; every verdict is relative to the interpreter and budget
     carried in the parameters.
     """
-    from .complexity import bounded_kolmogorov, tm_class
+    from .complexity import Budget, bounded_kolmogorov, tm_class
 
     handle = tm_class(interp)
+    # a word of budgeted minimum n has its witness by tier n, so the scan stops there
+    capped = Budget(n, budget.fuel, budget.horizon) if 0 <= n <= budget.max_len else None
 
     def check(w: str) -> bool:
-        verdict = bounded_kolmogorov(handle, w, budget)
-        return verdict.kind == "finite" and verdict.value == n
+        return capped is not None and bounded_kolmogorov(handle, w, capped).value == n
 
     return Predicate(f"bounded-c-equals:{n}", check)
 

@@ -166,8 +166,8 @@ class MachineTM:
       and its moves are L, R or S,
     * tape 0 is read-only (every write equals the read),
     * the output tape is never erased (a non-blank cell is never
-      overwritten with blank), which keeps "the word on the output tape"
-      unambiguous,
+      overwritten with blank), so the word on the output tape, its
+      non-blank cells in tape order, only grows,
     * at most one transition per left part (determinism).
 
     The first two rules are checked on the names, then the row is numbered
@@ -354,9 +354,11 @@ class TmRun:
     directly passes a word over the machine's alphabet.  The work and output tapes are sparse
     dicts position -> symbol; absent means blank.  The configuration is
     inspectable between steps, which the schedulers and the behavioural
-    round-trip tests rely on.  When ``write_log`` is an :class:`EventLog`,
-    each step that changes the output tape logs (step, position, symbol)
-    in it.
+    round-trip tests rely on.  :meth:`output_word` reads the output tape as
+    its non-blank cells in tape order, a blank between two of them dropped;
+    every view of a halted run takes that word as the run's result.  When
+    ``write_log`` is an :class:`EventLog`, each step that changes the output
+    tape logs (step, position, symbol) in it.
 
     A run that comes back to an earlier configuration repeats forever:
     ``period`` is then its length, and the run skips whole periods.
@@ -517,25 +519,12 @@ class TmRun:
             self._top = (h2 - 1, len(t2))
         return state, h0 + len(trail), h2, steps + len(trail)
 
-    def output_cells(self) -> str:
-        """The non-blank cells of the output tape, in tape order."""
-        return self._joined(sorted(self.tapes[2]))
-
     def output_word(self) -> str:
-        """Output tape content with surrounding blanks stripped."""
-        cells = sorted(self.tapes[2])
-        if cells and cells[-1] - cells[0] >= len(cells):
-            raise MachineValidationError(
-                f"machine {self.machine.name!r} left an interior blank on its output tape"
-            )
-        return self._joined(cells)
-
-    def _joined(self, ordered: list[int]) -> str:
-        """The output cells at the positions ``ordered``, the tape's sorted
-        positions, joined."""
+        """The non-blank cells of the output tape, in tape order."""
         tape = self.tapes[2]
+        cells = sorted(tape)
         # a tape written from left to right holds its cells in tape order
-        return "".join(tape.values() if list(tape) == ordered else [tape[pos] for pos in ordered])
+        return "".join(tape.values() if list(tape) == cells else [tape[pos] for pos in cells])
 
 
 def run_fueled(machine, input_word: str, fuel: int) -> RunOutcome:

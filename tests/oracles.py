@@ -4,13 +4,12 @@ Deliberately written as plain loops over itertools.product, sharing no
 code with the package's search machinery: where a test compares a library
 verdict against an oracle, the two sides must disagree if either scan is
 wrong.  The reference steppers read a machine's ``transitions`` or
-``rules`` and its memory graph, and nothing else of the package but the
-error an interior output blank raises; the dovetail oracles are built on
-the TM one, and ``stepper_repeat`` states where the TM stepper must find a
-repeat, from the plain configurations alone.  The limit-memory oracle reads
-nothing of the package but the base graph's ``connection``.  The stock
-decider's reference decodes its program pair with the codec and runs it on
-the reference steppers.
+``rules`` and its memory graph, and nothing else of the package; the
+dovetail oracles are built on the TM one, and ``stepper_repeat`` states
+where the TM stepper must find a repeat, from the plain configurations
+alone.  The limit-memory oracle reads nothing of the package but the base
+graph's ``connection``.  The stock decider's reference decodes its program
+pair with the codec and runs it on the reference steppers.
 """
 
 import itertools
@@ -65,16 +64,9 @@ class PlainTm:
         self.steps += 1
         return True
 
-    def output_cells(self):
-        return "".join(sym for _, sym in sorted(self.tapes[2].items()))
-
     def output_word(self):
-        """The output cells; a halted output with an interior blank raises,
-        as the package's ``run_fueled`` does."""
-        cells = sorted(self.tapes[2])
-        if cells and cells[-1] - cells[0] >= len(cells):
-            raise MachineValidationError("interior blank on the output tape")
-        return self.output_cells()
+        """The non-blank cells of the output tape, in tape order."""
+        return "".join(sym for _, sym in sorted(self.tapes[2].items()))
 
     def configuration(self):
         frozen = tuple(tuple(sorted(t.items())) for t in self.tapes)
@@ -355,7 +347,7 @@ def stepwise_change_log(machine, word, horizon):
     run = PlainTm(machine, word)
     log = [(0, "")]
     while run.steps < horizon and run.step():
-        out = run.output_cells()
+        out = run.output_word()
         if out != log[-1][1]:
             log.append((run.steps, out))
     return log, run.steps, run.in_final, run.stuck

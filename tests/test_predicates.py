@@ -86,6 +86,31 @@ def test_bounded_complexity_equals_predicate():
     assert not p("1") and not p("")
 
 
+@pytest.mark.parametrize("n", range(1, 4))
+def test_bounded_complexity_equals_scans_only_to_its_tier(n):
+    from minprog.complexity import Budget, bounded_kolmogorov, tm_class
+
+    interp, budget = make_biased_universal(n), Budget(max_len=10, fuel=64)
+    words = ["", "0", "1", "00", "01", "10", "11"]
+    uncapped = {w: bounded_kolmogorov(tm_class(interp), w, budget).value for w in words}
+    for c in range(-1, 13):
+        p = bounded_complexity_equals(c, interp, budget)
+        assert [p(w) for w in words] == [uncapped[w] == c for w in words], c
+
+
+def test_one_bounded_complexity_check_lists_at_most_its_tiers():
+    from minprog.complexity import Budget
+
+    interp = make_biased_universal(1)
+    tiers = []
+    live = interp.live
+    interp.live = lambda length: tiers.append(length) or live(length)
+    for n in range(-1, 8):
+        tiers.clear()
+        bounded_complexity_equals(n, interp, Budget(max_len=6, fuel=64))("1")
+        assert len(tiers) <= max(n + 1, 0), (n, tiers)
+
+
 def test_predicates_total_on_long_words():
     u1 = make_biased_universal(1)
     preds = [

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 
 from minprog import codec
 from minprog.codec import InvalidCodeError, _word, decode_machine, encode_machine
+from minprog.complexity import Budget, itm1_class, tm_class
 from minprog.inductive import ExplicitMemory, MachineITM, Rule, classify_run, start_if_fits
 from minprog.machinefile import parse_machine_file, serialize_machine
-from minprog.turing import MachineTM
-from minprog.words import BINARY, nth_word
+from minprog.turing import MachineTM, run_fueled
+from minprog.universal import U_STD, WRAP_HEADER, itm_outcome, parse_interpreter_spec, tm_program
+from minprog.words import BINARY, nth_word, sd
 
 from strategies import gap_writer, itm_zoo, random_itm, small_itms, small_tms, unary_tms, zoo_tms
 
@@ -34,7 +36,7 @@ def _check_tm_round_trips(machine):
         a = machine.start_run(x).run_to(FUEL)
         b = back.start_run(x).run_to(FUEL)
         assert (a.in_final, a.stuck, a.steps) == (b.in_final, b.stuck, b.steps), x
-        assert a.output_cells() == b.output_cells(), x
+        assert a.output_word() == b.output_word(), x
 
 
 def _check_itm_round_trips(machine):
@@ -64,6 +66,23 @@ def test_random_tm_round_trips(machine):
 @pytest.mark.parametrize("machine", zoo_tms() + unary_tms() + [gap_writer()], ids=lambda m: m.name)
 def test_stock_tm_round_trips(machine):
     _check_tm_round_trips(machine)
+
+
+def test_every_view_reads_an_output_blank_the_same_way():
+    # the output tape reads 0_1: every view gives its non-blank cells in order
+    machine, budget = gap_writer(), Budget(0, FUEL, FUEL)
+    program = tm_program(machine, "")
+    views = {
+        "run_fueled": run_fueled(machine, "", FUEL).result,
+        "std": U_STD.apply(program, FUEL).result,
+        "wrap:std": parse_interpreter_spec("wrap:std").apply(WRAP_HEADER + program, FUEL).result,
+        "biased:2": parse_interpreter_spec("biased:2").apply("01" + program, FUEL).result,
+        "tm_class": tm_class(U_STD).produce(program, budget),
+        "itm1 wrapped": itm1_class().produce(WRAP_HEADER + program, budget),
+        "itm1 TmAsItm": itm1_class().produce(sd(encode_machine(machine)), budget),
+        "itm_outcome": itm_outcome(machine, "", FUEL).result,
+    }
+    assert views == dict.fromkeys(views, "01")
 
 
 @settings(max_examples=150, deadline=None)
