@@ -63,6 +63,14 @@ def _class_handle(args):
     return itm1_class(interp)
 
 
+def _coded_input(machine, word: str) -> str:
+    """``word`` checked against the alphabet of ``machine``, its i-th symbol
+    written as the digit i: a machine's code keeps only the alphabet's size."""
+    symbols = "".join(machine.alphabet.symbols)
+    digits = "".join(map(str, range(len(symbols))))
+    return machine.alphabet.check_word(word).translate(str.maketrans(symbols, digits))
+
+
 def _budget(args) -> Budget:
     horizon = getattr(args, "horizon", None)
     return Budget(max_len=args.max_len, fuel=args.fuel, horizon=horizon)
@@ -231,7 +239,7 @@ def _cmd_totality(args):
 
 def _cmd_halting_itm(args):
     machine = _load(args.machine, MachineTM)
-    verdict = halting_itm(encode_machine(machine), args.input, args.horizon)
+    verdict = halting_itm(encode_machine(machine), _coded_input(machine, args.input), args.horizon)
     payload = {
         "machine": machine.name,
         "input": args.input,
@@ -267,7 +275,7 @@ def _cmd_diagonal(args):
 
 def _cmd_reduce(args):
     machine = _load(args.machine, MachineITM)
-    reduction = build_reduction_tm(encode_machine(machine), args.input)
+    reduction = build_reduction_tm(encode_machine(machine), _coded_input(machine, args.input))
     from .words import nth_word
 
     probes = []

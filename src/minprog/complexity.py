@@ -274,7 +274,7 @@ def bounded_set_problem_complexity(
 
 def bounded_kolmogorov(handle: MachineClassHandle, target: str, budget: Budget) -> ComplexityVerdict:
     """Minimum program length producing exactly the target word."""
-    return bounded_problem_complexity(handle, Predicate(f"equals:{target}", target.__eq__), budget)
+    return _problem_scan(handle, [Predicate(f"equals:{target}", target.__eq__)], budget)[0]
 
 
 def bounded_functional_complexity(

@@ -23,11 +23,10 @@ from .inductive import (
     MachineITM,
     MemoryGraph,
     classify_run,
-    itm_run,
     start_if_fits,
 )
 from .codec import InvalidCodeError, decode_machine, encode_machine
-from .universal import itm_universal_apply, read_program
+from .universal import itm_outcome, itm_universal_apply, read_program
 from .zoo import acceptance_pool
 
 
@@ -512,12 +511,14 @@ class DiagonalReport:
 def diagonal_experiment(decider, horizon: int) -> DiagonalReport:
     """Run the composed machine on its own code and compare with the
     decider's standalone claim about that very run."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     pipeline = build_diagonal(decider)
     code = encode_machine(pipeline)
     run = pipeline.start_run(code).run_to(horizon)
     own_run_outcome = classify_run(run, horizon)
     probe = sd(code) + code
-    decider_outcome = itm_run(pipeline.decider, probe, horizon)
+    decider_outcome = itm_outcome(pipeline.decider, probe, horizon)
     verdict = decider_outcome.result
     gives = own_run_outcome.gives_result
     contradiction = (verdict == "1" and not gives) or (verdict == "0" and gives)

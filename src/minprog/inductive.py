@@ -401,9 +401,6 @@ def _splice(positions: list[int], value: str, pos: int, sym: str) -> str:
     return value[:i] + sym + value[i:]
 
 
-_UNKNOWN = -1  # the head cell's output rank is not looked up yet
-
-
 def _no_rank(cell: str) -> None:
     """The output rank lookup of a repeating run, whose register writes
     are all in its write log's periodic tail."""
@@ -458,7 +455,6 @@ class ItmRun(InductiveRun):
         if period:
             output_rank = _no_rank
         since, s_state, s_head, s_contents = self._snapshot
-        rank = _UNKNOWN
         final = stuck = False
         while steps < horizon and not (final or stuck):
             if period:
@@ -481,22 +477,20 @@ class ItmRun(InductiveRun):
                         contents[head] = write
                     else:
                         del contents[head]
-                    if rank == _UNKNOWN:
-                        rank = output_rank(head)
+                    rank = output_rank(head)
                     if rank is not None:
                         log.append((steps, rank, write))
                 if move is not None:
                     target = connection(head, move)
                     if target is not None:
                         head = target
-                        rank = _UNKNOWN
                     # no connection of the prescribed type: the head stays put
                 if final:
                     break
                 if head == s_head and state == s_state and contents == s_contents:
                     period = steps - since
                     history.repeat_from(since, period)
-                    output_rank, rank = _no_rank, None
+                    output_rank = _no_rank
                     s_state = s_head = s_contents = None
                     break
         self.head, self.state, self.steps = head, state, steps

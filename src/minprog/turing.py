@@ -69,14 +69,14 @@ class RunOutcome:
 
 # A compiled transition: the next state, the tape-1 and tape-2 writes as
 # compiled_write gives them (tape 0 is read-only), the three head deltas,
-# whether the next state is final, and its kind: 0, SWEEP or STAY.  A sweep
-# step reads a non-blank input symbol and a blank output cell, moves the
-# input head right, leaves the work head and its cell alone, enters no
-# final state, and either leaves the output alone or writes it and moves
-# right.  A stay step keeps its state, changes no cell, moves no head and
-# enters no final state: the configuration after it is the one before it.
-TmStep = tuple[str, str | None, str | None, int, int, int, bool, int]
-SWEEP, STAY = 1, 2
+# and its kind: FINAL when it enters a final state, else SWEEP, STAY or 0.
+# A SWEEP step reads a non-blank input symbol and a blank output cell,
+# moves the input head right, leaves the work head and its cell alone, and
+# either leaves the output alone or writes it and moves right.  A STAY step
+# keeps its state, changes no cell and moves no head: the configuration
+# after it is the one before it.
+TmStep = tuple[str, str | None, str | None, int, int, int, int]
+FINAL, SWEEP, STAY = 1, 2, 3
 
 # A numbered transition: the state's index, the three read symbols' codes,
 # the next state's index, the three write codes and the three move codes.
@@ -139,9 +139,8 @@ def _compile(
         c1 = None if w1 == r1 else stored[w1]
         c2 = None if w2 == r2 else stored[w2]
         d0, d1, d2 = MOVE_DELTAS[m0], MOVE_DELTAS[m1], MOVE_DELTAS[m2]
-        final = nxt in finals
-        if final:
-            kind = 0
+        if nxt in finals:
+            kind = FINAL
         elif (r0 != blank and r2 == blank and m0 == _R and m1 == _S and c1 is None
                 and m2 == (_S if c2 is None else _R)):
             kind = SWEEP
@@ -149,7 +148,7 @@ def _compile(
             kind = STAY
         else:
             kind = 0
-        table[key] = (nxt, c1, c2, d0, d1, d2, final, kind)
+        table[key] = (nxt, c1, c2, d0, d1, d2, kind)
     return table
 
 
@@ -348,8 +347,8 @@ class EventLog:
 class TmRun:
     """Mutable stepper for one machine on one input.
 
-    The input tape is the input word itself, the string ``input_word``;
-    every cell off its ends is blank.  The word is not checked here:
+    The input tape ``tapes[0]`` is the input word itself, a string; every
+    cell off its ends is blank.  The word is not checked here:
     :meth:`MachineTM.start_run` checks it, and a caller that starts a run
     directly passes a word over the machine's alphabet.  The work and output tapes are sparse
     dicts position -> symbol; absent means blank.  The configuration is
@@ -369,7 +368,6 @@ class TmRun:
 
     def __init__(self, machine: MachineTM, input_word: str) -> None:
         self.machine = machine
-        self.input_word = input_word
         self.tapes: tuple[str, dict[int, str], dict[int, str]] = (input_word, {}, {})
         self.heads = [0, 0, 0]
         self.state = machine.start
@@ -397,8 +395,9 @@ class TmRun:
         Each step compares the state and heads with a snapshot retaken
         each time the step count doubles (Brent's cycle finding), and a
         match with equal work and output tapes is a repeat.  The input tape is
-        read-only.  A stay step (see :data:`TmStep`) is a repeat of period 1
-        from the step before it, found without the snapshot.  After a repeat
+        read-only.  A stay step (see :data:`TmStep`) is a repeat of period 1:
+        it retakes the snapshot at the step before it, whose configuration
+        is the one after it, and goes through the same check.  After a repeat
         the run skips whole periods and steps the rest.
 
         A sweep step (see :data:`TmStep`) hands the rest of its sweep to
@@ -440,7 +439,7 @@ class TmRun:
                     stuck = True
                     steps -= 1
                     break
-                state, w1, w2, d0, d1, d2, final, kind = entry
+                state, w1, w2, d0, d1, d2, kind = entry
                 if w1 is not None:
                     if w1:
                         t1[h1] = w1
@@ -453,17 +452,13 @@ class TmRun:
                 h0 += d0
                 h1 += d1
                 h2 += d2
-                if final:
-                    break
                 if kind:
-                    if kind == STAY:
-                        period = 1
-                        if writes is not None:
-                            log.repeat_from(steps - 1, 1)
-                            writes = None
-                        s_state = s0 = s1 = s2 = s_work = s_out = None
+                    if kind == FINAL:
+                        final = True
                         break
-                    if s0 is not None and steps <= room and h0 > s0 and h0 + SWEEP_MIN <= n:
+                    if kind == STAY:
+                        since, s_state, s0, s1, s2, s_work, s_out = steps - 1, state, h0, h1, h2, t1, t2
+                    elif s0 is not None and steps <= room and h0 > s0 and h0 + SWEEP_MIN <= n:
                         swept = self._sweep(state, h0, h1, h2, steps, limit, writes)
                         if swept:
                             state, h0, h2, steps = swept
@@ -502,7 +497,7 @@ class TmRun:
         row = self.machine.sweeps[self.tapes[1].get(h1, BLANK)][state]
         trail: list[str] = []  # the output write of each step, or ""
         put = trail.append
-        for symbol in self.input_word[h0 : h0 + limit - steps]:
+        for symbol in self.tapes[0][h0 : h0 + limit - steps]:
             hit = row[symbol]
             if hit is None:
                 break

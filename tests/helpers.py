@@ -95,7 +95,7 @@ def configuration(run) -> tuple:
     """Hashable full configuration of a Turing machine run, as the
     reference stepper gives it."""
     work, output = run.tapes[1:]
-    frozen = (tuple(enumerate(run.input_word)), tuple(sorted(work.items())), tuple(sorted(output.items())))
+    frozen = (tuple(enumerate(run.tapes[0])), tuple(sorted(work.items())), tuple(sorted(output.items())))
     return (run.state, tuple(run.heads), frozen)
 
 

@@ -176,6 +176,43 @@ def test_reduce(capsys):
     assert report["probes"][0]["kind"] == "halted"
 
 
+def _over_ab(path, tmp_path):
+    """A copy of the machine file at ``path`` over the alphabet ab, a for 0
+    and b for 1."""
+    lines = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if line.split()[0] in ("trans", "rule"):
+            line = " ".join({"0": "a", "1": "b"}.get(t, t) for t in line.split())
+        lines.append("alphabet ab" if line == "alphabet 01" else line)
+    copy = tmp_path / Path(path).name
+    copy.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(copy)
+
+
+def test_halting_itm_takes_an_input_over_the_machine_files_alphabet(capsys, tmp_path):
+    identity = _over_ab(IDENTITY, tmp_path)
+    assert run_json(capsys, "run-tm", "--machine", identity, "--input", "ab")["outcome"]["output"] == "ab"
+    report = run_json(capsys, "halting-itm", "--machine", identity, "--input", "ab")
+    assert report["input"] == "ab"
+    assert report["verdict"] == run_json(capsys, "halting-itm", "--machine", IDENTITY, "--input", "01")["verdict"]
+    assert report["verdict"]["value"] == "1"
+    assert report["verdict"]["stabilized_since"] == 3
+    code, out, err = run_cli(capsys, "halting-itm", "--machine", identity, "--input", "a0")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: symbol '0' is not in alphabet ab"
+
+
+def test_reduce_takes_an_input_over_the_machine_files_alphabet(capsys, tmp_path):
+    writer = _over_ab(WRITER, tmp_path)
+    report = run_json(capsys, "reduce", "--machine", writer, "--input", "ba", "--probes", "3", "--fuel", "400")
+    assert report["x"] == "ba"
+    binary = run_json(capsys, "reduce", "--machine", WRITER, "--input", "10", "--probes", "3", "--fuel", "400")
+    assert report["probes"] == binary["probes"]
+    code, out, err = run_cli(capsys, "reduce", "--machine", writer, "--input", "1")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: symbol '1' is not in alphabet ab"
+
+
 def test_orders_single_and_table(capsys):
     code, out, _ = run_cli(capsys, "orders", "HP")
     assert code == 0 and "HP -> 1 (Thm 8.1)" in out

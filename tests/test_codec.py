@@ -440,3 +440,15 @@ def test_the_first_fault_in_decode_precedence_is_reported(code, without, first, 
         with pytest.raises(InvalidCodeError) as exc:
             decode_machine(_word(numbers))
         assert str(exc.value) == message
+
+
+def test_a_decoded_explicit_memory_with_two_links_of_one_source_and_type_is_invalid():
+    from minprog.codec import _word
+
+    # an ITM of one state over {0, 1} with one connection type, cells k0
+    # (output) and k1 (work), its links and no rules
+    head = [KIND_ITM, 1, 2, 0, 1, 1, 2, 2, 1]
+    assert isinstance(decode_machine(_word([*head, 1, 0, 0, 1, 0])), MachineITM)
+    with pytest.raises(InvalidCodeError) as exc:
+        decode_machine(_word([*head, 2, 0, 0, 0, 0, 0, 1, 0]))
+    assert str(exc.value) == "two connections of type 't0' leave cell 'k0'"

@@ -41,7 +41,7 @@ from minprog.universal import (
 )
 from minprog.codec import codes_up_to, decode_machine, encode_machine
 from minprog.words import sd, words_up_to
-from minprog import codec, universal, zoo
+from minprog import codec, complexity, universal, zoo
 
 from helpers import tier_words, tm_program2, verdict_le
 from oracles import binary_words, binary_words_of_len, brute_force_halts, brute_force_search
@@ -92,6 +92,22 @@ def test_leq_complexity_is_min_over_reachable_words():
             assert not lhs.finite
         else:
             assert lhs.finite and lhs.value == best
+
+
+def test_bounded_kolmogorov_scans_without_passing_through_the_problem_complexity(monkeypatch):
+    # each of the two is one traced scan: a call of one through the other
+    # would count its scan twice
+    budget = Budget(4, 64)
+    expected = bounded_problem_complexity(H1, equals("0"), budget)
+
+    def passed_through(*args):
+        raise AssertionError("bounded_kolmogorov went through bounded_problem_complexity")
+
+    monkeypatch.setattr(complexity, "bounded_problem_complexity", passed_through)
+    verdict = bounded_kolmogorov(H1, "0", budget)
+    assert (verdict.value, verdict.witness, verdict.programs_scanned) == (
+        expected.value, expected.witness, expected.programs_scanned)
+    assert verdict.programs_scanned == 3
 
 
 def test_set_complexity_of_singleton_equals_plain_complexity():

@@ -260,6 +260,11 @@ def test_a_machine_listed_twice_counts_once_in_cycle_3():
     assert state.order == [state.codes[2], state.codes[3], state.codes[0]]
 
 
+def test_a_schedule_of_no_cycles_reports_an_empty_list():
+    report = dovetail_nontotal(POOL, 0).report()
+    assert report == {"cycle": 0, "list": [], "halted_pairs": [], "stable_prefix_estimate": []}
+
+
 def test_acceptance_pool_stable_prefix_is_exactly_the_non_total_codes():
     state = dovetail_nontotal(POOL, 64)
     prefix = state.stable_prefix_estimate()
@@ -346,6 +351,13 @@ def test_totalizer_outputs_the_last_value():
     m = build_totalizer(encode_machine(zoo.identity()))
     out = run_fueled(m, nth_word(4), 10_000)
     assert out.halted and out.output == nth_word(4)
+
+
+def test_totalizer_runs_out_of_fuel_when_earlier_inputs_spend_exactly_all_of_it():
+    # identity halts on x_1 = ε after 1 step and on x_2 = 0 after 2
+    m = build_totalizer(encode_machine(zoo.identity()))
+    assert run_fueled(m, "0", 1) == RunOutcome.of_fuel(1)
+    assert run_fueled(m, "0", 3) == RunOutcome.of_halt("0", 3)
 
 
 def test_range_enumerator_of_empty_range_diverges():
@@ -536,6 +548,16 @@ def test_a_decider_that_cannot_hold_the_program_pair_claims_nothing():
     assert itm1_class().produce(sd(ALTERNATOR_DIAGONAL) + x, budget) is None
     run = build_diagonal(zoo.alternator()).start_run(x).run_to(500)
     assert run.d_events == [(0, "")]
+
+
+def test_the_diagonal_experiment_takes_a_decider_that_cannot_hold_the_pair_as_claiming_nothing():
+    # the experiment's standalone claim agrees with the pipeline's decider stage
+    report = diagonal_experiment(zoo.alternator(), 500)
+    assert report.decider_verdict is None
+    assert not report.contradiction
+    assert report.stage_histories["decider"] == [(0, "")]
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        diagonal_experiment(zoo.alternator(), 0)
 
 
 _DECIDERS = [zoo.writer(), zoo.alternator(), zoo.silent(), zoo.decider_yes(), zoo.decider_no(),

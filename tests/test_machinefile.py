@@ -200,3 +200,31 @@ def test_machines_and_memories_reject_a_repeated_declaration():
         MachineITM("m", ("q0", "q0"), "q0", (), BINARY, (), LinearMemory())
     with pytest.raises(MachineValidationError, match="duplicate connection type declaration"):
         ExplicitMemory([("c", "work")], [], ("r", "r"))
+
+
+_TWO_CELLS = WRITER_FILE.replace("cell c output\n", "cell c output\ncell d work\n")
+_RULE_FORMS = "rule right part is 'write <s> <q>', 'move <t> <q>' or 'write <s> move <t> <q>'"
+
+
+@pytest.mark.parametrize("text, message, line", [
+    (IDENTITY_FILE.replace("machine ident\n", ""), "missing 'machine <name>' directive", None),
+    (IDENTITY_FILE.replace("kind tm\n", ""), "missing 'kind' directive", None),
+    (IDENTITY_FILE.replace("states q0 qf\n", ""), "missing 'states' directive", None),
+    (IDENTITY_FILE.replace("start q0\n", ""), "missing 'start' directive", None),
+    (IDENTITY_FILE.replace("alphabet 01", "alphabet 00"), "bad alphabet: alphabet symbols must be distinct", None),
+    (IDENTITY_FILE.replace("trans q0 1 _ _ -> q0 1 _ 1", "trans q0 2 _ _ -> q0 2 _ 2"),
+     "line 8: symbol '2' is not in the alphabet", 8),
+    (_TWO_CELLS.replace("rule", "link c r d\nlink c r c\nrule"),
+     "line 11: a 'r' connection from 'c' already declared on line 10", 11),
+    (WRITER_FILE.replace("cell c output", "cell c register"), "line 7: unknown cell kind 'register'", 7),
+    (WRITER_FILE.replace("rule", "link c r e\nrule"), "line 7: link c-r->e uses an undeclared cell", 7),
+    (WRITER_FILE.replace("write 1 qf", "write 1"), f"line 9: {_RULE_FORMS}", 9),
+    (WRITER_FILE.replace("memory explicit\ncell c output\n", ""), "an itm description needs a 'memory' directive", None),
+    (WRITER_FILE.replace("memory explicit", "memory implicit"),
+     "line 7: memory must be builtin:<name> or explicit, not 'implicit'", 7),
+], ids=["no machine", "no kind", "no states", "no start", "bad alphabet", "foreign symbol", "repeated link",
+        "cell kind", "undeclared cell", "rule right part", "no memory", "memory form"])
+def test_each_malformed_description_names_its_fault_and_line(text, message, line):
+    with pytest.raises(ParseError) as info:
+        parse_machine_file(text)
+    assert (str(info.value), info.value.line) == (message, line)
