@@ -152,6 +152,21 @@ def _compile(
     return table
 
 
+def _definite(rows: dict[str, dict], state: str) -> tuple[str, dict[str, str], dict[int, str | None]] | None:
+    """(stops, next state by symbol, writes) of the sweep from ``state``
+    over ``rows`` (see :attr:`MachineTM.sweeps`) when it is definite, else
+    None.  The states it can enter are ``state`` and the next states of its
+    steps, so it is definite when each of those has the same steps."""
+    steps = {s: hit[:2] for s, hit in rows[state].items() if hit}
+    for nxt, _ in steps.values():
+        if {s: hit[:2] for s, hit in rows[nxt].items() if hit} != steps:
+            return None
+    # a deletion maps to None, which keeps str.translate on its fast path
+    return ("".join(s for s, hit in rows[state].items() if not hit),
+            {s: nxt for s, (nxt, _) in steps.items()},
+            str.maketrans({s: w or None for s, (_, w) in steps.items()}))
+
+
 class MachineTM:
     """A deterministic 3-tape transducer.
 
@@ -264,10 +279,17 @@ class MachineTM:
                 f"finals={self.finals!r}, alphabet={self.alphabet!r}, transitions={self.transitions!r})")
 
     @cached_property
-    def sweeps(self) -> dict[str, dict[str, dict]]:
+    def sweeps(self) -> dict[str, dict[str, tuple[dict, tuple | None]]]:
         """The sweep steps of ``table`` as a transducer, built on first use:
-        per work symbol, state -> {input symbol: (next state, output write
-        or "", next state's row), or None where no sweep step reads it}."""
+        per work symbol, state -> (row, definite).  The row maps each input
+        symbol to (next state, output write or "", next state's row), or to
+        None where no sweep step reads it.  A sweep from the state is
+        definite when every state it can enter, that state included, has
+        sweep steps on the same input symbols S and each symbol sends them
+        all to one next state with one write (a definite automaton of order
+        1); ``definite`` is then (the alphabet symbols outside S as a
+        string, next state by symbol, a ``str.translate`` table of the
+        writes), else None."""
         maps: dict[str, dict[str, dict]] = {}
         for (state, r0, r1, _), (nxt, _, w2, *_, kind) in self.table.items():
             if kind == SWEEP:
@@ -275,7 +297,7 @@ class MachineTM:
                     maps[r1] = {q: dict.fromkeys(self.alphabet.symbols) for q in self.states}
                 rows = maps[r1]
                 rows[state][r0] = (nxt, w2 or "", rows[nxt])
-        return maps
+        return {r1: {q: (row, _definite(rows, q)) for q, row in rows.items()} for r1, rows in maps.items()}
 
     def start_run(self, input_word: str) -> "TmRun":
         """A run on ``input_word``, once its symbols are checked against
@@ -481,10 +503,15 @@ class TmRun:
     def _sweep(
         self, state: str, h0: int, h1: int, h2: int, steps: int, limit: int, writes: list[tuple] | None
     ) -> tuple[str, int, int, int] | None:
-        """Take the rest of a sweep at once, up to step ``limit``: run the
-        input through the machine's ``sweeps`` and write the output tape and
-        the write log in bulk.  The state, heads and steps after it, or None
-        if it takes no step or an output cell from the output head on is set."""
+        """Take the rest of a sweep at once, up to step ``limit``, and write
+        the output tape and the write log in bulk.  A definite sweep (see
+        :attr:`MachineTM.sweeps`) runs to the first input symbol outside S,
+        found with one ``str.find`` per such symbol of the alphabet, ends
+        in the state its last symbol sends every state to, and writes the
+        ``translate`` of the symbols it read; any other sweep runs the input
+        through the row map one symbol at a time.  The state, heads and
+        steps after it, or None if it takes no step or an output cell from
+        the output head on is set."""
         t2 = self.tapes[2]
         # output cells are never erased and a dict keeps insertion order:
         # the cells written since the last sweep are its last keys
@@ -494,25 +521,47 @@ class TmRun:
             self._top = (top, len(t2))
         if h2 <= top:
             return None
-        row = self.machine.sweeps[self.tapes[1].get(h1, BLANK)][state]
-        trail: list[str] = []  # the output write of each step, or ""
-        put = trail.append
-        for symbol in self.tapes[0][h0 : h0 + limit - steps]:
-            hit = row[symbol]
-            if hit is None:
-                break
-            state, w2, row = hit
-            put(w2)
-        if not trail:
-            return None
-        if out := "".join(trail):
+        row, definite = self.machine.sweeps[self.tapes[1].get(h1, BLANK)][state]
+        ahead = self.tapes[0][h0 : h0 + limit - steps]
+        if definite:
+            stops, after, table = definite
+            taken = len(ahead)
+            for stop in stops:
+                at = ahead.find(stop, 0, taken)
+                if at >= 0:
+                    taken = at
+            if not taken:
+                return None
+            ahead = ahead[:taken]
+            state = after[ahead[-1]]
+            out = ahead.translate(table)
+        else:
+            trail: list[str] = []  # the output write of each step, or ""
+            put = trail.append
+            for symbol in ahead:
+                hit = row[symbol]
+                if hit is None:
+                    break
+                state, w2, row = hit
+                put(w2)
+            if not trail:
+                return None
+            taken = len(trail)
+            out = "".join(trail)
+        if out:
             cells = range(h2, h2 + len(out))
             t2.update(zip(cells, out))
             if writes is not None:
-                writes.extend(zip([steps + i for i, w in enumerate(trail, 1) if w], cells, out))
+                if len(out) == taken:
+                    stamps = range(steps + 1, steps + taken + 1)
+                else:  # the steps that write
+                    if definite:
+                        trail = [table[ord(symbol)] for symbol in ahead]
+                    stamps = [steps + i for i, w in enumerate(trail, 1) if w]
+                writes.extend(zip(stamps, cells, out))
             h2 += len(out)
             self._top = (h2 - 1, len(t2))
-        return state, h0 + len(trail), h2, steps + len(trail)
+        return state, h0 + taken, h2, steps + taken
 
     def output_word(self) -> str:
         """The non-blank cells of the output tape, in tape order."""

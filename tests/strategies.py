@@ -73,6 +73,79 @@ def random_sweep_tm(rng):
     return MachineTM("random-sweep", states, states[0], frozenset(finals), BINARY, tuple(rows))
 
 
+TERNARY = Alphabet(("0", "1", "2"))
+
+
+def random_definite_sweep_tm(rng, writes):
+    """A random valid Turing machine whose sweeps are all definite (see
+    ``MachineTM.sweeps``), and the input symbols S of the sweeps it starts
+    with.  Over a binary or ternary alphabet, the states of one component
+    of 1 to 3 states have, per work symbol, the same sweep steps on a set S
+    of input symbols, each symbol sending them all to one state of the
+    component.  ``writes`` says which symbols of S write an output symbol:
+    "all", "none", or "some" (at least one each way when S has two or more
+    symbols).  About half the work symbols leave an alphabet symbol outside
+    S.  Reading one, a state writes a new work symbol and reads on, turns
+    back, halts or has no row; at the blank past the input it turns back,
+    halts, stays or has no row; over a written output cell it reads on
+    without writing.  A turning state walks both heads left to the blank
+    before the input and starts the component again, writing a random work
+    symbol."""
+    alphabet = rng.choice((BINARY, TERNARY))
+    symbols = alphabet.symbols
+    cells = (*symbols, BLANK)
+    component = tuple(f"q{i}" for i in range(rng.randint(1, 3)))
+    halts = rng.random() < 0.5
+    rows = []
+    for r1 in cells:
+        size = len(symbols) if rng.random() < 0.5 else rng.randint(1, len(symbols) - 1)
+        covered = sorted(rng.sample(symbols, size))
+        if r1 == BLANK:
+            first = "".join(covered)
+        if writes == "all":
+            writing = set(covered)
+        elif writes == "none":
+            writing = set()
+        else:
+            writing = set(rng.sample(covered, rng.randint(1, max(1, len(covered) - 1))))
+        sweep = {s: (rng.choice(component), rng.choice(symbols) if s in writing else BLANK) for s in covered}
+        for q in component:
+            for r0 in cells:
+                for r2 in cells:
+                    reads = (r0, r1, r2)
+                    if r2 != BLANK:
+                        if r0 != BLANK:
+                            rows.append(Transition(q, reads, rng.choice(component), reads, ("R", "S", "R")))
+                        else:
+                            rows.append(Transition(q, reads, "t", reads, ("L", "S", "S")))
+                        continue
+                    if r0 in sweep:
+                        nxt, out = sweep[r0]
+                        moves = ("R", "S", "S" if out == BLANK else "R")
+                        rows.append(Transition(q, reads, nxt, (r0, r1, out), moves))
+                        continue
+                    roll = rng.choice(("none", "final", "turn", "work" if r0 != BLANK else "stay"))
+                    if roll == "final" and halts:
+                        rows.append(Transition(q, reads, "h", reads, ("S", "S", "S")))
+                    elif roll == "turn":
+                        rows.append(Transition(q, reads, "t", reads, ("L", "S", "S")))
+                    elif roll == "work":
+                        work = rng.choice([c for c in cells if c != r1])
+                        rows.append(Transition(q, reads, rng.choice(component), (r0, work, r2), ("R", "S", "S")))
+                    elif roll == "stay":
+                        rows.append(Transition(q, reads, q, reads, ("S", "S", "S")))
+        for r2 in cells:
+            for r0 in symbols:
+                rows.append(Transition("t", (r0, r1, r2), "t", (r0, r1, r2), ("L", "S", "L")))
+            work = rng.choice(cells)
+            rows.append(Transition("t", (BLANK, r1, r2), component[0], (BLANK, work, r2),
+                                   ("R", "S", rng.choice(MOVES))))
+    states = (*component, "t", *(("h",) if halts else ()))
+    finals = frozenset({"h"} if halts else ())
+    machine = MachineTM("random-definite-sweep", states, component[0], finals, alphabet, tuple(rows))
+    return machine, first
+
+
 def random_stay_tm(rng):
     """A random valid Turing machine with at least one stay row: one that
     keeps its state, writes what it reads and moves no head.  Up to 3
@@ -119,6 +192,30 @@ def stay_tms():
 def sweep_tms():
     """Random sweep-heavy machines drawn by :func:`random_sweep_tm` from a seed."""
     return st.integers(0, 2**32).map(lambda seed: random_sweep_tm(random.Random(seed)))
+
+
+_WRITES = ("all", "none", "some")
+
+
+def definite_sweep_tms(writes=_WRITES):
+    """Random machines whose sweeps are all definite, drawn by
+    :func:`random_definite_sweep_tm` from a seed and one of ``writes``."""
+    return st.tuples(st.integers(0, 2**32), st.sampled_from(writes)).map(
+        lambda drawn: random_definite_sweep_tm(random.Random(drawn[0]), drawn[1])[0])
+
+
+@st.composite
+def definite_sweep_runs(draw, writes=_WRITES, min_size=0):
+    """(machine, word): a machine drawn as :func:`definite_sweep_tms` draws
+    it, and a word over its alphabet of at least ``min_size`` symbols, most
+    often a long run of the symbols its first sweep reads, then any symbols."""
+    seed, mode = draw(st.integers(0, 2**32)), draw(st.sampled_from(writes))
+    machine, covered = random_definite_sweep_tm(random.Random(seed), mode)
+    symbols = "".join(machine.alphabet.symbols)
+    if min_size == 0 and draw(st.integers(0, 4)) == 0:
+        return machine, draw(st.text(symbols, max_size=4))
+    head = draw(st.text(covered, min_size=max(min_size, 10), max_size=max(min_size, 10) + 290))
+    return machine, head + draw(st.text(symbols, max_size=20))
 
 
 def full_tms():

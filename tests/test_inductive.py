@@ -21,7 +21,7 @@ from minprog import zoo
 
 from helpers import step
 from oracles import PlainItm, scan_limit_connection, stepwise_change_log
-from strategies import gap_writer, itm_zoo, small_itms, small_tms, unary_tms, zoo_tms
+from strategies import definite_sweep_runs, gap_writer, itm_zoo, small_itms, small_tms, unary_tms, zoo_tms
 
 
 def _single_cell_machine(rules, cells=None, conn_types=(), states=("q0", "q1", "q2")):
@@ -198,18 +198,36 @@ def test_tm_as_itm_equals_the_stepwise_oracle(machine, word, horizon):
     log, steps, final, stuck = stepwise_change_log(machine, word, horizon)
     run = TmAsItm(machine).start_run(word).run_to(horizon)
     assert (run.change_log, run.steps, run.stopped_final, run.stopped_stuck) == (log, steps, final, stuck)
+    assert itm_run(TmAsItm(machine), word, horizon) == _oracle_outcome(log, steps, final, stuck, horizon)
+
+
+def _oracle_outcome(log, steps, final, stuck, horizon):
+    """The outcome at ``horizon`` of a run that :func:`stepwise_change_log` watched."""
     last_step, last_value = log[-1]
     if final:
         # halted-final outcomes report no change count (bench/digests.json pins 0)
-        expected = ItmOutcome("halted-final", output=last_value, steps=steps)
-    elif stuck:
-        expected = ItmOutcome("halted-nonfinal", steps=steps)
-    elif last_step < horizon:
-        expected = ItmOutcome("stabilized", output=last_value, last_change_step=last_step,
-                              horizon=horizon, change_count=len(log) - 1)
-    else:
-        expected = ItmOutcome("unstable", horizon=horizon, change_count=len(log) - 1)
-    assert itm_run(TmAsItm(machine), word, horizon) == expected
+        return ItmOutcome("halted-final", output=last_value, steps=steps)
+    if stuck:
+        return ItmOutcome("halted-nonfinal", steps=steps)
+    if last_step < horizon:
+        return ItmOutcome("stabilized", output=last_value, last_change_step=last_step,
+                          horizon=horizon, change_count=len(log) - 1)
+    return ItmOutcome("unstable", horizon=horizon, change_count=len(log) - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(definite_sweep_runs(writes=("some", "all"), min_size=300), st.data())
+def test_tm_as_itm_reads_the_write_log_a_definite_sweep_fills(case, data):
+    # long sweeps log their writes in bulk: every step of a sweep on
+    # "all", and only the steps of writing symbols on "some"
+    machine, word = case
+    n = len(word)
+    for horizon in sorted({n // 2, n, n + 1, n + 3, 2 * n + 7, data.draw(st.integers(1, 3 * n))}):
+        log, steps, final, stuck = stepwise_change_log(machine, word, horizon)
+        run = TmAsItm(machine).start_run(word).run_to(horizon)
+        assert (run.output_word(), run.change_count, run.last_change_step) == (
+            log[-1][1], len(log) - 1, log[-1][0])
+        assert itm_outcome(machine, word, horizon) == _oracle_outcome(log, steps, final, stuck, horizon)
 
 
 _CHUNKS = st.lists(st.integers(0, 9), max_size=12)

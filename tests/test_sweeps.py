@@ -10,19 +10,21 @@ configurations, the stay rule and the snapshot steps 16, 32, 64, ..., as
 stepper.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minprog import zoo
-from minprog.turing import FIRST_SNAPSHOT, EventLog, MachineTM, Transition
+from minprog.turing import FIRST_SNAPSHOT, EventLog, MachineTM, Transition, run_fueled
 from minprog.words import BINARY, BLANK
 
 from helpers import configuration
 from oracles import PlainTm, stepper_repeat
-from strategies import bouncer, stay_tms, sweep_tms, unary_tms, zoo_tms
+from strategies import (TERNARY, bouncer, definite_sweep_runs, stay_tms, sweep_tms, unary_tms,
+                        zoo_tms)
 
 # snapshot steps 16 ... 256, and room past the last one for a repeat of it
 SNAPSHOTS = [FIRST_SNAPSHOT << k for k in range(5)]
 REACH = 2 * SNAPSHOTS[-1] + 8
+NEAR_SNAPSHOTS = [mark + d for mark in SNAPSHOTS for d in (-1, 0, 1)]
 
 
 def ping_pong():
@@ -59,6 +61,30 @@ def rewinder():
     return MachineTM("rewinder", ("A", "B"), "A", frozenset(), BINARY, tuple(rows))
 
 
+def parity_copier():
+    """Copies its input, then writes the parity of its 1s and halts.  Its
+    sweep is not definite: 0 keeps each of its two states and 1 swaps them."""
+    rows = []
+    for q, other, parity in (("even", "odd", "0"), ("odd", "even", "1")):
+        rows.append(Transition(q, ("0", BLANK, BLANK), q, ("0", BLANK, "0"), ("R", "S", "R")))
+        rows.append(Transition(q, ("1", BLANK, BLANK), other, ("1", BLANK, "1"), ("R", "S", "R")))
+        rows.append(Transition(q, (BLANK, BLANK, BLANK), "h", (BLANK, BLANK, parity), ("S", "S", "S")))
+    return MachineTM("parity-copier", ("even", "odd", "h"), "even", frozenset({"h"}), BINARY, tuple(rows))
+
+
+def zero_writer():
+    """Over the alphabet 012, writes 0 for each 0 and nothing for each 1,
+    and halts at a 2 or at the input's end: a definite sweep on S = 01
+    that writes on some of its symbols."""
+    rows = [
+        Transition("q", ("0", BLANK, BLANK), "q", ("0", BLANK, "0"), ("R", "S", "R")),
+        Transition("q", ("1", BLANK, BLANK), "q", ("1", BLANK, BLANK), ("R", "S", "S")),
+        Transition("q", ("2", BLANK, BLANK), "h", ("2", BLANK, BLANK), ("S", "S", "S")),
+        Transition("q", (BLANK, BLANK, BLANK), "h", (BLANK, BLANK, BLANK), ("S", "S", "S")),
+    ]
+    return MachineTM("zero-writer", ("q", "h"), "q", frozenset({"h"}), TERNARY, tuple(rows))
+
+
 def plain_trace(machine, word, reach=REACH):
     """What plain stepping shows after t steps, for t up to ``reach``, as
     (steps, final, stuck, configuration); the output-tape changes as
@@ -91,29 +117,32 @@ def assert_matches(trace, run, fuel, logged):
         assert run.write_log.repeat == ((*repeat, first) if found else None)
 
 
-def fuels_for(word, data):
+def fuels_at(word, drawn):
     """Fuels on both sides of each snapshot step and of the input's length,
-    and a few anywhere up to the reach."""
-    near = [mark + d for mark in SNAPSHOTS for d in (-1, 0, 1)]
-    near += [len(word) + d for d in (-1, 0, 1, 2)]
-    drawn = data.draw(st.lists(st.integers(0, REACH), max_size=3))
+    and the ``drawn`` ones, up to the reach."""
+    near = NEAR_SNAPSHOTS + [len(word) + d for d in (-1, 0, 1, 2)]
     return sorted({f for f in near + drawn if 0 <= f <= REACH})
 
 
 def check_sweeps(machine, word, data):
+    fuels = fuels_at(word, data.draw(st.lists(st.integers(0, REACH), max_size=3)))
+    return check_sweeps_at(machine, word, fuels, data.draw(st.lists(st.sampled_from(fuels), max_size=8)))
+
+
+def check_sweeps_at(machine, word, fuels, chunks):
+    """Runs to each fuel, plain and logged, and one run resumed through the
+    fuels ``chunks`` and one step past the first two of them, each
+    matched against plain stepping."""
     trace = plain_trace(machine, word)
-    fuels = fuels_for(word, data)
     for logged in (False, True):
         for fuel in fuels:
             run = machine.start_run(word)
             if logged:
                 run.write_log = EventLog()
             assert_matches(trace, run.run_to(fuel), fuel, logged)
-        # resumed through a drawn subset of the fuels, some one step apart
         run = machine.start_run(word)
         if logged:
             run.write_log = EventLog()
-        chunks = data.draw(st.lists(st.sampled_from(fuels), max_size=8))
         for fuel in sorted(chunks + [f + 1 for f in chunks[:2] if f < REACH]):
             assert_matches(trace, run.run_to(fuel), fuel, logged)
     return trace
@@ -128,6 +157,28 @@ def words_for(machine, data):
 @given(sweep_tms(), st.data())
 def test_sweeping_equals_plain_stepping(machine, data):
     check_sweeps(machine, words_for(machine, data), data)
+
+
+# fuels on both sides of each snapshot step, or anywhere up to the reach
+_CHUNK_FUELS = st.one_of(st.sampled_from(NEAR_SNAPSHOTS), st.integers(0, REACH))
+
+
+def every_sweep_is_definite(machine):
+    return all(definite is not None for rows in machine.sweeps.values() for _, definite in rows.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(definite_sweep_runs(), st.lists(st.integers(0, REACH), max_size=3), st.lists(_CHUNK_FUELS, max_size=8))
+# the sweep from step 17 reads to the 2 at cell 32: it ends at the snapshot step 32
+@example((zero_writer(), "01" * 16 + "2" + "0" * 12), [], [17, 32, 33])
+# the sweep from step 33 reads to the input's end at step 50
+@example((zero_writer(), "0110" * 12 + "01"), [], [33, 49, 50, 51])
+# the sweep from step 33 stops at the 2 at cell 45, short of the snapshot step 64
+@example((zero_writer(), "10" * 22 + "1" + "2" + "0" * 30), [], [40, 45, 46, 64])
+def test_definite_sweeping_equals_plain_stepping(case, drawn, chunks):
+    machine, word = case
+    assert every_sweep_is_definite(machine)
+    check_sweeps_at(machine, word, fuels_at(word, drawn), chunks)
 
 
 @settings(max_examples=150, deadline=None)
@@ -175,10 +226,33 @@ def test_the_sweep_rows_are_read_off_the_table():
     rows = zoo.last_symbol().sweeps
     assert set(rows) == {BLANK}
     by_state = rows[BLANK]
-    assert by_state["q0"]["1"][:2] == ("c1", "") and by_state["q0"]["1"][2] is by_state["c1"]
-    assert by_state["qf"] == {"0": None, "1": None}
+    row, definite = by_state["q0"]
+    assert row["1"][:2] == ("c1", "") and row["1"][2] is by_state["c1"][0]
+    # every symbol sends each state to the state that remembers it, writing nothing
+    assert definite == ("", {"0": "c0", "1": "c1"}, {ord("0"): None, ord("1"): None})
+    assert by_state["c0"][1] == by_state["c1"][1] == definite
+    assert by_state["qf"] == ({"0": None, "1": None}, ("01", {}, {}))
     # const-zero writes and stays: no sweep step
     assert zoo.const_zero().sweeps == {}
+
+
+def test_the_stock_sweeps_are_definite():
+    for machine in (zoo.identity(), zoo.last_symbol(), zoo.append_zero(), ping_pong(), rewinder()):
+        assert every_sweep_is_definite(machine), machine.name
+    assert zoo.identity().sweeps[BLANK]["q0"][1] == ("", {"0": "q0", "1": "q0"}, {ord("0"): "0", ord("1"): "1"})
+    assert zero_writer().sweeps[BLANK]["q"][1] == ("2", {"0": "q", "1": "q"}, {ord("0"): "0", ord("1"): None})
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_a_sweep_that_is_not_definite_equals_plain_stepping(data):
+    machine = parity_copier()
+    assert {q: definite for q, (_, definite) in machine.sweeps[BLANK].items()} == {
+        "even": None, "odd": None, "h": ("01", {}, {})}
+    word = data.draw(st.text("01", min_size=10, max_size=300))
+    check_sweeps(machine, word, data)
+    outcome = run_fueled(machine, word, 10**6)
+    assert (outcome.output, outcome.steps) == (word + str(word.count("1") % 2), len(word) + 1)
 
 
 def test_one_step_resumes_take_no_sweep():
