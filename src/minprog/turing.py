@@ -152,19 +152,20 @@ def _compile(
     return table
 
 
-def _definite(rows: dict[str, dict], state: str) -> tuple[str, dict[str, str], dict[int, str | None]] | None:
-    """(stops, next state by symbol, writes) of the sweep from ``state``
-    over ``rows`` (see :attr:`MachineTM.sweeps`) when it is definite, else
-    None.  The states it can enter are ``state`` and the next states of its
-    steps, so it is definite when each of those has the same steps."""
-    steps = {s: hit[:2] for s, hit in rows[state].items() if hit}
-    for nxt, _ in steps.values():
-        if {s: hit[:2] for s, hit in rows[nxt].items() if hit} != steps:
-            return None
+def _definite(steps: dict[str, dict[str, tuple[str, str]]], state: str, symbols: tuple[str, ...]
+              ) -> tuple[str, dict[str, str], dict[int, str | None]] | None:
+    """The sweep from ``state`` as :attr:`MachineTM.sweeps` gives it, over
+    the sweep ``steps`` on one work symbol (state -> input symbol -> (next
+    state, output write or "")) and the alphabet's ``symbols``.  The states
+    it can enter are ``state`` and the next states of its steps, so it is
+    definite when each of those has the same steps."""
+    mine = steps[state]
+    if any(steps.get(nxt) != mine for nxt, _ in mine.values()):
+        return None
     # a deletion maps to None, which keeps str.translate on its fast path
-    return ("".join(s for s, hit in rows[state].items() if not hit),
-            {s: nxt for s, (nxt, _) in steps.items()},
-            str.maketrans({s: w or None for s, (_, w) in steps.items()}))
+    return ("".join(s for s in symbols if s not in mine),
+            {s: nxt for s, (nxt, _) in mine.items()},
+            str.maketrans({s: w or None for s, (_, w) in mine.items()}))
 
 
 class MachineTM:
@@ -279,25 +280,21 @@ class MachineTM:
                 f"finals={self.finals!r}, alphabet={self.alphabet!r}, transitions={self.transitions!r})")
 
     @cached_property
-    def sweeps(self) -> dict[str, dict[str, tuple[dict, tuple | None]]]:
-        """The sweep steps of ``table`` as a transducer, built on first use:
-        per work symbol, state -> (row, definite).  The row maps each input
-        symbol to (next state, output write or "", next state's row), or to
-        None where no sweep step reads it.  A sweep from the state is
-        definite when every state it can enter, that state included, has
-        sweep steps on the same input symbols S and each symbol sends them
-        all to one next state with one write (a definite automaton of order
-        1); ``definite`` is then (the alphabet symbols outside S as a
-        string, next state by symbol, a ``str.translate`` table of the
-        writes), else None."""
-        maps: dict[str, dict[str, dict]] = {}
+    def sweeps(self) -> dict[str, dict[str, tuple[str, dict[str, str], dict[int, str | None]] | None]]:
+        """The sweeps of ``table``, built on first use: per work symbol, each
+        state with sweep steps on it -> its sweep if definite, else None.  A
+        sweep from a state is definite when every state it can enter, that
+        state included, has sweep steps on the same input symbols S and each
+        symbol sends them all to one next state with one write (a definite
+        automaton of order 1); it is then (the alphabet symbols outside S as
+        a string, next state by symbol, a ``str.translate`` table of the
+        writes)."""
+        steps: dict[str, dict[str, dict[str, tuple[str, str]]]] = {}
         for (state, r0, r1, _), (nxt, _, w2, *_, kind) in self.table.items():
             if kind == SWEEP:
-                if r1 not in maps:
-                    maps[r1] = {q: dict.fromkeys(self.alphabet.symbols) for q in self.states}
-                rows = maps[r1]
-                rows[state][r0] = (nxt, w2 or "", rows[nxt])
-        return {r1: {q: (row, _definite(rows, q)) for q, row in rows.items()} for r1, rows in maps.items()}
+                steps.setdefault(r1, {}).setdefault(state, {})[r0] = (nxt, w2 or "")
+        symbols = self.alphabet.symbols
+        return {r1: {q: _definite(on, q, symbols) for q in on} for r1, on in steps.items()}
 
     def start_run(self, input_word: str) -> "TmRun":
         """A run on ``input_word``, once its symbols are checked against
@@ -423,11 +420,12 @@ class TmRun:
         the run skips whole periods and steps the rest.
 
         A sweep step (see :data:`TmStep`) hands the rest of its sweep to
-        :meth:`_sweep` when the next snapshot step or the fuel, and the end
-        of the input, are at least :data:`SWEEP_MIN` steps ahead and the
-        input head is past the snapshot's.  This is exact: a sweep ends by
-        the snapshot step, enters no final state, and only moves the input
-        head right, so no step inside it can match the snapshot.
+        :meth:`_sweep`, which takes a definite one at once, when the next
+        snapshot step or the fuel, and the end of the input, are at least
+        :data:`SWEEP_MIN` steps ahead and the input head is past the
+        snapshot's.  This is exact: a sweep ends by the snapshot step,
+        enters no final state, and only moves the input head right, so no
+        step inside it can match the snapshot.
         """
         steps = self.steps
         if steps >= fuel or self.stuck or self.state in self.machine.finals:
@@ -503,15 +501,18 @@ class TmRun:
     def _sweep(
         self, state: str, h0: int, h1: int, h2: int, steps: int, limit: int, writes: list[tuple] | None
     ) -> tuple[str, int, int, int] | None:
-        """Take the rest of a sweep at once, up to step ``limit``, and write
-        the output tape and the write log in bulk.  A definite sweep (see
-        :attr:`MachineTM.sweeps`) runs to the first input symbol outside S,
-        found with one ``str.find`` per such symbol of the alphabet, ends
-        in the state its last symbol sends every state to, and writes the
-        ``translate`` of the symbols it read; any other sweep runs the input
-        through the row map one symbol at a time.  The state, heads and
-        steps after it, or None if it takes no step or an output cell from
-        the output head on is set."""
+        """Take the rest of a definite sweep (see :attr:`MachineTM.sweeps`) at
+        once, up to step ``limit``, and write the output tape and the write
+        log in bulk.  It runs to the first input symbol outside S, found
+        with one ``str.find`` per such symbol of the alphabet, ends in the
+        state its last symbol sends every state to, and writes the
+        ``translate`` of the symbols it read.  The state, heads and steps
+        after it, or None if the sweep is not definite, takes no step or
+        meets a set output cell from the output head on; :meth:`run_to`
+        then steps on."""
+        definite = self.machine.sweeps[self.tapes[1].get(h1, BLANK)].get(state)
+        if definite is None:
+            return None
         t2 = self.tapes[2]
         # output cells are never erased and a dict keeps insertion order:
         # the cells written since the last sweep are its last keys
@@ -521,33 +522,17 @@ class TmRun:
             self._top = (top, len(t2))
         if h2 <= top:
             return None
-        row, definite = self.machine.sweeps[self.tapes[1].get(h1, BLANK)][state]
+        stops, after, table = definite
         ahead = self.tapes[0][h0 : h0 + limit - steps]
-        if definite:
-            stops, after, table = definite
-            taken = len(ahead)
-            for stop in stops:
-                at = ahead.find(stop, 0, taken)
-                if at >= 0:
-                    taken = at
-            if not taken:
-                return None
-            ahead = ahead[:taken]
-            state = after[ahead[-1]]
-            out = ahead.translate(table)
-        else:
-            trail: list[str] = []  # the output write of each step, or ""
-            put = trail.append
-            for symbol in ahead:
-                hit = row[symbol]
-                if hit is None:
-                    break
-                state, w2, row = hit
-                put(w2)
-            if not trail:
-                return None
-            taken = len(trail)
-            out = "".join(trail)
+        taken = len(ahead)
+        for stop in stops:
+            at = ahead.find(stop, 0, taken)
+            if at >= 0:
+                taken = at
+        if not taken:
+            return None
+        ahead = ahead[:taken]
+        out = ahead.translate(table)
         if out:
             cells = range(h2, h2 + len(out))
             t2.update(zip(cells, out))
@@ -555,13 +540,11 @@ class TmRun:
                 if len(out) == taken:
                     stamps = range(steps + 1, steps + taken + 1)
                 else:  # the steps that write
-                    if definite:
-                        trail = [table[ord(symbol)] for symbol in ahead]
-                    stamps = [steps + i for i, w in enumerate(trail, 1) if w]
+                    stamps = [steps + i for i, symbol in enumerate(ahead, 1) if table[ord(symbol)]]
                 writes.extend(zip(stamps, cells, out))
             h2 += len(out)
             self._top = (h2 - 1, len(t2))
-        return state, h0 + taken, h2, steps + taken
+        return after[ahead[-1]], h0 + taken, h2, steps + taken
 
     def output_word(self) -> str:
         """The non-blank cells of the output tape, in tape order."""

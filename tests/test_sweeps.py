@@ -18,8 +18,8 @@ from minprog.words import BINARY, BLANK
 
 from helpers import configuration
 from oracles import PlainTm, stepper_repeat
-from strategies import (TERNARY, bouncer, definite_sweep_runs, stay_tms, sweep_tms, unary_tms,
-                        zoo_tms)
+from strategies import (TERNARY, bouncer, definite_sweep_runs, definite_sweep_tms, stay_tms, sweep_tms,
+                        unary_tms, zoo_tms)
 
 # snapshot steps 16 ... 256, and room past the last one for a repeat of it
 SNAPSHOTS = [FIRST_SNAPSHOT << k for k in range(5)]
@@ -154,7 +154,7 @@ def words_for(machine, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sweep_tms(), st.data())
+@given(st.one_of(sweep_tms(), definite_sweep_tms()), st.data())
 def test_sweeping_equals_plain_stepping(machine, data):
     check_sweeps(machine, words_for(machine, data), data)
 
@@ -164,7 +164,7 @@ _CHUNK_FUELS = st.one_of(st.sampled_from(NEAR_SNAPSHOTS), st.integers(0, REACH))
 
 
 def every_sweep_is_definite(machine):
-    return all(definite is not None for rows in machine.sweeps.values() for _, definite in rows.values())
+    return all(definite is not None for by_state in machine.sweeps.values() for definite in by_state.values())
 
 
 @settings(max_examples=150, deadline=None)
@@ -223,15 +223,10 @@ def test_a_sweep_writes_the_output_and_the_log_in_bulk():
 
 
 def test_the_sweep_rows_are_read_off_the_table():
-    rows = zoo.last_symbol().sweeps
-    assert set(rows) == {BLANK}
-    by_state = rows[BLANK]
-    row, definite = by_state["q0"]
-    assert row["1"][:2] == ("c1", "") and row["1"][2] is by_state["c1"][0]
-    # every symbol sends each state to the state that remembers it, writing nothing
-    assert definite == ("", {"0": "c0", "1": "c1"}, {ord("0"): None, ord("1"): None})
-    assert by_state["c0"][1] == by_state["c1"][1] == definite
-    assert by_state["qf"] == ({"0": None, "1": None}, ("01", {}, {}))
+    # every symbol sends each state to the state that remembers it, writing
+    # nothing; the final state qf has no sweep step
+    definite = ("", {"0": "c0", "1": "c1"}, {ord("0"): None, ord("1"): None})
+    assert zoo.last_symbol().sweeps == {BLANK: {"q0": definite, "c0": definite, "c1": definite}}
     # const-zero writes and stays: no sweep step
     assert zoo.const_zero().sweeps == {}
 
@@ -239,16 +234,15 @@ def test_the_sweep_rows_are_read_off_the_table():
 def test_the_stock_sweeps_are_definite():
     for machine in (zoo.identity(), zoo.last_symbol(), zoo.append_zero(), ping_pong(), rewinder()):
         assert every_sweep_is_definite(machine), machine.name
-    assert zoo.identity().sweeps[BLANK]["q0"][1] == ("", {"0": "q0", "1": "q0"}, {ord("0"): "0", ord("1"): "1"})
-    assert zero_writer().sweeps[BLANK]["q"][1] == ("2", {"0": "q", "1": "q"}, {ord("0"): "0", ord("1"): None})
+    assert zoo.identity().sweeps[BLANK]["q0"] == ("", {"0": "q0", "1": "q0"}, {ord("0"): "0", ord("1"): "1"})
+    assert zero_writer().sweeps[BLANK]["q"] == ("2", {"0": "q", "1": "q"}, {ord("0"): "0", ord("1"): None})
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_a_sweep_that_is_not_definite_equals_plain_stepping(data):
     machine = parity_copier()
-    assert {q: definite for q, (_, definite) in machine.sweeps[BLANK].items()} == {
-        "even": None, "odd": None, "h": ("01", {}, {})}
+    assert machine.sweeps == {BLANK: {"even": None, "odd": None}}
     word = data.draw(st.text("01", min_size=10, max_size=300))
     check_sweeps(machine, word, data)
     outcome = run_fueled(machine, word, 10**6)
@@ -257,7 +251,7 @@ def test_a_sweep_that_is_not_definite_equals_plain_stepping(data):
 
 def test_one_step_resumes_take_no_sweep():
     # a sweep needs SWEEP_MIN steps ahead of it before the fuel: a run
-    # resumed one step at a time never builds the row map
+    # resumed one step at a time never reads the machine's sweeps
     m = zoo.identity()
     machine = MachineTM(m.name, m.states, m.start, m.finals, m.alphabet, m.transitions)
     run = machine.start_run("01" * 100)
