@@ -229,7 +229,7 @@ def _conn_type_order(memory: ExplicitMemory, rules: list[Rule]) -> list[str]:
     used = list(dict.fromkeys(r.move for r in rules if r.move is not None))
     cell = {c: i for i, (c, _) in enumerate(memory.cells)}
     links: dict[str, list[tuple[int, int]]] = {t: [] for t in memory.conn_types}
-    for (frm, ctype), to in memory.describe()[2]:
+    for (frm, ctype), to in memory.links.items():
         links[ctype].append((cell[frm], cell[to]))
     rest = [t for t in memory.conn_types if t not in used]
     return used + sorted(rest, key=lambda t: sorted(links[t]))
@@ -282,21 +282,19 @@ def _encode_itm(machine: MachineITM, numbers: list[int]) -> None:
     alpha = machine.alphabet
     memory = machine.memory
     rules = sorted(machine.rules, key=lambda r: (index[r.state], _symbol_code(alpha, r.read)))
-    desc = memory.describe()  # type: ignore[attr-defined]
-    if desc[0] == "builtin":
+    if memory.builtin is not None:
         types = list(memory.conn_types)
-        numbers += (len(types), 0, BUILTIN_MEMORIES.index(desc[1]))
-    elif desc[0] == "explicit":
-        _, cells, links = desc
-        types = _conn_type_order(memory, rules)  # type: ignore[arg-type]
+        numbers += (len(types), 0, BUILTIN_MEMORIES.index(memory.builtin))
+    elif isinstance(memory, ExplicitMemory):
+        types = _conn_type_order(memory, rules)
         kinds = ("input", "work", "output")
-        cell = {c: i for i, (c, _) in enumerate(cells)}
-        rows = sorted((cell[frm], types.index(ctype), cell[to]) for (frm, ctype), to in links)
-        numbers += (len(types), 1, len(cells), *(kinds.index(k) for _, k in cells), len(rows))
+        cell = {c: i for i, (c, _) in enumerate(memory.cells)}
+        rows = sorted((cell[frm], types.index(ctype), cell[to]) for (frm, ctype), to in memory.links.items())
+        numbers += (len(types), 1, len(cell), *(kinds.index(k) for _, k in memory.cells), len(rows))
         for row in rows:
             numbers += row
     else:
-        raise InvalidCodeError(f"memory {desc[0]!r} has no serialized form")
+        raise InvalidCodeError(f"memory {type(memory).__name__} has no serialized form")
     numbers.append(len(rules))
     for r in rules:
         row = (index[r.state], _symbol_code(alpha, r.read))

@@ -20,8 +20,8 @@ from .inductive import (
     InductiveRun,
     ItmOutcome,
     LimitMemory,
+    LinearMemory,
     MachineITM,
-    MemoryGraph,
     classify_run,
     start_if_fits,
 )
@@ -123,8 +123,12 @@ def first_result_cycle(machine: MachineTM, cycles: int) -> int | None:
 
 def emptiness_solver(code: str, cycles: int) -> InductiveVerdict:
     """The first observed result of the dovetail schedule flips the output
-    to 0 and halts the solver; otherwise every completed cycle reasserts 1."""
-    n = first_result_cycle(_decode(code, MachineTM), cycles)
+    to 0 and halts the solver; otherwise every completed cycle reasserts 1.
+    No cycle, no information, as in :func:`totality_verdict`."""
+    machine = _decode(code, MachineTM)
+    if cycles == 0:
+        return InductiveVerdict(None, stabilized_since=None, budget=0)
+    n = first_result_cycle(machine, cycles)
     if n is None:
         return InductiveVerdict("1", stabilized_since=1, budget=cycles)
     return InductiveVerdict("0", stabilized_since=n, budget=n, halted=True)
@@ -431,8 +435,7 @@ class _PipelineRun(InductiveRun):
     def __init__(self, pipeline: DiagonalPipeline, input_word: str) -> None:
         BINARY.check_word(input_word)
         super().__init__()
-        self.pipeline = pipeline
-        self.input_word = input_word
+        self._decider = pipeline.decider
         self._alt = False
         try:
             decode_machine(input_word)
@@ -463,7 +466,7 @@ class _PipelineRun(InductiveRun):
                 self.b_events.append((self.steps, self._pair_word))
                 # a decider that cannot hold the pair word has no run and so
                 # never claims anything: the filter alternates
-                self._d_run = start_if_fits(self.pipeline.decider, self._pair_word)
+                self._d_run = start_if_fits(self._decider, self._pair_word)
             elif self._d_run is not None:
                 d_out = self._d_run.run_to(self.steps - self._b_latency).output_word()
                 if self.d_events[-1][1] != d_out:
@@ -590,29 +593,15 @@ def order_rows() -> list[OrderRow]:
 STOCK_MEMORY_CYCLES = 64
 
 
-class _InputChain(MemoryGraph):
-    """The stock memories' input chain i0, i1, ...: every cell's
-    i-connection enters it, and r- and l-connections walk it."""
-
-    def connection(self, cell: str, ctype: str) -> str | None:
-        if ctype == "i":
-            return "i0"
-        if ctype in ("r", "l") and cell.startswith("i"):
-            idx = int(cell[1:]) + (1 if ctype == "r" else -1)
-            return f"i{idx}" if idx >= 0 else None
-        return None
-
-    def input_cell(self, i: int) -> str:
-        return f"i{i}"
-
-
-class _Thm72Base(_InputChain):
-    """Start cell, a marker cell, an unbounded probe row, and an input
-    chain.  The probe row is walked by t-connections; p-connections into
-    the marker cell are asserted cycle by cycle (see :func:`thm72_memory`)."""
+class _Thm72Base(LinearMemory):
+    """Start cell, a marker cell, an unbounded probe row, and the linear
+    memory's input chain.  The probe row is walked by t-connections;
+    p-connections into the marker cell are asserted cycle by cycle (see
+    :func:`thm72_memory`)."""
 
     conn_types = ("t", "p", "o", "r", "l", "i")
     start = "c0"
+    builtin = None
 
     def connection(self, cell: str, ctype: str) -> str | None:
         if ctype == "o":
@@ -639,16 +628,17 @@ def thm72_memory() -> LimitMemory:
         detected = first_result_cycle(machine, STOCK_MEMORY_CYCLES)
         if detected is not None:
             cycles[detected - 1].append((f"a{k}", "p", "c1"))
-    return LimitMemory(_Thm72Base(), cycles, label=("builtin", "thm72"))
+    return LimitMemory(_Thm72Base(), cycles, builtin="thm72")
 
 
-class _LimitListBase(_InputChain):
-    """Hypercell chain h1, h2, ... walked by n-connections, and an input
-    chain; m-connections point each position at the landmark cell of the
-    machine currently listed there."""
+class _LimitListBase(LinearMemory):
+    """Hypercell chain h1, h2, ... walked by n-connections, and the linear
+    memory's input chain; m-connections point each position at the
+    landmark cell of the machine currently listed there."""
 
     conn_types = ("n", "m", "r", "l", "i")
     start = "h1"
+    builtin = None
 
     def connection(self, cell: str, ctype: str) -> str | None:
         if ctype == "n" and cell.startswith("h"):
@@ -672,4 +662,4 @@ def limitlist_memory() -> LimitMemory:
         cycles.append(
             [(f"h{j}", "m", f"d{machine_no[code]}") for j, code in enumerate(state.order, start=1)]
         )
-    return LimitMemory(_LimitListBase(), cycles, label=("builtin", "limitlist"))
+    return LimitMemory(_LimitListBase(), cycles, builtin="limitlist")

@@ -16,9 +16,9 @@ unbounded cell rows used by the scheduler constructions are representable.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .words import BLANK, Alphabet, InvalidWordError
 from .turing import FIRST_SNAPSHOT, EventLog, MachineTM, MachineValidationError, check_states, compiled_write
@@ -29,10 +29,17 @@ from .turing import FIRST_SNAPSHOT, EventLog, MachineTM, MachineValidationError,
 
 
 class MemoryGraph:
-    """Base interface: deterministic cell lookup plus register layout."""
+    """Base interface: deterministic cell lookup plus register layout.
+    No input cell and no cell with initial contents is in the output
+    register, so every run starts with an empty register.
+
+    ``builtin`` names the builtin memory a code gives for this one, or is
+    None; an :class:`ExplicitMemory` is coded cell by cell, and any other
+    memory has no code form."""
 
     start: str
     conn_types: tuple[str, ...]
+    builtin: str | None = None
 
     def connection(self, cell: str, ctype: str) -> str | None:
         raise NotImplementedError
@@ -75,23 +82,24 @@ class ExplicitMemory(MemoryGraph):
         if len(set(self.conn_types)) != len(self.conn_types):
             raise MachineValidationError("duplicate connection type declaration")
         self.start = names[0]
-        self._names = set(names)
-        self._links: dict[tuple[str, str], str] = {}
+        declared = set(names)
+        # (source, type) -> target
+        self.links: dict[tuple[str, str], str] = {}
         for frm, ctype, to in links:
-            if frm not in self._names or to not in self._names:
+            if frm not in declared or to not in declared:
                 raise MachineValidationError(f"link {frm}-{ctype}->{to} uses an undeclared cell")
             if ctype not in self.conn_types:
                 raise MachineValidationError(f"link uses undeclared connection type {ctype!r}")
-            if (frm, ctype) in self._links:
+            if (frm, ctype) in self.links:
                 raise MachineValidationError(
                     f"two connections of type {ctype!r} leave cell {frm!r}"
                 )
-            self._links[(frm, ctype)] = to
+            self.links[(frm, ctype)] = to
         self._inputs = [c for c, k in self.cells if k == "input"]
         self._output_rank = {c: i for i, (c, k) in enumerate(self.cells) if k == "output"}
 
     def connection(self, cell: str, ctype: str) -> str | None:
-        return self._links.get((cell, ctype))
+        return self.links.get((cell, ctype))
 
     def input_cell(self, i: int) -> str:
         if i >= len(self._inputs):
@@ -102,9 +110,6 @@ class ExplicitMemory(MemoryGraph):
 
     def output_rank(self, cell: str) -> int | None:
         return self._output_rank.get(cell)
-
-    def describe(self) -> tuple:
-        return ("explicit", tuple(self.cells), tuple(sorted(self._links.items())))
 
 
 _CHAIN = re.compile(r"^([iwo])(\d+)$")
@@ -119,6 +124,7 @@ class LinearMemory(MemoryGraph):
 
     conn_types = ("r", "l", "i", "w", "o")
     start = "i0"
+    builtin = "linear"
 
     def connection(self, cell: str, ctype: str) -> str | None:
         if ctype in ("i", "w", "o"):
@@ -142,9 +148,6 @@ class LinearMemory(MemoryGraph):
             return int(m.group(2))
         return None
 
-    def describe(self) -> tuple:
-        return ("builtin", "linear")
-
 
 # ---------------------------------------------------------------------------
 # limit memory: connections asserted cycle by cycle by a driving process
@@ -153,47 +156,32 @@ class LinearMemory(MemoryGraph):
 class LimitMemory(MemoryGraph):
     """A memory whose connections accrue cycle by cycle over a base graph.
 
-    ``cycles[n - 1]`` holds the (cell, type, target) assertions of cycle n,
-    indexed once by (cell, type).  ``oracle(cell, type, budget)`` answers
-    with the latest assertion made within the first ``budget`` cycles,
-    falling back to the base graph; a budget past the last cycle answers as
-    at the last.  As an ordinary memory the graph answers at its last
-    cycle.  ``label`` lets a stock configuration advertise itself under a
-    serializable builtin name; an unlabelled limit memory has no code form.
+    ``cycles[n - 1]`` holds the (cell, type, target) assertions of cycle n.
+    The memory is their limit at the last cycle: ``oracle(cell, type)``
+    answers with the latest assertion on (cell, type) in any cycle, falling
+    back to the base graph.  ``builtin`` names a stock configuration's
+    builtin memory; a limit memory without one has no code form.
     """
 
     def __init__(
         self,
         base: MemoryGraph,
-        cycles: Sequence[Iterable[tuple[str, str, str]]],
-        label: tuple | None = None,
+        cycles: Iterable[Iterable[tuple[str, str, str]]],
+        builtin: str | None = None,
     ) -> None:
         self.base = base
         self.start = base.start
         self.conn_types = base.conn_types
-        self.label = label
-        self.budget = len(cycles)
-        # (cell, type) -> (ascending cycle numbers, target asserted in each)
-        self._asserted: dict[tuple[str, str], tuple[list[int], list[str]]] = {}
-        for n, cycle in enumerate(cycles, start=1):
-            for cell, ctype, target in cycle:
-                numbers, targets = self._asserted.setdefault((cell, ctype), ([], []))
-                numbers.append(n)
-                targets.append(target)
+        self.builtin = builtin
+        # (cell, type) -> the target of its latest assertion
+        self._asserted = {(cell, ctype): target for cycle in cycles for cell, ctype, target in cycle}
 
-    def oracle(self, cell: str, ctype: str, budget: int) -> str | None:
-        if budget < 0:
-            raise ValueError("budget must be non-negative")
-        asserted = self._asserted.get((cell, ctype))
-        if asserted is not None:
-            numbers, targets = asserted
-            i = bisect_right(numbers, budget)
-            if i:
-                return targets[i - 1]
-        return self.base.connection(cell, ctype)
+    def oracle(self, cell: str, ctype: str) -> str | None:
+        target = self._asserted.get((cell, ctype))
+        return self.base.connection(cell, ctype) if target is None else target
 
     def connection(self, cell: str, ctype: str) -> str | None:
-        return self.oracle(cell, ctype, self.budget)
+        return self.oracle(cell, ctype)
 
     def input_cell(self, i: int) -> str:
         return self.base.input_cell(i)
@@ -203,11 +191,6 @@ class LimitMemory(MemoryGraph):
 
     def initial_contents(self) -> dict[str, str]:
         return self.base.initial_contents()
-
-    def describe(self) -> tuple:
-        if self.label is not None:
-            return self.label
-        return ("limit-snapshot", self.budget, self.base.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +296,20 @@ class InductiveRun:
     the register ("" blanks the cell) in an :class:`EventLog`, whose
     periodic tail stands for the writes of the periods a repeating run
     skips.  The counts and the last change come from it; the values, and
-    ``change_log`` of (step, value) for the initial value ``register``
-    (its non-blank cells in position order) and every change after it,
-    are replayed from it only when read.  A subclass defines ``run_to``.
+    ``change_log`` of (step, value) for the empty register a run starts
+    with and every change after it, are replayed from it only when read.
+    A subclass defines ``run_to``.
     """
 
-    def __init__(self, register: Sequence[tuple[int, str]] = ()) -> None:
+    def __init__(self) -> None:
         self.steps = 0
         self.stopped_final = False
         self.stopped_stuck = False
         self.writes = EventLog()
         # the replay so far: the positions of the non-blank cells after
         # the last replayed write, and (step, value) after each write
-        self._positions = [pos for pos, _ in register]
-        self._changes = [(0, "".join(sym for _, sym in register))]
+        self._positions: list[int] = []
+        self._changes = [(0, "")]
 
     def run_to(self, horizon: int) -> "InductiveRun":
         """Step until ``horizon`` total steps or a stop, like :meth:`TmRun.run_to`."""
@@ -419,11 +402,7 @@ class ItmRun(InductiveRun):
         }
         for i, ch in enumerate(input_word):
             self.contents[memory.input_cell(i)] = ch
-        super().__init__(sorted(
-            (rank, sym)
-            for cell, sym in self.contents.items()
-            if (rank := memory.output_rank(cell)) is not None
-        ))
+        super().__init__()
         self.head = memory.start
         self.state = machine.start
         self.stopped_final = machine.start in machine.finals

@@ -255,18 +255,16 @@ def serialize_machine(machine) -> str:
             for t in machine.transitions
         )
         return "\n".join(lines) + "\n"
-    desc = machine.memory.describe()  # type: ignore[attr-defined]
-    if desc[0] == "builtin":
-        lines.append(f"memory builtin:{desc[1]}")
-    elif desc[0] != "explicit":
-        raise InvalidCodeError(f"memory {desc[0]!r} has no serialized form")
-    else:
-        lines.append(f"conn-types {' '.join(machine.memory.conn_types)}".rstrip())
+    memory = machine.memory
+    if memory.builtin is not None:
+        lines.append(f"memory builtin:{memory.builtin}")
+    elif isinstance(memory, ExplicitMemory):
+        lines.append(f"conn-types {' '.join(memory.conn_types)}".rstrip())
         lines.append("memory explicit")
-        for cell, kindname in desc[1]:
-            lines.append(f"cell {cell} {kindname}")
-        for (frm, ctype), to in desc[2]:
-            lines.append(f"link {frm} {ctype} {to}")
+        lines += (f"cell {cell} {kindname}" for cell, kindname in memory.cells)
+        lines += (f"link {frm} {ctype} {to}" for (frm, ctype), to in sorted(memory.links.items()))
+    else:
+        raise InvalidCodeError(f"memory {type(memory).__name__} has no serialized form")
     for r in machine.rules:
         if r.write is not None and r.move is not None:
             rhs = f"write {r.write} move {r.move} {r.next_state}"

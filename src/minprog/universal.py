@@ -43,7 +43,7 @@ from functools import cache
 from .words import BINARY, MalformedPairError, sd, unpair, words_of_length
 from .turing import MachineTM, RunOutcome, run_fueled
 from .inductive import ItmOutcome, TmAsItm, classify_run, start_if_fits
-from .codec import KIND_TM, InvalidCodeError, codes_up_to, decode_machine
+from .codec import KIND_TM, InvalidCodeError, codes_up_to, decode_machine, encode_machine
 
 WRAP_HEADER = "10"
 
@@ -176,8 +176,6 @@ def make_biased_universal(n: int) -> BiasedUniversal:
 
 def tm_program(machine: MachineTM, payload: str) -> str:
     """The standard one-input program computing machine(payload)."""
-    from .codec import encode_machine
-
     return sd(encode_machine(machine)) + payload
 
 

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from minprog import zoo
-from minprog.codec import InvalidCodeError, decode_machine, encode_machine
+from minprog.codec import InvalidCodeError, builtin_memory, decode_machine, encode_machine
 from minprog.hierarchy import DiagonalPipeline, SimDecider
+from minprog.inductive import MachineITM, Rule
 from minprog.machinefile import parse_machine_file
 from minprog.turing import MachineTM, Transition
 from minprog.universal import tm_program
@@ -123,3 +124,54 @@ def test_decode_outcomes_are_pinned():
     what it was when ``golden/decodes.json`` was recorded."""
     got = {name: [len(words), decode_digest(words)] for name, words in decode_families().items()}
     assert got == DECODES
+
+
+# The code word of :func:`small_itm` over each builtin memory.  No shipped
+# machine runs on ``limitlist``, so no pin above covers its builtin id.
+BUILTIN_CODES = {
+    "linear": "01100101100100100110010010010001100010001001011000100100100100100110001001100110011001100110001001100100100110010010010010",
+    "thm72": "0110010110010010011001001001010010001001100101100010010010010010011001011001100110011001100100001000100110010010011001000110010010",
+    "limitlist": "0110010110010010011001001001000110001001001001011000100100100100100110010010011001100110011001011000100110010010011001000010010010",
+}
+
+
+def small_itm(memory):
+    """A three-state ITM that moves by the r, i and l connections every
+    builtin memory has."""
+    rules = [Rule("q0", "_", "q1", write="1", move="r"), Rule("q1", "_", "qf", move="i"),
+             Rule("q1", "1", "q0", move="l")]
+    return MachineITM("small", ("q0", "q1", "qf"), "q0", ("qf",), BINARY, rules, memory)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CODES))
+def test_builtin_memory_codes_are_pinned(name):
+    code = encode_machine(small_itm(builtin_memory(name)))
+    assert code == BUILTIN_CODES[name]
+    assert encode_machine(decode_machine(code)) == code
+
+
+# The (i, r, l) connections of the stock limit memories on cells of both
+# and of neither: the input chain is walked by r and l, and i enters it
+# from every cell.
+_NO_CHAIN = ("i0", None, None)
+STOCK_CHAIN_ANSWERS = {
+    "c0": _NO_CHAIN, "c1": _NO_CHAIN, "a0": _NO_CHAIN, "a3": _NO_CHAIN, "out0": _NO_CHAIN,
+    "i0": ("i0", "i1", None), "i5": ("i0", "i6", "i4"),
+    "h1": _NO_CHAIN, "h4": _NO_CHAIN, "d2": _NO_CHAIN,
+}
+STOCK_LAYOUT = {
+    "thm72": ("c0", ("t", "p", "o", "r", "l", "i"), {"out0": 0}, {"c1": "1"}),
+    "limitlist": ("h1", ("n", "m", "r", "l", "i"), {}, {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STOCK_LAYOUT))
+def test_stock_memories_input_chain_and_layout_are_pinned(name):
+    memory = builtin_memory(name)
+    for graph in (memory, memory.base):
+        answers = {cell: tuple(graph.connection(cell, t) for t in "irl") for cell in STOCK_CHAIN_ANSWERS}
+        assert answers == STOCK_CHAIN_ANSWERS
+        ranks = {cell: rank for cell in STOCK_CHAIN_ANSWERS if (rank := graph.output_rank(cell)) is not None}
+        layout = (graph.start, graph.conn_types, ranks, graph.initial_contents())
+        assert layout == STOCK_LAYOUT[name]
+        assert [graph.input_cell(i) for i in (0, 5)] == ["i0", "i5"]

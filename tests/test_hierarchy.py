@@ -157,10 +157,14 @@ def test_unary_machines_see_unary_inputs():
 @settings(max_examples=150, deadline=None)
 @given(_DOVETAIL_MACHINES, st.integers(0, 40))
 @example(bouncer(), 40)
+@example(zoo.halt_now(), 0)
 def test_emptiness_solver_equals_the_rerun_schedule(machine, cycles):
     v = emptiness_solver(encode_machine(machine), cycles)
     n = rerun_first_result_cycle(machine, cycles)
-    if n is None:
+    if cycles == 0:
+        # no cycle has run, so the solver has no information yet
+        assert (v.value, v.stabilized_since, v.budget, v.halted) == (None, None, 0, False)
+    elif n is None:
         assert (v.value, v.stabilized_since, v.budget, v.halted) == ("1", 1, cycles, False)
     else:
         assert (v.value, v.stabilized_since, v.budget, v.halted) == ("0", n, n, True)

@@ -310,34 +310,32 @@ def _base_memory():
     )
 
 
-def test_limit_memory_reports_assertions_by_budget():
-    limit = LimitMemory(_base_memory(), [[], [], [("a_5", "p", "c_1")]])
-    assert limit.oracle("a_5", "p", 2) is None
-    assert limit.oracle("a_5", "p", 3) == "c_1"
-    # a budget past the table answers as at its end
-    assert limit.oracle("a_5", "p", 7) == "c_1"
+def test_limit_memory_answers_at_its_last_cycle():
+    limit = LimitMemory(_base_memory(), [[("a_5", "p", "x")], [], [("a_5", "p", "c_1")]])
+    # the latest assertion wins over an earlier one
+    assert limit.oracle("a_5", "p") == "c_1"
     assert limit.connection("a_5", "p") == "c_1"
-    # base connections survive at every budget
-    assert limit.oracle("a_5", "t", 0) == "x"
-    # an unlabelled limit memory has no code form
-    assert limit.describe() == ("limit-snapshot", 3, _base_memory().describe())
+    # base connections survive where nothing was asserted
+    assert limit.oracle("a_5", "t") == "x"
+    assert limit.oracle("c_1", "p") is None
+    # a limit memory without a builtin name has no code form
+    assert limit.builtin is None
 
 
-def test_empty_assertion_table_is_the_base_graph_at_every_budget():
+def test_empty_assertion_table_is_the_base_graph():
     for cycles in ([], [[]] * 5):
         limit = LimitMemory(_base_memory(), cycles)
-        for budget in (0, 1, 5, 20):
-            assert limit.oracle("a_5", "t", budget) == "x"
-            assert limit.oracle("a_5", "p", budget) is None
+        assert limit.oracle("a_5", "t") == "x"
+        assert limit.oracle("a_5", "p") is None
 
 
 def test_limit_memory_answers_do_not_depend_on_query_order():
-    cycles = [[], [("a_5", "p", "c_1")], [], [], []]
+    cycles = [[], [("a_5", "p", "c_1")], [], [("c_1", "t", "a_5")], []]
     first = LimitMemory(_base_memory(), cycles)
-    a = (first.oracle("a_5", "p", 5), first.oracle("a_5", "p", 1))
+    a = (first.oracle("a_5", "p"), first.oracle("c_1", "t"))
     second = LimitMemory(_base_memory(), cycles)
-    b = (second.oracle("a_5", "p", 1), second.oracle("a_5", "p", 5))
-    assert a == (b[1], b[0])
+    b = (second.oracle("c_1", "t"), second.oracle("a_5", "p"))
+    assert a == (b[1], b[0]) == ("c_1", "a_5")
 
 
 _CELLS = ("a_5", "c_1", "x")
@@ -351,11 +349,9 @@ def test_limit_memory_equals_the_scan_of_its_assertions(cycles):
     limit = LimitMemory(base, cycles)
     for cell in _CELLS:
         for ctype in ("t", "p"):
-            for budget in range(len(cycles) + 3):
-                expected = scan_limit_connection(base, cycles, cell, ctype, budget)
-                assert limit.oracle(cell, ctype, budget) == expected, (cell, ctype, budget)
-            full = scan_limit_connection(base, cycles, cell, ctype, len(cycles))
-            assert limit.connection(cell, ctype) == full
+            expected = scan_limit_connection(base, cycles, cell, ctype, len(cycles))
+            assert limit.oracle(cell, ctype) == expected, (cell, ctype)
+            assert limit.connection(cell, ctype) == expected
 
 
 def test_thm72_memory_tracks_pool_halting():

@@ -108,7 +108,7 @@ def test_cell_names_do_not_reach_the_code():
         machine.name, machine.states, machine.start, machine.finals, machine.alphabet, machine.rules,
         ExplicitMemory(
             [(rename[cell], kind) for cell, kind in memory.cells],
-            [(rename[frm], ctype, rename[to]) for (frm, ctype), to in memory.describe()[2]],
+            [(rename[frm], ctype, rename[to]) for (frm, ctype), to in memory.links.items()],
             memory.conn_types,
         ),
     )

@@ -10,6 +10,7 @@ configurations, the stay rule and the snapshot steps 16, 32, 64, ..., as
 stepper.
 """
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from minprog import zoo
@@ -187,10 +188,29 @@ def test_closing_at_a_stay_step_equals_plain_stepping(machine, data):
     check_sweeps(machine, words_for(machine, data), data)
 
 
+STOCK_TMS = zoo_tms() + unary_tms() + [bouncer(), ping_pong(), rewinder()]
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(zoo_tms() + unary_tms() + [bouncer(), ping_pong(), rewinder()]), st.data())
+@given(st.sampled_from(STOCK_TMS), st.data())
 def test_sweeping_stock_machines_equals_plain_stepping(machine, data):
     check_sweeps(machine, words_for(machine, data), data)
+
+
+def thue_morse(alphabet, length):
+    """The first ``length`` symbols of the Thue-Morse word, its digits taken
+    modulo the alphabet's size: runs of one or two equal symbols, so a
+    sweep rarely ends on the symbol it started on."""
+    symbols = alphabet.symbols
+    return "".join(symbols[bin(i).count("1") % 2 % len(symbols)] for i in range(length))
+
+
+@pytest.mark.parametrize("machine", STOCK_TMS, ids=lambda m: m.name)
+def test_sweeping_a_long_word_equals_plain_stepping(machine):
+    # 45 symbols: a sweep from the input's start can run past the snapshot
+    # steps 16 and 32, and one from step 33 reaches the input's end
+    word = thue_morse(machine.alphabet, 45)
+    check_sweeps_at(machine, word, fuels_at(word, []), [17, 32, 33, 64])
 
 
 @settings(max_examples=20, deadline=None)
