@@ -4,6 +4,9 @@ Every subcommand is a bounded batch job.  Reports are deterministic:
 repeated identical invocations print byte-identical JSON once the
 ``elapsed_ms`` field is removed.  Exit codes: 0 success, 1 runtime error,
 2 usage error.
+
+A call builds the parser of the command it names and no other; ``--help``
+and usage errors still list every command.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -204,15 +208,7 @@ def _cmd_emptiness(args):
             raise IndexError(f"pool index {args.pool_index} out of range: the pool has {len(pool)} machines")
         machine = pool[args.pool_index]
     verdict = emptiness_solver(encode_machine(machine), args.cycles)
-    payload = {
-        "machine": machine.name,
-        "verdict": {
-            "value": verdict.value,
-            "stabilized_since": verdict.stabilized_since,
-            "budget": verdict.budget,
-            "halted": verdict.halted,
-        },
-    }
+    payload = {"machine": machine.name, "verdict": asdict(verdict)}
     meaning = "gives no result anywhere (so far)" if verdict.value == "1" else "demonstrated a result"
     return payload, [f"{machine.name}: {verdict.value} ({meaning})"]
 
@@ -220,15 +216,7 @@ def _cmd_emptiness(args):
 def _cmd_totality(args):
     pool = _pool_from_args(args)
     verdict = totality_verdict(pool, args.index, args.cycles)
-    payload = {
-        "machine": pool[args.index].name,
-        "verdict": {
-            "value": verdict.value,
-            "stabilized_since": verdict.stabilized_since,
-            "budget": verdict.budget,
-            "halted": verdict.halted,
-        },
-    }
+    payload = {"machine": pool[args.index].name, "verdict": asdict(verdict)}
     meaning = {
         "1": "total so far",
         "0": "certified non-total within budget",
@@ -327,86 +315,99 @@ _NON_NEGATIVE = _int_at_least(0)
 _POSITIVE = _int_at_least(1)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="minprog", description=__doc__)
-    parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _budget_args(p, horizon=False):
+    p.add_argument("--max-len", dest="max_len", type=_NON_NEGATIVE, default=8)
+    p.add_argument("--fuel", type=_POSITIVE, default=256)
+    if horizon:
+        p.add_argument("--horizon", type=_POSITIVE, default=None)
 
-    def add(name, handler, configure):
-        p = sub.add_parser(name)
-        configure(p)
-        p.set_defaults(handler=handler)
-        return p
 
-    def budget_args(p, horizon=False):
-        p.add_argument("--max-len", dest="max_len", type=_NON_NEGATIVE, default=8)
-        p.add_argument("--fuel", type=_POSITIVE, default=256)
-        if horizon:
-            p.add_argument("--horizon", type=_POSITIVE, default=None)
-
-    add("run-tm", _cmd_run_tm, lambda p: (
+# (name, handler, configure) of every subcommand, in the order --help lists them
+_COMMANDS = (
+    ("run-tm", _cmd_run_tm, lambda p: (
         p.add_argument("--machine", required=True),
         p.add_argument("--input", default=""),
         p.add_argument("--fuel", type=_NON_NEGATIVE, default=1000),
-    ))
-    add("run-itm", _cmd_run_itm, lambda p: (
+    )),
+    ("run-itm", _cmd_run_itm, lambda p: (
         p.add_argument("--machine", required=True),
         p.add_argument("--input", default=""),
         p.add_argument("--horizon", type=_POSITIVE, default=1000),
-    ))
-    add("complexity", _cmd_complexity, lambda p: (
+    )),
+    ("complexity", _cmd_complexity, lambda p: (
         p.add_argument("--class", dest="klass", choices=("tm", "itm1"), default="tm"),
         p.add_argument("--predicate", required=True),
         p.add_argument("--interpreter", default="std"),
-        budget_args(p, horizon=True),
-    ))
-    add("func-complexity", _cmd_func_complexity, lambda p: (
+        _budget_args(p, horizon=True),
+    )),
+    ("func-complexity", _cmd_func_complexity, lambda p: (
         p.add_argument("--class", dest="klass", choices=("tm", "itm1"), default="tm"),
         p.add_argument("--pair", action="append", required=True, metavar="IN=OUT"),
         p.add_argument("--interpreter", default="std"),
-        budget_args(p, horizon=True),
-    ))
-    add("invariance", _cmd_invariance, lambda p: (
+        _budget_args(p, horizon=True),
+    )),
+    ("invariance", _cmd_invariance, lambda p: (
         p.add_argument("--u1", required=True),
         p.add_argument("--u2", required=True),
         p.add_argument("--family", default="small20"),
-        budget_args(p),
-    ))
-    add("enumerate-nontotal", _cmd_enumerate_nontotal, lambda p: (
+        _budget_args(p),
+    )),
+    ("enumerate-nontotal", _cmd_enumerate_nontotal, lambda p: (
         p.add_argument("--cycles", type=_POSITIVE, default=64),
         p.add_argument("--machines", nargs="*", help="machine files (default: builtin pool)"),
-    ))
-    add("emptiness", _cmd_emptiness, lambda p: (
+    )),
+    ("emptiness", _cmd_emptiness, lambda p: (
         p.add_argument("--machine"),
         p.add_argument("--pool-index", dest="pool_index", type=_NON_NEGATIVE, default=0),
         p.add_argument("--cycles", type=_POSITIVE, default=32),
-    ))
-    add("totality", _cmd_totality, lambda p: (
+    )),
+    ("totality", _cmd_totality, lambda p: (
         p.add_argument("--index", type=_NON_NEGATIVE, required=True),
         p.add_argument("--cycles", type=_POSITIVE, default=64),
         p.add_argument("--machines", nargs="*"),
-    ))
-    add("halting-itm", _cmd_halting_itm, lambda p: (
+    )),
+    ("halting-itm", _cmd_halting_itm, lambda p: (
         p.add_argument("--machine", required=True),
         p.add_argument("--input", default=""),
         p.add_argument("--horizon", type=_POSITIVE, default=1000),
-    ))
-    add("diagonal", _cmd_diagonal, lambda p: (
+    )),
+    ("diagonal", _cmd_diagonal, lambda p: (
         p.add_argument("--decider", choices=("yes", "no", "sim"), required=True),
         p.add_argument("--horizon", type=_POSITIVE, default=10000),
-    ))
-    add("reduce", _cmd_reduce, lambda p: (
+    )),
+    ("reduce", _cmd_reduce, lambda p: (
         p.add_argument("--machine", required=True),
         p.add_argument("--input", default=""),
         p.add_argument("--probes", type=_POSITIVE, default=8),
         p.add_argument("--fuel", type=_NON_NEGATIVE, default=10000),
-    ))
-    add("orders", _cmd_orders, lambda p: p.add_argument("problem", nargs="?"))
+    )),
+    ("orders", _cmd_orders, lambda p: p.add_argument("problem", nargs="?")),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every command if it names none."""
+    # --help prints every paragraph of the module docstring but the last
+    parser = argparse.ArgumentParser(prog="minprog", description=__doc__.rsplit("\n\n", 1)[0])
+    parser.add_argument("--json", action="store_true", help="emit the JSON report")
+    entries = [entry for entry in _COMMANDS if entry[0] == command]
+    # a lone subparser still lists every command in the usage line; with all of
+    # them, no metavar, so that errors still name the action "command"
+    metavar = "{" + ",".join(entry[0] for entry in _COMMANDS) + "}" if entries else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, handler, configure in entries or _COMMANDS:
+        p = sub.add_parser(name)
+        configure(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the top parser's options take no value, so an argument past them is the
+    # command; past anything else ("--", "-", "-1", an abbreviation) argparse
+    # may read another argument as the command, and every subparser is built
+    parser = build_parser(next((arg for arg in argv if arg not in ("-h", "--help", "--json")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -126,6 +126,8 @@ def emptiness_solver(code: str, cycles: int) -> InductiveVerdict:
     to 0 and halts the solver; otherwise every completed cycle reasserts 1.
     No cycle, no information, as in :func:`totality_verdict`."""
     machine = _decode(code, MachineTM)
+    if cycles < 0:
+        raise ValueError(f"cycles must be at least 0, got {cycles}")
     if cycles == 0:
         return InductiveVerdict(None, stabilized_since=None, budget=0)
     n = first_result_cycle(machine, cycles)
@@ -235,6 +237,8 @@ def totality_verdict(pool: list[MachineTM], machine_index: int, cycles: int) -> 
     found means total-so-far (1)."""
     if not 0 <= machine_index < len(pool):
         raise IndexError(f"machine index {machine_index} out of range")
+    if cycles < 0:
+        raise ValueError(f"cycles must be at least 0, got {cycles}")
     if cycles == 0:
         return InductiveVerdict(None, stabilized_since=None, budget=0)
     state = dovetail_nontotal(pool, cycles)

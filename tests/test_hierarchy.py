@@ -170,6 +170,18 @@ def test_emptiness_solver_equals_the_rerun_schedule(machine, cycles):
         assert (v.value, v.stabilized_since, v.budget, v.halted) == ("0", n, n, True)
 
 
+@settings(max_examples=20, deadline=None)
+@given(_DOVETAIL_MACHINES, st.integers(max_value=-1))
+@example(zoo.halt_now(), -1)
+def test_emptiness_solver_rejects_a_negative_cycle_count(machine, cycles):
+    # a verdict at a negative budget would claim a cycle that never ran
+    with pytest.raises(ValueError, match="cycles must be at least 0"):
+        emptiness_solver(encode_machine(machine), cycles)
+    # the code is decoded first
+    with pytest.raises(InvalidCodeError, match="does not take a"):
+        emptiness_solver(encode_machine(zoo.writer()), cycles)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_DOVETAIL_MACHINES, st.text("01", max_size=4), st.integers(0, 2000))
 @example(bouncer(), "", 20000)
@@ -327,6 +339,14 @@ def test_totality_converges_by_some_budget_per_machine():
 def test_totality_with_zero_budget_reports_nothing():
     v = totality_verdict(POOL, 0, 0)
     assert v.value is None and v.stabilized_since is None
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, len(POOL) - 1), st.integers(max_value=-1))
+@example(0, -1)
+def test_totality_rejects_a_negative_cycle_count(machine_index, cycles):
+    with pytest.raises(ValueError, match="cycles must be at least 0"):
+        totality_verdict(POOL, machine_index, cycles)
 
 
 def test_totality_index_out_of_range():
