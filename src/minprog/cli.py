@@ -60,8 +60,7 @@ def _load(path: str, kind: type):
     return m
 
 
-def _class_handle(args):
-    interp = parse_interpreter_spec(args.interpreter)
+def _class_handle(args, interp):
     if args.klass == "tm":
         return tm_class(interp)
     return itm1_class(interp)
@@ -126,9 +125,9 @@ def _cmd_run_itm(args):
 
 
 def _cmd_complexity(args):
-    handle = _class_handle(args)
-    budget = _budget(args)
     interp = parse_interpreter_spec(args.interpreter)
+    handle = _class_handle(args, interp)
+    budget = _budget(args)
     pred = builtin(args.predicate, interp=interp, budget=budget)
     verdict = bounded_problem_complexity(handle, pred, budget)
     payload = verdict_report(verdict, budget, handle.tag, pred.name)
@@ -136,7 +135,7 @@ def _cmd_complexity(args):
 
 
 def _cmd_func_complexity(args):
-    handle = _class_handle(args)
+    handle = _class_handle(args, parse_interpreter_spec(args.interpreter))
     budget = _budget(args)
     pairs = []
     for item in args.pair:
@@ -181,7 +180,7 @@ def _cmd_invariance(args):
 
 
 def _pool_from_args(args) -> list[MachineTM]:
-    if getattr(args, "machines", None):
+    if args.machines:
         return [_load(p, MachineTM) for p in args.machines]
     return zoo.acceptance_pool()
 

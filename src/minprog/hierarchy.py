@@ -61,7 +61,10 @@ def halting_itm(code: str, input_word: str, horizon: int) -> InductiveVerdict:
     A 0 at the horizon means "has not halted yet", the converging
     approximation; a 1 is a finite certificate.
     """
-    run = _decode(code, MachineTM).start_run(input_word).run_to(horizon)
+    machine = _decode(code, MachineTM)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    run = machine.start_run(input_word).run_to(horizon)
     if run.in_final or run.stuck:
         return InductiveVerdict("1", stabilized_since=run.steps, budget=horizon)
     return InductiveVerdict("0", stabilized_since=0, budget=horizon)
@@ -347,7 +350,7 @@ class ReductionTM:
     def __init__(self, machine, x: str) -> None:
         self.machine = machine
         self.x = x
-        self.name = f"reduction({getattr(machine, 'name', 'itm')}@{x or 'ε'})"
+        self.name = f"reduction({machine.name}@{x or 'ε'})"
 
     def run(self, input_word: str, fuel: int) -> RunOutcome:
         n = shortlex_index(input_word) + 1
@@ -496,9 +499,7 @@ class _PipelineRun(InductiveRun):
 
 def build_diagonal(decider) -> DiagonalPipeline:
     """Build the composed machine from a decider given as an inductive
-    machine, its code word, or the shipped :class:`SimDecider`."""
-    if isinstance(decider, str):
-        decider = _decode(decider, MachineITM)
+    machine or the shipped :class:`SimDecider`."""
     if isinstance(decider, (MachineITM, SimDecider)):
         return DiagonalPipeline(decider)
     raise TypeError(f"cannot build a diagonal machine from {decider!r}")
@@ -600,7 +601,7 @@ STOCK_MEMORY_CYCLES = 64
 class _Thm72Base(LinearMemory):
     """Start cell, a marker cell, an unbounded probe row, and the linear
     memory's input chain.  The probe row is walked by t-connections;
-    p-connections into the marker cell are asserted cycle by cycle (see
+    p-connections into the marker cell come from the limit (see
     :func:`thm72_memory`)."""
 
     conn_types = ("t", "p", "o", "r", "l", "i")
@@ -627,12 +628,9 @@ def thm72_memory() -> LimitMemory:
     exactly when pool machine k+1 demonstrates a result within the
     dovetail allowance of the stock cycles.  Built once per process: it
     takes no parameters and nothing mutates a limit memory."""
-    cycles: list[list[tuple[str, str, str]]] = [[] for _ in range(STOCK_MEMORY_CYCLES)]
-    for k, machine in enumerate(acceptance_pool()):
-        detected = first_result_cycle(machine, STOCK_MEMORY_CYCLES)
-        if detected is not None:
-            cycles[detected - 1].append((f"a{k}", "p", "c1"))
-    return LimitMemory(_Thm72Base(), cycles, builtin="thm72")
+    limit = {(f"a{k}", "p"): "c1" for k, machine in enumerate(acceptance_pool())
+             if first_result_cycle(machine, STOCK_MEMORY_CYCLES) is not None}
+    return LimitMemory(_Thm72Base(), limit, builtin="thm72")
 
 
 class _LimitListBase(LinearMemory):
@@ -655,15 +653,11 @@ class _LimitListBase(LinearMemory):
 
 @cache
 def limitlist_memory() -> LimitMemory:
-    """List memory over the stock pool: in each cycle, position h_j links
-    to the landmark cell d_k of the machine T_k the scheduler lists there.
-    Built once per process, like :func:`thm72_memory`."""
-    state = EnumerationList(acceptance_pool())
+    """List memory over the stock pool: position h_j links to the landmark
+    cell d_k of the machine T_k the scheduler lists there at its last
+    cycle; the list never shrinks, so no earlier cycle asserts a position
+    past it.  Built once per process, like :func:`thm72_memory`."""
+    state = dovetail_nontotal(acceptance_pool(), STOCK_MEMORY_CYCLES)
     machine_no = {code: k for k, code in enumerate(state.codes, start=1)}
-    cycles = []
-    for _ in range(STOCK_MEMORY_CYCLES):
-        state.run_cycle()
-        cycles.append(
-            [(f"h{j}", "m", f"d{machine_no[code]}") for j, code in enumerate(state.order, start=1)]
-        )
-    return LimitMemory(_LimitListBase(), cycles, builtin="limitlist")
+    limit = {(f"h{j}", "m"): f"d{machine_no[code]}" for j, code in enumerate(state.order, start=1)}
+    return LimitMemory(_LimitListBase(), limit, builtin="limitlist")

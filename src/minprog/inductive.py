@@ -150,34 +150,28 @@ class LinearMemory(MemoryGraph):
 
 
 # ---------------------------------------------------------------------------
-# limit memory: connections asserted cycle by cycle by a driving process
+# limit memory: the limit of connections asserted by a driving process
 
 
 class LimitMemory(MemoryGraph):
-    """A memory whose connections accrue cycle by cycle over a base graph.
+    """A memory whose connections are the limit of a driving process that
+    asserts them cycle by cycle over a base graph.
 
-    ``cycles[n - 1]`` holds the (cell, type, target) assertions of cycle n.
-    The memory is their limit at the last cycle: ``oracle(cell, type)``
-    answers with the latest assertion on (cell, type) in any cycle, falling
-    back to the base graph.  ``builtin`` names a stock configuration's
-    builtin memory; a limit memory without one has no code form.
+    ``limit`` maps (cell, type) to the target of its last assertion:
+    ``oracle(cell, type)`` answers with it, falling back to the base graph.
+    ``builtin`` names a stock configuration's builtin memory; a limit
+    memory without one has no code form.
     """
 
-    def __init__(
-        self,
-        base: MemoryGraph,
-        cycles: Iterable[Iterable[tuple[str, str, str]]],
-        builtin: str | None = None,
-    ) -> None:
+    def __init__(self, base: MemoryGraph, limit: dict[tuple[str, str], str], builtin: str | None = None) -> None:
         self.base = base
         self.start = base.start
         self.conn_types = base.conn_types
         self.builtin = builtin
-        # (cell, type) -> the target of its latest assertion
-        self._asserted = {(cell, ctype): target for cycle in cycles for cell, ctype, target in cycle}
+        self._limit = limit
 
     def oracle(self, cell: str, ctype: str) -> str | None:
-        target = self._asserted.get((cell, ctype))
+        target = self._limit.get((cell, ctype))
         return self.base.connection(cell, ctype) if target is None else target
 
     def connection(self, cell: str, ctype: str) -> str | None:

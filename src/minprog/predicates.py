@@ -217,17 +217,15 @@ class ImplicationRegistry:
         return len(self.edges)
 
 
-def shipped_registry(interp=None) -> ImplicationRegistry:
+def shipped_registry() -> ImplicationRegistry:
     """The stock edge set used by the monotonicity experiments.
 
-    Interpreter-quoting predicates use the supplied interpreter (default:
-    the length-1 biased one, whose tiny program space keeps the exhaustive
-    registration checks fast).
+    Interpreter-quoting predicates use the length-1 biased interpreter,
+    whose tiny program space keeps the exhaustive registration checks fast.
     """
-    if interp is None:
-        from .universal import make_biased_universal
+    from .universal import make_biased_universal
 
-        interp = make_biased_universal(1)
+    interp = make_biased_universal(1)
     reg = ImplicationRegistry()
     strict_pairs = ["0", "1", "00", "01", "10", "11", "000"]
     for z in strict_pairs:

@@ -66,9 +66,10 @@ def read_program(program: str, argument: str | None) -> tuple[str, str] | None:
 def sd_heads(length: int, kind: int | None = None) -> tuple[tuple[str, object], ...]:
     """(sd(c), machine) for every code c of ``kind``, every kind when None,
     with sd(c) of at most ``length`` bits, in lex order."""
-    # |sd(c)| = 2|c| + 2; sd doubles each bit, so it keeps the lex order of
-    # the codes, which are prefix-free
-    return tuple((sd(code), machine) for code, machine in codes_up_to((length - 2) // 2, kind).items())
+    # |sd(c)| = 2|c| + 2, and every code has an even number of bits, so the
+    # even budgets are all the walk needs; sd doubles each bit, so it keeps
+    # the lex order of the codes, which are prefix-free
+    return tuple((sd(code), machine) for code, machine in codes_up_to(2 * ((length - 2) // 4), kind).items())
 
 
 class Shortcut:

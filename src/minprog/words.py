@@ -77,34 +77,24 @@ def shortlex_index(w: str) -> int:
     return (1 << len(w)) - 1 + (int(w, 2) if w else 0)
 
 
-def word_at(n: int, alphabet: Alphabet = BINARY) -> str:
-    """Inverse of :func:`shortlex_index`."""
+def word_at(n: int) -> str:
+    """Inverse of :func:`shortlex_index`: n + 1 in binary, its leading 1
+    dropped."""
     if n < 0:
         raise ValueError("word index must be non-negative")
-    k = len(alphabet)
-    length = 0
-    tier = 1  # number of words of the current length
-    while n >= tier:
-        n -= tier
-        length += 1
-        tier *= k
-    digits = []
-    for _ in range(length):
-        digits.append(alphabet.symbols[n % k])
-        n //= k
-    return "".join(reversed(digits))
+    return format(n + 1, "b")[1:]
 
 
-def nth_word(n: int, alphabet: Alphabet = BINARY) -> str:
-    """x_n in the 1-based enumeration: x_1 = empty word, x_2 = first symbol, ..."""
+def nth_word(n: int) -> str:
+    """x_n in the 1-based enumeration: x_1 = empty word, x_2 = "0", ..."""
     if n < 1:
         raise ValueError("word enumeration is 1-based")
-    return word_at(n - 1, alphabet)
+    return word_at(n - 1)
 
 
 def shortlex_words(alphabet: Alphabet = BINARY) -> Iterator[str]:
-    """x_1, x_2, ... over ``alphabet`` without end: the words of
-    :func:`nth_word` in turn, at far less cost per word."""
+    """x_1, x_2, ... over ``alphabet`` without end: shorter words first,
+    ties broken by symbol order."""
     for length in count():
         for letters in product(alphabet.symbols, repeat=length):
             yield "".join(letters)

@@ -116,17 +116,6 @@ def eraser() -> MachineTM:
 # The non-total machines lead so that no early cycle of the list scheduler
 # sees a machine halt on all of its probed inputs; the quirky literal
 # placement rules of the first cycles then all take their plain branch.
-
-POOL_NAMES = (
-    "looper",
-    "nonempty-only",
-    "epsilon-only",
-    "identity",
-    "const-zero",
-    "last-symbol",
-)
-
-
 def acceptance_pool() -> list[MachineTM]:
     return [looper(), nonempty_only(), epsilon_only(), identity(), const_zero(), last_symbol()]
 

@@ -128,7 +128,7 @@ def test_03_min_form():
 
 @criterion(4, "implication monotonicity across the shipped registry")
 def test_04_monotonicity():
-    registry = shipped_registry(U1)
+    registry = shipped_registry()
     assert len(registry) >= 30
     settings = [(H_BIASED, Budget(6, 128)), (H_STD, Budget(4, 64))]
     violations = []

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from minprog.cli import main
+from minprog.universal import parse_interpreter_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 IDENTITY = str(ROOT / "machines" / "identity.tm")
@@ -55,6 +56,21 @@ def test_complexity_reports_match_direct_computation(capsys):
     assert report["witness"] == "0"
     assert report["budget"] == {"max_len": 10, "fuel": 5000, "horizon": None}
     assert report["predicate"] == "equals:0"
+
+
+def test_complexity_parses_its_interpreter_once(capsys, monkeypatch):
+    # the class and the within: predicate share one interpreter object
+    import minprog.cli
+
+    specs = []
+
+    def parse(spec):
+        specs.append(spec)
+        return parse_interpreter_spec(spec)
+
+    monkeypatch.setattr(minprog.cli, "parse_interpreter_spec", parse)
+    run_json(capsys, "complexity", "--interpreter", "biased:1", "--predicate", "within:4")
+    assert specs == ["biased:1"]
 
 
 def test_complexity_std_interpreter_has_no_witness(capsys):

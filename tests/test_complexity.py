@@ -147,7 +147,7 @@ def test_witness_is_shortlex_least_of_minimal_length():
 
 
 def test_monotonicity_across_shipped_registry_at_two_budgets():
-    reg = shipped_registry(U1)
+    reg = shipped_registry()
     for handle, budget in [(H1, Budget(6, 128)), (HSTD, Budget(4, 64))]:
         cache = {}
         for p, q, _ in reg.edges:

@@ -64,6 +64,19 @@ def test_halting_demonstrator_stays_zero_for_nonhalting_runs():
     assert v.value == "0"
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(zoo_tms()), st.integers(max_value=0))
+@example(zoo.identity(), -5)
+@example(zoo.identity(), 0)
+def test_halting_itm_rejects_a_horizon_below_one(machine, horizon):
+    # a verdict at a horizon below 1 would answer at a step that never ran
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        halting_itm(encode_machine(machine), "", horizon)
+    # the code is decoded first
+    with pytest.raises(InvalidCodeError, match="does not take a"):
+        halting_itm(encode_machine(zoo.writer()), "", horizon)
+
+
 # ---------------------------------------------------------------------------
 # emptiness
 
@@ -493,9 +506,8 @@ PIPELINE_CODE = encode_machine(build_diagonal(SimDecider()))
     (build_range_enumerator, [ITM_CODE, PIPELINE_CODE]),
     (build_totalizer, [ITM_CODE, PIPELINE_CODE]),
     (lambda code: build_reduction_tm(code, ""), [TM_CODE]),
-    (build_diagonal, [TM_CODE, PIPELINE_CODE]),
 ], ids=["halting_itm", "emptiness_solver", "build_range_enumerator", "build_totalizer",
-        "build_reduction_tm", "build_diagonal"])
+        "build_reduction_tm"])
 def test_constructions_reject_a_code_of_the_wrong_kind(construct, wrong_codes):
     for code in wrong_codes:
         with pytest.raises(InvalidCodeError, match="does not take a"):
@@ -598,11 +610,6 @@ def test_diagonal_machines_never_raise(decider, word, horizon):
     assert out.kind in ("stabilized", "unstable", "halted-nonfinal")
 
 
-def test_diagonal_accepts_decider_codes():
-    pipeline = build_diagonal(encode_machine(zoo.decider_yes()))
-    assert pipeline.decider is not None
-
-
 # ---------------------------------------------------------------------------
 # order table
 
@@ -634,12 +641,26 @@ def test_order_lookup_unknown_name():
 
 
 def test_limitlist_connections_follow_the_scheduler():
+    # h_j points at d_k where the rerun schedule's final list has T_k
     memory = limitlist_memory()
-    state = dovetail_nontotal(POOL, 64)
-    for j, code in enumerate(state.order, start=1):
-        machine_no = state.codes.index(code) + 1
-        assert memory.connection(f"h{j}", "m") == f"d{machine_no}"
+    order = rerun_dovetail_list(POOL, CODES, 64)[0]
+    for j, code in enumerate(order, start=1):
+        assert memory.connection(f"h{j}", "m") == f"d{CODES.index(code) + 1}"
     assert memory.connection("h1", "n") == "h2"
+    # past the list, the base: no m-connection, and the chain goes on
+    past = f"h{len(order) + 1}"
+    assert memory.connection(past, "m") is None
+    assert memory.connection(past, "n") == f"h{len(order) + 2}"
+
+
+def test_thm72_memory_equals_the_rerun_schedule():
+    # a_k links to the marker exactly when the rerun schedule sees pool
+    # machine k+1 give a result within the stock cycles
+    memory = thm72_memory()
+    for k, machine in enumerate(POOL):
+        expected = "c1" if rerun_first_result_cycle(machine, 64) is not None else None
+        assert memory.connection(f"a{k}", "p") == expected, machine.name
+    assert memory.connection(f"a{len(POOL)}", "p") is None
 
 
 def test_stock_memories_are_built_once_per_process():

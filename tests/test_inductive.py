@@ -311,29 +311,28 @@ def _base_memory():
 
 
 def test_limit_memory_answers_at_its_last_cycle():
-    limit = LimitMemory(_base_memory(), [[("a_5", "p", "x")], [], [("a_5", "p", "c_1")]])
-    # the latest assertion wins over an earlier one
-    assert limit.oracle("a_5", "p") == "c_1"
-    assert limit.connection("a_5", "p") == "c_1"
-    # base connections survive where nothing was asserted
-    assert limit.oracle("a_5", "t") == "x"
+    # the limit: a_5 -p-> c_1, and a_5 -t-> c_1 over the base's a_5 -t-> x
+    limit = LimitMemory(_base_memory(), {("a_5", "p"): "c_1", ("a_5", "t"): "c_1"})
+    assert limit.oracle("a_5", "p") == limit.connection("a_5", "p") == "c_1"
+    assert limit.oracle("a_5", "t") == "c_1"
+    # base connections survive where the limit has none
     assert limit.oracle("c_1", "p") is None
+    assert LimitMemory(_base_memory(), {("a_5", "p"): "c_1"}).oracle("a_5", "t") == "x"
     # a limit memory without a builtin name has no code form
     assert limit.builtin is None
 
 
 def test_empty_assertion_table_is_the_base_graph():
-    for cycles in ([], [[]] * 5):
-        limit = LimitMemory(_base_memory(), cycles)
-        assert limit.oracle("a_5", "t") == "x"
-        assert limit.oracle("a_5", "p") is None
+    limit = LimitMemory(_base_memory(), {})
+    assert limit.oracle("a_5", "t") == "x"
+    assert limit.oracle("a_5", "p") is None
 
 
 def test_limit_memory_answers_do_not_depend_on_query_order():
-    cycles = [[], [("a_5", "p", "c_1")], [], [("c_1", "t", "a_5")], []]
-    first = LimitMemory(_base_memory(), cycles)
+    table = {("a_5", "p"): "c_1", ("c_1", "t"): "a_5"}
+    first = LimitMemory(_base_memory(), table)
     a = (first.oracle("a_5", "p"), first.oracle("c_1", "t"))
-    second = LimitMemory(_base_memory(), cycles)
+    second = LimitMemory(_base_memory(), table)
     b = (second.oracle("c_1", "t"), second.oracle("a_5", "p"))
     assert a == (b[1], b[0]) == ("c_1", "a_5")
 
@@ -345,8 +344,9 @@ _assertion = st.tuples(st.sampled_from(_CELLS), st.sampled_from(("t", "p")), st.
 @settings(max_examples=200, deadline=None)
 @given(cycles=st.lists(st.lists(_assertion, max_size=4), max_size=10))
 def test_limit_memory_equals_the_scan_of_its_assertions(cycles):
+    # the limit of the cycles: each (cell, type) at its last assertion
     base = _base_memory()
-    limit = LimitMemory(base, cycles)
+    limit = LimitMemory(base, {(cell, ctype): to for cycle in cycles for cell, ctype, to in cycle})
     for cell in _CELLS:
         for ctype in ("t", "p"):
             expected = scan_limit_connection(base, cycles, cell, ctype, len(cycles))

@@ -152,7 +152,7 @@ def test_every_shipped_machine_file_round_trips():
 
 
 def test_unlabelled_limit_memory_has_no_serialized_form():
-    memory = LimitMemory(LinearMemory(), [[("i0", "r", "i5")]])
+    memory = LimitMemory(LinearMemory(), {("i0", "r"): "i5"})
     machine = MachineITM("snap", ("q0",), "q0", (), BINARY, [Rule("q0", "_", "q0", move="r")], memory)
     message = "memory LimitMemory has no serialized form"
     for serialize in (serialize_machine, encode_machine):

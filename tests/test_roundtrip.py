@@ -16,7 +16,7 @@ from minprog.inductive import ExplicitMemory, MachineITM, Rule, classify_run, st
 from minprog.machinefile import parse_machine_file, serialize_machine
 from minprog.turing import MachineTM, run_fueled
 from minprog.universal import U_STD, WRAP_HEADER, itm_outcome, parse_interpreter_spec, tm_program
-from minprog.words import BINARY, nth_word, sd
+from minprog.words import BINARY, sd, shortlex_words
 
 from strategies import gap_writer, itm_zoo, random_itm, small_itms, small_tms, unary_tms, zoo_tms
 
@@ -24,7 +24,7 @@ FUEL = 200
 
 
 def _short_inputs(machine, count):
-    return [nth_word(n, machine.alphabet) for n in range(1, count + 1)]
+    return list(itertools.islice(shortlex_words(machine.alphabet), count))
 
 
 def _check_tm_round_trips(machine):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minprog.codec import KIND_TM, codes_up_to, decode_machine, encode_machine
+from minprog.codec import KIND_ITM, KIND_TM, codes_up_to, decode_machine, encode_machine
 from minprog.complexity import Budget, itm1_class
 from minprog.turing import MachineTM, RunOutcome, run_fueled
 from minprog.universal import (
@@ -9,6 +9,7 @@ from minprog.universal import (
     WRAP_HEADER,
     make_biased_universal,
     parse_interpreter_spec,
+    sd_heads,
     tm_program,
     wrap_universal,
 )
@@ -245,3 +246,13 @@ def test_itm1_two_input_form_is_the_one_input_form(wrapped, code, argument, word
         assert handle.produce2(program + word, argument, budget) is None
     got = handle.produce2(word, argument, budget)
     assert got is None or got == handle.produce(word + argument, budget)
+
+
+@pytest.mark.parametrize("kind", [None, KIND_TM, KIND_ITM], ids=["any", "tm", "itm"])
+def test_sd_heads_lists_every_code_whose_sd_fits(kind):
+    # |sd(c)| = 2|c| + 2, so tier 44 takes the codes of up to 21 bits
+    codes = codes_up_to(21, kind)
+    for length in range(45):
+        heads = sd_heads(length, kind)
+        assert [head for head, _ in heads] == [sd(c) for c in codes if 2 * len(c) + 2 <= length], length
+        assert all(encode_machine(machine) == unpair(head)[1] for head, machine in heads)

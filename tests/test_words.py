@@ -19,7 +19,7 @@ from minprog.words import (
     words_up_to,
 )
 
-from oracles import _plain_unpair, binary_words
+from oracles import _nth_word, _plain_unpair, binary_words
 
 binary = st.text(alphabet="01", max_size=12)
 
@@ -46,6 +46,13 @@ def test_word_at_roundtrip_up_to_len_10():
         assert word_at(shortlex_index(w)) == w
 
 
+def test_word_at_equals_the_oracle_below_2_to_the_14():
+    for n in range(1 << 14):
+        assert word_at(n) == _nth_word(n + 1, "01")
+    with pytest.raises(ValueError, match="non-negative"):
+        word_at(-1)
+
+
 def test_nth_word_is_one_based():
     assert nth_word(1) == ""
     assert nth_word(2) == "0"
@@ -57,7 +64,8 @@ def test_nth_word_is_one_based():
                          ids=["binary", "reversed", "three", "unary"])
 def test_shortlex_words_are_the_nth_words_in_turn(alphabet):
     count = 400
-    assert list(islice(shortlex_words(alphabet), count)) == [nth_word(i, alphabet) for i in range(1, count + 1)]
+    assert list(islice(shortlex_words(alphabet), count)) == [
+        _nth_word(i, alphabet.symbols) for i in range(1, count + 1)]
 
 
 def test_invalid_symbol_rejected():
@@ -186,5 +194,4 @@ def test_alphabet_validation():
     with pytest.raises(ValueError):
         Alphabet(("0", "_"))
     tern = Alphabet(("a", "b", "c"))
-    assert [word_at(i, tern) for i in (1, 2, 3)] == ["a", "b", "c"]
-    assert word_at(4, tern) == "aa"  # after eps, a, b, c
+    assert list(islice(shortlex_words(tern), 5)) == ["", "a", "b", "c", "aa"]
