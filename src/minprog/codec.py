@@ -263,7 +263,6 @@ def _encode_tm(machine: MachineTM, numbers: list[int]) -> None:
     """Append the header and the rows, numbered from the machine's table."""
     index = _encode_header(machine, numbers)
     code = {**machine.alphabet.index, BLANK: len(machine.alphabet)}
-    code[""] = code[BLANK]  # a compiled write that blanks its cell
     move = {d: i for i, d in enumerate(MOVE_DELTAS)}
     rows = sorted(
         (index[q], code[r0], code[r1], code[r2], index[nxt], code[r0],

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .words import BLANK, Alphabet, InvalidWordError
-from .turing import FIRST_SNAPSHOT, EventLog, MachineTM, MachineValidationError, check_states, compiled_write
+from .turing import FIRST_SNAPSHOT, EventLog, MachineTM, MachineValidationError, check_states
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +225,14 @@ class ItmOutcome:
     @property
     def result(self) -> str | None:
         return self.output if self.gives_result else None
+
+
+def compiled_write(read: str, write: str | None) -> str | None:
+    """A write as a compiled rule holds it: None when it leaves the cell
+    as read (or there is none), "" when it blanks a non-blank cell."""
+    if write is None or write == read:
+        return None
+    return "" if write == BLANK else write
 
 
 # A compiled rule: the next state, the write as compiled_write gives it, the

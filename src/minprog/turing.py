@@ -13,7 +13,6 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -67,9 +66,9 @@ class RunOutcome:
         return RunOutcome("no-result", steps)
 
 
-# A compiled transition: the next state, the tape-1 and tape-2 writes as
-# compiled_write gives them (tape 0 is read-only), the three head deltas,
-# and its kind: FINAL when it enters a final state, else SWEEP, STAY or 0.
+# A compiled transition: the next state, the tape-1 and tape-2 writes (None
+# when one leaves its cell as read; tape 0 is read-only), the three head
+# deltas, and its kind: FINAL when it enters a final state, else SWEEP, STAY or 0.
 # A SWEEP step reads a non-blank input symbol and a blank output cell,
 # moves the input head right, leaves the work head and its cell alone, and
 # either leaves the output alone or writes it and moves right.  A STAY step
@@ -102,14 +101,6 @@ def check_states(states: tuple[str, ...], start: str, finals: Iterable[str]) -> 
     return declared
 
 
-def compiled_write(read: str, write: str | None) -> str | None:
-    """A write as a compiled table holds it: None when it leaves the cell
-    as read (or there is none), "" when it blanks a non-blank cell."""
-    if write is None or write == read:
-        return None
-    return "" if write == BLANK else write
-
-
 def _compile(
     rows: Iterable[NumberedRow], states: tuple[str, ...], alphabet: Alphabet, finals: frozenset[str]
 ) -> dict[tuple[str, str, str, str], TmStep]:
@@ -119,7 +110,6 @@ def _compile(
     IndexError."""
     symbols = (*alphabet.symbols, BLANK)  # by code
     blank = len(alphabet)
-    stored = (*alphabet.symbols, "")  # a write's compiled form by code, when it changes the cell
     table: dict[tuple[str, str, str, str], TmStep] = {}
     for q, r0, r1, r2, nq, w0, w1, w2, m0, m1, m2 in rows:
         if w0 != r0:
@@ -136,8 +126,8 @@ def _compile(
                 f"two transitions share the left part ({key[0]}, {key[1]}/{key[2]}/{key[3]})"
             )
         nxt = states[nq]
-        c1 = None if w1 == r1 else stored[w1]
-        c2 = None if w2 == r2 else stored[w2]
+        c1 = None if w1 == r1 else symbols[w1]
+        c2 = None if w2 == r2 else symbols[w2]
         d0, d1, d2 = MOVE_DELTAS[m0], MOVE_DELTAS[m1], MOVE_DELTAS[m2]
         if nxt in finals:
             kind = FINAL
@@ -259,7 +249,7 @@ class MachineTM:
         move = dict(zip(MOVE_DELTAS, MOVES))
         return tuple(
             Transition(state, (r0, r1, r2), nxt,
-                       (r0, r1 if c1 is None else c1 or BLANK, r2 if c2 is None else c2 or BLANK),
+                       (r0, r1 if c1 is None else c1, r2 if c2 is None else c2),
                        (move[d0], move[d1], move[d2]))
             for (state, r0, r1, r2), (nxt, c1, c2, d0, d1, d2, *_) in self.table.items()
         )
@@ -363,40 +353,54 @@ class EventLog:
         return (step + lap * period, *rest)
 
 
+def _widen(tape: list[str], copy: list[str] | None, left: bool) -> int:
+    """Widen ``tape`` in place by its length, and by at least 16 blanks, at
+    its left end if ``left`` else at its right, moving the sentinel out, and
+    ``copy`` (a snapshot copy or None) alike; how far its indices move."""
+    by = len(tape) if len(tape) > 16 else 16  # a call to max() costs more
+    edge = [BLANK] * (by + 1)
+    edge[0 if left else by] = ""
+    at = 0 if left else len(tape) - 1
+    tape[at : at + 1] = edge
+    if copy is not None:
+        copy[at : at + 1] = edge
+    return by if left else 0
+
+
 class TmRun:
     """Mutable stepper for one machine on one input.
 
     The input tape ``tapes[0]`` is the input word itself, a string; every
     cell off its ends is blank.  The word is not checked here:
     :meth:`MachineTM.start_run` checks it, and a caller that starts a run
-    directly passes a word over the machine's alphabet.  The work and output tapes are sparse
-    dicts position -> symbol; absent means blank.  The configuration is
-    inspectable between steps, which the schedulers and the behavioural
-    round-trip tests rely on.  :meth:`output_word` reads the output tape as
-    its non-blank cells in tape order, a blank between two of them dropped;
-    every view of a halted run takes that word as the run's result.  When
-    ``write_log`` is an :class:`EventLog`, each step that changes the output
-    tape logs (step, position, symbol) in it.
+    directly passes a word over the machine's alphabet.  The work and output
+    tapes are dense lists between "" sentinels that no row reads, a blank
+    stored as BLANK, cell h of tape t at index h + ``origins[t - 1]``;
+    ``heads`` are cell positions.  The configuration is inspectable between
+    steps, which the schedulers and the behavioural round-trip tests rely
+    on.  :meth:`output_word` reads the output tape as its non-blank cells in
+    tape order, a blank between two of them dropped; every view of a halted
+    run takes that word as the run's result.  When ``write_log`` is an
+    :class:`EventLog`, each step that changes the output tape logs (step,
+    position, symbol) in it.
 
     A run that comes back to an earlier configuration repeats forever:
     ``period`` is then its length, and the run skips whole periods.
     """
 
-    # the rightmost output cell of the first n written, and n; sweeps update it
-    _top = (float("-inf"), 0)
+    steps = period = 0
+    stuck = False
+    heads = (0, 0, 0)
+    origins = (1, 1)
+    # (step, state, heads, work and output tape copies) at the last snapshot
+    # step, which later steps are compared with; the tape heads as indices
+    _snapshot = (0, None, None, 0, 0, None, None)
+    write_log: EventLog | None = None
 
     def __init__(self, machine: MachineTM, input_word: str) -> None:
         self.machine = machine
-        self.tapes: tuple[str, dict[int, str], dict[int, str]] = (input_word, {}, {})
-        self.heads = [0, 0, 0]
+        self.tapes: tuple[str, list[str], list[str]] = (input_word, ["", BLANK, ""], ["", BLANK, ""])
         self.state = machine.start
-        self.steps = 0
-        self.stuck = False
-        self.period = 0
-        # (step, state, heads, work and output tape copies) at the last
-        # snapshot step, which later steps are compared with
-        self._snapshot = (0, None, None, None, None, None, None)
-        self.write_log: EventLog | None = None
 
     @property
     def in_final(self) -> bool:
@@ -408,16 +412,18 @@ class TmRun:
         Machines are deterministic, so resuming a paused run up to n total
         steps leaves it exactly where a fresh n-step run would: the
         dovetailers keep one live run per pair and never repeat a step.
-        The loop runs on locals and writes the configuration back when it
-        stops.
+        The loop runs on locals, tape heads as list indices, and writes the
+        configuration back when it stops.
 
         Each step compares the state and heads with a snapshot retaken
         each time the step count doubles (Brent's cycle finding), and a
-        match with equal work and output tapes is a repeat.  The input tape is
-        read-only.  A stay step (see :data:`TmStep`) is a repeat of period 1:
-        it retakes the snapshot at the step before it, whose configuration
-        is the one after it, and goes through the same check.  After a repeat
-        the run skips whole periods and steps the rest.
+        match with equal work and output tapes is a repeat (the input tape
+        is read-only).  A step that reads a sentinel widens that tape and
+        the snapshot's copy alike and is taken again.  A stay step (see
+        :data:`TmStep`) is a repeat of period 1: it retakes the snapshot at
+        the step before it, whose configuration is the one after it, and
+        goes through the same check.  After a repeat the run skips whole
+        periods and steps the rest.
 
         A sweep step (see :data:`TmStep`) hands the rest of its sweep to
         :meth:`_sweep`, which takes a definite one at once, when the next
@@ -433,8 +439,9 @@ class TmRun:
         table = self.machine.table
         x, t1, t2 = self.tapes
         n = len(x)
-        get1, get2 = t1.get, t2.get
+        o1, o2 = self.origins
         h0, h1, h2 = self.heads
+        i1, i2 = h1 + o1, h2 + o2
         state = self.state
         period = self.period
         log = self.write_log
@@ -448,49 +455,55 @@ class TmRun:
             else:
                 mark = 2 * since or FIRST_SNAPSHOT
                 if steps == mark:
-                    since, s_state, s0, s1, s2, s_work, s_out = steps, state, h0, h1, h2, dict(t1), dict(t2)
+                    since, s_state, s0, s1, s2, s_work, s_out = steps, state, h0, i1, i2, t1[:], t2[:]
                     mark *= 2
             limit = mark if mark < fuel else fuel
             room = limit - SWEEP_MIN  # the last step a sweep may follow
             for steps in range(steps + 1, limit + 1):
                 # two int comparisons run faster than one chained comparison
-                entry = table.get((state, x[h0] if h0 >= 0 and h0 < n else BLANK, get1(h1, BLANK), get2(h2, BLANK)))
+                entry = table.get((state, x[h0] if h0 >= 0 and h0 < n else BLANK, t1[i1], t2[i2]))
                 if entry is None:
-                    stuck = True
-                    steps -= 1
-                    break
+                    if not t1[i1]:
+                        shift = _widen(t1, s_work, not i1)
+                        i1, s1, o1 = i1 + shift, s1 + shift, o1 + shift
+                    if not t2[i2]:
+                        shift = _widen(t2, s_out, not i2)
+                        i2, s2, o2 = i2 + shift, s2 + shift, o2 + shift
+                    self.origins = (o1, o2)
+                    entry = table.get((state, x[h0] if h0 >= 0 and h0 < n else BLANK, t1[i1], t2[i2]))
+                    if entry is None:
+                        stuck = True
+                        steps -= 1
+                        break
                 state, w1, w2, d0, d1, d2, kind = entry
                 if w1 is not None:
-                    if w1:
-                        t1[h1] = w1
-                    else:
-                        del t1[h1]
+                    t1[i1] = w1
                 if w2 is not None:
-                    t2[h2] = w2
+                    t2[i2] = w2
                     if writes is not None:
-                        writes.append((steps, h2, w2))
+                        writes.append((steps, i2 - o2, w2))
                 h0 += d0
-                h1 += d1
-                h2 += d2
+                i1 += d1
+                i2 += d2
                 if kind:
                     if kind == FINAL:
                         final = True
                         break
                     if kind == STAY:
-                        since, s_state, s0, s1, s2, s_work, s_out = steps - 1, state, h0, h1, h2, t1, t2
+                        since, s_state, s0, s1, s2, s_work, s_out = steps - 1, state, h0, i1, i2, t1, t2
                     elif s0 is not None and steps <= room and h0 > s0 and h0 + SWEEP_MIN <= n:
-                        swept = self._sweep(state, h0, h1, h2, steps, limit, writes)
+                        swept = self._sweep(state, t1[i1], h0, i2, steps, limit, writes)
                         if swept:
-                            state, h0, h2, steps = swept
+                            state, h0, i2, steps = swept
                             break
-                if h0 == s0 and h1 == s1 and h2 == s2 and state == s_state and t1 == s_work and t2 == s_out:
+                if h0 == s0 and i1 == s1 and i2 == s2 and state == s_state and t1 == s_work and t2 == s_out:
                     period = steps - since
                     if writes is not None:
                         log.repeat_from(since, period)
                         writes = None
-                    s_state = s0 = s1 = s2 = s_work = s_out = None
+                    s_state = s0 = s_work = s_out = None
                     break
-        self.heads = [h0, h1, h2]
+        self.heads = (h0, i1 - o1, i2 - o2)
         self.state = state
         self.steps = steps
         self.stuck = stuck
@@ -499,28 +512,21 @@ class TmRun:
         return self
 
     def _sweep(
-        self, state: str, h0: int, h1: int, h2: int, steps: int, limit: int, writes: list[tuple] | None
+        self, state: str, work: str, h0: int, i2: int, steps: int, limit: int, writes: list[tuple] | None
     ) -> tuple[str, int, int, int] | None:
-        """Take the rest of a definite sweep (see :attr:`MachineTM.sweeps`) at
-        once, up to step ``limit``, and write the output tape and the write
-        log in bulk.  It runs to the first input symbol outside S, found
-        with one ``str.find`` per such symbol of the alphabet, ends in the
-        state its last symbol sends every state to, and writes the
-        ``translate`` of the symbols it read.  The state, heads and steps
-        after it, or None if the sweep is not definite, takes no step or
-        meets a set output cell from the output head on; :meth:`run_to`
-        then steps on."""
-        definite = self.machine.sweeps[self.tapes[1].get(h1, BLANK)].get(state)
+        """Take the rest of a definite sweep (see :attr:`MachineTM.sweeps`)
+        on the ``work`` symbol at once, up to step ``limit``, and write the
+        output tape from index ``i2`` with one slice and the write log in
+        bulk, widening the tape but not the snapshot's copy, which can match
+        no later step once the sweep writes.  It runs to the first input
+        symbol outside S, found with one ``str.find`` per such symbol of the
+        alphabet, ends in the state its last symbol sends every state to,
+        and writes the ``translate`` of the symbols it read.  The state,
+        input head, output index and steps after it, or None if the sweep is
+        not definite, takes no step or reads a non-blank output cell;
+        :meth:`run_to` then steps on."""
+        definite = self.machine.sweeps[work].get(state)
         if definite is None:
-            return None
-        t2 = self.tapes[2]
-        # output cells are never erased and a dict keeps insertion order:
-        # the cells written since the last sweep are its last keys
-        top, known = self._top
-        if len(t2) > known:
-            top = max(top, max(islice(reversed(t2), len(t2) - known)))
-            self._top = (top, len(t2))
-        if h2 <= top:
             return None
         stops, after, table = definite
         ahead = self.tapes[0][h0 : h0 + limit - steps]
@@ -533,25 +539,27 @@ class TmRun:
             return None
         ahead = ahead[:taken]
         out = ahead.translate(table)
+        end = i2 + len(out)
+        t2 = self.tapes[2]
+        # the cells read: those written, and the next if a step writes none
+        if "".join(t2[i2 : end + (len(out) < taken)]).strip(BLANK):
+            return None
         if out:
-            cells = range(h2, h2 + len(out))
-            t2.update(zip(cells, out))
+            while end >= len(t2):
+                _widen(t2, None, False)
+            t2[i2:end] = out
             if writes is not None:
+                cells = range(i2 - self.origins[1], end - self.origins[1])
                 if len(out) == taken:
                     stamps = range(steps + 1, steps + taken + 1)
                 else:  # the steps that write
                     stamps = [steps + i for i, symbol in enumerate(ahead, 1) if table[ord(symbol)]]
                 writes.extend(zip(stamps, cells, out))
-            h2 += len(out)
-            self._top = (h2 - 1, len(t2))
-        return after[ahead[-1]], h0 + taken, h2, steps + taken
+        return after[ahead[-1]], h0 + taken, end, steps + taken
 
     def output_word(self) -> str:
         """The non-blank cells of the output tape, in tape order."""
-        tape = self.tapes[2]
-        cells = sorted(tape)
-        # a tape written from left to right holds its cells in tape order
-        return "".join(tape.values() if list(tape) == cells else [tape[pos] for pos in cells])
+        return "".join(self.tapes[2]).replace(BLANK, "")
 
 
 def run_fueled(machine, input_word: str, fuel: int) -> RunOutcome:

@@ -93,10 +93,12 @@ def step(run) -> bool:
 
 def configuration(run) -> tuple:
     """Hashable full configuration of a Turing machine run, as the
-    reference stepper gives it."""
-    work, output = run.tapes[1:]
-    frozen = (tuple(enumerate(run.tapes[0])), tuple(sorted(work.items())), tuple(sorted(output.items())))
-    return (run.state, tuple(run.heads), frozen)
+    reference stepper gives it: each tape's non-blank cells as (position,
+    symbol) in tape order."""
+    word, *dense = run.tapes
+    cells = (tuple((i - origin, c) for i, c in enumerate(tape) if c not in ("", BLANK))
+             for tape, origin in zip(dense, run.origins))
+    return (run.state, tuple(run.heads), (tuple(enumerate(word)), *cells))
 
 
 def verdict_le(a, b) -> bool:

@@ -184,6 +184,35 @@ def random_stay_tm(rng):
     return MachineTM("random-stay", states, states[0], frozenset(finals), BINARY, tuple(rows))
 
 
+def random_walking_tm(rng):
+    """A random valid Turing machine whose work and output heads walk:
+    up to 3 states, each with a way (L or R) per tape that most of its
+    rows move that head, and most rows keep their state, so a run walks
+    one way for a while and turns when it changes state.  A row for most
+    (state, reads) left parts, random writes (erases on the work tape
+    included), the input head moved at random, and at most one final
+    state, not the start."""
+    states = tuple(f"q{i}" for i in range(rng.randint(1, 3)))
+    ways = {q: (rng.choice("LR"), rng.choice("LR")) for q in states}
+    rows = []
+    for q in states:
+        for r0, r1, r2 in itertools.product(_SYMS, repeat=3):
+            if rng.random() < 0.03:
+                continue  # no row: the run gets stuck here
+            nxt = q if rng.random() < 0.8 else rng.choice(states)
+            m1, m2 = (way if rng.random() < 0.85 else rng.choice(MOVES) for way in ways[q])
+            out = rng.choice(_SYMS if r2 == BLANK else _SYMS[:2])
+            rows.append(Transition(q, (r0, r1, r2), nxt, (r0, rng.choice(_SYMS), out),
+                                   (rng.choice(MOVES), m1, m2)))
+    finals = {rng.choice(states[1:])} if len(states) > 1 and rng.random() < 0.3 else ()
+    return MachineTM("random-walking", states, states[0], frozenset(finals), BINARY, tuple(rows))
+
+
+def walking_tms():
+    """Random machines with walking heads drawn by :func:`random_walking_tm` from a seed."""
+    return st.integers(0, 2**32).map(lambda seed: random_walking_tm(random.Random(seed)))
+
+
 def stay_tms():
     """Random machines with stay rows drawn by :func:`random_stay_tm` from a seed."""
     return st.integers(0, 2**32).map(lambda seed: random_stay_tm(random.Random(seed)))

@@ -35,6 +35,21 @@ def flipper():
     return MachineTM("flipper", ("q0",), "q0", frozenset(), BINARY, rows)
 
 
+def shuttle():
+    """Skips the 1s its input starts with, then walks its work head along
+    with its input head over the 0s after them and back, turning at the
+    blank past the end and at the last 1, forever, writing nothing."""
+    rows = [
+        Transition("A", ("1", BLANK, BLANK), "A", ("1", BLANK, BLANK), ("R", "S", "S")),
+        Transition("A", ("0", BLANK, BLANK), "R", ("0", BLANK, BLANK), ("R", "R", "S")),
+        Transition("R", ("0", BLANK, BLANK), "R", ("0", BLANK, BLANK), ("R", "R", "S")),
+        Transition("R", (BLANK, BLANK, BLANK), "L", (BLANK, BLANK, BLANK), ("L", "L", "S")),
+        Transition("L", ("0", BLANK, BLANK), "L", ("0", BLANK, BLANK), ("L", "L", "S")),
+        Transition("L", ("1", BLANK, BLANK), "R", ("1", BLANK, BLANK), ("R", "R", "S")),
+    ]
+    return MachineTM("shuttle", ("A", "R", "L"), "A", frozenset(), BINARY, tuple(rows))
+
+
 def plain_tm_views(machine, word, reach):
     """Per step count t up to ``reach``: what the plain stepper shows after
     t steps, or where it stopped, and the cycle (start, period) of its
@@ -187,6 +202,22 @@ def test_zoo_itms_skip_periods_exactly(data):
         (t, "1" if t % 2 else "0") for t in range(1, 10**4 + 1)]
     run = zoo.writer().start_run("").run_to(10**6)
     assert (run.change_count, run.last_change_step, run.output_word()) == (1, 3, "1")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_a_repeat_across_a_widening_is_found_at_its_step(data):
+    # on 1 then seven 0s the work head first reads cell -1 at step 17, right
+    # after the snapshot at step 16: the work tape and the snapshot's copy
+    # widen between that snapshot and its repeat at step 32
+    word = "1" + "0" * 7
+    configs = plain_tm_views(shuttle(), word, 40)[0]
+    assert stepper_repeat([view[3] for view in configs], FIRST_SNAPSHOT) == (16, 16)
+    check_tm(shuttle(), word, data, reach=100)
+    run = shuttle().start_run(word).run_to(16)
+    cells = len(run.tapes[1])
+    assert run.run_to(31).period == 0 and len(run.tapes[1]) > cells
+    assert run.run_to(32).period == 16
 
 
 def test_a_stay_step_closes_the_run_at_once():

@@ -86,6 +86,27 @@ def zero_writer():
     return MachineTM("zero-writer", ("q", "h"), "q", frozenset({"h"}), TERNARY, tuple(rows))
 
 
+def fencer():
+    """On 0^k 1^j: walks its output head right over one cell per 0 and
+    writes a 1 there, at cell k, walks both heads back, then copies its 0s
+    to the output and writes nothing for its 1s, a definite sweep, until
+    its 1s meet the 1 at cell k, which no row reads: it is stuck there.  A
+    sweep that reads only the cells it writes would run on past it."""
+    rows = [
+        Transition("W", ("0", BLANK, BLANK), "W", ("0", BLANK, BLANK), ("R", "S", "R")),
+        Transition("W", ("1", BLANK, BLANK), "W", ("1", BLANK, BLANK), ("R", "S", "S")),
+        Transition("W", (BLANK, BLANK, BLANK), "K", (BLANK, BLANK, "1"), ("L", "S", "S")),
+        Transition("A", ("0", BLANK, BLANK), "A", ("0", BLANK, "0"), ("R", "S", "R")),
+        Transition("A", ("1", BLANK, BLANK), "A", ("1", BLANK, BLANK), ("R", "S", "S")),
+        Transition("A", (BLANK, BLANK, BLANK), "h", (BLANK, BLANK, BLANK), ("S", "S", "S")),
+    ]
+    for o in (BLANK, "1"):
+        rows.append(Transition("K", ("0", BLANK, o), "K", ("0", BLANK, o), ("L", "S", "L")))
+        rows.append(Transition("K", ("1", BLANK, o), "K", ("1", BLANK, o), ("L", "S", "S")))
+        rows.append(Transition("K", (BLANK, BLANK, o), "A", (BLANK, BLANK, o), ("R", "S", "S")))
+    return MachineTM("fencer", ("W", "K", "A", "h"), "W", frozenset({"h"}), BINARY, tuple(rows))
+
+
 def plain_trace(machine, word, reach=REACH):
     """What plain stepping shows after t steps, for t up to ``reach``, as
     (steps, final, stuck, configuration); the output-tape changes as
@@ -176,6 +197,10 @@ def every_sweep_is_definite(machine):
 @example((zero_writer(), "0110" * 12 + "01"), [], [33, 49, 50, 51])
 # the sweep from step 33 stops at the 2 at cell 45, short of the snapshot step 64
 @example((zero_writer(), "10" * 22 + "1" + "2" + "0" * 30), [], [40, 45, 46, 64])
+# the sweeps from steps 17 and 33 write past the output tape's end
+@example((zero_writer(), "0" * 60), [], [17, 20, 33, 40])
+# the sweep from step 70 writes 24 cells, then its 1s read the 1 after them
+@example((fencer(), "0" * 30 + "111"), [], [70, 100])
 def test_definite_sweeping_equals_plain_stepping(case, drawn, chunks):
     machine, word = case
     assert every_sweep_is_definite(machine)

@@ -1,8 +1,9 @@
+import itertools
 import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minprog.turing import (
     FIRST_SNAPSHOT,
@@ -13,7 +14,7 @@ from minprog.turing import (
     run_fueled,
 )
 from minprog.inductive import LinearMemory, MachineITM
-from minprog.words import BINARY, InvalidWordError, words_up_to
+from minprog.words import BINARY, BLANK, InvalidWordError, words_up_to
 from minprog import zoo
 
 from helpers import configuration, never_halts_by_inspection, step
@@ -25,6 +26,7 @@ from strategies import (
     random_tm,
     small_tms,
     unary_tms,
+    walking_tms,
     zoo_tms,
 )
 
@@ -237,6 +239,65 @@ def test_run_to_equals_the_reference_stepper_at_every_chunk_boundary(machine, da
         assert (run.steps, run.write_log.count(run.steps), run.in_final, run.stuck) == (
             ref.steps, ref.output_changes, ref.in_final, ref.stuck)
         found = repeat is not None and run.steps >= sum(repeat)
+        assert run.period == (repeat[1] if found else 0)
+
+
+def left_walker():
+    """Writes 1 on its work and output tapes and moves both heads left, one
+    cell per input symbol, and halts at the input's end."""
+    rows = [Transition("q0", (s, BLANK, BLANK), "q0", (s, "1", "1"), ("R", "L", "L")) for s in "01"]
+    rows.append(Transition("q0", (BLANK, BLANK, BLANK), "qf", (BLANK, BLANK, BLANK), ("S", "S", "S")))
+    return MachineTM("left-walker", ("q0", "qf"), "q0", frozenset({"qf"}), BINARY, tuple(rows))
+
+
+def work_flipper():
+    """Writes 1 on its work cell and erases it again, forever, moving no
+    head: a repeat of period 2 that only an erase which restores the
+    blank lets the snapshot at step 16 match at step 18."""
+    rows = (
+        Transition("q0", (BLANK, BLANK, BLANK), "q1", (BLANK, "1", BLANK), ("S", "S", "S")),
+        Transition("q1", (BLANK, "1", BLANK), "q0", (BLANK, BLANK, BLANK), ("S", "S", "S")),
+    )
+    return MachineTM("work-flipper", ("q0", "q1"), "q0", frozenset(), BINARY, rows)
+
+
+def plain_views(machine, word, reach):
+    """What the reference stepper shows after t steps, for t up to
+    ``reach``, as (steps, final, stuck, configuration, output), and the
+    output-tape changes as (step, position, symbol)."""
+    ref = PlainTm(machine, word)
+    views, events = [], []
+    while len(views) <= reach:
+        views.append((ref.steps, ref.in_final, ref.stuck, ref.configuration(), ref.output_word()))
+        pos = ref.heads[2]
+        before = ref.tapes[2].get(pos)
+        if ref.step() and ref.tapes[2].get(pos) != before:
+            events.append((ref.steps, pos, ref.tapes[2][pos]))
+    return views, events
+
+
+# resumed chunks, one step long as often as not
+_CHUNKS = st.lists(st.one_of(st.just(1), st.integers(0, 80)), max_size=16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(walking_tms(), st.text("01", max_size=6), _CHUNKS)
+# both heads walk left of cell 0 past two widenings, resumed a step at a time
+@example(left_walker(), "01" * 20, [1] * 20 + [3, 1, 30])
+@example(work_flipper(), "", [15, 1, 1, 1, 1, 40])
+def test_walking_heads_equal_the_reference_stepper_at_every_chunk_boundary(machine, word, chunks):
+    views, events = plain_views(machine, word, sum(chunks))
+    stops = views[-1][1] or views[-1][2]
+    repeat = None if stops else stepper_repeat([view[3] for view in views], FIRST_SNAPSHOT)
+    run = machine.start_run(word)
+    run.write_log = log = EventLog()
+    for budget in itertools.accumulate(chunks):
+        run.run_to(budget)
+        steps, final, stuck, config, output = views[budget]
+        assert (run.steps, run.in_final, run.stuck, run.output_word()) == (steps, final, stuck, output)
+        assert configuration(run) == config
+        assert [log.event(i) for i in range(log.count(run.steps))] == [e for e in events if e[0] <= steps]
+        found = repeat is not None and budget >= sum(repeat)
         assert run.period == (repeat[1] if found else 0)
 
 
