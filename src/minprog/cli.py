@@ -112,14 +112,7 @@ def _cmd_run_itm(args):
     payload = {
         "machine": machine.name,
         "input": args.input,
-        "outcome": {
-            "kind": out.kind,
-            "output": out.output,
-            "steps": out.steps,
-            "last_change_step": out.last_change_step,
-            "horizon": out.horizon,
-            "change_count": out.change_count,
-        },
+        "outcome": asdict(out),
     }
     return payload, [f"{machine.name}({args.input or 'ε'}) -> {out.kind} output={out.output or 'ε'}"]
 

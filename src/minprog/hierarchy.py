@@ -340,9 +340,9 @@ def build_totalizer(code: str) -> Totalizer:
 class ReductionTM:
     """T built from an inductive machine M and a fixed input x.
 
-    On input x_n it replays M on x watching the output register; at the
-    n-th change of the register it halts, emitting the value the register
-    held just before that change.  If fewer than n changes ever happen the
+    On input x_n it runs M on x until the n-th change of the output
+    register and halts at that change's step, emitting the register after
+    the first n - 1 changes.  If fewer than n changes ever happen the
     run diverges.  T is total on the probe sequence exactly when M's output
     on x never settles, i.e. when M(x) is undefined by instability.
     """
@@ -355,7 +355,7 @@ class ReductionTM:
     def run(self, input_word: str, fuel: int) -> RunOutcome:
         n = shortlex_index(input_word) + 1
         run = self.machine.start_run(self.x)
-        # resume in doubling chunks: the change log does not depend on how
+        # resume in doubling chunks: the write log does not depend on how
         # the run was cut, so overshooting the n-th change costs at most
         # as many steps as were needed to reach it
         chunk = 1
@@ -367,8 +367,7 @@ class ReductionTM:
         if run.change_count < n:
             return RunOutcome.of_fuel(fuel)
         # halt at the n-th change with the value the register held before it
-        log = run.change_log
-        return RunOutcome.of_halt(log[n - 1][1], log[n][0])
+        return RunOutcome.of_halt(run.register_after(n - 1), run.writes.event(n - 1)[0])
 
 
 def build_reduction_tm(itm_code: str, x: str) -> ReductionTM:
@@ -439,6 +438,9 @@ class DiagonalPipeline:
 
 
 class _PipelineRun(InductiveRun):
+    """A run of the composed machine: ``b_events`` is the checker's history,
+    ``d_events`` the decider's, read off its run, and ``writes`` the filter's."""
+
     def __init__(self, pipeline: DiagonalPipeline, input_word: str) -> None:
         BINARY.check_word(input_word)
         super().__init__()
@@ -453,7 +455,14 @@ class _PipelineRun(InductiveRun):
         self._b_latency = (3 * len(input_word) + 2) if self._valid else (len(input_word) + 1)
         self._d_run = None
         self.b_events: list[tuple[int, str]] = []
-        self.d_events: list[tuple[int, str]] = [(0, "")]
+
+    @property
+    def d_events(self) -> list[tuple[int, str]]:
+        """The decider run's change log, shifted by the checker's latency."""
+        if self._d_run is None:
+            return [(0, "")]
+        log = self._d_run.change_log
+        return log[:1] + [(self._b_latency + step, value) for step, value in log[1:]]
 
     def run_to(self, horizon: int) -> "_PipelineRun":
         """Step the three stages until ``horizon`` or until the decider's
@@ -464,6 +473,7 @@ class _PipelineRun(InductiveRun):
         log = self.writes
         while self.steps < horizon and not (self.stopped_stuck or log.repeat):
             self.steps += 1
+            d_out = ""
             if self.steps < self._b_latency:
                 pass  # checker still copying
             elif self.steps == self._b_latency:
@@ -476,9 +486,6 @@ class _PipelineRun(InductiveRun):
                 self._d_run = start_if_fits(self._decider, self._pair_word)
             elif self._d_run is not None:
                 d_out = self._d_run.run_to(self.steps - self._b_latency).output_word()
-                if self.d_events[-1][1] != d_out:
-                    self.d_events.append((self.steps, d_out))
-            d_out = self._d_run.output_word() if self._d_run is not None else ""
             if d_out == "0":
                 self._observe("1")
             else:

@@ -297,10 +297,11 @@ class InductiveRun:
     ``writes`` logs (step, position, symbol) for each write that changes
     the register ("" blanks the cell) in an :class:`EventLog`, whose
     periodic tail stands for the writes of the periods a repeating run
-    skips.  The counts and the last change come from it; the values, and
-    ``change_log`` of (step, value) for the empty register a run starts
-    with and every change after it, are replayed from it only when read.
-    A subclass defines ``run_to``.
+    skips.  The counts and the last change come from it.  The register
+    itself has one reader, :meth:`register_after`, which replays the
+    logged writes only when read; the output word and ``change_log``, of
+    (step, value) for the empty register a run starts with and every
+    change after it, are read through it.  A subclass defines ``run_to``.
     """
 
     def __init__(self) -> None:
@@ -308,10 +309,10 @@ class InductiveRun:
         self.stopped_final = False
         self.stopped_stuck = False
         self.writes = EventLog()
-        # the replay so far: the positions of the non-blank cells after
-        # the last replayed write, and (step, value) after each write
+        # the replay so far: the positions of the non-blank cells after the
+        # last replayed write, and the register at the start and after each
         self._positions: list[int] = []
-        self._changes = [(0, "")]
+        self._values = [""]
 
     def run_to(self, horizon: int) -> "InductiveRun":
         """Step until ``horizon`` total steps or a stop, like :meth:`TmRun.run_to`."""
@@ -319,15 +320,21 @@ class InductiveRun:
 
     @property
     def change_log(self) -> list[tuple[int, str]]:
-        changes = self._replay()
-        count = self.change_count
-        if count + 1 == len(changes):
-            return changes
-        event = self.writes.event
-        return changes[:1] + [(event(n)[0], changes[self._logged(n + 1)][1]) for n in range(count)]
+        event, register_after = self.writes.event, self.register_after
+        return [(0, "")] + [(event(n)[0], register_after(n + 1)) for n in range(self.change_count)]
 
     def output_word(self) -> str:
-        return self._replay()[self._logged(self.change_count)][1]
+        return self.register_after(self.change_count)
+
+    def register_after(self, k: int) -> str:
+        """The register after the run's first ``k`` changes.  Whole periods
+        of a repeating run bring the register back to where it was at the
+        period's start, so a change leaves it as the logged one it repeats."""
+        at = self.writes.locate(k - 1)[0] + 1 if k else 0
+        values = self._values
+        for _, pos, sym in self.writes.events[len(values) - 1 : at]:
+            values.append(_splice(self._positions, values[-1], pos, sym))
+        return values[at]
 
     @property
     def last_change_step(self) -> int:
@@ -342,27 +349,6 @@ class InductiveRun:
         """Whether the register can no longer change: the run has stopped,
         or it repeats with no write in a period."""
         return self.stopped_final or self.stopped_stuck or self.writes.complete
-
-    def _replay(self) -> list[tuple[int, str]]:
-        """(step, register value) before the first write and after each
-        logged one, replaying the writes not replayed yet."""
-        changes = self._changes
-        value = changes[-1][1]
-        for step, pos, sym in self.writes.events[len(changes) - 1 :]:
-            value = _splice(self._positions, value, pos, sym)
-            changes.append((step, value))
-        return changes
-
-    def _logged(self, n: int) -> int:
-        """The number of logged writes after which the register holds what
-        it holds after ``n`` writes.  Past the logged writes of a repeating
-        run, whole periods bring the register back to where it was at the
-        period's start, so ``n`` maps back into the logged period."""
-        events = self.writes.events
-        if n <= len(events):
-            return n
-        first = self.writes.repeat[2]
-        return first + (n - first) % (len(events) - first)
 
     def _observe(self, sym: str) -> None:
         """Log a write of ``sym`` to the one cell of a one-cell register,
@@ -545,8 +531,8 @@ class _TmItmRun(InductiveRun):
     """A TM run watched as an inductive run.
 
     The TM loop logs each output-tape write in ``writes``; the output tape
-    is never erased, so each one changes the register.  The register is
-    read off the tape, which is cheaper than replaying the writes.
+    is never erased, so each one changes the register.  The output word
+    is read off the tape, cheaper than a replay by :meth:`register_after`.
     """
 
     def __init__(self, machine: MachineTM, input_word: str) -> None:

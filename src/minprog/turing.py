@@ -310,8 +310,8 @@ class EventLog:
     configuration, ``repeat`` is (start, period, first): from step ``start``
     on the run goes through the same configurations every ``period`` steps,
     and ``events[first:]`` are the events of one period, which recur shifted
-    by the period.  The events of the periods a run skips are worked out
-    from these when asked for.
+    by the period.  :meth:`locate` is the one place that maps an event of
+    the periods a run skips back to the logged event it repeats.
     """
 
     def __init__(self) -> None:
@@ -342,15 +342,22 @@ class EventLog:
         within = bisect_right(events, start + offset, first, key=_STEP) - first
         return first + laps * (len(events) - first) + within
 
+    def locate(self, n: int) -> tuple[int, int]:
+        """Where the n-th event (from 0) is logged, and how many periods
+        after that logged event it happens: (index into ``events``, laps)."""
+        if self.repeat is None or n < self.repeat[2]:
+            return n, 0
+        first = self.repeat[2]
+        lap, j = divmod(n - first, len(self.events) - first)
+        return first + j, lap
+
     def event(self, n: int) -> tuple:
         """The n-th event (from 0), with the step it happens at."""
-        events = self.events
-        if self.repeat is None or n < self.repeat[2]:
-            return events[n]
-        start, period, first = self.repeat
-        lap, j = divmod(n - first, len(events) - first)
-        step, *rest = events[first + j]
-        return (step + lap * period, *rest)
+        at, lap = self.locate(n)
+        if not lap:
+            return self.events[at]
+        step, *rest = self.events[at]
+        return (step + lap * self.repeat[1], *rest)
 
 
 def _widen(tape: list[str], copy: list[str] | None, left: bool) -> int:

@@ -1,7 +1,8 @@
 """Machine helpers that only tests use: a static non-halting proof, state
 renaming into canonical form, the standard two-input program word, the
 live words of a tier built from its heads, single steps and
-configurations of the package's steppers, and the order on verdicts."""
+configurations of the package's steppers, the register reads of an
+inductive run against a reference change log, and the order on verdicts."""
 
 import itertools
 
@@ -99,6 +100,15 @@ def configuration(run) -> tuple:
     cells = (tuple((i - origin, c) for i, c in enumerate(tape) if c not in ("", BLANK))
              for tape, origin in zip(dense, run.origins))
     return (run.state, tuple(run.heads), (tuple(enumerate(word)), *cells))
+
+
+def assert_register_reads(run, log) -> None:
+    """Every read of an inductive run's register history equals the
+    reference change ``log``: the register after each of its first k
+    changes, for every k up to its change count, and the change log."""
+    assert run.change_count == len(log) - 1
+    assert [run.register_after(k) for k in range(run.change_count + 1)] == [value for _, value in log]
+    assert run.change_log == log
 
 
 def verdict_le(a, b) -> bool:

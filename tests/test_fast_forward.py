@@ -9,14 +9,14 @@ configuration the plain stepper went through, written here, so the
 oracles stay plain steppers.
 """
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from minprog import zoo
 from minprog.inductive import TmAsItm, start_if_fits
 from minprog.turing import FIRST_SNAPSHOT, EventLog, MachineTM, Transition
 from minprog.words import BINARY, BLANK
 
-from helpers import configuration
+from helpers import assert_register_reads, configuration
 from oracles import PlainItm, PlainTm, stepper_repeat, stepwise_change_log
 from strategies import full_tms, itm_zoo, small_itms, small_tms, zoo_tms
 
@@ -204,6 +204,30 @@ def test_zoo_itms_skip_periods_exactly(data):
     assert (run.change_count, run.last_change_step, run.output_word()) == (1, 3, "1")
 
 
+# horizons up to 600 run past the snapshots at steps 16 to 512, so a
+# repeating run's changes outrun its logged writes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(itm_zoo()), small_itms()), st.text("01", max_size=2), st.integers(0, 600))
+@example(zoo.alternator(), "", 10**4)
+def test_register_after_every_change_equals_the_reference_stepper(machine, word, horizon):
+    run = start_if_fits(machine, word)
+    assume(run is not None)
+    ref = PlainItm(machine, word)
+    while ref.steps < horizon and ref.step():
+        pass
+    assert_register_reads(run.run_to(horizon), ref.change_log)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(zoo_tms()), small_tms()), st.text("01", max_size=4), st.integers(0, 600))
+@example(flipper(), "", 10**4)
+def test_tm_as_itm_register_after_every_change_equals_the_stepwise_oracle(machine, word, horizon):
+    log = stepwise_change_log(machine, word, horizon)[0]
+    assert_register_reads(TmAsItm(machine).start_run(word).run_to(horizon), log)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_a_repeat_across_a_widening_is_found_at_its_step(data):
@@ -264,10 +288,10 @@ def read_history(run, log_first):
     """The change log, output, change count and last change of ``run``,
     with the full log read first or last."""
     if log_first:
-        log = list(run.change_log)
+        log = run.change_log
         return log, run.output_word(), run.change_count, run.last_change_step
     latest = run.output_word(), run.change_count, run.last_change_step
-    return (list(run.change_log), *latest)
+    return (run.change_log, *latest)
 
 
 def test_the_alternator_outruns_its_logged_writes():

@@ -29,7 +29,7 @@ from minprog.universal import itm_universal_apply
 from minprog.words import BINARY, BLANK, nth_word, sd
 from minprog import zoo
 
-from helpers import never_halts_by_inspection
+from helpers import assert_register_reads, never_halts_by_inspection
 from oracles import (
     PlainItm,
     PlainSimDecider,
@@ -569,6 +569,16 @@ def test_sim_decider_run_to_equals_the_reference_at_every_chunk_boundary(word, h
         while ref.steps < horizon:
             ref.step()
         assert (run.change_log, run.steps) == (ref.change_log, ref.steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SIM_WORDS, st.integers(0, 300))
+def test_sim_decider_register_after_every_change_equals_the_reference(word, horizon):
+    # past step 64 the run repeats with no write, its verdict logged once
+    ref = PlainSimDecider(word)
+    while ref.steps < horizon:
+        ref.step()
+    assert_register_reads(SimDecider().start_run(word).run_to(horizon), ref.change_log)
 
 
 # the alternator's explicit input register has one cell, too few for any

@@ -271,6 +271,16 @@ def test_tm_as_itm_equals_the_stepwise_oracle_at_every_chunk_boundary(machine, d
         assert run.change_log == log
 
 
+def test_a_change_log_read_is_a_copy_of_the_history():
+    # before its first snapshot the writer has logged every change, so a
+    # change log that handed out the run's own cache would show the edit
+    run = zoo.writer().start_run("").run_to(10)
+    log = run.change_log
+    log[-1] = (3, "0")
+    assert run.output_word() == "1"
+    assert run.change_log == [(0, ""), (3, "1")]
+
+
 def _sim_diagonal_on_its_own_code():
     pipeline = build_diagonal(SimDecider())
     return pipeline.start_run(encode_machine(pipeline))

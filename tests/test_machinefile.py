@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from minprog import zoo
 from minprog.codec import InvalidCodeError, encode_machine
 from minprog.inductive import ExplicitMemory, LimitMemory, LinearMemory, MachineITM, Rule, itm_run
 from minprog.machinefile import ParseError, parse_machine_file, serialize_machine
@@ -160,11 +161,19 @@ def test_unlabelled_limit_memory_has_no_serialized_form():
             serialize(machine)
 
 
-def test_shipped_tm_files_equal_their_zoo_sources():
-    from minprog import zoo
-
-    machine = parse_machine_file((MACHINE_DIR / "identity.tm").read_text())
-    assert machine == zoo.identity()
+@pytest.mark.parametrize("filename", [
+    "alternator.itm", "epsilon_only.tm", "identity.tm", "last_symbol.tm", "looper.tm", "silent.itm",
+    "writer.itm",
+])
+def test_shipped_machine_files_parse_to_their_zoo_twins(filename):
+    # names count: a Turing machine's == compares them, and the serialized
+    # text of an inductive machine, which has no ==, starts with one
+    machine = parse_machine_file((MACHINE_DIR / filename).read_text())
+    twin = getattr(zoo, Path(filename).stem)()
+    if isinstance(twin, MachineTM):
+        assert machine == twin
+    else:
+        assert serialize_machine(machine) == serialize_machine(twin)
 
 
 WRITER_FILE = """\
