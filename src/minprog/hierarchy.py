@@ -577,14 +577,15 @@ class OrderRow:
 def order_lookup(problem_name: str) -> OrderRow:
     """Strict inductive order of a named problem, with its source label.
 
-    RPI_n rows are parameterized: the result problem for order-n inductive
-    machines sits at level n+1.
+    RPI_n rows, n an ASCII numeral from 1 with no leading zero, are
+    parameterized: the result problem for order-n inductive machines sits
+    at level n+1.
     """
     name = problem_name.strip()
     if name in ORDER_TABLE:
         order, source = ORDER_TABLE[name]
         return OrderRow(name, order, source)
-    if name.startswith("RPI_") and name[4:].isdecimal() and int(name[4:]) >= 1:
+    if name.startswith("RPI_") and name[4:].isascii() and name[4:].isdigit() and name[4] != "0":
         return OrderRow(name, int(name[4:]) + 1, "Thm 8.2")
     raise KeyError(f"unknown problem {problem_name!r}")
 

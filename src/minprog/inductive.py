@@ -297,11 +297,11 @@ class InductiveRun:
     ``writes`` logs (step, position, symbol) for each write that changes
     the register ("" blanks the cell) in an :class:`EventLog`, whose
     periodic tail stands for the writes of the periods a repeating run
-    skips.  The counts and the last change come from it.  The register
-    itself has one reader, :meth:`register_after`, which replays the
-    logged writes only when read; the output word and ``change_log``, of
-    (step, value) for the empty register a run starts with and every
-    change after it, are read through it.  A subclass defines ``run_to``.
+    skips.  The counts and the last change come from it.  Each read of the
+    register replays the log, and no run keeps a value: :meth:`register_after`
+    and the output word fill one position -> symbol dict, and ``change_log``,
+    of (step, value) for the empty register a run starts with and every
+    change after it, splices every logged write once.  A subclass defines ``run_to``.
     """
 
     def __init__(self) -> None:
@@ -309,10 +309,6 @@ class InductiveRun:
         self.stopped_final = False
         self.stopped_stuck = False
         self.writes = EventLog()
-        # the replay so far: the positions of the non-blank cells after the
-        # last replayed write, and the register at the start and after each
-        self._positions: list[int] = []
-        self._values = [""]
 
     def run_to(self, horizon: int) -> "InductiveRun":
         """Step until ``horizon`` total steps or a stop, like :meth:`TmRun.run_to`."""
@@ -320,8 +316,11 @@ class InductiveRun:
 
     @property
     def change_log(self) -> list[tuple[int, str]]:
-        event, register_after = self.writes.event, self.register_after
-        return [(0, "")] + [(event(n)[0], register_after(n + 1)) for n in range(self.change_count)]
+        writes, positions, values = self.writes, [], [""]
+        for _, pos, sym in writes.events:
+            values.append(_splice(positions, values[-1], pos, sym))
+        return [(0, "")] + [
+            (writes.event(n)[0], values[writes.locate(n)[0] + 1]) for n in range(self.change_count)]
 
     def output_word(self) -> str:
         return self.register_after(self.change_count)
@@ -331,10 +330,8 @@ class InductiveRun:
         of a repeating run bring the register back to where it was at the
         period's start, so a change leaves it as the logged one it repeats."""
         at = self.writes.locate(k - 1)[0] + 1 if k else 0
-        values = self._values
-        for _, pos, sym in self.writes.events[len(values) - 1 : at]:
-            values.append(_splice(self._positions, values[-1], pos, sym))
-        return values[at]
+        cells = {pos: sym for _, pos, sym in self.writes.events[:at]}
+        return "".join(cells[pos] for pos in sorted(cells))
 
     @property
     def last_change_step(self) -> int:
@@ -532,7 +529,8 @@ class _TmItmRun(InductiveRun):
 
     The TM loop logs each output-tape write in ``writes``; the output tape
     is never erased, so each one changes the register.  The output word
-    is read off the tape, cheaper than a replay by :meth:`register_after`.
+    is read off the tape, which costs its length; a replay by
+    :meth:`register_after` costs every logged write.
     """
 
     def __init__(self, machine: MachineTM, input_word: str) -> None:

@@ -105,10 +105,12 @@ def configuration(run) -> tuple:
 def assert_register_reads(run, log) -> None:
     """Every read of an inductive run's register history equals the
     reference change ``log``: the register after each of its first k
-    changes, for every k up to its change count, and the change log."""
+    changes, for every k up to its change count, the change log, and the
+    output word, which a run may read another way than by replay."""
     assert run.change_count == len(log) - 1
     assert [run.register_after(k) for k in range(run.change_count + 1)] == [value for _, value in log]
     assert run.change_log == log
+    assert run.output_word() == log[-1][1]
 
 
 def verdict_le(a, b) -> bool:

@@ -309,6 +309,13 @@ def itm_zoo():
     return [zoo.writer(), zoo.alternator(), zoo.silent(), zoo.decider_yes(), zoo.decider_no()]
 
 
+def grower():
+    """Jumps to the output chain, then writes 1 and moves right on every
+    step: its register grows by one cell a step and never repeats."""
+    rules = (Rule("q0", BLANK, "q1", move="o"), Rule("q1", BLANK, "q1", write="1", move="r"))
+    return MachineITM("grower", ("q0", "q1"), "q0", (), BINARY, rules, LinearMemory())
+
+
 _CELLS = (("in0", "input"), ("in1", "input"), ("w0", "work"),
           ("o0", "output"), ("o1", "output"), ("o2", "output"))
 

@@ -238,7 +238,7 @@ def test_orders_single_and_table(capsys):
     assert rows["RPI_3"] == (4, "Thm 8.2")
 
 
-@pytest.mark.parametrize("name", ["XYZ", "RPI_0", "RPI_x"])
+@pytest.mark.parametrize("name", ["XYZ", "RPI_0", "RPI_x", "RPI_01", "RPI_\u0661"])
 def test_orders_names_an_unknown_problem(capsys, name):
     code, out, err = run_cli(capsys, "orders", name)
     assert code == 1 and out == ""

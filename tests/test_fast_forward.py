@@ -18,7 +18,7 @@ from minprog.words import BINARY, BLANK
 
 from helpers import assert_register_reads, configuration
 from oracles import PlainItm, PlainTm, stepper_repeat, stepwise_change_log
-from strategies import full_tms, itm_zoo, small_itms, small_tms, zoo_tms
+from strategies import full_tms, grower, itm_zoo, small_itms, small_tms, zoo_tms
 
 # plain steps checked per example: the snapshots at steps 16, 32, 64 and
 # 128 catch the short cycles of the small machines well before it
@@ -211,6 +211,7 @@ def test_zoo_itms_skip_periods_exactly(data):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.sampled_from(itm_zoo()), small_itms()), st.text("01", max_size=2), st.integers(0, 600))
 @example(zoo.alternator(), "", 10**4)
+@example(grower(), "", 600)
 def test_register_after_every_change_equals_the_reference_stepper(machine, word, horizon):
     run = start_if_fits(machine, word)
     assume(run is not None)

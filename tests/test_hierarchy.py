@@ -644,6 +644,11 @@ def test_order_lookup_unknown_name():
         order_lookup("RPI_0")
     with pytest.raises(KeyError):
         order_lookup("RPI_x")
+    # one numeral per row: no leading zero, no digit outside ASCII
+    with pytest.raises(KeyError):
+        order_lookup("RPI_01")
+    with pytest.raises(KeyError):
+        order_lookup("RPI_\u0661")
 
 
 # ---------------------------------------------------------------------------

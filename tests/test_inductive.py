@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -21,7 +23,7 @@ from minprog import zoo
 
 from helpers import step
 from oracles import PlainItm, scan_limit_connection, stepwise_change_log
-from strategies import definite_sweep_runs, gap_writer, itm_zoo, small_itms, small_tms, unary_tms, zoo_tms
+from strategies import definite_sweep_runs, gap_writer, grower, itm_zoo, small_itms, small_tms, unary_tms, zoo_tms
 
 
 def _single_cell_machine(rules, cells=None, conn_types=(), states=("q0", "q1", "q2")):
@@ -279,6 +281,20 @@ def test_a_change_log_read_is_a_copy_of_the_history():
     log[-1] = (3, "0")
     assert run.output_word() == "1"
     assert run.change_log == [(0, ""), (3, "1")]
+
+
+def test_a_growing_register_is_read_without_a_copy_per_write():
+    # a register that grows by one cell a step: a reader that kept one
+    # value per logged write would hold 8,000 values, about 32 MB, here
+    run = grower().start_run("").run_to(8000)
+    tracemalloc.start()
+    try:
+        word = run.output_word()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert word == "1" * 7999
+    assert peak < 4 * 2**20
 
 
 def _sim_diagonal_on_its_own_code():
