@@ -63,12 +63,13 @@ class TruncatedCodeError(InvalidCodeError):
 # numbers and bits
 
 _DIGIT_BLOCKS = str.maketrans({"0": "00", "1": "01"})
+_BITS = [f"{n:b}".translate(_DIGIT_BLOCKS) + "10" for n in range(64)]  # of each number below 64
 
 
 def _word(numbers: list[int]) -> str:
-    """The bit word of a list of numbers: each binary digit d becomes the
-    block ``0d``, and the block ``10`` ends the number."""
-    return "".join(f"{n:b}".translate(_DIGIT_BLOCKS) + "10" for n in numbers)
+    """The bit word of a list of numbers, in one join: each binary digit d
+    becomes the block ``0d``, and the block ``10`` ends the number."""
+    return "".join([_BITS[n] if n < 64 else f"{n:b}".translate(_DIGIT_BLOCKS) + "10" for n in numbers])
 
 
 # every canonical number below 2^10, by its digits

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice
+from collections.abc import Iterator
+from itertools import islice, product
 
 from .words import BINARY, sd, shortlex_index, shortlex_words
 from .turing import MachineTM, RunOutcome, TmRun, run_fueled
@@ -22,6 +23,7 @@ from .inductive import (
     LimitMemory,
     LinearMemory,
     MachineITM,
+    _splice,
     classify_run,
     start_if_fits,
 )
@@ -76,50 +78,54 @@ def halting_itm(code: str, input_word: str, horizon: int) -> InductiveVerdict:
 
 class ProbeRow:
     """One machine's live runs on inputs x_1, x_2, ... over its own
-    alphabet, read in turn from one :func:`shortlex_words`.  Round n starts
-    the runs up to x_n and resumes each open run to n total steps (see
-    :meth:`TmRun.run_to`).  A run closes once it is final, stuck or
-    repeating: its answer can no longer change, so no later round resumes
-    it; a run that stays in place closes at its first step."""
+    alphabet, read in turn from one :func:`shortlex_words`, played by
+    :meth:`rounds`.  Round n starts the run on x_n and resumes each open run
+    to n total steps (see :meth:`TmRun.run_to`).  A run closes once it is
+    final, stuck or repeating: its answer can no longer change, so no later
+    round resumes it; a run that stays in place closes at its first step."""
 
     def __init__(self, machine: MachineTM) -> None:
         self.machine = machine
         self.runs: list[TmRun] = []
-        self._inputs = shortlex_words(machine.alphabet)
-        self.finals = 0
-        # the runs that stopped (final or stuck), and their steps, at least 1 each
+        # the runs that stopped (final or stuck) by the last round, and their steps, at least 1 each
         self.stopped = self.stopped_steps = 0
-        self._open: list[int] = []
 
-    def run_round(self, n: int) -> list[int]:
-        """Play round n; return the inputs i (1-based, ascending) whose run
-        reached a final state in it."""
-        machine, runs = self.machine, self.runs
-        while len(runs) < n:
-            self._open.append(len(runs))
-            # the inputs are words over the machine's own alphabet
-            runs.append(TmRun(machine, next(self._inputs)))
-        still, halted = [], []
-        for i in self._open:
-            run = runs[i].run_to(n)
-            if run.in_final or run.stuck:
-                self.stopped += 1
-                self.stopped_steps += run.steps or 1
-                if run.in_final:
+    def rounds(self, n: int = 1) -> Iterator[list[int]]:
+        """Play rounds n, n + 1, ... in one loop, the first of them also
+        starting the runs on x_1..x_{n-1}; yield for each round the inputs i
+        (1-based, ascending) whose run reached a final state in it.  Only a
+        run still open after a round is kept for the next."""
+        machine, runs, finals = self.machine, self.runs, self.machine.finals
+        inputs = shortlex_words(machine.alphabet)
+        # the inputs are words over the machine's own alphabet
+        runs += [TmRun(machine, next(inputs)) for _ in range(n - 1)]
+        live = list(range(n - 1))
+        stopped = stopped_steps = 0
+        while True:
+            live.append(n - 1)
+            runs.append(TmRun(machine, next(inputs)))
+            halted, still = [], []
+            for i in live:
+                run = runs[i].run_to(n)
+                if run.state in finals:
                     halted.append(i + 1)
-            elif not run.period:
-                still.append(i)
-        self._open = still
-        self.finals += len(halted)
-        return halted
+                elif not run.stuck:
+                    if not run.period:
+                        still.append(i)
+                    continue
+                stopped += 1
+                stopped_steps += run.steps or 1
+            live = still
+            self.stopped, self.stopped_steps = stopped, stopped_steps
+            yield halted
+            n += 1
 
 
 def first_result_cycle(machine: MachineTM, cycles: int) -> int | None:
     """First cycle n <= cycles at which the machine reaches a final state
     when dovetailed over inputs x_1..x_n for n steps in cycle n."""
-    row = ProbeRow(machine)
-    for n in range(1, cycles + 1):
-        if row.run_round(n):
+    for n, halted in zip(range(1, cycles + 1), ProbeRow(machine).rounds()):
+        if halted:
             return n
     return None
 
@@ -144,8 +150,8 @@ def emptiness_solver(code: str, cycles: int) -> InductiveVerdict:
 
 
 class EnumerationList:
-    """The cycle scheduler's list of machine codes, played one cycle at a
-    time by :meth:`run_cycle`.
+    """The cycle scheduler's list of machine codes after some cycles, built
+    by :func:`dovetail_nontotal`.
 
     Cycle n plays round n of the probe rows of machines 1..n.  List
     maintenance is the uniform rule: append the next code, then demote
@@ -165,7 +171,6 @@ class EnumerationList:
     def __init__(self, pool: list[MachineTM]) -> None:
         if not pool:
             raise ValueError("the scheduler needs a non-empty machine pool")
-        self.rows = [ProbeRow(m) for m in pool]
         self.pool_names = tuple(m.name for m in pool)
         self.codes = tuple(encode_machine(m) for m in pool)
         self.order: list[str] = []
@@ -180,31 +185,11 @@ class EnumerationList:
             self.order.insert(position, self.codes[k - 1])
 
     def _demote(self, movers: list[str], cycle: int) -> None:
-        keep = [c for c in self.order if c not in movers]
         tail = [c for c in self.order if c in movers]
-        self.order = keep + tail
+        if self.order[len(self.order) - len(tail) :] != tail:  # else the movers already end the list
+            self.order[:] = [c for c in self.order if c not in movers] + tail
         for c in tail:
             self.last_moved[c] = cycle
-
-    def run_cycle(self) -> None:
-        n = self.cycle + 1
-        if n == 1:
-            self._insert(1, 0)
-        all_halted: list[int] = []
-        for k, row in enumerate(self.rows[:n], start=1):
-            self.halted_pairs.update((k, i) for i in row.run_round(n))
-            # a machine moves exactly when all n of its pairs have halted
-            if row.finals == n:
-                all_halted.append(k)
-        movers = [self.codes[k - 1] for k in all_halted]
-        listed = [c for c in self.order if c in movers]
-        if (n == 2 and len(movers) == 1) or (n == 3 and 0 < len(listed) < len(self.order)):
-            self._demote(movers, n)
-            self._insert(4, self.order.index(movers[0]))
-        else:
-            self._insert(n + 1, len(self.order))
-            self._demote(movers, n)
-        self.cycle = n
 
     def stable_prefix_estimate(self) -> list[str]:
         if self.cycle == 0:
@@ -228,9 +213,31 @@ class EnumerationList:
 
 
 def dovetail_nontotal(pool: list[MachineTM], cycles: int) -> EnumerationList:
+    """The list after ``cycles`` cycles.  No probe row reads the list, so
+    machine k plays its rounds k..cycles at once, moving in each cycle n
+    where all n of its pairs have halted; the list then folds those moves."""
     state = EnumerationList(pool)
-    for _ in range(cycles):
-        state.run_cycle()
+    movers: list[list[str]] = [[] for _ in range(cycles + 1)]  # by cycle, in machine order
+    for k, code in enumerate(state.codes[:cycles], start=1):
+        found: list[int] = []
+        for n, halted in zip(range(k, cycles + 1), ProbeRow(pool[k - 1]).rounds(k)):
+            if halted:
+                found += halted
+                if len(found) == n:
+                    movers[n].append(code)
+        state.halted_pairs.update(product((k,), found))
+    order = state.order
+    for n, moved in enumerate(movers[1:], start=1):
+        if n == 1:
+            state._insert(1, 0)
+        if (n == 2 and len(moved) == 1) or (n == 3 and 0 < sum(c in moved for c in order) < len(order)):
+            state._demote(moved, n)
+            state._insert(4, order.index(moved[0]))
+        else:
+            state._insert(n + 1, len(order))
+            if moved:
+                state._demote(moved, n)
+    state.cycle = cycles
     return state
 
 
@@ -272,7 +279,7 @@ class RangeEnumerator:
         n = shortlex_index(input_word) + 1
         discovered: list[str] = []
         row = ProbeRow(self.base)
-        runs = row.runs
+        runs, rounds = row.runs, row.rounds()
 
         def charged(k: int) -> int:
             # what fresh runs of round_no steps on the first k pairs would cost
@@ -283,7 +290,7 @@ class RangeEnumerator:
             round_no += 1
             # a pair surfaces in the round its run halts, the first round
             # covering both its input index and its halting time
-            surfacing = row.run_round(round_no)
+            surfacing = next(rounds)
             # a round charges each pair what a fresh run of round_no steps
             # would cost: the steps of a stopped run (at least 1), else
             # round_no, also for a repeating run, which is no longer resumed;
@@ -471,6 +478,7 @@ class _PipelineRun(InductiveRun):
         takes a periodic tail of period 1 or 2 and the run skips to the
         horizon."""
         log = self.writes
+        seen, positions, claim = 0, [], ""  # the decider's register, spliced change by change
         while self.steps < horizon and not (self.stopped_stuck or log.repeat):
             self.steps += 1
             d_out = ""
@@ -485,7 +493,12 @@ class _PipelineRun(InductiveRun):
                 # never claims anything: the filter alternates
                 self._d_run = start_if_fits(self._decider, self._pair_word)
             elif self._d_run is not None:
-                d_out = self._d_run.run_to(self.steps - self._b_latency).output_word()
+                count = self._d_run.run_to(self.steps - self._b_latency).change_count
+                while seen < count:
+                    _, pos, sym = self._d_run.writes.event(seen)
+                    claim = _splice(positions, claim, pos, sym)
+                    seen += 1
+                d_out = claim
             if d_out == "0":
                 self._observe("1")
             else:

@@ -298,6 +298,10 @@ _STEP = itemgetter(0)
 # run shorter than this copies no tapes.
 FIRST_SNAPSHOT = 16
 
+# A fresh output tape's blank cells: one, and the 16 of its first widening to
+# the right, so a short writer widens no tape and a long one the same lengths
+_ROOM = (BLANK,) * 17
+
 # A sweep costs about as much to set up as this many single steps, so a run
 # takes one only when at least this many steps and input symbols are ahead.
 SWEEP_MIN = 8
@@ -382,7 +386,8 @@ class TmRun:
     :meth:`MachineTM.start_run` checks it, and a caller that starts a run
     directly passes a word over the machine's alphabet.  The work and output
     tapes are dense lists between "" sentinels that no row reads, a blank
-    stored as BLANK, cell h of tape t at index h + ``origins[t - 1]``;
+    stored as BLANK, cell h of tape t at index h + ``origins[t - 1]``; a
+    fresh work tape holds one blank cell and a fresh output tape 17;
     ``heads`` are cell positions.  The configuration is inspectable between
     steps, which the schedulers and the behavioural round-trip tests rely
     on.  :meth:`output_word` reads the output tape as its non-blank cells in
@@ -395,19 +400,19 @@ class TmRun:
     ``period`` is then its length, and the run skips whole periods.
     """
 
-    steps = period = 0
-    stuck = False
-    heads = (0, 0, 0)
-    origins = (1, 1)
-    # (step, state, heads, work and output tape copies) at the last snapshot
-    # step, which later steps are compared with; the tape heads as indices
-    _snapshot = (0, None, None, 0, 0, None, None)
-    write_log: EventLog | None = None
-
     def __init__(self, machine: MachineTM, input_word: str) -> None:
+        # all set here: an attribute read off the class costs a fresh run more
         self.machine = machine
-        self.tapes: tuple[str, list[str], list[str]] = (input_word, ["", BLANK, ""], ["", BLANK, ""])
+        self.tapes: tuple[str, list[str], list[str]] = (input_word, ["", BLANK, ""], ["", *_ROOM, ""])
         self.state = machine.start
+        self.steps = self.period = 0
+        self.stuck = False
+        self.heads = (0, 0, 0)
+        self.origins = (1, 1)
+        # (step, state, heads, work and output tape copies) at the last snapshot
+        # step, which later steps are compared with; the tape heads as indices
+        self._snapshot = (0, None, None, 0, 0, None, None)
+        self.write_log: EventLog | None = None
 
     @property
     def in_final(self) -> bool:
@@ -420,7 +425,7 @@ class TmRun:
         steps leaves it exactly where a fresh n-step run would: the
         dovetailers keep one live run per pair and never repeat a step.
         The loop runs on locals, tape heads as list indices, and writes the
-        configuration back when it stops.
+        configuration back when it stops, the snapshot once it has one.
 
         Each step compares the state and heads with a snapshot retaken
         each time the step count doubles (Brent's cycle finding), and a
@@ -440,16 +445,15 @@ class TmRun:
         enters no final state, and only moves the input head right, so no
         step inside it can match the snapshot.
         """
-        steps = self.steps
-        if steps >= fuel or self.stuck or self.state in self.machine.finals:
+        steps, machine, state = self.steps, self.machine, self.state
+        if steps >= fuel or self.stuck or state in machine.finals:
             return self
-        table = self.machine.table
+        table = machine.table
         x, t1, t2 = self.tapes
         n = len(x)
         o1, o2 = self.origins
         h0, h1, h2 = self.heads
         i1, i2 = h1 + o1, h2 + o2
-        state = self.state
         period = self.period
         log = self.write_log
         writes = None if log is None or period else log.events
@@ -514,8 +518,9 @@ class TmRun:
         self.state = state
         self.steps = steps
         self.stuck = stuck
-        self.period = period
-        self._snapshot = (since, s_state, s0, s1, s2, s_work, s_out)
+        if s0 is not None or period:  # a snapshot is held, or a repeat dropped it
+            self.period = period
+            self._snapshot = (since, s_state, s0, s1, s2, s_work, s_out)
         return self
 
     def _sweep(

@@ -316,6 +316,14 @@ def grower():
     return MachineITM("grower", ("q0", "q1"), "q0", (), BINARY, rules, LinearMemory())
 
 
+def any_input_grower():
+    """The grower, but it jumps to the output chain on any first cell, so
+    its register grows on every input, a program pair included."""
+    rules = (*(Rule("q0", s, "q1", move="o") for s in ("0", "1", BLANK)),
+             Rule("q1", BLANK, "q1", write="1", move="r"))
+    return MachineITM("any-input-grower", ("q0", "q1"), "q0", (), BINARY, rules, LinearMemory())
+
+
 _CELLS = (("in0", "input"), ("in1", "input"), ("w0", "work"),
           ("o0", "output"), ("o1", "output"), ("o2", "output"))
 

@@ -4,7 +4,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minprog.codec import (
     KIND_ITM,
@@ -172,6 +172,18 @@ def _assert_proper_prefixes_truncated(code):
     for cut in range(0, len(code), 2):
         with pytest.raises(TruncatedCodeError):
             decode_machine(code[:cut])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 128), st.integers(0, 1 << 12), st.integers(0, 1 << 70)), max_size=12))
+@example([])
+@example([0])
+@example([0, 1, 2, 63, 64, 65, (1 << 10) - 1, 1 << 10, 1 << 64])
+def test_the_word_of_numbers_is_its_digits_in_blocks(numbers):
+    # each binary digit d of each number is the block 0d, and 10 ends it
+    blocks = {"0": "00", "1": "01"}
+    assert codec._word(numbers) == "".join(
+        "".join(blocks[d] for d in bin(n)[2:]) + "10" for n in numbers)
 
 
 def test_an_unended_number_no_ending_makes_valid_is_invalid_not_truncated():

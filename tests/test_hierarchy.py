@@ -1,4 +1,6 @@
+import hashlib
 import time
+from itertools import islice
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -23,8 +25,8 @@ from minprog.hierarchy import (
     thm72_memory,
     totality_verdict,
 )
-from minprog.inductive import MachineITM, TmAsItm, itm_run, start_if_fits
-from minprog.turing import MachineTM, RunOutcome, TmRun, Transition, run_fueled
+from minprog.inductive import InductiveRun, MachineITM, TmAsItm, itm_run, start_if_fits
+from minprog.turing import EventLog, MachineTM, RunOutcome, TmRun, Transition, run_fueled
 from minprog.universal import itm_universal_apply
 from minprog.words import BINARY, BLANK, nth_word, sd
 from minprog import zoo
@@ -38,7 +40,7 @@ from oracles import (
     rerun_range_enumerate,
     stepwise_change_log,
 )
-from strategies import bouncer, gap_writer, itm_zoo, small_itms, small_tms, unary_tms, zoo_tms
+from strategies import any_input_grower, bouncer, gap_writer, itm_zoo, small_itms, small_tms, unary_tms, zoo_tms
 
 POOL = zoo.acceptance_pool()
 CODES = [encode_machine(m) for m in POOL]
@@ -112,8 +114,7 @@ def test_a_run_that_stays_in_place_closes_in_the_round_it_starts(monkeypatch):
 
     monkeypatch.setattr(TmRun, "run_to", counted)
     row = ProbeRow(zoo.looper())
-    for n in range(1, 41):
-        assert row.run_round(n) == []
+    assert list(islice(row.rounds(), 40)) == [[]] * 40
     assert [calls[run] for run in row.runs] == [1] * 40
     assert [(run.steps, run.period) for run in row.runs] == [(n, 1) for n in range(1, 41)]
 
@@ -256,6 +257,8 @@ def test_scheduler_follows_the_literal_placement_rules():
     @example(["halt-now", "eraser", "identity", "looper"], 12)  # 2: both moved, 3: all moved
     @example(["looper", "blocked", "nonempty-only", "eraser"], 12)  # 1: T1 still, 2 and 3: none moved
     @example(["bouncer", "identity", "looper"], 40)  # the bouncer's pairs halt from cycle 35
+    @example(["halt-now", "looper", "identity", "eraser"], 0)  # no cycle: no row plays
+    @example(["identity", "looper", "halt-now", "eraser", "blocked", "bouncer"], 3)  # rows 4-6 never play
     def check(names, cycles):
         pool = [ZOO_TMS[name] for name in names]
         state = dovetail_nontotal(pool, cycles)
@@ -265,6 +268,34 @@ def test_scheduler_follows_the_literal_placement_rules():
 
     check()
     assert taken == SCHEDULER_BRANCHES
+
+
+@pytest.mark.parametrize("pool, cycles", [
+    (POOL, 160), (POOL, 4), (POOL, 0), ([bouncer(), zoo.looper(), zoo.identity()], 40),
+])
+def test_a_dovetail_starts_one_run_per_pair_and_resumes_no_closed_run(pool, cycles, monkeypatch):
+    # machine k plays rounds k..c and starts x_1..x_c once each, so a
+    # dovetail of c cycles over p machines starts min(p, c) * c runs
+    started, calls, resumed_closed = [], [], []
+    init, run_to = TmRun.__init__, TmRun.run_to
+
+    def counted_init(run, machine, word):
+        started.append(run)
+        init(run, machine, word)
+
+    def watched_run_to(run, fuel):
+        calls.append(run)
+        if run.in_final or run.stuck or run.period:
+            resumed_closed.append(run)
+        return run_to(run, fuel)
+
+    monkeypatch.setattr(TmRun, "__init__", counted_init)
+    monkeypatch.setattr(TmRun, "run_to", watched_run_to)
+    dovetail_nontotal(pool, cycles)
+    assert len(started) == min(len(pool), cycles) * cycles
+    assert resumed_closed == []
+    if pool is POOL:  # every stock run closes in the round it starts
+        assert len(calls) == len(set(calls)) == len(started)
 
 
 def test_a_lone_unlisted_mover_in_cycle_3_is_not_placed():
@@ -551,6 +582,36 @@ def test_diagonal_on_garbage_input_gives_no_result():
     pipeline = build_diagonal(zoo.decider_no())
     out = itm_run(pipeline, "11", 500)
     assert out.kind == "halted-nonfinal"
+
+
+# sha256 of the report's repr, recorded from a pipeline that re-read its
+# decider's whole register on every step; 458 is the checker's latency, the
+# step the decider starts
+_GROWER_REPORTS = {
+    1: "c7f43079bf5c1ab9", 457: "9d5fbd26c2d55018", 458: "59b1eea602f27be9", 459: "f1eadf180d4ff938",
+    460: "78b7f21115bf6b0e", 461: "0e3db76af63e7d89", 1000: "0f1598000caf9d5c", 2501: "5dc9aad9e2d71d9f",
+}
+
+
+@pytest.mark.parametrize("horizon", sorted(_GROWER_REPORTS))
+def test_the_diagonal_report_of_a_growing_decider_is_pinned(horizon):
+    report = diagonal_experiment(any_input_grower(), horizon)
+    assert hashlib.sha256(repr(report).encode()).hexdigest()[:16] == _GROWER_REPORTS[horizon]
+
+
+def test_the_pipeline_reads_each_change_of_its_decider_once(monkeypatch):
+    # the decider changes its register on every step: a pipeline that read
+    # the whole register on each step would cost time quadratic in the horizon
+    reads, events = [], []
+    register_after, event = InductiveRun.register_after, EventLog.event
+    monkeypatch.setattr(InductiveRun, "register_after", lambda run, k: reads.append(k) or register_after(run, k))
+    monkeypatch.setattr(EventLog, "event", lambda log, n: events.append(n) or event(log, n))
+    pipeline = build_diagonal(any_input_grower())
+    run = pipeline.start_run(encode_machine(pipeline)).run_to(3000)
+    changes = run._d_run.change_count
+    assert changes > 2000
+    assert len(reads) <= changes + 1
+    assert events == list(range(changes))
 
 
 _SIM_WORDS = st.one_of(
