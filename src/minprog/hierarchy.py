@@ -73,58 +73,46 @@ def halting_itm(code: str, input_word: str, horizon: int) -> InductiveVerdict:
 
 
 # ---------------------------------------------------------------------------
-# the probe row that every dovetail reads, and the emptiness solver
+# the probe rounds that every dovetail reads, and the emptiness solver
 
 
-class ProbeRow:
-    """One machine's live runs on inputs x_1, x_2, ... over its own
-    alphabet, read in turn from one :func:`shortlex_words`, played by
-    :meth:`rounds`.  Round n starts the run on x_n and resumes each open run
+def probe_rounds(machine: MachineTM, n: int = 1) -> Iterator[tuple[list[int], list[tuple[int, TmRun]]]]:
+    """Play one machine's rounds n, n + 1, ... over inputs x_1, x_2, ...
+    (1-based, words over its own alphabet read in turn from one
+    :func:`shortlex_words`); the first round also starts the runs on
+    x_1..x_{n-1}.  Round n starts the run on x_n and resumes each open run
     to n total steps (see :meth:`TmRun.run_to`).  A run closes once it is
     final, stuck or repeating: its answer can no longer change, so no later
-    round resumes it; a run that stays in place closes at its first step."""
+    round resumes it, and only the runs still open are kept; a run that
+    stays in place closes at its first step.
 
-    def __init__(self, machine: MachineTM) -> None:
-        self.machine = machine
-        self.runs: list[TmRun] = []
-        # the runs that stopped (final or stuck) by the last round, and their steps, at least 1 each
-        self.stopped = self.stopped_steps = 0
-
-    def rounds(self, n: int = 1) -> Iterator[list[int]]:
-        """Play rounds n, n + 1, ... in one loop, the first of them also
-        starting the runs on x_1..x_{n-1}; yield for each round the inputs i
-        (1-based, ascending) whose run reached a final state in it.  Only a
-        run still open after a round is kept for the next."""
-        machine, runs, finals = self.machine, self.runs, self.machine.finals
-        inputs = shortlex_words(machine.alphabet)
-        # the inputs are words over the machine's own alphabet
-        runs += [TmRun(machine, next(inputs)) for _ in range(n - 1)]
-        live = list(range(n - 1))
-        stopped = stopped_steps = 0
-        while True:
-            live.append(n - 1)
-            runs.append(TmRun(machine, next(inputs)))
-            halted, still = [], []
-            for i in live:
-                run = runs[i].run_to(n)
-                if run.state in finals:
-                    halted.append(i + 1)
-                elif not run.stuck:
-                    if not run.period:
-                        still.append(i)
-                    continue
-                stopped += 1
-                stopped_steps += run.steps or 1
-            live = still
-            self.stopped, self.stopped_steps = stopped, stopped_steps
-            yield halted
-            n += 1
+    Yield for each round the inputs whose run reached a final state in it,
+    and the (input, run) pairs that stopped in it, final or stuck, both in
+    ascending input order."""
+    finals = machine.finals
+    inputs = shortlex_words(machine.alphabet)
+    live = [(i, TmRun(machine, next(inputs))) for i in range(1, n)]
+    while True:
+        live.append((n, TmRun(machine, next(inputs))))
+        halted, stopped, still = [], [], []
+        for pair in live:
+            run = pair[1].run_to(n)
+            if run.state in finals:
+                halted.append(pair[0])
+            elif not run.stuck:
+                if not run.period:
+                    still.append(pair)
+                continue
+            stopped.append(pair)
+        live = still
+        yield halted, stopped
+        n += 1
 
 
 def first_result_cycle(machine: MachineTM, cycles: int) -> int | None:
     """First cycle n <= cycles at which the machine reaches a final state
     when dovetailed over inputs x_1..x_n for n steps in cycle n."""
-    for n, halted in zip(range(1, cycles + 1), ProbeRow(machine).rounds()):
+    for n, (halted, _) in zip(range(1, cycles + 1), probe_rounds(machine)):
         if halted:
             return n
     return None
@@ -153,7 +141,7 @@ class EnumerationList:
     """The cycle scheduler's list of machine codes after some cycles, built
     by :func:`dovetail_nontotal`.
 
-    Cycle n plays round n of the probe rows of machines 1..n.  List
+    Cycle n plays round n of machines 1..n (see :func:`probe_rounds`).  List
     maintenance is the uniform rule: append the next code, then demote
     every machine that produced a result on all of its probed inputs this
     cycle, preserving relative order.  The construction's stated rules make
@@ -213,14 +201,16 @@ class EnumerationList:
 
 
 def dovetail_nontotal(pool: list[MachineTM], cycles: int) -> EnumerationList:
-    """The list after ``cycles`` cycles.  No probe row reads the list, so
+    """The list after ``cycles`` cycles.  No probe round reads the list, so
     machine k plays its rounds k..cycles at once, moving in each cycle n
     where all n of its pairs have halted; the list then folds those moves."""
+    if cycles < 0:
+        raise ValueError(f"cycles must be at least 0, got {cycles}")
     state = EnumerationList(pool)
     movers: list[list[str]] = [[] for _ in range(cycles + 1)]  # by cycle, in machine order
     for k, code in enumerate(state.codes[:cycles], start=1):
         found: list[int] = []
-        for n, halted in zip(range(k, cycles + 1), ProbeRow(pool[k - 1]).rounds(k)):
+        for n, (halted, _) in zip(range(k, cycles + 1), probe_rounds(pool[k - 1], k)):
             if halted:
                 found += halted
                 if len(found) == n:
@@ -247,11 +237,9 @@ def totality_verdict(pool: list[MachineTM], machine_index: int, cycles: int) -> 
     found means total-so-far (1)."""
     if not 0 <= machine_index < len(pool):
         raise IndexError(f"machine index {machine_index} out of range")
-    if cycles < 0:
-        raise ValueError(f"cycles must be at least 0, got {cycles}")
     if cycles == 0:
         return InductiveVerdict(None, stabilized_since=None, budget=0)
-    state = dovetail_nontotal(pool, cycles)
+    state = dovetail_nontotal(pool, cycles)  # which rejects a negative count
     target = state.codes[machine_index]
     for j, code in enumerate(state.stable_prefix_estimate(), start=1):
         if code == target:
@@ -278,28 +266,33 @@ class RangeEnumerator:
     def run(self, input_word: str, fuel: int) -> RunOutcome:
         n = shortlex_index(input_word) + 1
         discovered: list[str] = []
-        row = ProbeRow(self.base)
-        runs, rounds = row.runs, row.rounds()
+        rounds = probe_rounds(self.base)
+        # each stopped pair's input and charge, the steps of its run (at least 1)
+        stops: list[tuple[int, int]] = []
 
         def charged(k: int) -> int:
             # what fresh runs of round_no steps on the first k pairs would cost
-            return sum(round_no if run.period else run.steps or 1 for run in runs[:k])
+            return round_no * k + sum(c - round_no for i, c in stops if i <= k)
 
-        spent = round_no = 0
+        spent = stopped_steps = round_no = 0
         while spent < fuel:
             round_no += 1
             # a pair surfaces in the round its run halts, the first round
             # covering both its input index and its halting time
-            surfacing = next(rounds)
-            # a round charges each pair what a fresh run of round_no steps
-            # would cost: the steps of a stopped run (at least 1), else
+            surfacing, stopped = next(rounds)
+            for i, run in stopped:
+                stops.append((i, run.steps or 1))
+                stopped_steps += run.steps or 1
+            # a round charges each of its round_no pairs what a fresh run of
+            # round_no steps would cost: the charge of a stopped pair, else
             # round_no, also for a repeating run, which is no longer resumed;
             # the pairs are charged in order, and the round ends at the fuel
-            total = row.stopped_steps + round_no * (len(runs) - row.stopped)
+            total = stopped_steps + round_no * (round_no - len(stops))
+            runs = dict(stopped)
             for i in surfacing:
                 if spent + total >= fuel and spent + charged(i - 1) >= fuel:
                     break
-                output = runs[i - 1].output_word()
+                output = runs[i].output_word()
                 if output not in discovered:
                     discovered.append(output)
                     if len(discovered) >= n:

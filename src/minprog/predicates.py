@@ -147,7 +147,9 @@ def builtin(name: str, *, interp=None, budget=None) -> Predicate:
     ``within:<n>`` and ``bounded-c-equals:<n>`` need an interpreter (and the
     latter a budget) supplied by the caller.
     """
-    head, _, arg = name.partition(":")
+    head, colon, arg = name.partition(":")
+    if colon and head in ("anyword", "nonempty", "false"):
+        raise PredicateConstructionError(f"predicate {head!r} takes no argument, got {name!r}")
     try:
         if head == "anyword":
             return any_word()

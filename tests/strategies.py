@@ -267,6 +267,17 @@ def gap_writer():
     return MachineTM("gap-writer", ("q0", "q1", "q2", "qf"), "q0", frozenset({"qf"}), BINARY, rows)
 
 
+def stuck_below_a_halt():
+    """Stuck on the empty input after one step, found stuck in the round
+    that first tries a second; on every other input writes 1 and halts at
+    step 2.  So x_1's run closes stuck in round 2, where x_2 surfaces."""
+    rows = [Transition("q0", (BLANK, BLANK, BLANK), "q2", (BLANK, BLANK, BLANK), ("S", "R", "S"))]
+    for x in ("0", "1"):
+        rows.append(Transition("q0", (x, BLANK, BLANK), "q1", (x, BLANK, "1"), ("S", "S", "S")))
+        rows.append(Transition("q1", (x, BLANK, "1"), "qf", (x, BLANK, "1"), ("S", "S", "S")))
+    return MachineTM("stuck-below-a-halt", ("q0", "q1", "q2", "qf"), "q0", frozenset({"qf"}), BINARY, tuple(rows))
+
+
 def bouncer():
     """Sweeps its work head right over a growing block of 1s, adds a 1 and
     sweeps back, and halts on the first sweep that finds five 1s, at step

@@ -268,6 +268,9 @@ def test_exit_code_matrix(capsys):
         ([], 2),
         (["run-tm", "--machine", "/does/not/exist", "--fuel", "5"], 1),
         (["complexity", "--predicate", "nosuch:x"], 1),
+        (["complexity", "--predicate", "anyword:junk"], 1),
+        (["complexity", "--predicate", "nonempty:1"], 1),
+        (["complexity", "--predicate", "false:"], 1),
         (["orders", "XYZ"], 1),
         (["totality", "--index", "99", "--cycles", "4"], 1),
         (["run-tm", "--machine", IDENTITY, "--input", "abc"], 1),

@@ -1,5 +1,6 @@
 import hashlib
 import time
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from minprog.codec import KIND_ITM, InvalidCodeError, builtin_memory, codes_up_to, decode_machine, encode_machine
 from minprog.complexity import Budget, itm1_class
 from minprog.hierarchy import (
-    ProbeRow,
     ReductionTM,
     SimDecider,
     build_diagonal,
@@ -22,6 +22,7 @@ from minprog.hierarchy import (
     limitlist_memory,
     order_lookup,
     order_rows,
+    probe_rounds,
     thm72_memory,
     totality_verdict,
 )
@@ -40,7 +41,17 @@ from oracles import (
     rerun_range_enumerate,
     stepwise_change_log,
 )
-from strategies import any_input_grower, bouncer, gap_writer, itm_zoo, small_itms, small_tms, unary_tms, zoo_tms
+from strategies import (
+    any_input_grower,
+    bouncer,
+    gap_writer,
+    itm_zoo,
+    small_itms,
+    small_tms,
+    stuck_below_a_halt,
+    unary_tms,
+    zoo_tms,
+)
 
 POOL = zoo.acceptance_pool()
 CODES = [encode_machine(m) for m in POOL]
@@ -105,18 +116,22 @@ def test_emptiness_detects_the_exact_cycle():
 def test_a_run_that_stays_in_place_closes_in_the_round_it_starts(monkeypatch):
     # the looper's first step on every input is a stay step: each run is
     # stepped once, found repeating, and never resumed
-    calls = {}
-    run_to = TmRun.run_to
+    runs, calls = [], {}
+    init, run_to = TmRun.__init__, TmRun.run_to
+
+    def started(run, *args):
+        runs.append(run)
+        init(run, *args)
 
     def counted(run, fuel):
         calls[run] = calls.get(run, 0) + 1
         return run_to(run, fuel)
 
+    monkeypatch.setattr(TmRun, "__init__", started)
     monkeypatch.setattr(TmRun, "run_to", counted)
-    row = ProbeRow(zoo.looper())
-    assert list(islice(row.rounds(), 40)) == [[]] * 40
-    assert [calls[run] for run in row.runs] == [1] * 40
-    assert [(run.steps, run.period) for run in row.runs] == [(n, 1) for n in range(1, 41)]
+    assert list(islice(probe_rounds(zoo.looper()), 40)) == [([], [])] * 40
+    assert [calls[run] for run in runs] == [1] * 40
+    assert [(run.steps, run.period) for run in runs] == [(n, 1) for n in range(1, 41)]
 
 
 def test_interior_output_blank_still_demonstrates_a_result():
@@ -200,10 +215,27 @@ def test_emptiness_solver_rejects_a_negative_cycle_count(machine, cycles):
 @given(_DOVETAIL_MACHINES, st.text("01", max_size=4), st.integers(0, 2000))
 @example(bouncer(), "", 20000)
 @example(gap_writer(), "", 100)
+@example(stuck_below_a_halt(), "", 3)  # x_1 closes stuck (charge 1) in the round x_2 surfaces in
+@example(stuck_below_a_halt(), "", 2)  # the fuel runs out after x_1 in that round
 def test_range_enumerator_equals_the_rerun_schedule(machine, word, fuel):
     enumerator = build_range_enumerator(encode_machine(machine))
     out = enumerator.run(word, fuel)
     assert (out.kind, out.steps, out.output) == rerun_range_enumerate(enumerator.base, word, fuel)
+
+
+def test_the_range_enumerator_keeps_no_closed_run():
+    # const-zero halts at step 1 on every input and has one value, so x_2
+    # (the third value) plays about 4,470 rounds, each starting one run that
+    # stops in it and leaves only its input and charge
+    enumerator = build_range_enumerator(encode_machine(zoo.const_zero()))
+    tracemalloc.start()
+    try:
+        out = enumerator.run(nth_word(2), 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.kind, out.steps) == ("out-of-fuel", 10**7)
+    assert peak < 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +355,15 @@ def test_a_machine_listed_twice_counts_once_in_cycle_3():
 def test_a_schedule_of_no_cycles_reports_an_empty_list():
     report = dovetail_nontotal(POOL, 0).report()
     assert report == {"cycle": 0, "list": [], "halted_pairs": [], "stable_prefix_estimate": []}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(max_value=-1))
+@example(-1)
+def test_the_scheduler_rejects_a_negative_cycle_count(cycles):
+    # a report at a negative budget would name a cycle that never ran
+    with pytest.raises(ValueError, match="cycles must be at least 0"):
+        dovetail_nontotal(POOL, cycles)
 
 
 def test_acceptance_pool_stable_prefix_is_exactly_the_non_total_codes():

@@ -67,6 +67,10 @@ def test_builtin_constructor_and_errors():
         builtin("len:notanumber")
     with pytest.raises(PredicateConstructionError):
         builtin("within:3")  # needs an interpreter
+    for name in ("anyword:junk", "nonempty:", "false:0"):
+        with pytest.raises(PredicateConstructionError, match="takes no argument"):
+            builtin(name)  # a predicate without an argument takes no colon
+    assert builtin("geq:").name == "geq:" and builtin("geq:")("")  # an empty argument is the empty word
 
 
 def test_computed_within_is_total_and_sound():
