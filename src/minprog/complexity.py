@@ -26,7 +26,7 @@ from heapq import merge
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .words import BINARY, words_of_length
+from .words import BINARY, InvalidWordError, words_of_length
 from .turing import MachineTM, run_fueled
 from .predicates import Predicate, PredicateSet, eval_set
 from .universal import (
@@ -192,10 +192,14 @@ def itm1_class(tm_interp=U_STD) -> MachineClassHandle:
 def compose_postprocess(base: MachineClassHandle, post: MachineTM) -> MachineClassHandle:
     """The class whose interpreter pipes every produced word through a
     post-processing machine; a post run that fails to halt within fuel
-    makes the whole run divergent."""
+    makes the whole run divergent.  So does a word with a symbol outside
+    the post-processor's alphabet: the post-processor has no run on it."""
 
     def piped(word: str | None, budget: Budget) -> str | None:
-        return None if word is None else run_fueled(post, word, budget.fuel).result
+        try:
+            return None if word is None else run_fueled(post, word, budget.fuel).result
+        except InvalidWordError:
+            return None
 
     def produce(program: str, budget: Budget) -> str | None:
         return piped(base.produce(program, budget), budget)

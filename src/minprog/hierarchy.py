@@ -15,7 +15,7 @@ from functools import cache
 from collections.abc import Iterator
 from itertools import islice, product
 
-from .words import BINARY, sd, shortlex_index, shortlex_words
+from .words import BINARY, pair, shortlex_index, shortlex_words
 from .turing import MachineTM, RunOutcome, TmRun, run_fueled
 from .inductive import (
     InductiveRun,
@@ -24,6 +24,7 @@ from .inductive import (
     LinearMemory,
     MachineITM,
     _splice,
+    chain_cell,
     classify_run,
     start_if_fits,
 )
@@ -451,7 +452,7 @@ class _PipelineRun(InductiveRun):
             self._valid = True
         except InvalidCodeError:
             self._valid = False
-        self._pair_word = sd(input_word) + input_word
+        self._pair_word = pair(input_word, input_word)
         self._b_latency = (3 * len(input_word) + 2) if self._valid else (len(input_word) + 1)
         self._d_run = None
         self.b_events: list[tuple[int, str]] = []
@@ -538,7 +539,7 @@ def diagonal_experiment(decider, horizon: int) -> DiagonalReport:
     code = encode_machine(pipeline)
     run = pipeline.start_run(code).run_to(horizon)
     own_run_outcome = classify_run(run, horizon)
-    probe = sd(code) + code
+    probe = pair(code, code)
     decider_outcome = itm_outcome(pipeline.decider, probe, horizon)
     verdict = decider_outcome.result
     gives = own_run_outcome.gives_result
@@ -625,8 +626,10 @@ class _Thm72Base(LinearMemory):
     def connection(self, cell: str, ctype: str) -> str | None:
         if ctype == "o":
             return "out0"
-        if ctype == "t" and (cell == "c0" or cell.startswith("a")):
-            return "a0" if cell == "c0" else f"a{int(cell[1:]) + 1}"
+        if ctype == "t" and cell == "c0":
+            return "a0"
+        if ctype == "t" and (chain := chain_cell(cell)) and chain[0] == "a":
+            return f"a{chain[1] + 1}"
         return super().connection(cell, ctype)
 
     def output_rank(self, cell: str) -> int | None:
@@ -657,8 +660,8 @@ class _LimitListBase(LinearMemory):
     builtin = None
 
     def connection(self, cell: str, ctype: str) -> str | None:
-        if ctype == "n" and cell.startswith("h"):
-            return f"h{int(cell[1:]) + 1}"
+        if ctype == "n" and (chain := chain_cell(cell)) and chain[0] == "h":
+            return f"h{chain[1] + 1}"
         return super().connection(cell, ctype)
 
     def output_rank(self, cell: str) -> int | None:

@@ -15,7 +15,6 @@ unbounded cell rows used by the scheduler constructions are representable.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
@@ -112,14 +111,17 @@ class ExplicitMemory(MemoryGraph):
         return self._output_rank.get(cell)
 
 
-_CHAIN = re.compile(r"^([iwo])(\d+)$")
+def chain_cell(cell: str) -> tuple[str, int] | None:
+    """(letter, index) of a chain cell, a name of one letter and a decimal
+    index such as ``o12``; None for any other name."""
+    return (cell[0], int(cell[1:])) if cell[1:].isdecimal() else None
 
 
 class LinearMemory(MemoryGraph):
     """Three unbounded chains i0,i1,... / w0,... / o0,... generated lazily.
 
     Types r/l walk a chain; i/w/o jump to the head of the named chain from
-    anywhere.  The head starts on i0.
+    anywhere.  The head starts on i0.  Cells are read by :func:`chain_cell`.
     """
 
     conn_types = ("r", "l", "i", "w", "o")
@@ -129,24 +131,19 @@ class LinearMemory(MemoryGraph):
     def connection(self, cell: str, ctype: str) -> str | None:
         if ctype in ("i", "w", "o"):
             return ctype + "0"
-        m = _CHAIN.match(cell)
-        if not m:
+        letter, idx = chain_cell(cell) or (None, 0)
+        if letter not in ("i", "w", "o"):
             return None
-        chain, idx = m.group(1), int(m.group(2))
         if ctype == "r":
-            return f"{chain}{idx + 1}"
-        if ctype == "l":
-            return f"{chain}{idx - 1}" if idx > 0 else None
-        return None
+            return f"{letter}{idx + 1}"
+        return f"{letter}{idx - 1}" if ctype == "l" and idx > 0 else None
 
     def input_cell(self, i: int) -> str:
         return f"i{i}"
 
     def output_rank(self, cell: str) -> int | None:
-        m = _CHAIN.match(cell)
-        if m and m.group(1) == "o":
-            return int(m.group(2))
-        return None
+        letter, idx = chain_cell(cell) or (None, 0)
+        return idx if letter == "o" else None
 
 
 # ---------------------------------------------------------------------------

@@ -141,49 +141,43 @@ def false_pred() -> Predicate:
     return Predicate("false", lambda w: False)
 
 
-def builtin(name: str, *, interp=None, budget=None) -> Predicate:
-    """Constructor keyed by the textual predicate syntax, e.g. ``equals:01``.
+NO_ARGUMENT = {"anyword": any_word, "nonempty": non_empty, "false": false_pred}
+WORD_ARGUMENT = {"equals": equals, "leq": leq, "geq": geq, "lt": lt,
+                 "factor": contains_factor, "infactor": is_factor_of}
 
-    ``within:<n>`` and ``bounded-c-equals:<n>`` need an interpreter (and the
-    latter a budget) supplied by the caller.
+
+def builtin(name: str, *, interp=None, budget=None) -> Predicate:
+    """Constructor keyed by the textual predicate syntax, e.g. ``equals:01``:
+    a head of :data:`NO_ARGUMENT` takes no argument, one of
+    :data:`WORD_ARGUMENT` a binary word, and ``len``, ``within`` and
+    ``bounded-c-equals`` a number, the last two with an interpreter (and
+    the last a budget) from the caller.  Every failure raises one
+    :class:`PredicateConstructionError`.
     """
     head, colon, arg = name.partition(":")
-    if colon and head in ("anyword", "nonempty", "false"):
-        raise PredicateConstructionError(f"predicate {head!r} takes no argument, got {name!r}")
+    problem, cause = f"unknown predicate {name!r}", None
     try:
-        if head == "anyword":
-            return any_word()
-        if head == "nonempty":
-            return non_empty()
-        if head == "equals":
-            return equals(arg)
-        if head == "leq":
-            return leq(arg)
-        if head == "geq":
-            return geq(arg)
-        if head == "lt":
-            return lt(arg)
-        if head == "factor":
-            return contains_factor(arg)
-        if head == "infactor":
-            return is_factor_of(arg)
-        if head == "len":
+        if head in NO_ARGUMENT:
+            if not colon:
+                return NO_ARGUMENT[head]()
+            problem = f"predicate {head!r} takes no argument, got {name!r}"
+        elif head in WORD_ARGUMENT:
+            return WORD_ARGUMENT[head](arg)
+        elif head == "len":
             return length_equals(int(arg))
-        if head == "within":
-            if interp is None:
-                raise PredicateConstructionError("within:<n> needs an interpreter")
-            return computed_within(int(arg), interp)
-        if head == "bounded-c-equals":
-            if interp is None or budget is None:
-                raise PredicateConstructionError("bounded-c-equals needs interpreter and budget")
-            return bounded_complexity_equals(int(arg), interp, budget)
-        if head == "false":
-            return false_pred()
+        elif head == "within":
+            problem = "within:<n> needs an interpreter"
+            if interp is not None:
+                return computed_within(int(arg), interp)
+        elif head == "bounded-c-equals":
+            problem = "bounded-c-equals needs interpreter and budget"
+            if interp is not None and budget is not None:
+                return bounded_complexity_equals(int(arg), interp, budget)
+    except PredicateConstructionError as exc:
+        problem, cause = str(exc), exc
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, PredicateConstructionError):
-            raise
-        raise PredicateConstructionError(f"malformed predicate {name!r}: {exc}") from exc
-    raise PredicateConstructionError(f"unknown predicate {name!r}")
+        problem, cause = f"malformed predicate {name!r}: {exc}", exc
+    raise PredicateConstructionError(problem) from cause
 
 
 # ---------------------------------------------------------------------------

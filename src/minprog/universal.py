@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .words import BINARY, MalformedPairError, sd, unpair, words_of_length
+from .words import BINARY, MalformedPairError, pair, sd, unpair, words_of_length
 from .turing import MachineTM, RunOutcome, run_fueled
 from .inductive import ItmOutcome, TmAsItm, classify_run, start_if_fits
 from .codec import KIND_TM, InvalidCodeError, codes_up_to, decode_machine, encode_machine
@@ -177,7 +177,7 @@ def make_biased_universal(n: int) -> BiasedUniversal:
 
 def tm_program(machine: MachineTM, payload: str) -> str:
     """The standard one-input program computing machine(payload)."""
-    return sd(encode_machine(machine)) + payload
+    return pair(payload, encode_machine(machine))
 
 
 def parse_interpreter_spec(spec: str) -> Interpreter:

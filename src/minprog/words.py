@@ -101,15 +101,15 @@ def shortlex_words(alphabet: Alphabet = BINARY) -> Iterator[str]:
 
 
 def shortlex_le(a: str, b: str) -> bool:
-    """Shortlex order on binary words: by length, then as strings, since
-    "0" sorts before "1"."""
-    if len(a) != len(b):
-        return len(a) < len(b)
-    return BINARY.check_word(a) <= BINARY.check_word(b)
+    """Shortlex order: by length, then as strings.  On binary words that is
+    the enumeration order, since "0" sorts before "1"; on any other strings
+    it is still a total order, by length and then by code point, so it
+    checks no symbol and raises on none."""
+    return (len(a), a) <= (len(b), b)
 
 
 def shortlex_lt(a: str, b: str) -> bool:
-    return a != b and shortlex_le(a, b)
+    return (len(a), a) < (len(b), b)
 
 
 def words_of_length(length: int) -> Iterator[str]:

@@ -26,8 +26,10 @@ from minprog.predicates import (
     computed_within,
     equals,
     false_pred,
+    geq,
     length_equals,
     leq,
+    lt,
     non_empty,
     shipped_registry,
     small20_family,
@@ -40,7 +42,8 @@ from minprog.universal import (
     wrap_universal,
 )
 from minprog.codec import codes_up_to, decode_machine, encode_machine
-from minprog.words import sd, words_up_to
+from minprog.turing import MachineTM, Transition
+from minprog.words import BLANK, Alphabet, sd, words_up_to
 from minprog import codec, complexity, universal, zoo
 
 from helpers import tier_words, tm_program2, verdict_le
@@ -296,6 +299,28 @@ def test_erasing_postprocessor():
 def test_nonhalting_postprocessor_makes_runs_divergent():
     composed = compose_postprocess(H1, zoo.looper())
     v = bounded_problem_complexity(composed, any_word(), Budget(4, 64))
+    assert v.kind == "no-witness-within-budget"
+
+
+def _writes_two() -> MachineTM:
+    """A machine over the alphabet 0, 1, 2 that writes 2 and halts on every input."""
+    rows = tuple(Transition("q0", (s, BLANK, BLANK), "qf", (s, BLANK, "2"), ("S", "S", "S"))
+                 for s in ("0", "1", "2", BLANK))
+    return MachineTM("two", ("q0", "qf"), "q0", frozenset({"qf"}), Alphabet(("0", "1", "2")), rows)
+
+
+def test_order_predicates_answer_on_a_produced_word_outside_binary():
+    composed, budget = compose_postprocess(H1, _writes_two()), Budget(3, 64)
+    assert bounded_problem_complexity(composed, non_empty(), budget).value == 1
+    # "2" is a one-symbol word after "1": above leq:0, below lt:00, at least geq:1
+    assert bounded_problem_complexity(composed, leq("0"), budget).kind == "no-witness-within-budget"
+    for p in (lt("00"), geq("1")):
+        assert bounded_problem_complexity(composed, p, budget).value == 1, p.name
+
+
+def test_a_postprocessor_gives_no_result_on_a_word_outside_its_alphabet():
+    composed = compose_postprocess(compose_postprocess(H1, _writes_two()), zoo.append_zero())
+    v = bounded_problem_complexity(composed, non_empty(), Budget(3, 64))
     assert v.kind == "no-witness-within-budget"
 
 

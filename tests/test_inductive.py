@@ -1,7 +1,8 @@
+import re
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from minprog.hierarchy import SimDecider, build_diagonal
 from minprog.inductive import (
@@ -12,6 +13,7 @@ from minprog.inductive import (
     MachineITM,
     Rule,
     TmAsItm,
+    chain_cell,
     itm_run,
     start_if_fits,
 )
@@ -183,6 +185,19 @@ def test_input_register_grows_lazily_on_linear_memory():
     long_word = "01" * 40
     run = ItmRun(zoo.decider_yes(), long_word)
     assert run.contents[run.memory.input_cell(79)] == "1"
+
+
+@given(st.one_of(st.text(max_size=4), st.builds("{}{}".format, st.sampled_from("iwoah"), st.integers(0, 10**6))))
+@example("o")
+@example("o01")
+@example("a12")
+@example("out0")
+@example("h")
+@example("")
+def test_chain_cell_reads_one_letter_and_a_decimal_index(cell):
+    # the pattern the linear memories matched each cell name against
+    m = re.fullmatch(r"(.)(\d+)", cell, re.DOTALL)
+    assert chain_cell(cell) == (m and (m.group(1), int(m.group(2))))
 
 
 def test_explicit_input_register_is_bounded():

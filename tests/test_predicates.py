@@ -1,8 +1,11 @@
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
+from minprog.complexity import Budget
 from minprog.predicates import (
+    WORD_ARGUMENT,
     ImplicationViolation,
     PredicateConstructionError,
     PredicateSet,
@@ -15,6 +18,7 @@ from minprog.predicates import (
     eval_set,
     false_pred,
     find_implication_counterexample,
+    geq,
     is_factor_of,
     length_equals,
     leq,
@@ -24,7 +28,7 @@ from minprog.predicates import (
     small20_family,
 )
 from minprog.universal import make_biased_universal
-from minprog.words import words_up_to
+from minprog.words import shortlex_index, words_up_to
 
 
 def test_factor_checks():
@@ -71,6 +75,26 @@ def test_builtin_constructor_and_errors():
         with pytest.raises(PredicateConstructionError, match="takes no argument"):
             builtin(name)  # a predicate without an argument takes no colon
     assert builtin("geq:").name == "geq:" and builtin("geq:")("")  # an empty argument is the empty word
+
+
+U1 = make_biased_universal(1)
+BUILTIN_NAMES = st.one_of(
+    st.sampled_from([p.name for p in small20_family(U1)]),
+    st.builds("{}:{}".format, st.sampled_from(sorted(WORD_ARGUMENT)), st.text("01", max_size=3)),
+    st.builds("{}:{}".format, st.sampled_from(["len", "within", "bounded-c-equals"]), st.integers(0, 3)),
+)
+
+
+@given(BUILTIN_NAMES, st.text("0123456789", max_size=5))
+def test_every_builtin_answers_a_bool_on_any_digit_word(name, word):
+    # a program may output symbols outside {0, 1}; no predicate may raise on them
+    assert isinstance(builtin(name, interp=U1, budget=Budget(3, 64))(word), bool)
+
+
+@given(st.text("01", max_size=6), st.text("01", max_size=6))
+def test_order_predicates_agree_with_the_shortlex_index(z, w):
+    i, j = shortlex_index(w), shortlex_index(z)
+    assert (leq(z)(w), geq(z)(w), lt(z)(w)) == (i <= j, i >= j, i < j)
 
 
 def test_computed_within_is_total_and_sound():

@@ -13,6 +13,7 @@ from minprog.words import (
     sd,
     shortlex_index,
     shortlex_le,
+    shortlex_lt,
     shortlex_words,
     unpair,
     word_at,
@@ -184,6 +185,16 @@ def test_shortlex_le_total_order():
     for i, a in enumerate(ws):
         for j, b in enumerate(ws):
             assert shortlex_le(a, b) == (i <= j)
+
+
+@given(st.text(max_size=4), st.text(max_size=4), st.text(max_size=4))
+def test_shortlex_order_is_total_on_any_strings(a, b, c):
+    # words outside {0, 1} are ordered too, by length and then code point, and raise nothing
+    assert shortlex_le(a, b) or shortlex_le(b, a)
+    assert (shortlex_le(a, b) and shortlex_le(b, a)) == (a == b)
+    assert shortlex_lt(a, b) == (shortlex_le(a, b) and a != b)
+    if shortlex_le(a, b) and shortlex_le(b, c):
+        assert shortlex_le(a, c)
 
 
 def test_alphabet_validation():
