@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from collections.abc import Iterator
-from itertools import islice, product
+from itertools import islice
 
 from .words import BINARY, pair, shortlex_index, shortlex_words
 from .turing import MachineTM, RunOutcome, TmRun, run_fueled
@@ -74,27 +74,24 @@ def halting_itm(code: str, input_word: str, horizon: int) -> InductiveVerdict:
 
 
 # ---------------------------------------------------------------------------
-# the probe rounds that every dovetail reads, and the emptiness solver
+# the probe rounds, and the emptiness solver that reads them
 
 
-def probe_rounds(machine: MachineTM, n: int = 1) -> Iterator[tuple[list[int], list[tuple[int, TmRun]]]]:
-    """Play one machine's rounds n, n + 1, ... over inputs x_1, x_2, ...
-    (1-based, words over its own alphabet read in turn from one
-    :func:`shortlex_words`); the first round also starts the runs on
-    x_1..x_{n-1}.  Round n starts the run on x_n and resumes each open run
-    to n total steps (see :meth:`TmRun.run_to`).  A run closes once it is
-    final, stuck or repeating: its answer can no longer change, so no later
-    round resumes it, and only the runs still open are kept; a run that
-    stays in place closes at its first step.
+def probe_rounds(machine: MachineTM) -> Iterator[tuple[list[int], list[tuple[int, TmRun]]]]:
+    """Play one machine's rounds 1, 2, ... over its inputs x_1, x_2, ... in
+    :func:`shortlex_words` order.  Round n starts the run on x_n and resumes
+    each open run to n total steps (see :meth:`TmRun.run_to`).  A run closes
+    once it is final, stuck or repeating: its answer can no longer change, so
+    no later round resumes it, and only the runs still open are kept; a run
+    that stays in place closes at its first step.
 
     Yield for each round the inputs whose run reached a final state in it,
     and the (input, run) pairs that stopped in it, final or stuck, both in
     ascending input order."""
     finals = machine.finals
-    inputs = shortlex_words(machine.alphabet)
-    live = [(i, TmRun(machine, next(inputs))) for i in range(1, n)]
-    while True:
-        live.append((n, TmRun(machine, next(inputs))))
+    live: list[tuple[int, TmRun]] = []
+    for n, word in enumerate(shortlex_words(machine.alphabet), start=1):
+        live.append((n, TmRun(machine, word)))
         halted, stopped, still = [], [], []
         for pair in live:
             run = pair[1].run_to(n)
@@ -107,7 +104,6 @@ def probe_rounds(machine: MachineTM, n: int = 1) -> Iterator[tuple[list[int], li
             stopped.append(pair)
         live = still
         yield halted, stopped
-        n += 1
 
 
 def first_result_cycle(machine: MachineTM, cycles: int) -> int | None:
@@ -139,10 +135,9 @@ def emptiness_solver(code: str, cycles: int) -> InductiveVerdict:
 
 
 class EnumerationList:
-    """The cycle scheduler's list of machine codes after some cycles, built
-    by :func:`dovetail_nontotal`.
+    """The list scheduler's machine codes, built by :func:`dovetail_nontotal`.
 
-    Cycle n plays round n of machines 1..n (see :func:`probe_rounds`).  List
+    Cycle n probes machines 1..n on inputs x_1..x_n for n steps each.  List
     maintenance is the uniform rule: append the next code, then demote
     every machine that produced a result on all of its probed inputs this
     cycle, preserving relative order.  The construction's stated rules make
@@ -202,21 +197,25 @@ class EnumerationList:
 
 
 def dovetail_nontotal(pool: list[MachineTM], cycles: int) -> EnumerationList:
-    """The list after ``cycles`` cycles.  No probe round reads the list, so
-    machine k plays its rounds k..cycles at once, moving in each cycle n
-    where all n of its pairs have halted; the list then folds those moves."""
+    """The list after ``cycles`` cycles.  No round reads the list, and pair
+    (k, i) halting at step t is seen in round max(k, i, t): so each pair runs
+    once, to ``cycles`` steps, and machine k moves in cycle n >= k when its
+    pairs 1..n all halt within n steps.  The list folds those moves."""
     if cycles < 0:
         raise ValueError(f"cycles must be at least 0, got {cycles}")
     state = EnumerationList(pool)
     movers: list[list[str]] = [[] for _ in range(cycles + 1)]  # by cycle, in machine order
-    for k, code in enumerate(state.codes[:cycles], start=1):
-        found: list[int] = []
-        for n, (halted, _) in zip(range(k, cycles + 1), probe_rounds(pool[k - 1], k)):
-            if halted:
-                found += halted
-                if len(found) == n:
-                    movers[n].append(code)
-        state.halted_pairs.update(product((k,), found))
+    for k, (code, machine) in enumerate(zip(state.codes[:cycles], pool), start=1):
+        seen = k  # max(k, t_1..t_i): round max(seen, i) sees pairs 1..i halted, if they all halt
+        for i, word in enumerate(islice(shortlex_words(machine.alphabet), cycles), start=1):
+            run = TmRun(machine, word).run_to(cycles)
+            if run.state in machine.finals:
+                state.halted_pairs.add((k, i))
+                seen = run.steps if run.steps > seen else seen
+            else:
+                seen = cycles + 1
+            if seen <= i:
+                movers[i].append(code)
     order = state.order
     for n, moved in enumerate(movers[1:], start=1):
         if n == 1:
