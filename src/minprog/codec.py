@@ -309,22 +309,23 @@ def _encode_itm(machine: MachineITM, numbers: list[int]) -> None:
 
 def encode_machine(machine) -> str:
     """The binary code word of a machine.  Injective on canonical forms."""
-    kind = getattr(machine, "kind", None)
     if isinstance(machine, MachineTM):
         numbers = [KIND_TM]
         _encode_tm(machine, numbers)
     elif isinstance(machine, MachineITM):
         numbers = [KIND_ITM]
         _encode_itm(machine, numbers)
-    elif kind == "diagonal-pipeline":
+    else:
+        from .hierarchy import DiagonalPipeline  # cycle broken on purpose
+
+        if not isinstance(machine, DiagonalPipeline):
+            raise TypeError(f"{machine!r} has no code")
         if isinstance(machine.decider, MachineITM):
             numbers = [KIND_PIPELINE, 0]
             _encode_itm(machine.decider, numbers)
         else:
             # slot form 1, builtin decider 0: the shipped SimDecider
             numbers = [KIND_PIPELINE, 1, 0]
-    else:
-        raise TypeError(f"{machine!r} has no code")
     return _word(numbers)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from collections.abc import Iterator
 from itertools import islice
 
 from .words import BINARY, pair, shortlex_index, shortlex_words
@@ -74,45 +73,23 @@ def halting_itm(code: str, input_word: str, horizon: int) -> InductiveVerdict:
 
 
 # ---------------------------------------------------------------------------
-# the probe rounds, and the emptiness solver that reads them
-
-
-def probe_rounds(machine: MachineTM) -> Iterator[tuple[list[int], list[tuple[int, TmRun]]]]:
-    """Play one machine's rounds 1, 2, ... over its inputs x_1, x_2, ... in
-    :func:`shortlex_words` order.  Round n starts the run on x_n and resumes
-    each open run to n total steps (see :meth:`TmRun.run_to`).  A run closes
-    once it is final, stuck or repeating: its answer can no longer change, so
-    no later round resumes it, and only the runs still open are kept; a run
-    that stays in place closes at its first step.
-
-    Yield for each round the inputs whose run reached a final state in it,
-    and the (input, run) pairs that stopped in it, final or stuck, both in
-    ascending input order."""
-    finals = machine.finals
-    live: list[tuple[int, TmRun]] = []
-    for n, word in enumerate(shortlex_words(machine.alphabet), start=1):
-        live.append((n, TmRun(machine, word)))
-        halted, stopped, still = [], [], []
-        for pair in live:
-            run = pair[1].run_to(n)
-            if run.state in finals:
-                halted.append(pair[0])
-            elif not run.stuck:
-                if not run.period:
-                    still.append(pair)
-                continue
-            stopped.append(pair)
-        live = still
-        yield halted, stopped
+# the emptiness solver
 
 
 def first_result_cycle(machine: MachineTM, cycles: int) -> int | None:
     """First cycle n <= cycles at which the machine reaches a final state
-    when dovetailed over inputs x_1..x_n for n steps in cycle n."""
-    for n, (halted, _) in zip(range(1, cycles + 1), probe_rounds(machine)):
-        if halted:
-            return n
-    return None
+    when dovetailed over inputs x_1..x_n for n steps in cycle n.  A run on
+    x_i that halts at step t is seen in cycle max(i, t), so each input runs
+    once, to one step short of the best cycle found so far, and the first
+    input whose index reaches that cycle ends the search."""
+    best = cycles + 1
+    for i, word in enumerate(shortlex_words(machine.alphabet), start=1):
+        if i >= best:
+            break
+        run = TmRun(machine, word).run_to(best - 1)
+        if run.state in machine.finals:
+            best = run.steps if run.steps > i else i
+    return best if best <= cycles else None
 
 
 def emptiness_solver(code: str, cycles: int) -> InductiveVerdict:
@@ -257,16 +234,24 @@ def totality_verdict(pool: list[MachineTM], machine_index: int, cycles: int) -> 
 class RangeEnumerator:
     """On input x_n, dovetails the base machine over inputs and step counts
     and outputs the n-th distinct output value discovered; diverges when
-    fewer than n values exist."""
+    fewer than n values exist.  Round r starts the run on x_r and resumes
+    each open run to r total steps (see :meth:`TmRun.run_to`); a run that is
+    final, stuck or repeating is closed and never resumed, since its answer
+    can no longer change, so a run that stays in place closes at its first
+    step."""
 
     def __init__(self, base: MachineTM) -> None:
         self.base = base
         self.name = f"range-enum({base.name})"
 
     def run(self, input_word: str, fuel: int) -> RunOutcome:
+        if fuel < 0:
+            raise ValueError("fuel must be non-negative")
         n = shortlex_index(input_word) + 1
+        machine, finals = self.base, self.base.finals
+        words = shortlex_words(machine.alphabet)
         discovered: list[str] = []
-        rounds = probe_rounds(self.base)
+        live: list[tuple[int, TmRun]] = []  # (input, run) of each open run
         # each stopped pair's input and charge, the steps of its run (at least 1)
         stops: list[tuple[int, int]] = []
 
@@ -277,22 +262,30 @@ class RangeEnumerator:
         spent = stopped_steps = round_no = 0
         while spent < fuel:
             round_no += 1
+            live.append((round_no, TmRun(machine, next(words))))
             # a pair surfaces in the round its run halts, the first round
             # covering both its input index and its halting time
-            surfacing, stopped = next(rounds)
-            for i, run in stopped:
-                stops.append((i, run.steps or 1))
+            surfacing, still = [], []
+            for entry in live:
+                run = entry[1].run_to(round_no)
+                if run.state in finals:
+                    surfacing.append(entry)
+                elif not run.stuck:
+                    if not run.period:
+                        still.append(entry)
+                    continue
+                stops.append((entry[0], run.steps or 1))
                 stopped_steps += run.steps or 1
+            live = still
             # a round charges each of its round_no pairs what a fresh run of
             # round_no steps would cost: the charge of a stopped pair, else
             # round_no, also for a repeating run, which is no longer resumed;
             # the pairs are charged in order, and the round ends at the fuel
             total = stopped_steps + round_no * (round_no - len(stops))
-            runs = dict(stopped)
-            for i in surfacing:
+            for i, run in surfacing:
                 if spent + total >= fuel and spent + charged(i - 1) >= fuel:
                     break
-                output = runs[i].output_word()
+                output = run.output_word()
                 if output not in discovered:
                     discovered.append(output)
                     if len(discovered) >= n:
@@ -310,6 +303,8 @@ class Totalizer:
         self.name = f"totalizer({base.name})"
 
     def run(self, input_word: str, fuel: int) -> RunOutcome:
+        if fuel < 0:
+            raise ValueError("fuel must be non-negative")
         n = shortlex_index(input_word) + 1
         spent = 0
         last = ""
@@ -353,6 +348,8 @@ class ReductionTM:
         self.name = f"reduction({machine.name}@{x or 'ε'})"
 
     def run(self, input_word: str, fuel: int) -> RunOutcome:
+        if fuel < 0:
+            raise ValueError("fuel must be non-negative")
         n = shortlex_index(input_word) + 1
         run = self.machine.start_run(self.x)
         # resume in doubling chunks: the write log does not depend on how
@@ -425,8 +422,6 @@ class DiagonalPipeline:
     sampled continuously, and the filter re-emits on every step.  The
     pipeline's output register is the filter's.
     """
-
-    kind = "diagonal-pipeline"
 
     def __init__(self, decider: MachineITM | SimDecider) -> None:
         self.decider = decider

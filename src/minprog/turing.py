@@ -422,8 +422,8 @@ class TmRun:
         """Step until ``fuel`` total steps, a final state, or stuck.
 
         Machines are deterministic, so resuming a paused run up to n total
-        steps leaves it exactly where a fresh n-step run would: the
-        dovetailers keep one live run per pair and never repeat a step.
+        steps leaves it exactly where a fresh n-step run would: the range
+        enumerator resumes its open runs and never repeats a step.
         The loop runs on locals, tape heads as list indices, and writes the
         configuration back when it stops, the snapshot once it has one.
 

@@ -278,6 +278,16 @@ def stuck_below_a_halt():
     return MachineTM("stuck-below-a-halt", ("q0", "q1", "q2", "qf"), "q0", frozenset({"qf"}), BINARY, tuple(rows))
 
 
+def walker_below_a_halt():
+    """Walks its work head right over blanks forever on the empty input, a
+    run that never comes back to a configuration; on every other input
+    halts at step 1.  So x_1 runs to the last cycle and x_2 gives the first
+    result, in cycle 2."""
+    rows = [Transition("q0", (BLANK, BLANK, BLANK), "q0", (BLANK, BLANK, BLANK), ("S", "R", "S"))]
+    rows += [Transition("q0", (x, BLANK, BLANK), "qf", (x, BLANK, BLANK), ("S", "S", "S")) for x in ("0", "1")]
+    return MachineTM("walker-below-a-halt", ("q0", "qf"), "q0", frozenset({"qf"}), BINARY, tuple(rows))
+
+
 def bouncer():
     """Sweeps its work head right over a growing block of 1s, adds a 1 and
     sweeps back, and halts on the first sweep that finds five 1s, at step

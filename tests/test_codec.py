@@ -130,13 +130,13 @@ def test_itm_codes_roundtrip():
 
 
 def test_pipeline_codes_roundtrip():
-    from minprog.hierarchy import SimDecider, build_diagonal
+    from minprog.hierarchy import DiagonalPipeline, SimDecider, build_diagonal
 
     for decider in [zoo.decider_no(), SimDecider()]:
         pipeline = build_diagonal(decider)
         code = encode_machine(pipeline)
         back = decode_machine(code)
-        assert back.kind == "diagonal-pipeline"
+        assert isinstance(back, DiagonalPipeline)
         assert encode_machine(back) == code
 
 

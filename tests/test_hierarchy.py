@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from minprog.codec import KIND_ITM, InvalidCodeError, builtin_memory, codes_up_to, decode_machine, encode_machine
 from minprog.complexity import Budget, itm1_class
 from minprog.hierarchy import (
+    DiagonalPipeline,
     ReductionTM,
     SimDecider,
     build_diagonal,
@@ -23,7 +24,6 @@ from minprog.hierarchy import (
     limitlist_memory,
     order_lookup,
     order_rows,
-    probe_rounds,
     thm72_memory,
     totality_verdict,
 )
@@ -53,6 +53,7 @@ from strategies import (
     small_tms,
     stuck_below_a_halt,
     unary_tms,
+    walker_below_a_halt,
     walking_tms,
     zoo_tms,
 )
@@ -118,8 +119,9 @@ def test_emptiness_detects_the_exact_cycle():
 
 
 def test_a_run_that_stays_in_place_closes_in_the_round_it_starts(monkeypatch):
-    # the looper's first step on every input is a stay step: each run is
-    # stepped once, found repeating, and never resumed
+    # the looper's first step on every input is a stay step: each run of the
+    # range enumerator is stepped once, found repeating, and never resumed;
+    # round r charges r^2, so the fuel of 40 rounds is the sum of 1..40 squared
     runs, calls = [], {}
     init, run_to = TmRun.__init__, TmRun.run_to
 
@@ -133,7 +135,9 @@ def test_a_run_that_stays_in_place_closes_in_the_round_it_starts(monkeypatch):
 
     monkeypatch.setattr(TmRun, "__init__", started)
     monkeypatch.setattr(TmRun, "run_to", counted)
-    assert list(islice(probe_rounds(zoo.looper()), 40)) == [([], [])] * 40
+    fuel = sum(r * r for r in range(1, 41))
+    out = build_range_enumerator(encode_machine(zoo.looper())).run("", fuel)
+    assert (out.kind, out.steps) == ("out-of-fuel", fuel)
     assert [calls[run] for run in runs] == [1] * 40
     assert [(run.steps, run.period) for run in runs] == [(n, 1) for n in range(1, 41)]
 
@@ -191,6 +195,7 @@ def test_unary_machines_see_unary_inputs():
 @given(_DOVETAIL_MACHINES, st.integers(0, 40))
 @example(bouncer(), 40)
 @example(zoo.halt_now(), 0)
+@example(walker_below_a_halt(), 40)  # x_1 runs 40 steps, then x_2 halts at step 1: the answer is 2
 def test_emptiness_solver_equals_the_rerun_schedule(machine, cycles):
     v = emptiness_solver(encode_machine(machine), cycles)
     n = rerun_first_result_cycle(machine, cycles)
@@ -213,6 +218,17 @@ def test_emptiness_solver_rejects_a_negative_cycle_count(machine, cycles):
     # the code is decoded first
     with pytest.raises(InvalidCodeError, match="does not take a"):
         emptiness_solver(encode_machine(zoo.writer()), cycles)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_range_enumerator(encode_machine(zoo.identity())),
+    lambda: build_totalizer(encode_machine(zoo.identity())),
+    lambda: build_reduction_tm(encode_machine(zoo.writer()), ""),
+], ids=["range-enumerator", "totalizer", "reduction"])
+def test_host_machines_reject_a_negative_fuel(build):
+    # an out-of-fuel outcome at a negative fuel would claim steps that never ran
+    with pytest.raises(ValueError, match="fuel must be non-negative"):
+        build().run("", -5)
 
 
 @settings(max_examples=150, deadline=None)
@@ -317,6 +333,7 @@ def test_scheduler_follows_the_literal_placement_rules():
 
 @pytest.mark.parametrize("pool, cycles", [
     (POOL, 160), (POOL, 4), (POOL, 0), ([bouncer(), zoo.looper(), zoo.identity()], 40),
+    ([walker_below_a_halt()], 40),
 ])
 def test_a_dovetail_starts_one_run_per_pair_and_resumes_no_closed_run(pool, cycles, monkeypatch):
     # machine k runs each of x_1..x_c once, to c steps, so a dovetail of
@@ -325,7 +342,7 @@ def test_a_dovetail_starts_one_run_per_pair_and_resumes_no_closed_run(pool, cycl
     init, run_to = TmRun.__init__, TmRun.run_to
 
     def counted_init(run, machine, word):
-        started.append(run)
+        started.append((run, word))
         init(run, machine, word)
 
     def watched_run_to(run, fuel):
@@ -340,6 +357,20 @@ def test_a_dovetail_starts_one_run_per_pair_and_resumes_no_closed_run(pool, cycl
     assert len(started) == min(len(pool), cycles) * cycles
     assert resumed_closed == []
     assert len(calls) == len(set(calls)) == len(started)
+    # the emptiness solver runs x_1, x_2, ... once each, by one run_to call,
+    # and stops before an input past its answer: the run on x_n itself
+    # starts only when no earlier run already gave cycle n
+    for machine in pool:
+        started.clear()
+        calls.clear()
+        verdict = emptiness_solver(encode_machine(machine), cycles)
+        assert [word for _, word in started] == [nth_word(i) for i in range(1, len(started) + 1)]
+        if verdict.value == "0":
+            assert verdict.stabilized_since - 1 <= len(started) <= verdict.stabilized_since
+        else:
+            assert len(started) == cycles
+        assert resumed_closed == []
+        assert calls == [run for run, _ in started]
 
 
 def test_a_lone_unlisted_mover_in_cycle_3_is_not_placed():
@@ -601,7 +632,7 @@ def test_constructions_reject_a_code_of_the_wrong_kind(construct, wrong_codes):
 def test_reduction_takes_inductive_and_pipeline_codes():
     assert isinstance(build_reduction_tm(ITM_CODE, "").machine, MachineITM)
     reduction = build_reduction_tm(PIPELINE_CODE, TM_CODE)
-    assert reduction.machine.kind == "diagonal-pipeline"
+    assert isinstance(reduction.machine, DiagonalPipeline)
     assert reduction.run(nth_word(3), 1000) == RunOutcome.of_halt("0", 3)
 
 
