@@ -20,7 +20,6 @@ from .complexity import (
     bounded_functional_complexity,
     bounded_kolmogorov,
     bounded_problem_complexity,
-    bounded_set_problem_complexity,
     compose_postprocess,
     growth_profile,
     invariance_gap,

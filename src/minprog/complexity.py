@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 from .words import BINARY, InvalidWordError, words_of_length
 from .turing import MachineTM, run_fueled
-from .predicates import Predicate, PredicateSet, eval_set
+from .predicates import Predicate
 from .universal import (
     U_STD,
     WRAP_HEADER,
@@ -264,16 +264,6 @@ def bounded_problem_complexity(
 ) -> ComplexityVerdict:
     """Minimum program length whose produced word satisfies the predicate."""
     return _problem_scan(handle, [predicate], budget)[0]
-
-
-def bounded_set_problem_complexity(
-    handle: MachineClassHandle, pset: PredicateSet, budget: Budget
-) -> ComplexityVerdict:
-    conj = Predicate(
-        "all-of(" + ",".join(p.name for p in pset.members) + ")",
-        lambda w: eval_set(pset, w),
-    )
-    return bounded_problem_complexity(handle, conj, budget)
 
 
 def bounded_kolmogorov(handle: MachineClassHandle, target: str, budget: Budget) -> ComplexityVerdict:

@@ -79,17 +79,27 @@ def halting_itm(code: str, input_word: str, horizon: int) -> InductiveVerdict:
 def first_result_cycle(machine: MachineTM, cycles: int) -> int | None:
     """First cycle n <= cycles at which the machine reaches a final state
     when dovetailed over inputs x_1..x_n for n steps in cycle n.  A run on
-    x_i that halts at step t is seen in cycle max(i, t), so each input runs
-    once, to one step short of the best cycle found so far, and the first
-    input whose index reaches that cycle ends the search."""
-    best = cycles + 1
-    for i, word in enumerate(shortlex_words(machine.alphabet), start=1):
-        if i >= best:
-            break
-        run = TmRun(machine, word).run_to(best - 1)
-        if run.state in machine.finals:
-            best = run.steps if run.steps > i else i
-    return best if best <= cycles else None
+    x_i that halts at step t is seen in cycle max(i, t).  Horizons h from 1
+    up to ``cycles``, each the ceiling of an eighth of the next, rerun x_1,
+    x_2, ... from scratch, one at a time, to one step short of the best
+    cycle found so far (at first h + 1), up to the first input whose index
+    reaches it; the first horizon that finds a cycle has seen every pair
+    with max(i, t) <= h.  So the work grows with the answer, and the lower
+    horizons add about 1/63 to the steps of a search that finds nothing."""
+    horizons = [cycles]
+    while horizons[-1] > 1:
+        horizons.append(-(-horizons[-1] // 8))
+    for h in reversed(horizons):
+        best = h + 1
+        for i, word in enumerate(shortlex_words(machine.alphabet), start=1):
+            if i >= best:
+                break
+            run = TmRun(machine, word).run_to(best - 1)
+            if run.state in machine.finals:
+                best = run.steps if run.steps > i else i
+        if best <= h:
+            return best
+    return None
 
 
 def emptiness_solver(code: str, cycles: int) -> InductiveVerdict:

@@ -1,4 +1,4 @@
-"""Total decidable predicates on words, predicate sets, and implications.
+"""Total decidable predicates on words, and verified implications between them.
 
 Every predicate here terminates on every word: predicates that quote a
 machine or an interpreter carry an explicit budget as a parameter, which is
@@ -33,19 +33,6 @@ class Predicate:
 
     def __call__(self, word: str) -> bool:
         return bool(self.fn(word))
-
-
-@dataclass(frozen=True)
-class PredicateSet:
-    members: tuple[Predicate, ...]
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise PredicateConstructionError("a predicate set must be non-empty")
-
-
-def eval_set(pset: PredicateSet, word: str) -> bool:
-    return all(p(word) for p in pset.members)
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +171,6 @@ def builtin(name: str, *, interp=None, budget=None) -> Predicate:
 # implications
 
 
-def find_implication_counterexample(p: Predicate, q: Predicate, max_len: int) -> str | None:
-    for w in words_up_to(max_len):
-        if p(w) and not q(w):
-            return w
-    return None
-
-
 # Registering an edge checks it on every word up to this length.
 IMPLICATION_CHECK_LEN = 6
 
@@ -202,11 +182,9 @@ class ImplicationRegistry:
     edges: list[tuple[Predicate, Predicate, str]] = field(default_factory=list)
 
     def register(self, p: Predicate, q: Predicate, justification: str = "") -> None:
-        ce = find_implication_counterexample(p, q, IMPLICATION_CHECK_LEN)
-        if ce is not None:
-            raise ImplicationViolation(
-                f"{p.name} does not imply {q.name}: counterexample {ce!r}"
-            )
+        for w in words_up_to(IMPLICATION_CHECK_LEN):
+            if p(w) and not q(w):
+                raise ImplicationViolation(f"{p.name} does not imply {q.name}: counterexample {w!r}")
         self.edges.append((p, q, justification))
 
     def __len__(self) -> int:

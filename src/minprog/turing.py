@@ -177,9 +177,7 @@ class MachineTM:
 
     The first two rules are checked on the names, then the row is numbered
     (see :data:`NumberedRow`) and the others are checked as it is compiled;
-    :meth:`numbered` builds a machine from rows already numbered.  Two
-    machines are equal when their name, states, start, finals, alphabet and
-    transitions are.
+    :meth:`numbered` builds a machine from rows already numbered.
     """
 
     def __init__(
@@ -253,21 +251,6 @@ class MachineTM:
                        (move[d0], move[d1], move[d2]))
             for (state, r0, r1, r2), (nxt, c1, c2, d0, d1, d2, *_) in self.table.items()
         )
-
-    def _fields(self) -> tuple:
-        return (self.name, self.states, self.start, self.finals, self.alphabet, self.transitions)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"MachineTM(name={self.name!r}, states={self.states!r}, start={self.start!r}, "
-                f"finals={self.finals!r}, alphabet={self.alphabet!r}, transitions={self.transitions!r})")
 
     @cached_property
     def sweeps(self) -> dict[str, dict[str, tuple[str, dict[str, str], dict[int, str | None]] | None]]:

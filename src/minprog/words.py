@@ -92,7 +92,7 @@ def nth_word(n: int) -> str:
     return word_at(n - 1)
 
 
-def shortlex_words(alphabet: Alphabet = BINARY) -> Iterator[str]:
+def shortlex_words(alphabet: Alphabet) -> Iterator[str]:
     """x_1, x_2, ... over ``alphabet`` without end: shorter words first,
     ties broken by symbol order."""
     for length in count():

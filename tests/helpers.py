@@ -2,11 +2,13 @@
 renaming into canonical form, the standard two-input program word, the
 live words of a tier built from its heads, single steps and
 configurations of the package's steppers, the register reads of an
-inductive run against a reference change log, and the order on verdicts."""
+inductive run against a reference change log, the order on verdicts, and
+the conjunction of predicates."""
 
 import itertools
 
 from minprog.codec import canonical_state_order, encode_machine
+from minprog.predicates import Predicate
 from minprog.turing import MachineTM, Transition
 from minprog.words import BLANK, sd
 
@@ -118,3 +120,10 @@ def verdict_le(a, b) -> bool:
     if a.finite:
         return (not b.finite) or a.value <= b.value
     return not b.finite
+
+
+def all_of(*members: Predicate) -> Predicate:
+    """The conjunction of the members: a problem given by several
+    conditions at once is the one predicate that checks them all."""
+    return Predicate("all-of(" + ",".join(p.name for p in members) + ")",
+                     lambda w: all(p(w) for p in members))

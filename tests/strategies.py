@@ -281,8 +281,8 @@ def stuck_below_a_halt():
 def walker_below_a_halt():
     """Walks its work head right over blanks forever on the empty input, a
     run that never comes back to a configuration; on every other input
-    halts at step 1.  So x_1 runs to the last cycle and x_2 gives the first
-    result, in cycle 2."""
+    halts at step 1.  So x_2 gives the first result, in cycle 2, however
+    many cycles x_1 could run."""
     rows = [Transition("q0", (BLANK, BLANK, BLANK), "q0", (BLANK, BLANK, BLANK), ("S", "R", "S"))]
     rows += [Transition("q0", (x, BLANK, BLANK), "qf", (x, BLANK, BLANK), ("S", "S", "S")) for x in ("0", "1")]
     return MachineTM("walker-below-a-halt", ("q0", "qf"), "q0", frozenset({"qf"}), BINARY, tuple(rows))

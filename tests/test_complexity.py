@@ -10,7 +10,6 @@ from minprog.complexity import (
     bounded_functional_complexity,
     bounded_kolmogorov,
     bounded_problem_complexity,
-    bounded_set_problem_complexity,
     compose_postprocess,
     growth_profile,
     invariance_gap,
@@ -20,7 +19,6 @@ from minprog.complexity import (
 )
 from minprog.predicates import (
     Predicate,
-    PredicateSet,
     any_word,
     builtin,
     computed_within,
@@ -46,7 +44,7 @@ from minprog.turing import MachineTM, Transition
 from minprog.words import BLANK, Alphabet, sd, words_up_to
 from minprog import codec, complexity, universal, zoo
 
-from helpers import tier_words, tm_program2, verdict_le
+from helpers import all_of, tier_words, tm_program2, verdict_le
 from oracles import binary_words, binary_words_of_len, brute_force_halts, brute_force_search
 
 U1 = make_biased_universal(1)
@@ -115,19 +113,19 @@ def test_bounded_kolmogorov_scans_without_passing_through_the_problem_complexity
 
 def test_set_complexity_of_singleton_equals_plain_complexity():
     for p in [any_word(), equals("0"), non_empty()]:
-        a = bounded_set_problem_complexity(H1, PredicateSet((p,)), SMALL)
+        a = bounded_problem_complexity(H1, all_of(p), SMALL)
         b = bounded_problem_complexity(H1, p, SMALL)
         assert (a.kind, a.value, a.witness) == (b.kind, b.value, b.witness)
 
 
 def test_set_complexity_weaker_than_equality_member():
-    weaker = bounded_set_problem_complexity(H1, PredicateSet((non_empty(), leq("11"))), SMALL)
+    weaker = bounded_problem_complexity(H1, all_of(non_empty(), leq("11")), SMALL)
     stronger = bounded_problem_complexity(H1, equals("0"), SMALL)
     assert verdict_le(weaker, stronger)
 
 
 def test_set_with_false_member_has_no_witness():
-    v = bounded_set_problem_complexity(H1, PredicateSet((any_word(), false_pred())), SMALL)
+    v = bounded_problem_complexity(H1, all_of(any_word(), false_pred()), SMALL)
     assert v.kind == "no-witness-within-budget"
 
 

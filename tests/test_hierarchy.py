@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import time
 import tracemalloc
@@ -357,20 +358,43 @@ def test_a_dovetail_starts_one_run_per_pair_and_resumes_no_closed_run(pool, cycl
     assert len(started) == min(len(pool), cycles) * cycles
     assert resumed_closed == []
     assert len(calls) == len(set(calls)) == len(started)
-    # the emptiness solver runs x_1, x_2, ... once each, by one run_to call,
-    # and stops before an input past its answer: the run on x_n itself
-    # starts only when no earlier run already gave cycle n
+    # the emptiness solver reruns x_1, x_2, ... from scratch at each of at
+    # most ceil(log8 c) + 1 horizons, one run at a time and by one run_to
+    # call each, and its last horizon stops before an input past its
+    # answer: the run on x_n itself starts only when no earlier run already
+    # gave cycle n
     for machine in pool:
         started.clear()
         calls.clear()
         verdict = emptiness_solver(encode_machine(machine), cycles)
-        assert [word for _, word in started] == [nth_word(i) for i in range(1, len(started) + 1)]
+        words = [word for _, word in started]
+        firsts = [k for k, word in enumerate(words) if word == ""] + [len(words)]
+        horizons = [words[a:b] for a, b in zip(firsts, firsts[1:])]
+        assert len(horizons) <= (1 + math.ceil(math.log(cycles, 8)) if cycles else 0)
+        for run_words in horizons:
+            assert run_words == [nth_word(i) for i in range(1, len(run_words) + 1)]
         if verdict.value == "0":
-            assert verdict.stabilized_since - 1 <= len(started) <= verdict.stabilized_since
-        else:
-            assert len(started) == cycles
+            assert verdict.stabilized_since - 1 <= len(horizons[-1]) <= verdict.stabilized_since
+        elif cycles:
+            assert len(horizons[-1]) == cycles
         assert resumed_closed == []
         assert calls == [run for run, _ in started]
+
+
+def test_an_early_answer_past_an_input_that_never_halts_costs_a_few_steps(monkeypatch):
+    # x_1 walks right for ever and x_2 halts at step 1, so the answer is 2
+    # however many cycles x_1 could run: only the horizons up to the one
+    # that reaches 2 run, and their runs ask for a few steps in all
+    fuel, run_to = [], TmRun.run_to
+
+    def counted_run_to(run, steps):
+        fuel.append(steps)
+        return run_to(run, steps)
+
+    monkeypatch.setattr(TmRun, "run_to", counted_run_to)
+    verdict = emptiness_solver(encode_machine(walker_below_a_halt()), 10**6)
+    assert (verdict.value, verdict.stabilized_since) == ("0", 2)
+    assert sum(fuel) < 100
 
 
 def test_a_lone_unlisted_mover_in_cycle_3_is_not_placed():

@@ -166,14 +166,9 @@ def test_unlabelled_limit_memory_has_no_serialized_form():
     "writer.itm",
 ])
 def test_shipped_machine_files_parse_to_their_zoo_twins(filename):
-    # names count: a Turing machine's == compares them, and the serialized
-    # text of an inductive machine, which has no ==, starts with one
+    # names count: the serialized text starts with one
     machine = parse_machine_file((MACHINE_DIR / filename).read_text())
-    twin = getattr(zoo, Path(filename).stem)()
-    if isinstance(twin, MachineTM):
-        assert machine == twin
-    else:
-        assert serialize_machine(machine) == serialize_machine(twin)
+    assert serialize_machine(machine) == serialize_machine(getattr(zoo, Path(filename).stem)())
 
 
 WRITER_FILE = """\

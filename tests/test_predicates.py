@@ -6,18 +6,16 @@ from hypothesis import given, strategies as st
 from minprog.complexity import Budget
 from minprog.predicates import (
     WORD_ARGUMENT,
+    ImplicationRegistry,
     ImplicationViolation,
     PredicateConstructionError,
-    PredicateSet,
     any_word,
     bounded_complexity_equals,
     builtin,
     computed_within,
     contains_factor,
     equals,
-    eval_set,
     false_pred,
-    find_implication_counterexample,
     geq,
     is_factor_of,
     length_equals,
@@ -49,16 +47,6 @@ def test_order_predicates_follow_shortlex():
 def test_false_predicate_is_identically_false():
     f = false_pred()
     assert not any(f(w) for w in words_up_to(6))
-
-
-def test_eval_set_is_exact_conjunction():
-    s = PredicateSet((non_empty(), leq("11")))
-    assert eval_set(s, "0")
-    assert not eval_set(s, "")
-    assert not eval_set(s, "000")
-    assert eval_set(PredicateSet((any_word(),)), "")
-    for w in words_up_to(4):
-        assert eval_set(s, w) == (non_empty()(w) and leq("11")(w))
 
 
 def test_builtin_constructor_and_errors():
@@ -154,10 +142,14 @@ def test_predicates_total_on_long_words():
 
 
 def test_check_implication_examples():
-    assert find_implication_counterexample(equals("01"), contains_factor("0"), 6) is None
-    assert find_implication_counterexample(lt("010"), leq("010"), 6) is None
-    ce = find_implication_counterexample(non_empty(), equals("0"), 6)
-    assert ce == "1"  # the shortlex-least non-empty word that is not "0"
+    reg = ImplicationRegistry()
+    reg.register(equals("01"), contains_factor("0"))
+    reg.register(lt("010"), leq("010"))
+    assert len(reg) == 2
+    # "1" is the shortlex-least non-empty word that is not "0"
+    with pytest.raises(ImplicationViolation, match="counterexample '1'"):
+        reg.register(non_empty(), equals("0"))
+    assert len(reg) == 2
 
 
 def test_registration_of_bad_edge_names_a_counterexample():
@@ -170,7 +162,7 @@ def test_shipped_registry_size_and_soundness_at_larger_length():
     reg = shipped_registry()
     assert len(reg) >= 30
     for p, q, _ in reg.edges:
-        assert find_implication_counterexample(p, q, 7) is None, (p.name, q.name)
+        assert not any(p(w) and not q(w) for w in words_up_to(7)), (p.name, q.name)
 
 
 def test_small20_family_has_twenty_distinct_predicates():
