@@ -5,13 +5,14 @@ repeated identical invocations print byte-identical JSON once the
 ``elapsed_ms`` field is removed.  Exit codes: 0 success, 1 runtime error,
 2 usage error.
 
-A call builds the parser of the command it names and no other; ``--help``
-and usage errors still list every command.
+A call builds the parser of the command it names and no other, once per
+process; ``--help`` and usage errors still list every command.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -25,6 +26,7 @@ from .codec import encode_machine
 from .machinefile import ParseError, parse_machine_file
 from .predicates import PredicateConstructionError, builtin, small20_family
 from .universal import parse_interpreter_spec
+from .words import nth_word
 from .complexity import (
     Budget,
     FunctionTable,
@@ -195,10 +197,11 @@ def _cmd_emptiness(args):
     if args.machine:
         machine = _load(args.machine, MachineTM)
     else:
+        index = args.pool_index or 0
         pool = zoo.acceptance_pool()
-        if args.pool_index >= len(pool):
-            raise IndexError(f"pool index {args.pool_index} out of range: the pool has {len(pool)} machines")
-        machine = pool[args.pool_index]
+        if index >= len(pool):
+            raise IndexError(f"pool index {index} out of range: the pool has {len(pool)} machines")
+        machine = pool[index]
     verdict = emptiness_solver(encode_machine(machine), args.cycles)
     payload = {"machine": machine.name, "verdict": asdict(verdict)}
     meaning = "gives no result anywhere (so far)" if verdict.value == "1" else "demonstrated a result"
@@ -256,8 +259,6 @@ def _cmd_diagonal(args):
 def _cmd_reduce(args):
     machine = _load(args.machine, MachineITM)
     reduction = build_reduction_tm(encode_machine(machine), _coded_input(machine, args.input))
-    from .words import nth_word
-
     probes = []
     all_halt = True
     for n in range(1, args.probes + 1):
@@ -349,8 +350,10 @@ _COMMANDS = (
         p.add_argument("--machines", nargs="*", help="machine files (default: builtin pool)"),
     )),
     ("emptiness", _cmd_emptiness, lambda p: (
-        p.add_argument("--machine"),
-        p.add_argument("--pool-index", dest="pool_index", type=_NON_NEGATIVE, default=0),
+        # the default is None, not 0: argparse lets an option given its own
+        # default value through a mutually exclusive group
+        (group := p.add_mutually_exclusive_group()).add_argument("--machine"),
+        group.add_argument("--pool-index", dest="pool_index", type=_NON_NEGATIVE),
         p.add_argument("--cycles", type=_POSITIVE, default=32),
     )),
     ("totality", _cmd_totality, lambda p: (
@@ -377,8 +380,14 @@ _COMMANDS = (
 )
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, or of every command if it names none."""
+_NAMES = frozenset(entry[0] for entry in _COMMANDS)
+
+
+@functools.cache
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every command if it names none.
+
+    Built once per argument: a parse leaves no state on the parser."""
     # --help prints every paragraph of the module docstring but the last
     parser = argparse.ArgumentParser(prog="minprog", description=__doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
@@ -398,8 +407,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the top parser's options take no value, so an argument past them is the
     # command; past anything else ("--", "-", "-1", an abbreviation) argparse
-    # may read another argument as the command, and every subparser is built
-    parser = build_parser(next((arg for arg in argv if arg not in ("-h", "--help", "--json")), None))
+    # may read another argument as the command, and every subparser is built;
+    # a word that names no command maps to None, so the cache stays small
+    word = next((arg for arg in argv if arg not in ("-h", "--help", "--json")), None)
+    parser = build_parser(word if word in _NAMES else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

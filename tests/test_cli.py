@@ -175,6 +175,13 @@ def test_emptiness_pool_index_out_of_range_names_the_pool_size(capsys):
     assert err.strip() == "error: pool index 6 out of range: the pool has 6 machines"
 
 
+@pytest.mark.parametrize("index", ["0", "9"])
+def test_emptiness_takes_a_machine_file_or_a_pool_index_not_both(capsys, index):
+    code, out, err = run_cli(capsys, "emptiness", "--machine", IDENTITY, "--pool-index", index)
+    assert code == 2 and out == ""
+    assert "argument --pool-index: not allowed with argument --machine" in err
+
+
 def test_halting_itm(capsys):
     report = run_json(capsys, "halting-itm", "--machine", IDENTITY, "--input", "0", "--horizon", "1000")
     assert report["verdict"]["value"] == "1"

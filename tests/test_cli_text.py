@@ -1,5 +1,5 @@
 """The CLI's help, usage and error text is pinned, and a call builds the
-parser of its own command only.
+parser of its own command only, once per process.
 
 ``golden/cli.json`` maps each argv below to the (exit code, stdout,
 stderr) that ``minprog`` printed for it when the file was recorded, at
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from minprog.cli import main
+from minprog.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
@@ -56,6 +56,7 @@ def test_cli_text_is_pinned(line, capsys, monkeypatch):
     (["--", "orders"], 13),
 ])
 def test_a_call_builds_the_parser_of_its_command_only(argv, parsers, capsys, monkeypatch):
+    build_parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -65,5 +66,54 @@ def test_a_call_builds_the_parser_of_its_command_only(argv, parsers, capsys, mon
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     main(argv)
+    assert len(built) == parsers
+    main(argv)  # the same call again only parses
     capsys.readouterr()
     assert len(built) == parsers
+
+
+def test_words_that_name_no_command_share_one_parser(capsys):
+    build_parser.cache_clear()
+    for n in range(50):
+        main([f"bogus{n}"])
+    capsys.readouterr()
+    assert build_parser.cache_info().currsize <= 1
+
+
+def report_without_elapsed(argv, capsys, monkeypatch):
+    code, out, err = run_argv(shlex.join(["--json", *argv]), capsys, monkeypatch)
+    assert code == 0, err
+    report = json.loads(out)
+    report.pop("elapsed_ms")
+    return report
+
+
+# each call leaves out an option that the call before it gave
+WARM_SEQUENCE = [
+    ["func-complexity", "--pair", "0=0", "--max-len", "4"],
+    ["func-complexity", "--pair", "1=1", "--max-len", "4"],
+    ["enumerate-nontotal", "--machines", "machines/identity.tm", "--cycles", "4"],
+    ["enumerate-nontotal", "--cycles", "4"],
+    ["complexity", "--predicate", "equals:0", "--max-len", "4", "--horizon", "5"],
+    ["complexity", "--predicate", "equals:0", "--max-len", "4"],
+]
+
+
+def test_a_warm_parser_carries_nothing_from_one_call_to_the_next(capsys, monkeypatch):
+    cold = []
+    for argv in WARM_SEQUENCE:
+        build_parser.cache_clear()
+        cold.append(report_without_elapsed(argv, capsys, monkeypatch))
+    build_parser.cache_clear()
+    warm = [report_without_elapsed(argv, capsys, monkeypatch) for argv in WARM_SEQUENCE]
+    assert warm == cold
+    assert all(cold[i] != cold[i + 1] for i in range(0, len(cold), 2))
+
+
+@pytest.mark.parametrize("line", [
+    *(f"{command} -h" for command in COMMANDS), "-h", "run-tm --machine machines/identity.tm --bogus",
+])
+def test_help_and_usage_errors_read_the_same_cold_and_warm(line, capsys, monkeypatch):
+    build_parser.cache_clear()
+    cold = run_argv(line, capsys, monkeypatch)
+    assert run_argv(line, capsys, monkeypatch) == cold
