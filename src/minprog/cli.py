@@ -347,7 +347,7 @@ _COMMANDS = (
     )),
     ("enumerate-nontotal", _cmd_enumerate_nontotal, lambda p: (
         p.add_argument("--cycles", type=_POSITIVE, default=64),
-        p.add_argument("--machines", nargs="*", help="machine files (default: builtin pool)"),
+        p.add_argument("--machines", nargs="+", help="machine files (default: builtin pool)"),
     )),
     ("emptiness", _cmd_emptiness, lambda p: (
         # the default is None, not 0: argparse lets an option given its own
@@ -359,7 +359,7 @@ _COMMANDS = (
     ("totality", _cmd_totality, lambda p: (
         p.add_argument("--index", type=_NON_NEGATIVE, required=True),
         p.add_argument("--cycles", type=_POSITIVE, default=64),
-        p.add_argument("--machines", nargs="*"),
+        p.add_argument("--machines", nargs="+"),
     )),
     ("halting-itm", _cmd_halting_itm, lambda p: (
         p.add_argument("--machine", required=True),

@@ -374,7 +374,7 @@ class ReductionTM:
         if run.change_count < n:
             return RunOutcome.of_fuel(fuel)
         # halt at the n-th change with the value the register held before it
-        return RunOutcome.of_halt(run.register_after(n - 1), run.writes.event(n - 1)[0])
+        return RunOutcome.of_halt(run.register_after(n - 1), run.writes.locate(n - 1)[1])
 
 
 def build_reduction_tm(itm_code: str, x: str) -> ReductionTM:
@@ -492,8 +492,9 @@ class _PipelineRun(InductiveRun):
                 self._d_run = start_if_fits(self._decider, self._pair_word)
             elif self._d_run is not None:
                 count = self._d_run.run_to(self.steps - self._b_latency).change_count
+                d_writes = self._d_run.writes
                 while seen < count:
-                    _, pos, sym = self._d_run.writes.event(seen)
+                    _, pos, sym = d_writes.events[d_writes.locate(seen)[0]]
                     claim = _splice(positions, claim, pos, sym)
                     seen += 1
                 d_out = claim

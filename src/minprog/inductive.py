@@ -34,22 +34,14 @@ class MemoryGraph:
 
     ``builtin`` names the builtin memory a code gives for this one, or is
     None; an :class:`ExplicitMemory` is coded cell by cell, and any other
-    memory has no code form."""
+    memory has no code form.  A subclass defines ``connection(cell, ctype)``,
+    the cell the ``ctype`` connection out of ``cell`` reaches or None;
+    ``input_cell(i)``, the i-th input cell from 0, raising if there is none;
+    and ``output_rank(cell)``, the cell's output register position or None."""
 
     start: str
     conn_types: tuple[str, ...]
     builtin: str | None = None
-
-    def connection(self, cell: str, ctype: str) -> str | None:
-        raise NotImplementedError
-
-    def input_cell(self, i: int) -> str:
-        """The i-th input register cell (0-based); raises if unavailable."""
-        raise NotImplementedError
-
-    def output_rank(self, cell: str) -> int | None:
-        """Position of ``cell`` in the output register, or None."""
-        raise NotImplementedError
 
     def initial_contents(self) -> dict[str, str]:
         return {}
@@ -294,11 +286,12 @@ class InductiveRun:
     ``writes`` logs (step, position, symbol) for each write that changes
     the register ("" blanks the cell) in an :class:`EventLog`, whose
     periodic tail stands for the writes of the periods a repeating run
-    skips.  The counts and the last change come from it.  Each read of the
-    register replays the log, and no run keeps a value: :meth:`register_after`
-    and the output word fill one position -> symbol dict, and ``change_log``,
-    of (step, value) for the empty register a run starts with and every
-    change after it, splices every logged write once.  A subclass defines ``run_to``.
+    skips; :meth:`EventLog.locate` gives each change's logged write and step.
+    Each read of the register replays the log, and no run keeps a value:
+    :meth:`register_after` and the output word fill one position -> symbol
+    dict, and ``change_log``, of (step, value) for the empty register and
+    every change after it, splices every logged write once.  A subclass
+    defines ``run_to(horizon)``, which steps like :meth:`TmRun.run_to`.
     """
 
     def __init__(self) -> None:
@@ -307,17 +300,13 @@ class InductiveRun:
         self.stopped_stuck = False
         self.writes = EventLog()
 
-    def run_to(self, horizon: int) -> "InductiveRun":
-        """Step until ``horizon`` total steps or a stop, like :meth:`TmRun.run_to`."""
-        raise NotImplementedError
-
     @property
     def change_log(self) -> list[tuple[int, str]]:
         writes, positions, values = self.writes, [], [""]
         for _, pos, sym in writes.events:
             values.append(_splice(positions, values[-1], pos, sym))
         return [(0, "")] + [
-            (writes.event(n)[0], values[writes.locate(n)[0] + 1]) for n in range(self.change_count)]
+            (step, values[at + 1]) for at, step in map(writes.locate, range(self.change_count))]
 
     def output_word(self) -> str:
         return self.register_after(self.change_count)
@@ -333,7 +322,7 @@ class InductiveRun:
     @property
     def last_change_step(self) -> int:
         count = self.change_count
-        return self.writes.event(count - 1)[0] if count else 0
+        return self.writes.locate(count - 1)[1] if count else 0
 
     @property
     def change_count(self) -> int:
@@ -342,7 +331,8 @@ class InductiveRun:
     def settled(self) -> bool:
         """Whether the register can no longer change: the run has stopped,
         or it repeats with no write in a period."""
-        return self.stopped_final or self.stopped_stuck or self.writes.complete
+        repeat, events = self.writes.repeat, self.writes.events
+        return self.stopped_final or self.stopped_stuck or bool(repeat) and repeat[2] == len(events)
 
     def _observe(self, sym: str) -> None:
         """Log a write of ``sym`` to the one cell of a one-cell register,

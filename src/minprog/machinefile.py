@@ -56,6 +56,7 @@ def parse_machine_file(text: str):
     links: list[tuple[str, str, str, int]] = []
     trans_rows: list[tuple[list[str], int]] = []
     rule_rows: list[tuple[list[str], int]] = []
+    declared: dict[str, int] = {}  # directive -> its line, for those that may appear once
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -63,6 +64,8 @@ def parse_machine_file(text: str):
             continue
         tokens = line.split()
         head, args = tokens[0], tokens[1:]
+        if head not in ("trans", "cell", "link", "rule") and declared.setdefault(head, lineno) != lineno:
+            raise ParseError(f"{head} already declared on line {declared[head]}", lineno)
         if head == "machine":
             _require(len(args) == 1, "machine takes exactly one name", lineno)
             name = args[0]
@@ -79,6 +82,7 @@ def parse_machine_file(text: str):
             _require(len(args) == 1, "start takes exactly one state", lineno)
             start = args[0]
         elif head == "final":
+            _require(len(set(args)) == len(args), "final lists a state twice", lineno)
             finals = args
         elif head == "trans":
             _require("->" in args, "trans needs '->'", lineno)

@@ -297,8 +297,9 @@ class EventLog:
     configuration, ``repeat`` is (start, period, first): from step ``start``
     on the run goes through the same configurations every ``period`` steps,
     and ``events[first:]`` are the events of one period, which recur shifted
-    by the period.  :meth:`locate` is the one place that maps an event of
-    the periods a run skips back to the logged event it repeats.
+    by the period.  Readers ask :meth:`count`, how many events happen by a
+    step, and :meth:`locate`, where an event is logged and when it happens:
+    the one map from an event of a skipped period to the one it repeats.
     """
 
     def __init__(self) -> None:
@@ -313,12 +314,6 @@ class EventLog:
             first -= 1
         self.repeat = (start, period, first)
 
-    @property
-    def complete(self) -> bool:
-        """Whether no event can follow the logged ones: the run repeats with
-        no event in a period."""
-        return self.repeat is not None and self.repeat[2] == len(self.events)
-
     def count(self, steps: int) -> int:
         """How many events happen within the first ``steps`` steps."""
         events = self.events
@@ -330,21 +325,14 @@ class EventLog:
         return first + laps * (len(events) - first) + within
 
     def locate(self, n: int) -> tuple[int, int]:
-        """Where the n-th event (from 0) is logged, and how many periods
-        after that logged event it happens: (index into ``events``, laps)."""
+        """Where the n-th event (from 0) is logged and the step it happens
+        at: (index into ``events``, step)."""
+        events = self.events
         if self.repeat is None or n < self.repeat[2]:
-            return n, 0
-        first = self.repeat[2]
-        lap, j = divmod(n - first, len(self.events) - first)
-        return first + j, lap
-
-    def event(self, n: int) -> tuple:
-        """The n-th event (from 0), with the step it happens at."""
-        at, lap = self.locate(n)
-        if not lap:
-            return self.events[at]
-        step, *rest = self.events[at]
-        return (step + lap * self.repeat[1], *rest)
+            return n, events[n][0]
+        _, period, first = self.repeat
+        lap, j = divmod(n - first, len(events) - first)
+        return first + j, events[first + j][0] + lap * period
 
 
 def _widen(tape: list[str], copy: list[str] | None, left: bool) -> int:

@@ -313,17 +313,20 @@ def rerun_dovetail_list(pool, codes, cycles):
                 demote([mover], n)
                 insert(code(4), order.index(mover))
         elif n == 3:
-            if not movers:
+            # the rule counts listed codes: a code that cycle 2 never listed
+            # may move here, and the list takes no notice of it
+            listed = [c for c in movers if c in order]
+            if not listed:
                 branch = "3: none moved"
                 insert(code(4))
-            elif len(movers) == len(order):
+            elif len(listed) == len(order):
                 branch = "3: all moved"
                 insert(code(4), 0)
-                demote(movers, n)
+                demote(listed, n)
             else:
                 branch = "3: some moved"
-                demote(movers, n)
-                insert(code(4), order.index(movers[0]))
+                demote(listed, n)
+                insert(code(4), order.index(listed[0]))
         else:
             branch = "uniform"
             insert(code(n + 1))

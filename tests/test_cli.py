@@ -182,6 +182,13 @@ def test_emptiness_takes_a_machine_file_or_a_pool_index_not_both(capsys, index):
     assert "argument --pool-index: not allowed with argument --machine" in err
 
 
+@pytest.mark.parametrize("argv", [["enumerate-nontotal", "--cycles", "8"], ["totality", "--index", "0", "--cycles", "8"]])
+def test_machines_given_no_file_is_a_usage_error_not_the_builtin_pool(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--machines")
+    assert code == 2 and out == ""
+    assert "argument --machines: expected at least one argument" in err
+
+
 def test_halting_itm(capsys):
     report = run_json(capsys, "halting-itm", "--machine", IDENTITY, "--input", "0", "--horizon", "1000")
     assert report["verdict"]["value"] == "1"

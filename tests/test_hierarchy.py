@@ -49,6 +49,7 @@ from strategies import (
     full_tms,
     gap_writer,
     itm_zoo,
+    random_tm,
     random_walking_tm,
     small_itms,
     small_tms,
@@ -322,6 +323,9 @@ def test_scheduler_follows_the_literal_placement_rules():
     @example(WALKING_POOL, 40)
     @example(_zoo("halt-now", "looper", "identity", "eraser"), 0)  # no cycle: no row plays
     @example(_zoo("identity", "looper", "halt-now", "eraser", "blocked", "bouncer"), 3)  # rows 4-6 never play
+    # 2: T2 moved, so code 3 is never listed; in cycle 3 only machine 3 moves,
+    # which no listed code does: 3: none moved
+    @example([zoo.blocked(), random_tm(random.Random(10000)), zoo.append_zero()], 3)
     def check(pool, cycles):
         state = dovetail_nontotal(pool, cycles)
         order, halted, last_moved, branches = rerun_dovetail_list(pool, state.codes, cycles)
@@ -710,16 +714,16 @@ def test_the_diagonal_report_of_a_growing_decider_is_pinned(horizon):
 def test_the_pipeline_reads_each_change_of_its_decider_once(monkeypatch):
     # the decider changes its register on every step: a pipeline that read
     # the whole register on each step would cost time quadratic in the horizon
-    reads, events = [], []
-    register_after, event = InductiveRun.register_after, EventLog.event
+    reads, located = [], []
+    register_after, locate = InductiveRun.register_after, EventLog.locate
     monkeypatch.setattr(InductiveRun, "register_after", lambda run, k: reads.append(k) or register_after(run, k))
-    monkeypatch.setattr(EventLog, "event", lambda log, n: events.append(n) or event(log, n))
+    monkeypatch.setattr(EventLog, "locate", lambda log, n: located.append(n) or locate(log, n))
     pipeline = build_diagonal(any_input_grower())
     run = pipeline.start_run(encode_machine(pipeline)).run_to(3000)
     changes = run._d_run.change_count
     assert changes > 2000
     assert len(reads) <= changes + 1
-    assert events == list(range(changes))
+    assert located == list(range(changes))
 
 
 _SIM_WORDS = st.one_of(

@@ -197,6 +197,31 @@ def test_a_repeated_declaration_is_a_parse_error(text, line):
     assert info.value.line == line
 
 
+@pytest.mark.parametrize("text, directive", [
+    *((IDENTITY_FILE, d) for d in ("machine", "kind", "alphabet", "states", "start", "final")),
+    *((WRITER_FILE, d) for d in ("conn-types", "memory")),
+])
+def test_a_header_directive_given_twice_is_rejected_at_its_second_line(text, directive):
+    lines = text.splitlines()
+    first = next(n for n, line in enumerate(lines, start=1) if line.split()[0] == directive)
+    second = len(lines) + 1
+    with pytest.raises(ParseError) as info:
+        parse_machine_file(text + lines[first - 1] + "\n")
+    assert (str(info.value), info.value.line) == (
+        f"line {second}: {directive} already declared on line {first}", second)
+
+
+@pytest.mark.parametrize("text, message", [
+    (IDENTITY_FILE.replace("kind tm", "machine other\nkind tm"), "line 2: machine already declared on line 1"),
+    (IDENTITY_FILE.replace("start q0", "states q0\nstart q0"), "line 5: states already declared on line 4"),
+    (IDENTITY_FILE.replace("final qf", "final qf\nfinal"), "line 7: final already declared on line 6"),
+    (IDENTITY_FILE.replace("final qf", "final qf qf"), "line 6: final lists a state twice"),
+], ids=["second name", "fewer states", "no final", "final state twice"])
+def test_a_later_header_line_never_replaces_the_first(text, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_machine_file(text)
+
+
 def test_machines_and_memories_reject_a_repeated_declaration():
     with pytest.raises(MachineValidationError, match="duplicate state declaration"):
         MachineTM("m", ("q0", "q0", "qf"), "q0", frozenset(), BINARY, ())

@@ -13,7 +13,7 @@ from minprog.turing import (
     Transition,
     run_fueled,
 )
-from minprog.inductive import LinearMemory, MachineITM
+from minprog.inductive import InductiveRun, LinearMemory, MachineITM
 from minprog.machinefile import serialize_machine
 from minprog.words import BINARY, BLANK, InvalidWordError, words_up_to
 from minprog import zoo
@@ -297,9 +297,39 @@ def test_walking_heads_equal_the_reference_stepper_at_every_chunk_boundary(machi
         steps, final, stuck, config, output = views[budget]
         assert (run.steps, run.in_final, run.stuck, run.output_word()) == (steps, final, stuck, output)
         assert configuration(run) == config
-        assert [log.event(i) for i in range(log.count(run.steps))] == [e for e in events if e[0] <= steps]
+        logged = [(step, *log.events[at][1:]) for at, step in map(log.locate, range(log.count(run.steps)))]
+        assert logged == [e for e in events if e[0] <= steps]
         found = repeat is not None and budget >= sum(repeat)
         assert run.period == (repeat[1] if found else 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 30), st.integers(1, 8), st.booleans(), st.data())
+def test_count_and_locate_read_the_log_unrolled_lap_by_lap(start, period, repeats, data):
+    # a log whose steps rise strictly, events up to ``start`` then one period's
+    # events in (start, start + period]; each event carries its own index
+    steps = sorted(data.draw(st.sets(st.integers(0, start), max_size=6)))
+    tail = sorted(data.draw(st.sets(st.integers(start + 1, start + period), max_size=period)))
+    log = EventLog()
+    log.events = [(step, j) for j, step in enumerate(steps + tail)]
+    run = InductiveRun()
+    run.writes = log
+    if not repeats:
+        for n, event in enumerate(log.events):
+            assert log.locate(n) == (n, event[0])
+        assert log.count(start + period) == len(log.events)
+        assert not run.settled()
+        return
+    log.repeat_from(start, period)
+    laps = 3
+    unrolled = log.events[: len(steps)] + [
+        (step + lap * period, j) for lap in range(laps) for step, j in log.events[len(steps):]]
+    for t in range(start, start + laps * period + 1):
+        assert log.count(t) == sum(step <= t for step, _ in unrolled)
+    for n, (step, j) in enumerate(unrolled):
+        assert log.locate(n) == (j, step)
+    # a period with no write leaves the register as it is for good
+    assert run.settled() == (not tail)
 
 
 def test_never_halts_by_inspection():
