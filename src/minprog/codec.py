@@ -26,13 +26,14 @@ of a machine's table: neither builds a :class:`Transition`.
 The decoder reads numbers, not bits: a word is split into its numbers
 first, and :func:`codes_up_to` walks the code grammar over lists of
 numbers, a number of d binary digits costing 2d + 2 bits of the word, with
-the same decoder as the judge of every list.
+the same decoder as the judge of every list.  :func:`decode_machine` keeps
+the machine of each of the last 32 words it accepted; it keeps no error.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from functools import cache
+from functools import cache, lru_cache
 from operator import itemgetter
 from typing import NoReturn
 
@@ -47,6 +48,7 @@ KIND_PIPELINE = 2
 BUILTIN_MEMORIES = ("linear", "thm72", "limitlist")
 
 _MAX_COUNT = 1 << 20  # decode sanity bound
+DECODE_MEMO_SIZE = 32  # accepted words whose machine decode_machine keeps
 
 
 class InvalidCodeError(ValueError):
@@ -480,8 +482,13 @@ def _decode_itm(reader: _Numbers) -> tuple[MachineITM, bool]:
     return machine, _first_use((q, nq) for q, *_, nq in rows)
 
 
+@lru_cache(maxsize=DECODE_MEMO_SIZE)
 def decode_machine(word: str):
-    """Inverse of :func:`encode_machine`; raises InvalidCodeError off-image."""
+    """Inverse of :func:`encode_machine`; raises InvalidCodeError off-image.
+    A word among the last 32 accepted returns the same machine at once, which
+    is safe to share: its attributes are set by its constructor, its cached
+    ``transitions`` and ``sweeps`` follow from its table, and each run keeps
+    its state in its own run object.  Errors are not cached."""
     return _decode(_Numbers.of_word(word))
 
 

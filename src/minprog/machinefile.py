@@ -77,6 +77,7 @@ def parse_machine_file(text: str):
             alphabet_syms = tuple(args[0])
         elif head == "states":
             _require(len(args) >= 1, "states needs at least one state", lineno)
+            _require(len(set(args)) == len(args), "duplicate state declaration", lineno)
             states = args
         elif head == "start":
             _require(len(args) == 1, "start takes exactly one state", lineno)

@@ -402,12 +402,68 @@ def test_unreachable_states_decode_in_either_declaration_order(declared):
 @given(st.one_of(small_tms(), full_tms()))
 def test_a_decoded_machine_reads_its_transitions_from_its_table_on_first_use(machine):
     code = encode_machine(machine)
+    decode_machine.cache_clear()  # a fresh decode, not a machine an earlier example left in the memo
     back = decode_machine(code)
     assert encode_machine(back) == code and "transitions" not in vars(back)
     rows = back.transitions
     assert "transitions" in vars(back)
     again = MachineTM(back.name, back.states, back.start, back.finals, back.alphabet, rows)
     assert serialize_machine(again) == serialize_machine(back) and encode_machine(again) == code
+
+
+def test_a_word_decodes_to_the_same_machine_every_time():
+    code = encode_machine(zoo.append_zero())
+    assert decode_machine(code) is decode_machine(code)
+
+
+@pytest.mark.parametrize("word, error", [
+    ("0111", InvalidCodeError),  # the block 11 is off the image
+    (encode_machine(zoo.identity())[:-2], TruncatedCodeError),
+], ids=["off-image", "truncated"])
+def test_a_rejected_word_raises_the_same_error_every_time_and_is_not_kept(word, error):
+    decode_machine.cache_clear()
+    decode_machine(encode_machine(zoo.identity()))
+    raised = []
+    for _ in range(2):
+        with pytest.raises(InvalidCodeError) as info:
+            decode_machine(word)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1] and raised[0][0] is error
+    assert decode_machine.cache_info().currsize == 1
+
+
+def test_the_memo_keeps_the_last_32_words():
+    decode_machine.cache_clear()
+    codes = list(codes_up_to(32))[:42]
+    assert len(codes) == 42
+    for code in codes:
+        decode_machine(code)
+    assert decode_machine.cache_info().currsize == 32
+    hits = decode_machine.cache_info().hits
+    decode_machine(codes[-32])
+    assert decode_machine.cache_info().hits == hits + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_tms(), st.lists(st.text("01", max_size=6), min_size=2, max_size=2, unique=True),
+       st.lists(st.integers(0, 12), min_size=2, max_size=8))
+def test_a_shared_machine_carries_nothing_from_one_run_to_the_next(machine, inputs, chunks):
+    # two runs of the memoized machine, the second started a chunk later and
+    # both resumed in turn, against runs each on a machine decoded afresh
+    code = encode_machine(machine)
+    shared = decode_machine(code)
+    runs, alone = [], []
+    for horizon in itertools.accumulate(chunks):
+        if len(runs) < len(inputs):
+            runs.append(shared.start_run(inputs[len(runs)]))
+            alone.append(codec._decode(codec._Numbers.of_word(code)).start_run(inputs[len(alone)]))
+        for run, other in zip(runs, alone):
+            run.run_to(horizon), other.run_to(horizon)
+            assert configuration(run) == configuration(other)
+            assert (run.steps, run.in_final, run.stuck, run.period, run.output_word()) == (
+                other.steps, other.in_final, other.stuck, other.period, other.output_word())
+    assert decode_machine(code) is shared
+
 
 # Binary TM codes with two faults each.  A header of two states, s1 final,
 # or of three with s2 final; symbol codes 0, 1 and 2 for blank; move code 2

@@ -185,8 +185,8 @@ rule q0 _ -> write 1 qf
 
 
 @pytest.mark.parametrize("text, line", [
-    (IDENTITY_FILE.replace("states q0 qf", "states q0 q0 qf"), None),
-    (WRITER_FILE.replace("states q0 qf", "states q0 q0 qf"), None),
+    (IDENTITY_FILE.replace("states q0 qf", "states q0 q0 qf"), 4),
+    (WRITER_FILE.replace("states q0 qf", "states q0 q0 qf"), 3),
     (WRITER_FILE.replace("conn-types r", "conn-types r r"), 7),
     (WRITER_FILE.replace("conn-types r\nmemory explicit\ncell c output", "conn-types r r\nmemory builtin:linear"), 7),
 ], ids=["tm states", "itm states", "conn-types", "builtin conn-types"])
