@@ -402,7 +402,9 @@ class TmRun:
         each time the step count doubles (Brent's cycle finding), and a
         match with equal work and output tapes is a repeat (the input tape
         is read-only).  A step that reads a sentinel widens that tape and
-        the snapshot's copy alike and is taken again.  A stay step (see
+        the snapshot's copy alike and is taken again; only a sweep that
+        writes past the output tape's end grows it otherwise, by its
+        output and 16 blanks (see :meth:`_sweep`).  A stay step (see
         :data:`TmStep`) is a repeat of period 1: it retakes the snapshot at
         the step before it, whose configuration is the one after it, and
         goes through the same check.  After a repeat the run skips whole
@@ -498,16 +500,19 @@ class TmRun:
         self, state: str, work: str, h0: int, i2: int, steps: int, limit: int, writes: list[tuple] | None
     ) -> tuple[str, int, int, int] | None:
         """Take the rest of a definite sweep (see :attr:`MachineTM.sweeps`)
-        on the ``work`` symbol at once, up to step ``limit``, and write the
-        output tape from index ``i2`` with one slice and the write log in
-        bulk, widening the tape but not the snapshot's copy, which can match
-        no later step once the sweep writes.  It runs to the first input
-        symbol outside S, found with one ``str.find`` per such symbol of the
-        alphabet, ends in the state its last symbol sends every state to,
-        and writes the ``translate`` of the symbols it read.  The state,
-        input head, output index and steps after it, or None if the sweep is
-        not definite, takes no step or reads a non-blank output cell;
-        :meth:`run_to` then steps on."""
+        on the ``work`` symbol at once, up to step ``limit``.  It runs to the
+        first input symbol outside S, found with one ``str.find`` per such
+        symbol of the alphabet, ends in the state its last symbol sends every
+        state to, and writes the ``translate`` of the symbols it read from
+        index ``i2``, the write log in bulk: in one slice, or past the tape's
+        right end in place of the tape's rest, then 16 blanks and the
+        sentinel, so a swept span carries no widening slack.  Exact: plain
+        stepping reads and writes the same cells, and no reader counts
+        trailing blank slots.  The snapshot's copy is not widened: output is
+        never erased, so once a sweep writes, the copy matches no later step.
+        The state, input head, output index and steps after it, or None if
+        the sweep is not definite, takes no step or reads a non-blank output
+        cell; :meth:`run_to` then steps on."""
         definite = self.machine.sweeps[work].get(state)
         if definite is None:
             return None
@@ -525,19 +530,22 @@ class TmRun:
         end = i2 + len(out)
         t2 = self.tapes[2]
         # the cells read: those written, and the next if a step writes none
-        if "".join(t2[i2 : end + (len(out) < taken)]).strip(BLANK):
+        read = t2[i2 : end + (len(out) < taken)]
+        if read.count(BLANK) + (not read[-1]) < len(read):
             return None
-        if out:
-            while end >= len(t2):
-                _widen(t2, None, False)
+        if end < len(t2):
             t2[i2:end] = out
-            if writes is not None:
-                cells = range(i2 - self.origins[1], end - self.origins[1])
-                if len(out) == taken:
-                    stamps = range(steps + 1, steps + taken + 1)
-                else:  # the steps that write
-                    stamps = [steps + i for i, symbol in enumerate(ahead, 1) if table[ord(symbol)]]
-                writes.extend(zip(stamps, cells, out))
+        else:  # past the sentinel: the output, 16 blanks and a new sentinel
+            del t2[i2:]
+            t2 += out  # extending from a str builds no temporary list
+            t2 += (*_ROOM[1:], "")
+        if out and writes is not None:
+            cells = range(i2 - self.origins[1], end - self.origins[1])
+            if len(out) == taken:
+                stamps = range(steps + 1, steps + taken + 1)
+            else:  # the steps that write
+                stamps = [steps + i for i, symbol in enumerate(ahead, 1) if table[ord(symbol)]]
+            writes.extend(zip(stamps, cells, out))
         return after[ahead[-1]], h0 + taken, end, steps + taken
 
     def output_word(self) -> str:

@@ -10,11 +10,14 @@ configurations, the stay rule and the snapshot steps 16, 32, 64, ..., as
 stepper.
 """
 
+import random
+from typing import NamedTuple
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from minprog import zoo
-from minprog.turing import FIRST_SNAPSHOT, EventLog, MachineTM, Transition, run_fueled
+from minprog.turing import FIRST_SNAPSHOT, EventLog, MachineTM, TmRun, Transition, run_fueled
 from minprog.words import BINARY, BLANK
 
 from helpers import configuration
@@ -107,6 +110,18 @@ def fencer():
     return MachineTM("fencer", ("W", "K", "A", "h"), "W", frozenset({"h"}), BINARY, tuple(rows))
 
 
+def backer():
+    """Over the alphabet 012: moves its output head one cell left for each
+    leading 2, then copies its 0s and 1s and halts at the input's end.  A
+    long run of 2s widens the output tape to the left before any sweep."""
+    rows = [Transition("P", ("2", BLANK, BLANK), "P", ("2", BLANK, BLANK), ("R", "S", "L"))]
+    for q in "PC":
+        for s in "01":
+            rows.append(Transition(q, (s, BLANK, BLANK), "C", (s, BLANK, s), ("R", "S", "R")))
+        rows.append(Transition(q, (BLANK, BLANK, BLANK), "h", (BLANK, BLANK, BLANK), ("S", "S", "S")))
+    return MachineTM("backer", ("P", "C", "h"), "P", frozenset({"h"}), TERNARY, tuple(rows))
+
+
 def plain_trace(machine, word, reach=REACH):
     """What plain stepping shows after t steps, for t up to ``reach``, as
     (steps, final, stuck, configuration); the output-tape changes as
@@ -151,11 +166,11 @@ def check_sweeps(machine, word, data):
     return check_sweeps_at(machine, word, fuels, data.draw(st.lists(st.sampled_from(fuels), max_size=8)))
 
 
-def check_sweeps_at(machine, word, fuels, chunks):
+def check_sweeps_at(machine, word, fuels, chunks, reach=REACH):
     """Runs to each fuel, plain and logged, and one run resumed through the
     fuels ``chunks`` and one step past the first two of them, each
-    matched against plain stepping."""
-    trace = plain_trace(machine, word)
+    matched against plain stepping up to ``reach`` steps."""
+    trace = plain_trace(machine, word, reach)
     for logged in (False, True):
         for fuel in fuels:
             run = machine.start_run(word)
@@ -165,7 +180,7 @@ def check_sweeps_at(machine, word, fuels, chunks):
         run = machine.start_run(word)
         if logged:
             run.write_log = EventLog()
-        for fuel in sorted(chunks + [f + 1 for f in chunks[:2] if f < REACH]):
+        for fuel in sorted(chunks + [f + 1 for f in chunks[:2] if f < reach]):
             assert_matches(trace, run.run_to(fuel), fuel, logged)
     return trace
 
@@ -205,6 +220,87 @@ def test_definite_sweeping_equals_plain_stepping(case, drawn, chunks):
     machine, word = case
     assert every_sweep_is_definite(machine)
     check_sweeps_at(machine, word, fuels_at(word, drawn), chunks)
+
+
+class Swept(NamedTuple):
+    """A sweep a run took: the output tape's origin, where its writes end
+    against the right sentinel's index (0: the output head ends on it, 1:
+    the last write is one cell past it), the cells it writes and the steps
+    it takes."""
+
+    origin: int
+    past: int
+    writes: int
+    taken: int
+
+
+def sweeps_taken(machine, word, fuel):
+    """Each sweep a run to ``fuel`` takes, as :class:`Swept`."""
+    swept = []
+    run = machine.start_run(word)
+    sweep = run._sweep
+
+    def record(state, work, h0, i2, steps, limit, writes):
+        sentinel = len(run.tapes[2]) - 1
+        after = sweep(state, work, h0, i2, steps, limit, writes)
+        if after:
+            swept.append(Swept(run.origins[1], after[2] - sentinel, after[2] - i2, after[3] - steps))
+        return after
+
+    run._sweep = record
+    run.run_to(fuel)
+    return swept
+
+
+# (machine, word, reach, a sweep the run must take): writing sweeps at and
+# past the output tape's right end; a last step that writes nothing makes
+# the read check cover the cell after the writes
+RIGHT_END = {
+    "ends-on-the-sentinel": (zero_writer(), "0" * 48, REACH, lambda s: s.past == 0 and s.writes == s.taken),
+    "reads-the-sentinel": (zero_writer(), "0" * 48 + "1" * 5, REACH, lambda s: s.past == 0 < s.writes < s.taken),
+    "one-past-the-end": (zero_writer(), "0" * 49, REACH, lambda s: s.past == 1 and s.writes == s.taken),
+    "one-past-then-reads": (zero_writer(), "0" * 49 + "1" * 5, REACH, lambda s: s.past == 1 and s.writes < s.taken),
+    "hundreds-past-the-end": (zero_writer(), "0" * 1030, 2 * 512 + 8, lambda s: s.past >= 400),
+    "reads-a-blank-inside": (zero_writer(), "0" * 36 + "1" * 5, REACH, lambda s: s.past < 0 < s.writes < s.taken),
+    "after-a-left-widening": (backer(), "2" * 40 + "01" * 60, REACH, lambda s: s.origin > 1 and s.past > 0),
+}
+
+
+@pytest.mark.parametrize("case", RIGHT_END)
+def test_sweeps_at_the_output_tapes_right_end_equal_plain_stepping(case):
+    machine, word, reach, which = RIGHT_END[case]
+    assert any(map(which, sweeps_taken(machine, word, reach))), case
+    near = {f for mark in SNAPSHOTS + [512, 1024] for f in (mark - 1, mark, mark + 1)} | {len(word) + 1}
+    fuels = sorted(f for f in near if f <= reach)
+    check_sweeps_at(machine, word, fuels, [f for f in (17, 33, 65, 513) if f <= reach], reach)
+
+
+@pytest.mark.parametrize("machine, word, fuel", [
+    # the sweep writes 29 cells, then its 1s read the 1 written at cell 30
+    (fencer(), "0" * 30 + "111", 69),
+    # the output head is back on the cells the first pass wrote
+    (rewinder(), "0011011101", 23),
+])
+def test_a_sweep_its_read_check_rejects_leaves_the_output_tape_as_it_was(machine, word, fuel):
+    run = machine.start_run(word).run_to(fuel)
+    assert run.steps == fuel and machine.sweeps[BLANK][run.state] is not None and word[run.heads[0]] != BLANK
+    t2 = run.tapes[2]
+    before = t2[:]
+    i2 = run.heads[2] + run.origins[1]
+    assert run._sweep(run.state, BLANK, run.heads[0], i2, fuel, fuel + 100, None) is None
+    assert run.tapes[2] is t2 and t2 == before and len(t2) == len(before)
+
+
+def test_a_long_copy_carries_no_widening_slack():
+    x = "".join(random.Random(1).choice("01") for _ in range(10_000))
+    run = TmRun(zoo.identity(), x).run_to(2 * len(x))
+    ref = PlainTm(zoo.identity(), x)
+    while ref.step():
+        pass
+    assert (run.in_final, run.steps, run.output_word()) == (True, len(x) + 1, x)
+    assert configuration(run) == ref.configuration()
+    # a doubling tape would hold 19,456 slots here
+    assert len(run.tapes[2]) <= len(x) + 18
 
 
 @settings(max_examples=150, deadline=None)
