@@ -16,7 +16,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -114,7 +113,7 @@ def _cmd_run_itm(args):
     payload = {
         "machine": machine.name,
         "input": args.input,
-        "outcome": asdict(out),
+        "outcome": out._asdict(),
     }
     return payload, [f"{machine.name}({args.input or 'ε'}) -> {out.kind} output={out.output or 'ε'}"]
 
@@ -165,7 +164,7 @@ def _cmd_invariance(args):
     payload = {
         "u1": u1.tag,
         "u2": u2.tag,
-        "budget": budget.as_dict(),
+        "budget": budget._asdict(),
         "gap": result.gap,
         "rows": rows,
         "skipped": list(result.skipped),
@@ -203,7 +202,7 @@ def _cmd_emptiness(args):
             raise IndexError(f"pool index {index} out of range: the pool has {len(pool)} machines")
         machine = pool[index]
     verdict = emptiness_solver(encode_machine(machine), args.cycles)
-    payload = {"machine": machine.name, "verdict": asdict(verdict)}
+    payload = {"machine": machine.name, "verdict": verdict._asdict()}
     meaning = "gives no result anywhere (so far)" if verdict.value == "1" else "demonstrated a result"
     return payload, [f"{machine.name}: {verdict.value} ({meaning})"]
 
@@ -211,7 +210,7 @@ def _cmd_emptiness(args):
 def _cmd_totality(args):
     pool = _pool_from_args(args)
     verdict = totality_verdict(pool, args.index, args.cycles)
-    payload = {"machine": pool[args.index].name, "verdict": asdict(verdict)}
+    payload = {"machine": pool[args.index].name, "verdict": verdict._asdict()}
     meaning = {
         "1": "total so far",
         "0": "certified non-total within budget",

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from heapq import merge
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .words import BINARY, InvalidWordError, words_of_length
 from .turing import MachineTM, run_fueled
@@ -40,29 +40,29 @@ from .universal import (
 )
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Search bounds: program length cap, per-run fuel, and, for inductive
-    classes, the stabilization horizon."""
-
+class _Budget(NamedTuple):
     max_len: int
     fuel: int
     horizon: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.max_len < 0:
+
+class Budget(_Budget):
+    """Search bounds: program length cap, per-run fuel, and, for inductive
+    classes, the stabilization horizon."""
+
+    __slots__ = ()
+
+    def __new__(cls, max_len: int, fuel: int, horizon: int | None = None):
+        if max_len < 0:
             raise ValueError("max_len must be non-negative")
-        if self.fuel < 1:
+        if fuel < 1:
             raise ValueError("fuel must be at least 1")
-        if self.horizon is not None and self.horizon < 1:
+        if horizon is not None and horizon < 1:
             raise ValueError("horizon must be at least 1")
-
-    def as_dict(self) -> dict:
-        return {"max_len": self.max_len, "fuel": self.fuel, "horizon": self.horizon}
+        return super().__new__(cls, max_len, fuel, horizon)
 
 
-@dataclass(frozen=True)
-class ComplexityVerdict:
+class ComplexityVerdict(NamedTuple):
     kind: str  # "finite" | "no-witness-within-budget"
     value: int | None = None
     witness: str | None = None
@@ -74,22 +74,26 @@ class ComplexityVerdict:
         return self.kind == "finite"
 
 
-@dataclass(frozen=True)
-class FunctionTable:
-    """A finite probe table (x_i, f(x_i)) standing in for a function."""
-
+class _FunctionTable(NamedTuple):
     pairs: tuple[tuple[str, str], ...]
 
-    def __post_init__(self) -> None:
-        if not self.pairs:
+
+class FunctionTable(_FunctionTable):
+    """A finite probe table (x_i, f(x_i)) standing in for a function."""
+
+    __slots__ = ()
+
+    def __new__(cls, pairs: tuple[tuple[str, str], ...]):
+        if not pairs:
             raise ValueError("a function table needs at least one probe")
         seen: dict[str, str] = {}
-        for x, fx in self.pairs:
+        for x, fx in pairs:
             BINARY.check_word(x)
             BINARY.check_word(fx)
             if x in seen and seen[x] != fx:
                 raise ValueError(f"contradictory table entries for {x!r}")
             seen[x] = fx
+        return super().__new__(cls, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +296,7 @@ def bounded_functional_complexity(
 # experiments
 
 
-@dataclass(frozen=True)
-class GapRow:
+class GapRow(NamedTuple):
     predicate: str
     first: ComplexityVerdict
     second: ComplexityVerdict
@@ -303,8 +306,7 @@ class GapRow:
         return self.first.finite and self.second.finite
 
 
-@dataclass(frozen=True)
-class InvarianceResult:
+class InvarianceResult(NamedTuple):
     """Least k with C_second <= C_first + k over the comparable rows."""
 
     gap: int
@@ -349,7 +351,7 @@ def verdict_report(
         "kind": verdict.kind,
         "value": verdict.value,
         "witness": verdict.witness,
-        "budget": budget.as_dict(),
+        "budget": budget._asdict(),
         "class": class_tag,
         "predicate": predicate_name,
         "programs_scanned": verdict.programs_scanned,

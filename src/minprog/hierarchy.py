@@ -10,9 +10,9 @@ has no reachable way to stop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import islice
+from typing import NamedTuple
 
 from .words import BINARY, pair, shortlex_index, shortlex_words
 from .turing import MachineTM, RunOutcome, TmRun, run_fueled
@@ -32,8 +32,7 @@ from .universal import itm_outcome, itm_universal_apply, read_program
 from .zoo import acceptance_pool
 
 
-@dataclass(frozen=True)
-class InductiveVerdict:
+class InductiveVerdict(NamedTuple):
     """A budgeted answer from an inductive process: the current output
     value, the cycle it last changed at, and whether the process halted
     outright (a final answer rather than an approximation)."""
@@ -524,8 +523,7 @@ def build_diagonal(decider) -> DiagonalPipeline:
     raise TypeError(f"cannot build a diagonal machine from {decider!r}")
 
 
-@dataclass(frozen=True)
-class DiagonalReport:
+class DiagonalReport(NamedTuple):
     decider_name: str
     code: str
     decider_verdict: str | None
@@ -579,8 +577,7 @@ ORDER_TABLE: dict[str, tuple[int, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class OrderRow:
+class OrderRow(NamedTuple):
     problem: str
     order: int
     source: str

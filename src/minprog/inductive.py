@@ -16,8 +16,7 @@ unbounded cell rows used by the scheduler constructions are representable.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .words import BLANK, Alphabet, InvalidWordError
 from .turing import FIRST_SNAPSHOT, EventLog, MachineTM, MachineValidationError, check_states
@@ -180,26 +179,29 @@ class LimitMemory(MemoryGraph):
 # machine and rules
 
 
-@dataclass(frozen=True)
-class Rule:
-    """One rule: optional write, optional move by connection type, new state.
-
-    write-only, move-only and write-then-move cover the three rule forms.
-    """
-
+class _Rule(NamedTuple):
     state: str
     read: str
     next_state: str
     write: str | None = None
     move: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.write is None and self.move is None:
+
+class Rule(_Rule):
+    """One rule: optional write, optional move by connection type, new state.
+
+    write-only, move-only and write-then-move cover the three rule forms.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, state: str, read: str, next_state: str, write: str | None = None, move: str | None = None):
+        if write is None and move is None:
             raise MachineValidationError("a rule must write, move, or both")
+        return super().__new__(cls, state, read, next_state, write, move)
 
 
-@dataclass(frozen=True)
-class ItmOutcome:
+class ItmOutcome(NamedTuple):
     kind: str  # "halted-final" | "halted-nonfinal" | "stabilized" | "unstable"
     output: str | None = None
     steps: int | None = None

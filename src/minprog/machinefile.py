@@ -23,6 +23,8 @@ re-parses to an identical machine.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .words import BLANK, Alphabet
 from .turing import MOVES, MachineTM, MachineValidationError, Transition
 from .inductive import ExplicitMemory, MachineITM, MemoryGraph, Rule
@@ -42,8 +44,13 @@ def _require(cond: bool, message: str, line: int) -> None:
         raise ParseError(message, line)
 
 
+@lru_cache(maxsize=32)
 def parse_machine_file(text: str):
-    """Parse one machine description; returns a MachineTM or MachineITM."""
+    """Parse one machine description; returns a MachineTM or MachineITM.
+    A text among the last 32 parsed returns the same machine at once, which
+    is safe to share: its attributes are set by its constructor, its cached
+    ``transitions`` and ``sweeps`` follow from its table, and each run keeps
+    its state in its own run object.  Errors are not cached."""
     name = None
     kind = None
     alphabet_syms = None

@@ -9,7 +9,6 @@ shipped registry is sound by verification, not by declaration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .words import BINARY, shortlex_le, shortlex_lt, words_up_to
@@ -24,12 +23,13 @@ class ImplicationViolation(ValueError):
     """A registered implication failed on a counterexample word."""
 
 
-@dataclass(frozen=True)
 class Predicate:
     """A named total check on words."""
 
-    name: str
-    fn: Callable[[str], bool] = field(compare=False)
+    __slots__ = ("name", "fn")
+
+    def __init__(self, name: str, fn: Callable[[str], bool]) -> None:
+        self.name, self.fn = name, fn
 
     def __call__(self, word: str) -> bool:
         return bool(self.fn(word))
@@ -175,11 +175,13 @@ def builtin(name: str, *, interp=None, budget=None) -> Predicate:
 IMPLICATION_CHECK_LEN = 6
 
 
-@dataclass
 class ImplicationRegistry:
     """Append-only store of verified implication edges."""
 
-    edges: list[tuple[Predicate, Predicate, str]] = field(default_factory=list)
+    __slots__ = ("edges",)
+
+    def __init__(self) -> None:
+        self.edges: list[tuple[Predicate, Predicate, str]] = []
 
     def register(self, p: Predicate, q: Predicate, justification: str = "") -> None:
         for w in words_up_to(IMPLICATION_CHECK_LEN):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
@@ -36,8 +35,7 @@ class Transition(NamedTuple):
     moves: Triple
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     """Result of a fueled run: halted / out-of-fuel / no-result."""
 
     kind: str  # "halted" | "out-of-fuel" | "no-result"

@@ -10,7 +10,6 @@ the schedulers is well defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count, product
 from typing import Iterator
 
@@ -25,26 +24,24 @@ class MalformedPairError(ValueError):
     """A word has no valid self-delimiting prefix."""
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """An ordered set of distinct single-character symbols, blank excluded."""
 
-    symbols: tuple[str, ...] = ("0", "1")
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _drop: dict[int, None] = field(init=False, repr=False, compare=False)
+    __slots__ = ("symbols", "index", "_drop")
 
-    def __post_init__(self) -> None:
-        if not self.symbols:
+    def __init__(self, symbols: tuple[str, ...] = ("0", "1")) -> None:
+        if not symbols:
             raise ValueError("alphabet must declare at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
-        for s in self.symbols:
+        for s in symbols:
             if len(s) != 1:
                 raise ValueError(f"alphabet symbols must be single characters: {s!r}")
             if s == BLANK:
                 raise ValueError("the blank symbol is reserved and cannot be declared")
-        object.__setattr__(self, "index", {s: i for i, s in enumerate(self.symbols)})
-        object.__setattr__(self, "_drop", str.maketrans("", "", "".join(self.symbols)))
+        self.symbols = symbols
+        self.index: dict[str, int] = {s: i for i, s in enumerate(symbols)}
+        self._drop: dict[int, None] = str.maketrans("", "", "".join(symbols))
 
     def __len__(self) -> int:
         return len(self.symbols)

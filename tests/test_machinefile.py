@@ -1,13 +1,19 @@
+import itertools
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minprog import zoo
 from minprog.codec import InvalidCodeError, encode_machine
-from minprog.inductive import ExplicitMemory, LimitMemory, LinearMemory, MachineITM, Rule, itm_run
+from minprog.inductive import (
+    ExplicitMemory, LimitMemory, LinearMemory, MachineITM, Rule, itm_run, start_if_fits,
+)
 from minprog.machinefile import ParseError, parse_machine_file, serialize_machine
-from minprog.turing import MachineTM, MachineValidationError, run_fueled
+from minprog.turing import MachineTM, MachineValidationError, TmRun, run_fueled
 from minprog.words import BINARY, words_up_to
+
+from helpers import configuration
 
 MACHINE_DIR = Path(__file__).resolve().parent.parent / "machines"
 
@@ -257,3 +263,60 @@ def test_each_malformed_description_names_its_fault_and_line(text, message, line
     with pytest.raises(ParseError) as info:
         parse_machine_file(text)
     assert (str(info.value), info.value.line) == (message, line)
+
+
+def test_a_text_parses_to_the_same_machine_every_time():
+    assert parse_machine_file(IDENTITY_FILE) is parse_machine_file(IDENTITY_FILE)
+
+
+def test_a_rejected_text_raises_the_same_error_every_time_and_is_not_kept():
+    parse_machine_file.cache_clear()
+    parse_machine_file(IDENTITY_FILE)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as info:
+            parse_machine_file("wibble on\n" + IDENTITY_FILE)
+        raised.append((str(info.value), info.value.line))
+    assert raised[0] == raised[1] == ("line 1: unknown directive 'wibble'", 1)
+    assert parse_machine_file.cache_info().currsize == 1
+
+
+def test_the_memo_keeps_the_last_32_texts():
+    parse_machine_file.cache_clear()
+    texts = [IDENTITY_FILE.replace("machine ident", f"machine ident{i}") for i in range(40)]
+    for text in texts:
+        parse_machine_file(text)
+    assert parse_machine_file.cache_info().currsize == 32
+    hits = parse_machine_file.cache_info().hits
+    parse_machine_file(texts[-32])
+    assert parse_machine_file.cache_info().hits == hits + 1
+
+
+def _view(run):
+    """What a run has done so far, as a TM run or an inductive run shows it."""
+    if isinstance(run, TmRun):
+        return configuration(run), run.steps, run.in_final, run.stuck, run.period, run.output_word()
+    return run.state, run.head, run.steps, run.stopped_final, run.stopped_stuck, run.change_log
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(MACHINE_DIR.iterdir())),
+       st.lists(st.text("01", max_size=6), min_size=2, max_size=2, unique=True),
+       st.lists(st.integers(0, 12), min_size=2, max_size=8))
+def test_a_shared_parsed_machine_carries_nothing_from_one_run_to_the_next(path, inputs, chunks):
+    # two runs of the memoized machine, the second started a chunk later and
+    # both resumed in turn, against runs each on a machine parsed afresh
+    text = path.read_text()
+    shared = parse_machine_file(text)
+    runs, alone = [], []
+    for horizon in itertools.accumulate(chunks):
+        if len(runs) < len(inputs):
+            word = inputs[len(runs)]
+            runs.append(start_if_fits(shared, word))
+            alone.append(start_if_fits(parse_machine_file.__wrapped__(text), word))
+        for run, other in zip(runs, alone):
+            assert (run is None) == (other is None)
+            if run is not None:
+                run.run_to(horizon), other.run_to(horizon)
+                assert _view(run) == _view(other)
+    assert parse_machine_file(text) is shared
