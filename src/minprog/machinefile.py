@@ -1,9 +1,12 @@
 """Line-oriented machine description format.
 
 Shared by both machine families.  ``#`` starts a comment, ``_`` is the
-blank symbol literal, and every error names the offending line.  The same
-module serializes machines back to text; a parsed file serializes and
-re-parses to an identical machine.
+blank symbol literal, and an error in one line names that line.  Errors
+that only the whole description shows name no line: a missing directive,
+a bad alphabet, a directive of the other family, and an undeclared start,
+final or next state or a write to the input tape, which the machine's own
+checks find.  The same module serializes machines back to text; a parsed
+file serializes and re-parses to an identical machine.
 
     machine <name>
     kind tm|itm
@@ -96,6 +99,7 @@ def parse_machine_file(text: str):
             _require("->" in args, "trans needs '->'", lineno)
             trans_rows.append((args, lineno))
         elif head == "conn-types":
+            _require(len(set(args)) == len(args), "duplicate connection type declaration", lineno)
             conn_types = args
         elif head == "memory":
             _require(len(args) == 1, "memory takes one form", lineno)
@@ -189,12 +193,18 @@ def _build_itm(
         if conn_types is not None:
             unknown = [t for t in conn_types if t not in memory.conn_types]
             _require(not unknown, f"connection types {unknown} not provided by {mem_name}", decl_line)
-            _require(len(set(conn_types)) == len(conn_types), "duplicate connection type declaration", decl_line)
     elif spec == "explicit":
         if conn_types is None:
             conn_types = []
+        _require(bool(cells), "explicit memory declares no cells", decl_line)
+        names: set[str] = set()
+        for cell, kind, line in cells:
+            _require(cell not in names, "duplicate cell declaration", line)
+            _require(kind in ("input", "work", "output"), f"unknown cell kind {kind!r}", line)
+            names.add(cell)
         seen_links: dict[tuple[str, str], int] = {}
         for frm, ctype, to, line in links:
+            _require(frm in names and to in names, f"link {frm}-{ctype}->{to} uses an undeclared cell", line)
             _require(ctype in conn_types, f"connection type {ctype!r} not declared", line)
             key = (frm, ctype)
             if key in seen_links:
@@ -203,14 +213,9 @@ def _build_itm(
                     line,
                 )
             seen_links[key] = line
-        try:
-            memory = ExplicitMemory(
-                [(c, k) for c, k, _ in cells],
-                [(f, t, d) for f, t, d, _ in links],
-                tuple(conn_types),
-            )
-        except MachineValidationError as exc:
-            raise ParseError(str(exc), decl_line) from exc
+        memory = ExplicitMemory(
+            [(c, k) for c, k, _ in cells], [(f, t, d) for f, t, d, _ in links], tuple(conn_types)
+        )
     else:
         raise ParseError(f"memory must be builtin:<name> or explicit, not {spec!r}", decl_line)
 

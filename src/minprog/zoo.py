@@ -1,9 +1,11 @@
 """Hand-built machines with behavior known by construction.
 
-Everything the experiments and tests need as ground truth lives here: the
+What the commands and the benchmark use as ground truth lives here: the
 classic single-purpose Turing machines, the fixed six-machine scheduling
 pool (three total, three non-total, ordered so the slow ones activate
-first), and the small inductive machines with known output histories.
+first) with what each of them does, and the two constant deciders of the
+diagonal experiment.  The inductive machines with known output histories
+ship as files in ``machines/``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from functools import cache
 
 from .words import BLANK, BINARY
 from .turing import MachineTM, Transition
-from .inductive import ExplicitMemory, LinearMemory, MachineITM, Rule
+from .inductive import LinearMemory, MachineITM, Rule
 
 _SYMS = ("0", "1")
 _ALL = ("0", "1", BLANK)
@@ -41,18 +43,6 @@ def looper() -> MachineTM:
     """Never halts on any input: one state, self-loop on every read."""
     rows = [("q0", (s, BLANK, BLANK), "q0", (s, BLANK, BLANK), ("S", "S", "S")) for s in _ALL]
     return _tm("looper", ["q0"], "q0", [], rows)
-
-
-@cache
-def blocked() -> MachineTM:
-    """No applicable rule in its non-final start state: stops, no result."""
-    return _tm("blocked", ["q0"], "q0", [], [])
-
-
-@cache
-def halt_now() -> MachineTM:
-    """Start state is final: halts immediately with empty output."""
-    return _tm("halt-now", ["q0"], "q0", ["q0"], [])
 
 
 @cache
@@ -93,23 +83,6 @@ def epsilon_only() -> MachineTM:
     return _tm("epsilon-only", ["q0", "qf"], "q0", ["qf"], rows)
 
 
-@cache
-def append_zero() -> MachineTM:
-    """Copies its input and appends "0": the post-processing transducer."""
-    rows = [
-        ("q0", (s, BLANK, BLANK), "q0", (s, BLANK, s), ("R", "S", "R")) for s in _SYMS
-    ]
-    rows.append(("q0", (BLANK, BLANK, BLANK), "qf", (BLANK, BLANK, "0"), ("S", "S", "S")))
-    return _tm("append-zero", ["q0", "qf"], "q0", ["qf"], rows)
-
-
-@cache
-def eraser() -> MachineTM:
-    """Halts at once with empty output whatever the input."""
-    rows = [("q0", (s, BLANK, BLANK), "qf", (s, BLANK, BLANK), ("S", "S", "S")) for s in _ALL]
-    return _tm("eraser", ["q0", "qf"], "q0", ["qf"], rows)
-
-
 # ---------------------------------------------------------------------------
 # the fixed scheduling pool: 3 non-total then 3 total machines.
 #
@@ -143,47 +116,7 @@ def pool_empty(name: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# inductive machines with known output histories
-
-
-@cache
-def writer() -> MachineITM:
-    """Writes "1" to the output register at step 3, then never touches it.
-
-    Output value history: empty until step 2, then "1" forever; exactly one
-    change, so the change-value sequence is (empty, "1").
-    """
-    rules = [Rule("q0", s, "q1", move="o") for s in _ALL]
-    rules += [
-        Rule("q1", BLANK, "q2", write=BLANK),
-        Rule("q2", BLANK, "q3", write="1"),
-        Rule("q3", "1", "q3", write="1"),
-    ]
-    return MachineITM("writer", ("q0", "q1", "q2", "q3"), "q0", (), BINARY, rules, LinearMemory())
-
-
-@cache
-def alternator() -> MachineITM:
-    """Toggles its single output cell between "1" and "0" every step."""
-    memory = ExplicitMemory(
-        cells=[("c", "output"), ("in0", "input")], links=[], conn_types=()
-    )
-    rules = [
-        Rule("q0", BLANK, "q0", write="1"),
-        Rule("q0", "1", "q0", write="0"),
-        Rule("q0", "0", "q0", write="1"),
-    ]
-    return MachineITM("alternator", ("q0",), "q0", (), BINARY, rules, memory)
-
-
-@cache
-def silent() -> MachineITM:
-    """Runs forever without ever writing output: stabilized on empty from step 0."""
-    memory = ExplicitMemory(
-        cells=[("c", "work"), ("in0", "input")], links=[], conn_types=()
-    )
-    rules = [Rule("q0", BLANK, "q0", write=BLANK)]
-    return MachineITM("silent", ("q0",), "q0", (), BINARY, rules, memory)
+# the constant deciders of the diagonal experiment
 
 
 @cache

@@ -1,16 +1,25 @@
-"""Machine helpers that only tests use: a static non-halting proof, state
-renaming into canonical form, the standard two-input program word, the
-live words of a tier built from its heads, single steps and
-configurations of the package's steppers, the register reads of an
-inductive run against a reference change log, the order on verdicts, and
-the conjunction of predicates."""
+"""Machine helpers that only tests use: the shipped machine files, a
+static non-halting proof, state renaming into canonical form, the standard
+two-input program word, the live words of a tier built from its heads,
+single steps and configurations of the package's steppers, the register
+reads of an inductive run against a reference change log, the order on
+verdicts, and the conjunction of predicates."""
 
 import itertools
+from pathlib import Path
 
 from minprog.codec import canonical_state_order, encode_machine
+from minprog.machinefile import parse_machine_file
 from minprog.predicates import Predicate
 from minprog.turing import MachineTM, Transition
 from minprog.words import BLANK, sd
+
+MACHINES = Path(__file__).resolve().parent.parent / "machines"
+
+
+def shipped(filename: str):
+    """The machine that the shipped file ``machines/<filename>`` describes."""
+    return parse_machine_file((MACHINES / filename).read_text())
 
 
 def never_halts_by_inspection(machine: MachineTM) -> bool:

@@ -11,6 +11,8 @@ from minprog.turing import MOVES, MachineTM, Transition
 from minprog.words import BINARY, BLANK, Alphabet
 from minprog import zoo
 
+from helpers import shipped
+
 _SYMS = ("0", "1", BLANK)
 
 
@@ -253,8 +255,32 @@ def full_tms():
 
 
 def zoo_tms():
-    """The zoo's Turing machines: the scheduling pool and four extras."""
-    return zoo.acceptance_pool() + [zoo.halt_now(), zoo.blocked(), zoo.append_zero(), zoo.eraser()]
+    """Turing machines with behavior known by construction: the zoo's
+    scheduling pool and the four below."""
+    return zoo.acceptance_pool() + [halt_now(), blocked(), append_zero(), eraser()]
+
+
+def blocked():
+    """No applicable rule in its non-final start state: stops, no result."""
+    return MachineTM("blocked", ("q0",), "q0", frozenset(), BINARY, ())
+
+
+def halt_now():
+    """Start state is final: halts immediately with empty output."""
+    return MachineTM("halt-now", ("q0",), "q0", frozenset({"q0"}), BINARY, ())
+
+
+def append_zero():
+    """Copies its input and appends "0": the post-processing transducer."""
+    rows = [Transition("q0", (s, BLANK, BLANK), "q0", (s, BLANK, s), ("R", "S", "R")) for s in ("0", "1")]
+    rows.append(Transition("q0", (BLANK, BLANK, BLANK), "qf", (BLANK, BLANK, "0"), ("S", "S", "S")))
+    return MachineTM("append-zero", ("q0", "qf"), "q0", frozenset({"qf"}), BINARY, tuple(rows))
+
+
+def eraser():
+    """Halts at once with empty output whatever the input."""
+    rows = tuple(Transition("q0", (s, BLANK, BLANK), "qf", (s, BLANK, BLANK), ("S", "S", "S")) for s in _SYMS)
+    return MachineTM("eraser", ("q0", "qf"), "q0", frozenset({"qf"}), BINARY, rows)
 
 
 def gap_writer():
@@ -326,8 +352,11 @@ def unary_tms():
 
 
 def itm_zoo():
-    """The zoo's inductive machines."""
-    return [zoo.writer(), zoo.alternator(), zoo.silent(), zoo.decider_yes(), zoo.decider_no()]
+    """Inductive machines with output histories known by construction: the
+    shipped writer, alternator and silent machines, and the zoo's two
+    constant deciders."""
+    return [shipped("writer.itm"), shipped("alternator.itm"), shipped("silent.itm"),
+            zoo.decider_yes(), zoo.decider_no()]
 
 
 def grower():

@@ -41,8 +41,9 @@ from minprog.universal import U_STD, WRAP_HEADER, make_biased_universal, wrap_un
 from minprog.words import nth_word, words_up_to
 from minprog import zoo
 
-from helpers import verdict_le
+from helpers import shipped, verdict_le
 from oracles import brute_force_outputs, brute_force_search
+from strategies import append_zero
 
 U1 = make_biased_universal(1)
 H_BIASED = tm_class(U1)
@@ -160,7 +161,7 @@ def test_05_invariance():
 def test_06_reduction_constant():
     budget = Budget(max_len=8, fuel=256)
     for base in (H_BIASED, H_STD):
-        composed = compose_postprocess(base, zoo.append_zero())
+        composed = compose_postprocess(base, append_zero())
         needed = []
         for u in words_up_to(2):
             lhs = bounded_problem_complexity(composed, equals(u + "0"), budget)
@@ -238,7 +239,7 @@ def test_11_emptiness():
 @criterion(12, "output-change reduction tracks result-giving exactly")
 def test_12_reduction():
     fuel = 10_000
-    machines = [zoo.alternator(), zoo.writer(), zoo.silent()]
+    machines = [shipped("alternator.itm"), shipped("writer.itm"), shipped("silent.itm")]
     for machine in machines:
         from minprog.hierarchy import build_reduction_tm
 

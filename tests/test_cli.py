@@ -331,7 +331,7 @@ def test_smallest_budgets_are_accepted(capsys):
 def test_std_minimum_for_anyword_is_the_54_bit_halt_now_program(capsys):
     from minprog.codec import encode_machine
     from minprog.words import sd
-    from minprog import zoo
+    from strategies import halt_now
 
     report = run_json(
         capsys, "complexity", "--interpreter", "std", "--predicate", "anyword",
@@ -339,7 +339,7 @@ def test_std_minimum_for_anyword_is_the_54_bit_halt_now_program(capsys):
     )
     assert (report["kind"], report["value"]) == ("finite", 54)
     assert report["witness"] == "000011000011110000110000110000111100000011000000110001"
-    assert report["witness"] == sd(encode_machine(zoo.halt_now()))
+    assert report["witness"] == sd(encode_machine(halt_now()))
     assert report["programs_scanned"] == 2**55 - 1 == 36028797018963967
     assert report["runs_halted"] == 1
 

@@ -15,28 +15,32 @@ from minprog import zoo
 from minprog.codec import InvalidCodeError, builtin_memory, decode_machine, encode_machine
 from minprog.hierarchy import DiagonalPipeline, SimDecider
 from minprog.inductive import MachineITM, Rule
-from minprog.machinefile import parse_machine_file
 from minprog.turing import MachineTM, Transition
 from minprog.universal import tm_program
 from minprog.words import BINARY, words_up_to
 
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import MACHINES, shipped
+from strategies import append_zero, blocked, eraser, halt_now
+
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "codes.json").read_text())
 DECODES = json.loads((Path(__file__).parent / "golden" / "decodes.json").read_text())
 
 ZOO = (
-    zoo.identity, zoo.looper, zoo.blocked, zoo.halt_now, zoo.const_zero, zoo.last_symbol,
-    zoo.nonempty_only, zoo.epsilon_only, zoo.append_zero, zoo.eraser,
-    zoo.writer, zoo.alternator, zoo.silent, zoo.decider_yes, zoo.decider_no,
+    zoo.identity, zoo.looper, blocked, halt_now, zoo.const_zero, zoo.last_symbol,
+    zoo.nonempty_only, zoo.epsilon_only, append_zero, eraser,
+    zoo.decider_yes, zoo.decider_no,
 )
 
 
 def shipped_codes():
-    """Every shipped machine's code word, by a label naming where it comes from."""
+    """Every shipped machine's code word, by a label naming where it comes
+    from.  The writer, alternator and silent machines are defined by their
+    files alone; each keeps its pinned ``zoo`` label as well."""
     codes = {f"zoo {make.__name__}": encode_machine(make()) for make in ZOO}
     codes.update((f"pool {i}", encode_machine(m)) for i, m in enumerate(zoo.acceptance_pool()))
-    for path in sorted((ROOT / "machines").iterdir()):
-        codes[f"file {path.name}"] = encode_machine(parse_machine_file(path.read_text()))
+    for path in sorted(MACHINES.iterdir()):
+        codes[f"file {path.name}"] = encode_machine(shipped(path.name))
+    codes.update((f"zoo {name}", codes[f"file {name}.itm"]) for name in ("writer", "alternator", "silent"))
     for name, decider in (("yes", zoo.decider_yes()), ("no", zoo.decider_no()), ("sim", SimDecider())):
         codes[f"pipeline {name}"] = encode_machine(DiagonalPipeline(decider))
     return codes

@@ -23,8 +23,8 @@ from minprog.machinefile import serialize_machine
 from minprog.words import BINARY, BLANK, InvalidWordError, words_up_to
 from minprog import codec, zoo
 
-from helpers import canonicalize_tm, configuration, step
-from strategies import full_tms, small_itms, small_tms
+from helpers import canonicalize_tm, configuration, shipped, step
+from strategies import append_zero, blocked, full_tms, halt_now, itm_zoo, small_itms, small_tms, zoo_tms
 
 
 def _behaviorally_equal(a, b, inputs, fuel=500):
@@ -40,7 +40,7 @@ def _behaviorally_equal(a, b, inputs, fuel=500):
 
 
 def test_roundtrip_preserves_step_by_step_behavior():
-    for machine in zoo.acceptance_pool() + [zoo.blocked(), zoo.halt_now(), zoo.append_zero()]:
+    for machine in zoo.acceptance_pool() + [blocked(), halt_now(), append_zero()]:
         back = decode_machine(encode_machine(machine))
         assert isinstance(back, MachineTM)
         assert _behaviorally_equal(canonicalize_tm(machine), back, list(words_up_to(4)))
@@ -121,7 +121,7 @@ def test_canonicalize_renames_in_first_use_order():
 
 
 def test_itm_codes_roundtrip():
-    for machine in [zoo.writer(), zoo.alternator(), zoo.silent(), zoo.decider_yes()]:
+    for machine in [shipped("writer.itm"), shipped("alternator.itm"), shipped("silent.itm"), zoo.decider_yes()]:
         back = decode_machine(encode_machine(machine))
         assert isinstance(back, MachineITM)
         a = itm_run(machine, "", 64)
@@ -161,7 +161,7 @@ def test_pipeline_codes_are_pinned():
 
 def test_tm_and_itm_codes_never_collide():
     tm_codes = {encode_machine(m) for m in zoo.acceptance_pool()}
-    itm_codes = {encode_machine(m) for m in [zoo.writer(), zoo.alternator(), zoo.silent()]}
+    itm_codes = {encode_machine(shipped(name)) for name in ("writer.itm", "alternator.itm", "silent.itm")}
     assert not (tm_codes & itm_codes)
 
 
@@ -261,9 +261,7 @@ def test_a_huge_state_count_fails_fast():
 def _zoo_machines():
     from minprog.hierarchy import build_diagonal
 
-    tms = zoo.acceptance_pool() + [zoo.blocked(), zoo.halt_now(), zoo.append_zero(), zoo.eraser()]
-    itms = [zoo.writer(), zoo.alternator(), zoo.silent(), zoo.decider_yes(), zoo.decider_no()]
-    return tms + itms + [build_diagonal(zoo.decider_no())]
+    return zoo_tms() + itm_zoo() + [build_diagonal(zoo.decider_no())]
 
 
 @pytest.mark.parametrize("machine", _zoo_machines(), ids=lambda m: getattr(m, "name", "pipeline"))
@@ -412,7 +410,7 @@ def test_a_decoded_machine_reads_its_transitions_from_its_table_on_first_use(mac
 
 
 def test_a_word_decodes_to_the_same_machine_every_time():
-    code = encode_machine(zoo.append_zero())
+    code = encode_machine(append_zero())
     assert decode_machine(code) is decode_machine(code)
 
 

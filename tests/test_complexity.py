@@ -44,8 +44,9 @@ from minprog.turing import MachineTM, Transition
 from minprog.words import BLANK, Alphabet, sd, words_up_to
 from minprog import codec, complexity, universal, zoo
 
-from helpers import all_of, tier_words, tm_program2, verdict_le
+from helpers import all_of, shipped, tier_words, tm_program2, verdict_le
 from oracles import binary_words, binary_words_of_len, brute_force_halts, brute_force_search
+from strategies import append_zero, eraser, halt_now
 
 U1 = make_biased_universal(1)
 H1 = tm_class(U1)
@@ -186,7 +187,7 @@ def test_identity_table_program_exists_but_is_far_beyond_scan_budgets():
 
 
 def test_constant_empty_machine_has_shorter_two_input_program_than_identity():
-    p_const = sd(encode_machine(zoo.halt_now()))
+    p_const = sd(encode_machine(halt_now()))
     p_ident = tm_program2(zoo.identity())
     assert len(p_const) < len(p_ident)
     for x in ["", "0", "10"]:
@@ -272,7 +273,7 @@ def test_identity_postprocessor_changes_nothing():
 
 
 def test_append_postprocessor_reduction_constant():
-    composed = compose_postprocess(H1, zoo.append_zero())
+    composed = compose_postprocess(H1, append_zero())
     needed = 0
     for u in words_up_to(2):
         lhs = bounded_problem_complexity(composed, equals(u + "0"), SMALL)
@@ -285,7 +286,7 @@ def test_append_postprocessor_reduction_constant():
 
 
 def test_erasing_postprocessor():
-    composed = compose_postprocess(H1, zoo.eraser())
+    composed = compose_postprocess(H1, eraser())
     lhs = bounded_problem_complexity(composed, equals(""), SMALL)
     assert lhs.finite and lhs.value == 1
     for p in [equals("0"), any_word()]:
@@ -317,7 +318,7 @@ def test_order_predicates_answer_on_a_produced_word_outside_binary():
 
 
 def test_a_postprocessor_gives_no_result_on_a_word_outside_its_alphabet():
-    composed = compose_postprocess(compose_postprocess(H1, _writes_two()), zoo.append_zero())
+    composed = compose_postprocess(compose_postprocess(H1, _writes_two()), append_zero())
     v = bounded_problem_complexity(composed, non_empty(), Budget(3, 64))
     assert v.kind == "no-witness-within-budget"
 
@@ -359,7 +360,7 @@ def test_itm_class_runs_inductive_programs_in_their_own_region():
     from minprog.words import pair
 
     hi = itm1_class(U1)
-    program = pair("", encode_machine(zoo.writer()))
+    program = pair("", encode_machine(shipped("writer.itm")))
     out = hi.produce(program, Budget(4, 64, horizon=64))
     assert out == "1"
 
@@ -390,7 +391,7 @@ def test_verdict_report_field_names():
 # ---------------------------------------------------------------------------
 # long std scans reach the Turing machine heads
 
-# README "Why biased:1": sd(c) for the code of zoo.halt_now
+# README "Why biased:1": sd(c) for the code of strategies.halt_now
 README_WITNESS = "000011000011110000110000110000111100000011000000110001"
 
 
@@ -424,7 +425,7 @@ PRUNED_CLASSES = {
        for spec in ("std", "wrap:std", "biased:1", "biased:2", "biased:3", "wrap:biased:2")},
     "itm1[std]": itm1_class(U_STD),
     "itm1[biased:1]": itm1_class(make_biased_universal(1)),
-    "tm[biased:1]+append_zero": compose_postprocess(tm_class(make_biased_universal(1)), zoo.append_zero()),
+    "tm[biased:1]+append_zero": compose_postprocess(tm_class(make_biased_universal(1)), append_zero()),
 }
 
 

@@ -16,7 +16,7 @@ from minprog.inductive import TmAsItm, start_if_fits
 from minprog.turing import FIRST_SNAPSHOT, EventLog, MachineTM, Transition
 from minprog.words import BINARY, BLANK
 
-from helpers import assert_register_reads, configuration
+from helpers import assert_register_reads, configuration, shipped
 from oracles import PlainItm, PlainTm, stepper_repeat, stepwise_change_log
 from strategies import full_tms, grower, itm_zoo, small_itms, small_tms, zoo_tms
 
@@ -192,15 +192,15 @@ def test_looper_and_flipper_skip_periods_exactly(data):
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_zoo_itms_skip_periods_exactly(data):
-    assert check_itm(zoo.alternator(), "", data, reach=600) == (1, 2)
-    assert check_itm(zoo.writer(), "0110", data, reach=600) == (3, 1)
-    assert check_itm(zoo.silent(), "1", data, reach=600) == (0, 1)
+    assert check_itm(shipped("alternator.itm"), "", data, reach=600) == (1, 2)
+    assert check_itm(shipped("writer.itm"), "0110", data, reach=600) == (3, 1)
+    assert check_itm(shipped("silent.itm"), "1", data, reach=600) == (0, 1)
     # the alternator changes its register on every step, the writer once
-    run = zoo.alternator().start_run("").run_to(10**6)
+    run = shipped("alternator.itm").start_run("").run_to(10**6)
     assert (run.change_count, run.last_change_step, run.output_word()) == (10**6, 10**6, "0")
-    assert zoo.alternator().start_run("").run_to(10**4).change_log == [(0, "")] + [
+    assert shipped("alternator.itm").start_run("").run_to(10**4).change_log == [(0, "")] + [
         (t, "1" if t % 2 else "0") for t in range(1, 10**4 + 1)]
-    run = zoo.writer().start_run("").run_to(10**6)
+    run = shipped("writer.itm").start_run("").run_to(10**6)
     assert (run.change_count, run.last_change_step, run.output_word()) == (1, 3, "1")
 
 
@@ -210,7 +210,7 @@ def test_zoo_itms_skip_periods_exactly(data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.sampled_from(itm_zoo()), small_itms()), st.text("01", max_size=2), st.integers(0, 600))
-@example(zoo.alternator(), "", 10**4)
+@example(shipped("alternator.itm"), "", 10**4)
 @example(grower(), "", 600)
 def test_register_after_every_change_equals_the_reference_stepper(machine, word, horizon):
     run = start_if_fits(machine, word)
@@ -259,7 +259,7 @@ def test_a_stay_step_closes_the_run_at_once():
 
 
 def test_a_repeating_run_stops_stepping():
-    run = zoo.alternator().start_run("")
+    run = shipped("alternator.itm").start_run("")
     run.run_to(10**9)
     assert run.steps == 10**9
     looper = zoo.looper().start_run("0").run_to(10**9)
@@ -268,7 +268,7 @@ def test_a_repeating_run_stops_stepping():
 
 def test_a_looping_tm_is_settled_as_its_inductive_twin():
     assert TmAsItm(zoo.looper()).start_run("").run_to(100).settled()
-    assert zoo.silent().start_run("").run_to(100).settled()
+    assert shipped("silent.itm").start_run("").run_to(100).settled()
 
 
 @settings(max_examples=300, deadline=None)
@@ -296,12 +296,12 @@ def read_history(run, log_first):
 
 
 def test_the_alternator_outruns_its_logged_writes():
-    run = zoo.alternator().start_run("").run_to(REACH)
+    run = shipped("alternator.itm").start_run("").run_to(REACH)
     assert run.change_count > len(run.writes.events)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(st.sampled_from([zoo.alternator(), zoo.writer()]), small_itms()),
+@given(st.one_of(st.sampled_from([shipped("alternator.itm"), shipped("writer.itm")]), small_itms()),
        st.text("01", max_size=2), st.data())
 def test_a_periodic_history_reads_alike_in_either_order(machine, word, data):
     assume(start_if_fits(machine, word) is not None)

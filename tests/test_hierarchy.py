@@ -34,7 +34,7 @@ from minprog.universal import itm_universal_apply
 from minprog.words import BINARY, BLANK, nth_word, sd
 from minprog import zoo
 
-from helpers import assert_register_reads, never_halts_by_inspection
+from helpers import assert_register_reads, never_halts_by_inspection, shipped
 from oracles import (
     PlainItm,
     PlainSimDecider,
@@ -45,9 +45,12 @@ from oracles import (
 )
 from strategies import (
     any_input_grower,
+    append_zero,
+    blocked,
     bouncer,
     full_tms,
     gap_writer,
+    halt_now,
     itm_zoo,
     random_tm,
     random_walking_tm,
@@ -94,7 +97,7 @@ def test_halting_itm_rejects_a_horizon_below_one(machine, horizon):
         halting_itm(encode_machine(machine), "", horizon)
     # the code is decoded first
     with pytest.raises(InvalidCodeError, match="does not take a"):
-        halting_itm(encode_machine(zoo.writer()), "", horizon)
+        halting_itm(encode_machine(shipped("writer.itm")), "", horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +199,7 @@ def test_unary_machines_see_unary_inputs():
 @settings(max_examples=150, deadline=None)
 @given(_DOVETAIL_MACHINES, st.integers(0, 40))
 @example(bouncer(), 40)
-@example(zoo.halt_now(), 0)
+@example(halt_now(), 0)
 @example(walker_below_a_halt(), 40)  # x_1 runs 40 steps, then x_2 halts at step 1: the answer is 2
 def test_emptiness_solver_equals_the_rerun_schedule(machine, cycles):
     v = emptiness_solver(encode_machine(machine), cycles)
@@ -212,20 +215,20 @@ def test_emptiness_solver_equals_the_rerun_schedule(machine, cycles):
 
 @settings(max_examples=20, deadline=None)
 @given(_DOVETAIL_MACHINES, st.integers(max_value=-1))
-@example(zoo.halt_now(), -1)
+@example(halt_now(), -1)
 def test_emptiness_solver_rejects_a_negative_cycle_count(machine, cycles):
     # a verdict at a negative budget would claim a cycle that never ran
     with pytest.raises(ValueError, match="cycles must be at least 0"):
         emptiness_solver(encode_machine(machine), cycles)
     # the code is decoded first
     with pytest.raises(InvalidCodeError, match="does not take a"):
-        emptiness_solver(encode_machine(zoo.writer()), cycles)
+        emptiness_solver(encode_machine(shipped("writer.itm")), cycles)
 
 
 @pytest.mark.parametrize("build", [
     lambda: build_range_enumerator(encode_machine(zoo.identity())),
     lambda: build_totalizer(encode_machine(zoo.identity())),
-    lambda: build_reduction_tm(encode_machine(zoo.writer()), ""),
+    lambda: build_reduction_tm(encode_machine(shipped("writer.itm")), ""),
 ], ids=["range-enumerator", "totalizer", "reduction"])
 def test_host_machines_reject_a_negative_fuel(build):
     # an out-of-fuel outcome at a negative fuel would claim steps that never ran
@@ -325,7 +328,7 @@ def test_scheduler_follows_the_literal_placement_rules():
     @example(_zoo("identity", "looper", "halt-now", "eraser", "blocked", "bouncer"), 3)  # rows 4-6 never play
     # 2: T2 moved, so code 3 is never listed; in cycle 3 only machine 3 moves,
     # which no listed code does: 3: none moved
-    @example([zoo.blocked(), random_tm(random.Random(10000)), zoo.append_zero()], 3)
+    @example([blocked(), random_tm(random.Random(10000)), append_zero()], 3)
     def check(pool, cycles):
         state = dovetail_nontotal(pool, cycles)
         order, halted, last_moved, branches = rerun_dovetail_list(pool, state.codes, cycles)
@@ -409,7 +412,7 @@ def test_a_lone_unlisted_mover_in_cycle_3_is_not_placed():
             for s in ("0", "1", BLANK)]
     not_on_1 = MachineTM("not-on-1", ("q0", "qf"), "q0", frozenset({"qf"}), BINARY,
                          tuple(Transition(*row) for row in rows))
-    pool = [not_on_1, zoo.looper(), zoo.halt_now()]
+    pool = [not_on_1, zoo.looper(), halt_now()]
     state = dovetail_nontotal(pool, 6)
     assert state.order == [state.codes[1], state.codes[0]]
     assert state.last_moved == {state.codes[0]: 2}
@@ -586,13 +589,13 @@ def test_pool_equivalence_totalizer_halts_iff_base_halts_on_prefix():
 
 
 def test_reduction_of_alternator_is_total_on_probes():
-    t = build_reduction_tm(encode_machine(zoo.alternator()), "")
+    t = build_reduction_tm(encode_machine(shipped("alternator.itm")), "")
     for n in range(1, 9):
         assert run_fueled(t, nth_word(n), 10_000).halted
 
 
 def test_reduction_of_writer_halts_only_on_the_first_probe():
-    t = build_reduction_tm(encode_machine(zoo.writer()), "")
+    t = build_reduction_tm(encode_machine(shipped("writer.itm")), "")
     first = run_fueled(t, nth_word(1), 10_000)
     assert first.halted and first.output == ""  # the value before the change
     for n in (2, 3, 8):
@@ -600,14 +603,14 @@ def test_reduction_of_writer_halts_only_on_the_first_probe():
 
 
 def test_reduction_of_silent_machine_diverges_everywhere():
-    t = build_reduction_tm(encode_machine(zoo.silent()), "")
+    t = build_reduction_tm(encode_machine(shipped("silent.itm")), "")
     for n in range(1, 9):
         assert run_fueled(t, nth_word(n), 10_000).kind == "out-of-fuel"
 
 
 def test_reduction_totality_tracks_result_giving():
     horizon = 10_000
-    for machine in [zoo.alternator(), zoo.writer(), zoo.silent()]:
+    for machine in [shipped("alternator.itm"), shipped("writer.itm"), shipped("silent.itm")]:
         defined = itm_run(machine, "", horizon).gives_result
         t = build_reduction_tm(encode_machine(machine), "")
         total = all(run_fueled(t, nth_word(n), horizon).halted for n in range(1, 9))
@@ -639,7 +642,7 @@ def test_reduction_equals_a_per_step_replay(machine, x, n, fuel):
 
 
 TM_CODE = encode_machine(zoo.identity())
-ITM_CODE = encode_machine(zoo.writer())
+ITM_CODE = encode_machine(shipped("writer.itm"))
 PIPELINE_CODE = encode_machine(build_diagonal(SimDecider()))
 
 
@@ -756,32 +759,31 @@ def test_sim_decider_register_after_every_change_equals_the_reference(word, hori
 
 # the alternator's explicit input register has one cell, too few for any
 # program pair, so its diagonal machine starts a decider that cannot run
-ALTERNATOR_DIAGONAL = encode_machine(build_diagonal(zoo.alternator()))
+ALTERNATOR_DIAGONAL = encode_machine(build_diagonal(shipped("alternator.itm")))
 
 
 def test_a_decider_that_cannot_hold_the_program_pair_claims_nothing():
-    x = encode_machine(zoo.halt_now())
+    x = encode_machine(halt_now())
     out = itm_universal_apply(ALTERNATOR_DIAGONAL, x, 500)
     assert out.kind == "unstable"
     budget = Budget(max_len=400, fuel=500, horizon=500)
     assert itm1_class().produce(sd(ALTERNATOR_DIAGONAL) + x, budget) is None
-    run = build_diagonal(zoo.alternator()).start_run(x).run_to(500)
+    run = build_diagonal(shipped("alternator.itm")).start_run(x).run_to(500)
     assert run.d_events == [(0, "")]
 
 
 def test_the_diagonal_experiment_takes_a_decider_that_cannot_hold_the_pair_as_claiming_nothing():
     # the experiment's standalone claim agrees with the pipeline's decider stage
-    report = diagonal_experiment(zoo.alternator(), 500)
+    report = diagonal_experiment(shipped("alternator.itm"), 500)
     assert report.decider_verdict is None
     assert not report.contradiction
     assert report.stage_histories["decider"] == [(0, "")]
     with pytest.raises(ValueError, match="horizon must be at least 1"):
-        diagonal_experiment(zoo.alternator(), 0)
+        diagonal_experiment(shipped("alternator.itm"), 0)
 
 
-_DECIDERS = [zoo.writer(), zoo.alternator(), zoo.silent(), zoo.decider_yes(), zoo.decider_no(),
-             SimDecider()]
-_INPUTS = [encode_machine(m) for m in zoo_tms() + [zoo.writer(), zoo.alternator()]] + [
+_DECIDERS = [*itm_zoo(), SimDecider()]
+_INPUTS = [encode_machine(m) for m in zoo_tms() + [shipped("writer.itm"), shipped("alternator.itm")]] + [
     ALTERNATOR_DIAGONAL, "", "0", "11", "0110"]
 
 

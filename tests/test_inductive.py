@@ -23,7 +23,7 @@ from minprog.codec import decode_machine, encode_machine
 from minprog.words import BINARY, BLANK, words_up_to
 from minprog import zoo
 
-from helpers import step
+from helpers import shipped, step
 from oracles import PlainItm, scan_limit_connection, stepwise_change_log
 from strategies import definite_sweep_runs, gap_writer, grower, itm_zoo, small_itms, small_tms, unary_tms, zoo_tms
 
@@ -89,7 +89,7 @@ def test_undeclared_connection_type_rejected():
 
 def test_writer_stabilizes_at_step_three():
     for horizon in (4, 10, 1000):
-        out = itm_run(zoo.writer(), "", horizon)
+        out = itm_run(shipped("writer.itm"), "", horizon)
         assert out.kind == "stabilized"
         assert out.output == "1"
         assert out.last_change_step == 3
@@ -97,22 +97,22 @@ def test_writer_stabilizes_at_step_three():
 
 
 def test_alternator_never_stabilizes():
-    out = itm_run(zoo.alternator(), "", 101)
+    out = itm_run(shipped("alternator.itm"), "", 101)
     assert out.kind == "unstable"
     assert out.change_count == 101
 
 
 def test_silent_machine_counts_as_stabilized_on_empty_from_step_zero():
-    out = itm_run(zoo.silent(), "", 64)
+    out = itm_run(shipped("silent.itm"), "", 64)
     assert out.kind == "stabilized"
     assert out.output == ""
     assert out.last_change_step == 0
 
 
 def test_horizon_monotonicity_for_stabilized_outcomes():
-    base = itm_run(zoo.writer(), "", 16)
+    base = itm_run(shipped("writer.itm"), "", 16)
     for h in (17, 64, 256):
-        later = itm_run(zoo.writer(), "", h)
+        later = itm_run(shipped("writer.itm"), "", h)
         assert later.kind == "stabilized"
         assert later.output == base.output
         assert later.last_change_step == base.last_change_step
@@ -143,9 +143,9 @@ def test_tm_embedding_fidelity_on_pool():
 
 
 def test_itm_universal_apply_matches_direct_run():
-    code = encode_machine(zoo.writer())
+    code = encode_machine(shipped("writer.itm"))
     out = itm_universal_apply(code, "", 100)
-    direct = itm_run(zoo.writer(), "", 100)
+    direct = itm_run(shipped("writer.itm"), "", 100)
     assert (out.kind, out.output) == (direct.kind, direct.output)
 
 
@@ -163,7 +163,7 @@ def test_itm_universal_apply_accepts_tm_codes_as_embeddings():
 
 
 def test_itm_universal_apply_checks_the_horizon_before_decoding():
-    for code in ("11", encode_machine(zoo.writer())):
+    for code in ("11", encode_machine(shipped("writer.itm"))):
         with pytest.raises(ValueError, match="horizon"):
             itm_universal_apply(code, "", 0)
 
@@ -178,7 +178,7 @@ def test_a_machine_that_cannot_hold_its_input_has_no_run():
     assert itm_universal_apply(UNARY_CODE, "1", 10).kind == "unstable"
     assert itm_outcome(unary, "1", 10).kind == "unstable"
     # an explicit input register one cell too short
-    assert start_if_fits(decode_machine(encode_machine(zoo.alternator())), "00") is None
+    assert start_if_fits(decode_machine(encode_machine(shipped("alternator.itm"))), "00") is None
 
 
 def test_input_register_grows_lazily_on_linear_memory():
@@ -202,7 +202,7 @@ def test_chain_cell_reads_one_letter_and_a_decimal_index(cell):
 
 def test_explicit_input_register_is_bounded():
     with pytest.raises(MachineValidationError, match="input register"):
-        itm_run(zoo.alternator(), "00", 10)
+        itm_run(shipped("alternator.itm"), "00", 10)
 
 
 @settings(max_examples=300, deadline=None)
@@ -291,7 +291,7 @@ def test_tm_as_itm_equals_the_stepwise_oracle_at_every_chunk_boundary(machine, d
 def test_a_change_log_read_is_a_copy_of_the_history():
     # before its first snapshot the writer has logged every change, so a
     # change log that handed out the run's own cache would show the edit
-    run = zoo.writer().start_run("").run_to(10)
+    run = shipped("writer.itm").start_run("").run_to(10)
     log = run.change_log
     log[-1] = (3, "0")
     assert run.output_word() == "1"
@@ -318,9 +318,9 @@ def _sim_diagonal_on_its_own_code():
 
 
 _RUNS = {
-    "writer": lambda: zoo.writer().start_run(""),
-    "alternator": lambda: zoo.alternator().start_run(""),
-    "silent": lambda: zoo.silent().start_run(""),
+    "writer": lambda: shipped("writer.itm").start_run(""),
+    "alternator": lambda: shipped("alternator.itm").start_run(""),
+    "silent": lambda: shipped("silent.itm").start_run(""),
     "decider_yes": lambda: zoo.decider_yes().start_run("0110"),
     "sim-diagonal": _sim_diagonal_on_its_own_code,
 }

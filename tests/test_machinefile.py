@@ -13,9 +13,7 @@ from minprog.machinefile import ParseError, parse_machine_file, serialize_machin
 from minprog.turing import MachineTM, MachineValidationError, TmRun, run_fueled
 from minprog.words import BINARY, words_up_to
 
-from helpers import configuration
-
-MACHINE_DIR = Path(__file__).resolve().parent.parent / "machines"
+from helpers import MACHINES, configuration, shipped
 
 IDENTITY_FILE = """\
 machine ident
@@ -147,10 +145,10 @@ rule q0 _ -> write 1 q0
 
 
 def test_every_shipped_machine_file_round_trips():
-    files = sorted(MACHINE_DIR.glob("*.tm")) + sorted(MACHINE_DIR.glob("*.itm"))
+    files = sorted(MACHINES.glob("*.tm")) + sorted(MACHINES.glob("*.itm"))
     assert len(files) >= 6
     for path in files:
-        machine = parse_machine_file(path.read_text())
+        machine = shipped(path.name)
         text = serialize_machine(machine)
         again = parse_machine_file(text)
         assert again.name == machine.name
@@ -167,14 +165,10 @@ def test_unlabelled_limit_memory_has_no_serialized_form():
             serialize(machine)
 
 
-@pytest.mark.parametrize("filename", [
-    "alternator.itm", "epsilon_only.tm", "identity.tm", "last_symbol.tm", "looper.tm", "silent.itm",
-    "writer.itm",
-])
+@pytest.mark.parametrize("filename", ["epsilon_only.tm", "identity.tm", "last_symbol.tm", "looper.tm"])
 def test_shipped_machine_files_parse_to_their_zoo_twins(filename):
     # names count: the serialized text starts with one
-    machine = parse_machine_file((MACHINE_DIR / filename).read_text())
-    assert serialize_machine(machine) == serialize_machine(getattr(zoo, Path(filename).stem)())
+    assert serialize_machine(shipped(filename)) == serialize_machine(getattr(zoo, Path(filename).stem)())
 
 
 WRITER_FILE = """\
@@ -193,8 +187,8 @@ rule q0 _ -> write 1 qf
 @pytest.mark.parametrize("text, line", [
     (IDENTITY_FILE.replace("states q0 qf", "states q0 q0 qf"), 4),
     (WRITER_FILE.replace("states q0 qf", "states q0 q0 qf"), 3),
-    (WRITER_FILE.replace("conn-types r", "conn-types r r"), 7),
-    (WRITER_FILE.replace("conn-types r\nmemory explicit\ncell c output", "conn-types r r\nmemory builtin:linear"), 7),
+    (WRITER_FILE.replace("conn-types r", "conn-types r r"), 6),
+    (WRITER_FILE.replace("conn-types r\nmemory explicit\ncell c output", "conn-types r r\nmemory builtin:linear"), 6),
 ], ids=["tm states", "itm states", "conn-types", "builtin conn-types"])
 def test_a_repeated_declaration_is_a_parse_error(text, line):
     assert parse_machine_file(WRITER_FILE).states == ("q0", "qf")  # valid when declared once
@@ -251,14 +245,16 @@ _RULE_FORMS = "rule right part is 'write <s> <q>', 'move <t> <q>' or 'write <s> 
      "line 8: symbol '2' is not in the alphabet", 8),
     (_TWO_CELLS.replace("rule", "link c r d\nlink c r c\nrule"),
      "line 11: a 'r' connection from 'c' already declared on line 10", 11),
-    (WRITER_FILE.replace("cell c output", "cell c register"), "line 7: unknown cell kind 'register'", 7),
-    (WRITER_FILE.replace("rule", "link c r e\nrule"), "line 7: link c-r->e uses an undeclared cell", 7),
+    (WRITER_FILE.replace("cell c output", "cell c register"), "line 8: unknown cell kind 'register'", 8),
+    (WRITER_FILE.replace("rule", "link c r e\nrule"), "line 9: link c-r->e uses an undeclared cell", 9),
+    (WRITER_FILE.replace("rule", "cell c work\nrule"), "line 9: duplicate cell declaration", 9),
+    (WRITER_FILE.replace("cell c output\n", ""), "line 7: explicit memory declares no cells", 7),
     (WRITER_FILE.replace("write 1 qf", "write 1"), f"line 9: {_RULE_FORMS}", 9),
     (WRITER_FILE.replace("memory explicit\ncell c output\n", ""), "an itm description needs a 'memory' directive", None),
     (WRITER_FILE.replace("memory explicit", "memory implicit"),
      "line 7: memory must be builtin:<name> or explicit, not 'implicit'", 7),
 ], ids=["no machine", "no kind", "no states", "no start", "bad alphabet", "foreign symbol", "repeated link",
-        "cell kind", "undeclared cell", "rule right part", "no memory", "memory form"])
+        "cell kind", "undeclared cell", "duplicate cell", "no cells", "rule right part", "no memory", "memory form"])
 def test_each_malformed_description_names_its_fault_and_line(text, message, line):
     with pytest.raises(ParseError) as info:
         parse_machine_file(text)
@@ -300,7 +296,7 @@ def _view(run):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(sorted(MACHINE_DIR.iterdir())),
+@given(st.sampled_from(sorted(MACHINES.iterdir())),
        st.lists(st.text("01", max_size=6), min_size=2, max_size=2, unique=True),
        st.lists(st.integers(0, 12), min_size=2, max_size=8))
 def test_a_shared_parsed_machine_carries_nothing_from_one_run_to_the_next(path, inputs, chunks):

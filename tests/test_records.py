@@ -19,28 +19,24 @@ from minprog.complexity import (
 )
 from minprog.hierarchy import emptiness_solver, halting_itm
 from minprog.inductive import Rule, itm_run
-from minprog.machinefile import parse_machine_file
 from minprog.predicates import builtin
 from minprog.turing import MachineValidationError, run_fueled
 from minprog.universal import make_biased_universal
 from minprog.words import Alphabet, InvalidWordError
 
+from helpers import shipped
+
 SRC = Path(__file__).resolve().parent.parent / "src"
-MACHINE_DIR = SRC.parent / "machines"
 H1 = tm_class(make_biased_universal(1))
-
-
-def _itm(filename, horizon):
-    return itm_run(parse_machine_file((MACHINE_DIR / filename).read_text()), "", horizon)
 
 
 # each repr as the records printed it when they were dataclasses
 @pytest.mark.parametrize("make, shown", [
     (lambda: run_fueled(zoo.identity(), "0110", 100), "RunOutcome(kind='halted', steps=5, output='0110')"),
     (lambda: run_fueled(zoo.identity(), "0110", 3), "RunOutcome(kind='out-of-fuel', steps=3, output=None)"),
-    (lambda: _itm("writer.itm", 1000),
+    (lambda: itm_run(shipped("writer.itm"), "", 1000),
      "ItmOutcome(kind='stabilized', output='1', steps=None, last_change_step=3, horizon=1000, change_count=1)"),
-    (lambda: _itm("alternator.itm", 1000),
+    (lambda: itm_run(shipped("alternator.itm"), "", 1000),
      "ItmOutcome(kind='unstable', output=None, steps=None, last_change_step=None, horizon=1000, change_count=1000)"),
     (lambda: bounded_problem_complexity(H1, builtin("equals:0"), Budget(max_len=6, fuel=128)),
      "ComplexityVerdict(kind='finite', value=1, witness='0', programs_scanned=3, runs_halted=1)"),

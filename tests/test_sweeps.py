@@ -22,8 +22,8 @@ from minprog.words import BINARY, BLANK
 
 from helpers import configuration
 from oracles import PlainTm, stepper_repeat
-from strategies import (TERNARY, bouncer, definite_sweep_runs, definite_sweep_tms, stay_tms, sweep_tms,
-                        unary_tms, zoo_tms)
+from strategies import (TERNARY, append_zero, bouncer, definite_sweep_runs, definite_sweep_tms, stay_tms,
+                        sweep_tms, unary_tms, zoo_tms)
 
 # snapshot steps 16 ... 256, and room past the last one for a repeat of it
 SNAPSHOTS = [FIRST_SNAPSHOT << k for k in range(5)]
@@ -373,7 +373,7 @@ def test_the_sweep_rows_are_read_off_the_table():
 
 
 def test_the_stock_sweeps_are_definite():
-    for machine in (zoo.identity(), zoo.last_symbol(), zoo.append_zero(), ping_pong(), rewinder()):
+    for machine in (zoo.identity(), zoo.last_symbol(), append_zero(), ping_pong(), rewinder()):
         assert every_sweep_is_definite(machine), machine.name
     assert zoo.identity().sweeps[BLANK]["q0"] == ("", {"0": "q0", "1": "q0"}, {ord("0"): "0", ord("1"): "1"})
     assert zero_writer().sweeps[BLANK]["q"] == ("2", {"0": "q", "1": "q"}, {ord("0"): "0", ord("1"): None})

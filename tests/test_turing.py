@@ -21,7 +21,11 @@ from minprog import zoo
 from helpers import configuration, never_halts_by_inspection, step
 from oracles import PlainTm, stepper_repeat
 from strategies import (
+    append_zero,
+    blocked,
+    eraser,
     gap_writer,
+    halt_now,
     random_stay_tm,
     random_sweep_tm,
     random_tm,
@@ -46,13 +50,13 @@ def test_looper_runs_out_of_fuel():
 
 
 def test_blocked_machine_gives_no_result_immediately():
-    out = run_fueled(zoo.blocked(), "", 50)
+    out = run_fueled(blocked(), "", 50)
     assert out.kind == "no-result"
     assert out.steps == 0
 
 
 def test_halt_now_halts_with_empty_output():
-    out = run_fueled(zoo.halt_now(), "11", 10)
+    out = run_fueled(halt_now(), "11", 10)
     assert out.kind == "halted" and out.output == "" and out.steps == 0
 
 
@@ -92,8 +96,8 @@ def test_zoo_behavior_tables():
         assert ne.halted == (w != "")
         eo = run_fueled(zoo.epsilon_only(), w, 100)
         assert eo.halted == (w == "")
-        assert run_fueled(zoo.append_zero(), w, 100).output == w + "0"
-        assert run_fueled(zoo.eraser(), w, 100).output == ""
+        assert run_fueled(append_zero(), w, 100).output == w + "0"
+        assert run_fueled(eraser(), w, 100).output == ""
 
 
 def _tm(rows, finals=("qf",), states=("q0", "qf")):
@@ -198,9 +202,9 @@ def test_run_to_stops_at_fuel_final_state_or_stuck():
     run = zoo.looper().start_run("0").run_to(5)
     assert (run.steps, run.in_final, run.stuck) == (5, False, False)
     assert run.run_to(3).steps == 5
-    run = zoo.halt_now().start_run("").run_to(5)
+    run = halt_now().start_run("").run_to(5)
     assert (run.steps, run.in_final) == (0, True)
-    run = zoo.blocked().start_run("").run_to(5)
+    run = blocked().start_run("").run_to(5)
     assert (run.steps, run.stuck) == (0, True)
 
 
@@ -335,9 +339,9 @@ def test_count_and_locate_read_the_log_unrolled_lap_by_lap(start, period, repeat
 def test_never_halts_by_inspection():
     assert never_halts_by_inspection(zoo.looper())
     assert not never_halts_by_inspection(zoo.identity())
-    assert not never_halts_by_inspection(zoo.blocked())  # stuck counts as stopping
+    assert not never_halts_by_inspection(blocked())  # stuck counts as stopping
     assert not never_halts_by_inspection(zoo.epsilon_only())
-    assert not never_halts_by_inspection(zoo.halt_now())
+    assert not never_halts_by_inspection(halt_now())
 
 
 def _built(make):
@@ -376,11 +380,11 @@ def test_transitions_are_read_back_from_the_table_in_order(kind, seed):
         _assert_read_back(machine, given)
 
 
-_ZOO_TMS = (zoo.looper, zoo.nonempty_only, zoo.epsilon_only, zoo.identity, zoo.const_zero,
-            zoo.last_symbol, zoo.halt_now, zoo.blocked, zoo.append_zero, zoo.eraser)
+_ZOO_TMS = (zoo.looper, zoo.nonempty_only, zoo.epsilon_only, zoo.identity, zoo.const_zero, zoo.last_symbol)
 
 
-@pytest.mark.parametrize("make", [unary_tms, *(m.__wrapped__ for m in _ZOO_TMS)],
+@pytest.mark.parametrize("make", [unary_tms, *(m.__wrapped__ for m in _ZOO_TMS),
+                                  halt_now, blocked, append_zero, eraser],
                          ids=lambda make: make.__name__)
 def test_zoo_and_unary_transitions_are_read_back_from_the_table_in_order(make):
     for machine, given in _built(make):

@@ -18,7 +18,7 @@ from minprog import zoo
 
 from helpers import tier_words, tm_program2
 from oracles import binary_words_of_len, brute_force_search
-from strategies import small_tms, zoo_tms
+from strategies import halt_now, small_tms, zoo_tms
 
 
 def test_universality_against_direct_simulation():
@@ -173,7 +173,7 @@ def test_words_outside_live_never_halt(spec):
 
 def test_std_live_words_are_binary_tm_pair_programs():
     assert U_STD.live(45) == []
-    assert sd(encode_machine(zoo.halt_now())) in [head for head, _ in U_STD.live(54)]
+    assert sd(encode_machine(halt_now())) in [head for head, _ in U_STD.live(54)]
     for n in range(46, 55):
         heads = [head for head, _ in U_STD.live(n)]
         codes = list(codes_up_to(n // 2 - 1, KIND_TM))
